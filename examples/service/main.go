@@ -3,7 +3,8 @@
 // scheduler daemon actually sees:
 //
 //  1. a cold burst of distinct instances (pure throughput, nothing to
-//     share),
+//     share; their closed-form oracles run without a memo, so the
+//     oracle counters stay at 0),
 //  2. hot repeats of a handful of popular instances (the result cache
 //     answers without scheduling),
 //  3. ε-sweeps over one expensive table-backed instance (different

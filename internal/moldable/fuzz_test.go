@@ -52,3 +52,36 @@ func FuzzCommMinimizer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParameterProof: for any closed-form job, optionally wrapped as
+// Scaled{Capped{job, max}, factor}, CheckMonotone agrees with the probe
+// of the same job behind an opaque type — a job the parameter proof
+// accepts must pass the exhaustive scan, and every other job must get
+// the scan's verdict and error. The seeds are the edge cases of
+// TestParameterProofEdges.
+func FuzzParameterProof(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(0, 3.0, 97.0, false, 0, 1.0, 4096) // in-domain Amdahl
+	f.Add(1, 10.0, 1.5, false, 0, 1.0, 4096) // Power α = 1.5
+	f.Add(0, 10.0, -5.0, false, 0, 1.0, 64)  // Amdahl Par < 0
+	f.Add(0, nan, 1.0, false, 0, 1.0, 64)    // NaN Seq
+	f.Add(1, 1.0, nan, false, 0, 1.0, 64)    // NaN α
+	f.Add(4, 1.0, nan, false, 0, 1.0, 64)    // NaN C
+	f.Add(0, 1.0, 9.0, true, 64, 0.0, 64)    // Scaled Factor = 0
+	f.Add(0, 1.0, 9.0, true, 64, nan, 64)    // Scaled Factor = NaN
+	f.Add(0, 1.0, 9.0, true, 0, 1.0, 64)     // Capped Max = 0
+	f.Add(3, 1e300, 0.0, true, 5, 1e300, 64) // Scaled overflow: t(1) = +Inf
+	f.Add(2, inf, 0.0, false, 0, 1.0, 64)    // infinite W
+	f.Add(4, 1e12, 1e-12, true, 3, 1e-12, 3) // Comm, extreme ratio
+	f.Add(1, 1e-12, 0.0, true, 1, 1e12, 2)   // Power α = 0 under a cap of 1
+	f.Fuzz(func(t *testing.T, family int, a, b float64, wrap bool, max int, factor float64, m int) {
+		if m < 1 || m > 4096 {
+			t.Skip()
+		}
+		j := closedFormJob(family, a, b)
+		if wrap {
+			j = Scaled{J: Capped{J: j, Max: max}, Factor: factor}
+		}
+		checkAgainstScan(t, j, m, 0)
+	})
+}

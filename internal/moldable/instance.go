@@ -70,14 +70,20 @@ var ErrNotMonotone = scherr.ErrNotMonotone
 
 // CheckMonotone verifies that job j is monotone over 1..m: time
 // non-increasing, work non-decreasing, and t(1) positive and finite.
-// For large m an exhaustive scan is too expensive (and contradicts the
-// compact-encoding model), so at most maxProbes processor counts are
-// probed: a geometric sample plus each sample's neighbourhood. Pass
-// maxProbes ≤ 0 for the exhaustive O(m) scan.
+// A closed-form job whose parameters lie in their proven-monotone
+// domain (closedform.go) needs only the t(1) check: its parameters are
+// the proof. Every other job is probed. For large m an exhaustive scan
+// is too expensive (and contradicts the compact-encoding model), so at
+// most maxProbes processor counts are probed: a geometric sample plus
+// each sample's neighbourhood. Pass maxProbes ≤ 0 for the exhaustive
+// O(m) scan.
 func CheckMonotone(j Job, m, maxProbes int) error {
 	t1 := j.Time(1)
 	if math.IsNaN(t1) || math.IsInf(t1, 0) || t1 <= 0 {
 		return fmt.Errorf("%w: t(1)=%v must be positive and finite", ErrNotMonotone, t1)
+	}
+	if provenMonotone(j, 0) {
+		return nil
 	}
 	check := func(k int) error { // compare k against k+1
 		tk, tk1 := j.Time(k), j.Time(k+1)

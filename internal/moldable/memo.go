@@ -14,7 +14,9 @@ import (
 // Memo caches t_j(p) per job so each distinct (j, p) pair is evaluated
 // once per instance lifetime — across dual calls, across algorithms, and
 // (through the service layer, which keys memoized instances by content
-// hash) across repeated submissions of the same instance.
+// hash) across repeated submissions of the same instance. It pays off
+// only for oracles that cost more than O(1) (NeedsMemo): in front of a
+// closed form, the cache costs more than the evaluation it saves.
 //
 // See DESIGN.md §5 for where this sits in the serving architecture.
 
@@ -115,17 +117,22 @@ func MemoFootprint(m int) int64 {
 	return memoMapBound * 16 // map entry ≈ key + value
 }
 
-// MemoizeInstance wraps every job of in with a Memo sized for in.M and
+// MemoizeInstance wraps every job of in that NeedsMemo with a Memo sized
+// for in.M — O(1) oracles such as the closed forms stay unwrapped — and
 // returns the new instance plus a function reporting the aggregate
-// (hits, misses). The original instance is not modified; the memoized
-// instance can be reused across any number of Schedule calls (that reuse
-// is the whole point — see internal/service).
+// (hits, misses) over the wrapped jobs. The original instance is not
+// modified; the memoized instance can be reused across any number of
+// Schedule calls (that reuse is the whole point — see internal/service).
 func MemoizeInstance(in *Instance) (*Instance, func() (hits, misses int64)) {
 	jobs := make([]Job, len(in.Jobs))
-	memos := make([]*Memo, len(in.Jobs))
+	var memos []*Memo
 	for i, j := range in.Jobs {
+		if !NeedsMemo(j) {
+			jobs[i] = j
+			continue
+		}
 		m := Memoize(j, in.M)
-		memos[i] = m
+		memos = append(memos, m)
 		jobs[i] = m
 	}
 	stats := func() (hits, misses int64) {

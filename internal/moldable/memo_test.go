@@ -83,8 +83,23 @@ func TestMemoOutOfRangeProbes(t *testing.T) {
 	}
 }
 
+// envelopeOf re-encodes every job of in as an EnvelopeTable sampled
+// over 1..in.M: the same oracle values behind the non-compact O(p)
+// oracle that MemoizeInstance wraps (closed forms stay bare).
+func envelopeOf(in *Instance) *Instance {
+	out := &Instance{M: in.M, Jobs: make([]Job, len(in.Jobs))}
+	for i, j := range in.Jobs {
+		raw := make([]Time, in.M)
+		for p := range raw {
+			raw[p] = j.Time(p + 1)
+		}
+		out.Jobs[i] = EnvelopeTable{Raw: raw}
+	}
+	return out
+}
+
 func TestMemoizeInstance(t *testing.T) {
-	in := Random(GenConfig{N: 20, M: 256, Seed: 3})
+	in := envelopeOf(Random(GenConfig{N: 20, M: 256, Seed: 3}))
 	min, stats := MemoizeInstance(in)
 	if min.M != in.M || min.N() != in.N() {
 		t.Fatal("memoized instance changed shape")
@@ -101,6 +116,39 @@ func TestMemoizeInstance(t *testing.T) {
 	hits, misses := stats()
 	if misses == 0 || hits == 0 {
 		t.Errorf("stats() = (%d, %d), want both positive after repeated probes", hits, misses)
+	}
+}
+
+// TestMemoizeInstanceSkipsO1Oracles: MemoizeInstance wraps exactly the
+// jobs that NeedsMemo — an EnvelopeTable, bare or inside Capped/Scaled,
+// and user job types — and passes the O(1) oracles through unchanged.
+func TestMemoizeInstanceSkipsO1Oracles(t *testing.T) {
+	pw, err := NewPiecewise([]int{1, 4}, []Time{8, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := EnvelopeTable{Raw: []Time{9, 5, 4, 3}}
+	in := &Instance{M: 16, Jobs: []Job{
+		Amdahl{Seq: 1, Par: 9}, Power{W: 5, Alpha: 0.5}, PerfectSpeedup{W: 4}, Sequential{T: 2},
+		Comm{W: 50, C: 1}, Table{T: []Time{4, 2}}, pw,
+		Capped{J: Scaled{J: Amdahl{Seq: 1, Par: 3}, Factor: 2}, Max: 3},
+		env, Scaled{J: Capped{J: env, Max: 2}, Factor: 3}, &CountingJob{J: Sequential{T: 1}},
+	}}
+	const firstMemoized = 8
+	twin, stats := MemoizeInstance(in)
+	for i, j := range twin.Jobs {
+		_, memoized := j.(*Memo)
+		if want := i >= firstMemoized; memoized != want || NeedsMemo(in.Jobs[i]) != want {
+			t.Errorf("job %d (%T): memoized=%v NeedsMemo=%v, want %v", i, in.Jobs[i], memoized, NeedsMemo(in.Jobs[i]), want)
+		}
+		for p := 1; p <= in.M; p++ {
+			if got, want := j.Time(p), in.Jobs[i].Time(p); got != want {
+				t.Fatalf("job %d: Time(%d) = %v, want %v", i, p, got, want)
+			}
+		}
+	}
+	if hits, misses := stats(); misses != int64(3*in.M) || hits != 0 {
+		t.Errorf("stats() = (%d, %d), want (0, %d): one miss per probe of each memoized job", hits, misses, 3*in.M)
 	}
 }
 

@@ -77,7 +77,10 @@ func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg S
 		defer sess.releaseSessions()
 	}
 	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28) // table-backed instances can be large
+	// Start at 64 KiB — every HTTP POST runs a session of its own, so
+	// this is paid per request — and let the scanner grow the buffer on
+	// demand up to the line cap: table-backed instances can be large.
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<28)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -212,6 +212,40 @@ func TestServeLinesQuotaByTenant(t *testing.T) {
 	}
 }
 
+// TestServeLinesLongLine: the scan buffer starts small but grows on
+// demand, so a submit line well past 1 MiB (a table job over 100k
+// processors) is read and scheduled like any other.
+func TestServeLinesLongLine(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Close()
+	const m = 100_000
+	var inst strings.Builder
+	inst.WriteString(`{"m":` + strconv.Itoa(m) + `,"jobs":[{"type":"table","times":[`)
+	for k := 1; k <= m; k++ {
+		if k > 1 {
+			inst.WriteByte(',')
+		}
+		inst.WriteString(strconv.FormatFloat(1e6/float64(k), 'g', -1, 64)) // constant work
+	}
+	inst.WriteString(`]}]}`)
+	submit := `{"op":"submit","tag":"big","algo":"linear","eps":0.5,"instance":` + inst.String() + `}`
+	if len(submit) <= 1<<20 {
+		t.Fatalf("submit line is %d bytes, want > 1 MiB", len(submit))
+	}
+	lines := []string{submit, `{"op":"result","id":1,"wait":true}`, `{"op":"shutdown"}`}
+	var out lockedBuffer
+	if err := ServeLines(context.Background(), svc, strings.NewReader(strings.Join(lines, "\n")+"\n"), &out, ServeConfig{Probes: 8}); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	rs := decodeAll(t, out.String())
+	if r := findResp(t, rs, "submit ack", func(r Response) bool { return r.Op == "submit" }); r.Error != "" || r.ID != 1 {
+		t.Fatalf("submit: %+v", r)
+	}
+	if r := findResp(t, rs, "result", func(r Response) bool { return r.Op == "result" }); r.Error != "" || r.Done == nil || !*r.Done || r.Makespan <= 0 {
+		t.Fatalf("result: %+v", r)
+	}
+}
+
 // --- HTTP endpoints ---
 
 func TestServerHTTPEndpoints(t *testing.T) {

@@ -99,21 +99,38 @@ func newMemoRegistry(cap int, budget int64) *memoRegistry {
 	return &memoRegistry{m: make(map[uint64]memoEntry), cap: cap, budget: budget}
 }
 
-// memoCost estimates the bytes a memoized twin of in retains.
-func memoCost(in *moldable.Instance) int64 {
-	return moldable.MemoFootprint(in.M) * int64(in.N())
+// memoCost estimates the bytes a memoized twin retains: one memo table
+// per job MemoizeInstance actually wrapped (O(1) oracles stay bare and
+// cost nothing).
+func memoCost(twin *moldable.Instance) int64 {
+	n := 0
+	for _, j := range twin.Jobs {
+		if _, ok := j.(*moldable.Memo); ok {
+			n++
+		}
+	}
+	return moldable.MemoFootprint(twin.M) * int64(n)
 }
 
 // get returns the memoized twin of in, creating (and retaining) it on
-// first sight of the key.
+// first sight of the key. The twin — up to n memo tables of m slots —
+// is built outside r.mu so a miss does not serialize the other
+// workers; a racing builder of the same key loses at the re-check and
+// its unused twin is dropped.
 func (r *memoRegistry) get(key uint64, in *moldable.Instance) *moldable.Instance {
+	r.mu.Lock()
+	e, ok := r.m[key]
+	r.mu.Unlock()
+	if ok {
+		return e.in
+	}
+	twin, stats := moldable.MemoizeInstance(in)
+	cost := memoCost(twin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.m[key]; ok {
 		return e.in
 	}
-	min, stats := moldable.MemoizeInstance(in)
-	cost := memoCost(in)
 	for len(r.m) > 0 && (len(r.m) >= r.cap || r.bytes+cost > r.budget) {
 		for k, e := range r.m { // evict an arbitrary entry
 			h, m := e.stats()
@@ -124,9 +141,9 @@ func (r *memoRegistry) get(key uint64, in *moldable.Instance) *moldable.Instance
 			break
 		}
 	}
-	r.m[key] = memoEntry{in: min, cost: cost, stats: stats}
+	r.m[key] = memoEntry{in: twin, cost: cost, stats: stats}
 	r.bytes += cost
-	return min
+	return twin
 }
 
 // stats sums oracle hits and misses over all retained memos plus

@@ -3,12 +3,13 @@
 // DESIGN.md §5). It composes three mechanisms, all keyed by the same
 // canonical instance hash:
 //
-//   - oracle memoization (moldable.Memo): every instance is scheduled
-//     through a memoized twin, so the O(log m) binary searches of the
-//     estimator and the dual calls stop re-evaluating the same t_j(p)
-//     points — within one Schedule call and, via a bounded registry of
-//     memoized instances, across repeated submissions of the same
-//     instance under any options;
+//   - oracle memoization (moldable.Memo): an instance with any
+//     non-O(1) oracle (moldable.NeedsMemo) is scheduled through a
+//     memoized twin, so the O(log m) binary searches of the estimator
+//     and the dual calls stop re-evaluating the same t_j(p) points —
+//     within one Schedule call and, via a bounded registry of memoized
+//     instances, across repeated submissions of the same instance
+//     under any options; closed-form jobs run bare;
 //   - a bounded, sharded result cache: structurally identical
 //     (instance, options) submissions are answered without scheduling
 //     at all;
@@ -35,6 +36,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -236,9 +238,12 @@ func (s *Scheduler) run(ctx context.Context, id uint64, t *task, in *moldable.In
 			return
 		}
 	}
+	// Memoize only when some job's oracle costs more than O(1) (see
+	// moldable.NeedsMemo): an all-closed-form instance runs bare and
+	// never enters the memo registry.
 	exec := in
 	var looseStats func() (int64, int64)
-	if !s.cfg.NoMemoize {
+	if !s.cfg.NoMemoize && slices.ContainsFunc(in.Jobs, moldable.NeedsMemo) {
 		if canon {
 			exec = s.memos.get(key, in)
 		} else {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,6 +13,22 @@ import (
 
 func testInstance(seed uint64) *moldable.Instance {
 	return moldable.Random(moldable.GenConfig{N: 24, M: 512, Seed: seed})
+}
+
+// envelopeInstance is testInstance(seed) re-encoded as EnvelopeTable
+// jobs sampled over 1..M: the same oracle values behind the O(p)
+// oracle the memo exists for. Closed-form instances bypass the memo
+// (moldable.NeedsMemo), so tests of memo behaviour use these.
+func envelopeInstance(seed uint64) *moldable.Instance {
+	in := testInstance(seed)
+	for i, j := range in.Jobs {
+		raw := make([]moldable.Time, in.M)
+		for p := range raw {
+			raw[p] = j.Time(p + 1)
+		}
+		in.Jobs[i] = moldable.EnvelopeTable{Raw: raw}
+	}
+	return in
 }
 
 func TestDoMatchesCore(t *testing.T) {
@@ -66,7 +83,7 @@ func TestResultCacheHit(t *testing.T) {
 func TestMemoSharedAcrossOptions(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	in := testInstance(3)
+	in := envelopeInstance(3)
 	if r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: 0.5}); r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -209,7 +226,7 @@ func TestMemoEvictionKeepsStatsMonotone(t *testing.T) {
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.5}
 	var lastMisses int64
 	for i := 0; i < 6; i++ {
-		if r := s.Do(testInstance(uint64(40+i)), opt); r.Err != nil {
+		if r := s.Do(envelopeInstance(uint64(40+i)), opt); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		st := s.Stats()
@@ -228,9 +245,12 @@ func TestMemoEvictionKeepsStatsMonotone(t *testing.T) {
 
 // TestTicketCapBoundsUncollected fire-and-forget submits past the
 // ticket cap: the oldest uncollected tickets must be dropped (reported
-// unknown) while the newest remain collectable.
+// unknown) while the newest remain collectable. One worker makes
+// completion order submission order, so the last ticket submitted is
+// the last to retire; with several workers it may complete early and
+// age out behind slower key-mates.
 func TestTicketCapBoundsUncollected(t *testing.T) {
-	s := New(Config{TicketCap: 4})
+	s := New(Config{TicketCap: 4, Workers: 1})
 	defer s.Close()
 	opt := core.Options{Algorithm: core.LT2}
 	ids := make([]uint64, 10)
@@ -265,7 +285,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, 0))
 			for i := 0; i < 30; i++ {
-				in := testInstance(uint64(rng.IntN(5))) // heavy duplication across goroutines
+				in := envelopeInstance(uint64(rng.IntN(5))) // heavy duplication across goroutines
 				eps := []float64{0.5, 0.25}[rng.IntN(2)]
 				r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: eps})
 				if r.Err != nil {
@@ -286,5 +306,90 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 	if st.ResultHits == 0 || st.OracleHits == 0 {
 		t.Errorf("concurrent duplicates produced no sharing: %+v", st)
+	}
+}
+
+// TestClosedFormBypassesMemo: an all-closed-form instance never enters
+// the memo registry and touches no oracle counter, and its schedule is
+// placement-for-placement the one NoMemoize produces — and the one the
+// memoized path produces for the same oracle values behind
+// EnvelopeTable jobs.
+func TestClosedFormBypassesMemo(t *testing.T) {
+	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
+	run := func(cfg Config, in *moldable.Instance) (*schedule.Schedule, Stats) {
+		t.Helper()
+		s := New(cfg)
+		defer s.Close()
+		r := s.Do(in, opt)
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return r.Schedule, s.Stats()
+	}
+	got, st := run(Config{}, testInstance(7))
+	if st.MemoizedInstances != 0 || st.OracleHits != 0 || st.OracleMisses != 0 {
+		t.Errorf("closed-form instance was memoized: %+v", st)
+	}
+	bare, _ := run(Config{NoMemoize: true}, testInstance(7))
+	memoized, st := run(Config{}, envelopeInstance(7))
+	if st.MemoizedInstances != 1 || st.OracleMisses == 0 {
+		t.Errorf("envelope instance was not memoized: %+v", st)
+	}
+	for name, want := range map[string]*schedule.Schedule{"NoMemoize": bare, "memoized envelope": memoized} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("closed-form schedule differs from the %s schedule:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestMemoCostCountsWrappedJobs: the registry charges one memo table
+// per job MemoizeInstance actually wrapped, so the MemoBudgetMB
+// accounting ignores the closed-form jobs of a mixed instance.
+func TestMemoCostCountsWrappedJobs(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	in := testInstance(8)
+	env := envelopeInstance(8)
+	for i := 0; i < len(in.Jobs); i += 3 {
+		in.Jobs[i] = env.Jobs[i]
+	}
+	if r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	s.memos.mu.Lock()
+	got := s.memos.bytes
+	s.memos.mu.Unlock()
+	wrapped := (len(in.Jobs) + 2) / 3
+	if want := moldable.MemoFootprint(in.M) * int64(wrapped); got != want {
+		t.Errorf("registry charged %d bytes, want %d for %d memoized jobs", got, want, wrapped)
+	}
+}
+
+// TestMemoRegistryConcurrentGet: racing first sights of one key build
+// their twins outside the lock, and exactly one twin is retained and
+// handed to every caller.
+func TestMemoRegistryConcurrentGet(t *testing.T) {
+	r := newMemoRegistry(4, 1<<30)
+	in := envelopeInstance(9)
+	twins := make([]*moldable.Instance, 8)
+	var wg sync.WaitGroup
+	for g := range twins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			twins[g] = r.get(42, in)
+		}()
+	}
+	wg.Wait()
+	for g, tw := range twins {
+		if tw != twins[0] {
+			t.Fatalf("caller %d got a different twin than caller 0", g)
+		}
+	}
+	r.mu.Lock()
+	n, bytes := len(r.m), r.bytes
+	r.mu.Unlock()
+	if want := memoCost(twins[0]); n != 1 || bytes != want {
+		t.Errorf("registry holds %d entries / %d bytes, want 1 / %d", n, bytes, want)
 	}
 }
