@@ -116,7 +116,7 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 			in := moldable.Random(moldable.GenConfig{N: 64, M: m, Seed: 7})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fptas.Schedule(in, 0.2); err != nil {
+				if _, _, err := fptas.Schedule(context.Background(), in, 0.2, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,12 +128,15 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 // custom metric (must stay ≤ 1.5+ε = 1.75) ---
 
 func BenchmarkTheorem3_FullRun(b *testing.B) {
-	type scheduleFn = func(*moldable.Instance, float64) (*schedule.Schedule, dual.Report, error)
+	type scheduleFn = func(context.Context, *moldable.Instance, float64, *fast.Scratch) (*schedule.Schedule, dual.Report, error)
+	mrtRun := func(ctx context.Context, in *moldable.Instance, eps float64, _ *fast.Scratch) (*schedule.Schedule, dual.Report, error) {
+		return mrt.Schedule(ctx, in, eps, nil)
+	}
 	runners := []struct {
 		name string
 		run  scheduleFn
 	}{
-		{"mrt", mrt.Schedule},
+		{"mrt", mrtRun},
 		{"alg1", fast.ScheduleAlg1},
 		{"alg3", fast.ScheduleAlg3},
 		{"linear", fast.ScheduleLinear},
@@ -145,7 +148,7 @@ func BenchmarkTheorem3_FullRun(b *testing.B) {
 			worst := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, _, err := r.run(pl.Instance, 0.25)
+				s, _, err := r.run(context.Background(), pl.Instance, 0.25, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,8 +301,8 @@ func BenchmarkAblation_Knapsack(b *testing.B) {
 	for _, m := range []int{1 << 10, 1 << 14} {
 		in := moldable.Random(moldable.GenConfig{N: 256, M: m, Seed: 9})
 		d := 2 * lt.Estimate(in).Omega
-		part, ok := shelves.Compute(in, d)
-		if !ok {
+		part := &shelves.Partition{}
+		if !shelves.Compute(part, in, d) {
 			b.Fatal("partition rejected 2ω")
 		}
 		items := make([]knapsack.Item, 0, len(part.Opt))
@@ -313,7 +316,7 @@ func BenchmarkAblation_Knapsack(b *testing.B) {
 		capacity := in.M - part.MandSize()
 		b.Run(fmt.Sprintf("dense/m=2^%d", log2(m)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				knapsack.SolveDense(items, capacity)
+				knapsack.SolveDense(items, capacity, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("compressible/m=2^%d", log2(m)), func(b *testing.B) {
@@ -322,7 +325,7 @@ func BenchmarkAblation_Knapsack(b *testing.B) {
 					Items: items, Compressible: comp, C: capacity, RhoFull: rho,
 					AlphaMin: float64(thr), BetaMax: float64(capacity),
 					NBar: int(rho*float64(capacity)) + 2,
-				})
+				}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,14 +340,14 @@ func BenchmarkAblation_TransformRules(b *testing.B) {
 	d := 2 * lt.Estimate(in).Omega
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := shelves.Build(in, d, nil, shelves.Options{}); !ok {
+			if !shelves.Build(&shelves.Result{}, in, d, nil, shelves.Options{}, nil) {
 				b.Fatal("rejected")
 			}
 		}
 	})
 	b.Run("buckets", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := shelves.Build(in, d, nil, shelves.Options{Buckets: true, BucketRatio: 1.04}); !ok {
+			if !shelves.Build(&shelves.Result{}, in, d, nil, shelves.Options{Buckets: true, BucketRatio: 1.04}, nil) {
 				b.Fatal("rejected")
 			}
 		}
@@ -403,7 +406,7 @@ func BenchmarkBatch_Throughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eps := 0.2 + 0.1*float64(i%16)/16 // defeat any result reuse
-				r := svc.Do(in, core.Options{Algorithm: core.Linear, Eps: eps})
+				r := svc.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: eps})
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}

@@ -164,7 +164,7 @@ func WithProbeBudget(n int) Option {
 	return func(c *config) { c.probes = n }
 }
 
-// WithDial routes Schedule, ScheduleStream, RunOnline and StatsCtx over
+// WithDial routes Schedule, ScheduleStream, RunOnline and Stats over
 // the wire protocol to a moldschedd TCP listener at addr (see
 // docs/PROTOCOL.md §Transport) instead of the in-process service. The
 // connection is dialed lazily on the first remote call and reused; a
@@ -336,9 +336,8 @@ func (c *Client) remoteOne(ctx context.Context, in *moldable.Instance, opt core.
 
 // ScheduleStream schedules every instance on the client's pool and
 // yields (index, Result) pairs in completion order — the first results
-// arrive while later instances are still computing, unlike the
-// barriered ScheduleMany. The stream ends after len(ins) pairs, or
-// earlier if the consumer breaks.
+// arrive while later instances are still computing. The stream ends
+// after len(ins) pairs, or earlier if the consumer breaks.
 //
 // Cancellation: when ctx ends, no further instance starts computing;
 // instances already running stop at their next dual probe; and every
@@ -601,15 +600,11 @@ func (c *Client) ValidateSchedule(ctx context.Context, in *moldable.Instance, s 
 	return schedule.Validate(in, s, schedule.Options{})
 }
 
-// Stats snapshots the local serving counters (submissions, cache hits,
-// memoized oracle hit rate; see service.Stats). On a WithDial client
-// the local stack is idle — use StatsCtx for the server's counters.
-func (c *Client) Stats() service.Stats { return c.svc.Stats() }
-
-// StatsCtx snapshots the serving counters of whichever stack this
+// Stats snapshots the serving counters (submissions, cache hits,
+// memoized oracle hit rate; see service.Stats) of whichever stack this
 // client actually uses: the remote server's aggregate (WithDial) or the
 // local service's.
-func (c *Client) StatsCtx(ctx context.Context) (service.Stats, error) {
+func (c *Client) Stats(ctx context.Context) (service.Stats, error) {
 	if c.dial != "" {
 		wc, err := c.wire(ctx)
 		if err != nil {

@@ -107,7 +107,7 @@ func TestRemoteSchedule(t *testing.T) {
 		}
 	}
 	// The server's counters moved, visible through the same client.
-	st, err := c.StatsCtx(ctx)
+	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatalf("remote stats: %v", err)
 	}

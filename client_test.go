@@ -58,6 +58,86 @@ func TestClientScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// The facade must round-trip the common workflow without touching
+// internal packages beyond moldable.
+func TestFacadeSchedule(t *testing.T) {
+	c := repro.New(repro.WithEps(0.25))
+	defer c.Close()
+	ctx := context.Background()
+	in := &moldable.Instance{
+		M: 64,
+		Jobs: []moldable.Job{
+			moldable.Amdahl{Seq: 2, Par: 98},
+			moldable.PerfectSpeedup{W: 512},
+			moldable.Sequential{T: 7},
+		},
+	}
+	s, rep, err := c.Schedule(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ValidateSchedule(ctx, in, s); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Guarantee <= 1 || rep.Makespan <= 0 {
+		t.Errorf("report incomplete: %+v", rep)
+	}
+}
+
+func TestFacadeEstimateAndTwoApprox(t *testing.T) {
+	c := repro.New()
+	defer c.Close()
+	ctx := context.Background()
+	pl := moldable.Planted(moldable.PlantedConfig{M: 32, D: 50, Seed: 3, MaxJobs: 12})
+	est, err := c.Estimate(ctx, pl.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Omega > pl.OPT*(1+1e-9) {
+		t.Errorf("ω=%v exceeds OPT=%v", est.Omega, pl.OPT)
+	}
+	s, rep, err := c.Schedule(ctx, pl.Instance, repro.WithAlgorithm(repro.LT2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ValidateSchedule(ctx, pl.Instance, s); err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan() > 2*rep.Omega*(1+1e-9) {
+		t.Errorf("2-approx makespan %v > 2ω", s.Makespan())
+	}
+}
+
+// TestFacadeAlgorithmConstants: every re-exported algorithm constant
+// selects a working algorithm through Client.Schedule.
+func TestFacadeAlgorithmConstants(t *testing.T) {
+	c := repro.New(repro.WithEps(0.5))
+	defer c.Close()
+	ctx := context.Background()
+	in := &moldable.Instance{M: 8, Jobs: []moldable.Job{moldable.Sequential{T: 1}}}
+	for _, a := range []repro.Algorithm{repro.LT2, repro.MRT, repro.Alg1, repro.Alg3, repro.Linear} {
+		_, rep, err := c.Schedule(ctx, in, repro.WithAlgorithm(a))
+		if err != nil {
+			t.Errorf("%v: %v", a, err)
+			continue
+		}
+		if rep.Algorithm != a {
+			t.Errorf("%v: ran %v", a, rep.Algorithm)
+		}
+	}
+}
+
+func TestFacadePTAS(t *testing.T) {
+	pl := moldable.Planted(moldable.PlantedConfig{M: 1 << 12, D: 30, Seed: 4, MaxJobs: 8})
+	s, _, err := repro.PTAS(context.Background(), pl.Instance, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan() > 1.5*pl.OPT*(1+1e-9) {
+		t.Errorf("PTAS ratio %.3f", s.Makespan()/pl.OPT)
+	}
+}
+
 // TestClientPerCallOptions: per-call options override client defaults
 // without mutating them.
 func TestClientPerCallOptions(t *testing.T) {
@@ -250,7 +330,11 @@ func TestClientCacheAcrossCalls(t *testing.T) {
 	if _, _, err := c.Schedule(ctx, in); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.ResultHits == 0 {
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ResultHits == 0 {
 		t.Errorf("no result-cache hit after identical submissions: %+v", st)
 	}
 }

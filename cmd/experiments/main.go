@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +35,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "workload seed")
 	)
 	flag.Parse()
+	ctx := context.Background()
 	w := os.Stdout
 	any := false
 	run := func(enabled bool, f func()) {
@@ -53,7 +55,7 @@ func main() {
 		if *quick {
 			n, m = 24, 64
 		}
-		experiments.Comparison(w, n, m, 0.25, *seed)
+		experiments.Comparison(ctx, w, n, m, 0.25, *seed)
 	})
 	run(*theorem3, func() {
 		cfg := experiments.DefaultTheorem3()
@@ -61,7 +63,7 @@ func main() {
 			cfg.Seeds = cfg.Seeds[:3]
 			cfg.Eps = cfg.Eps[:2]
 		}
-		experiments.Theorem3(w, cfg)
+		experiments.Theorem3(ctx, w, cfg)
 	})
 	run(*theorem2, func() {
 		cfg := experiments.DefaultTheorem2()
@@ -69,7 +71,7 @@ func main() {
 			cfg.MSweep = cfg.MSweep[:4]
 			cfg.Eps = cfg.Eps[:1]
 		}
-		experiments.Theorem2(w, cfg)
+		experiments.Theorem2(ctx, w, cfg)
 	})
 	run(*table1, func() {
 		cfg := experiments.DefaultTable1()

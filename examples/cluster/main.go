@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -45,7 +46,7 @@ func main() {
 	for _, eps := range []float64{0.5, 0.1, 0.02} {
 		inCounted, calls := moldable.Instrument(base)
 		start = time.Now()
-		s, rep, err := core.Schedule(inCounted, core.Options{Algorithm: core.FPTAS, Eps: eps, Validate: true})
+		s, rep, err := core.ScheduleCtx(context.Background(), inCounted, core.Options{Algorithm: core.FPTAS, Eps: eps, Validate: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	svc := service.New(service.Config{})
 	defer svc.Close()
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
@@ -35,7 +37,7 @@ func main() {
 		cold[i] = moldable.Random(moldable.GenConfig{N: 32, M: 1 << 12, Seed: uint64(i)})
 	}
 	phase("cold burst (64 distinct instances)", svc, func() int {
-		for _, r := range svc.DoBatch(cold, opt) {
+		for _, r := range svc.DoBatchCtx(ctx, cold, opt) {
 			must(r.Err)
 		}
 		return len(cold)
@@ -49,7 +51,7 @@ func main() {
 		hot[i] = moldable.Random(moldable.GenConfig{N: 48, M: 1 << 12, Seed: uint64(rng.IntN(4))})
 	}
 	phase("hot repeats (256 submissions, 4 distinct)", svc, func() int {
-		for _, r := range svc.DoBatch(hot, opt) {
+		for _, r := range svc.DoBatchCtx(ctx, hot, opt) {
 			must(r.Err)
 		}
 		return len(hot)
@@ -68,7 +70,7 @@ func main() {
 	phase("ε-sweep on a table-backed instance (8 calls)", svc, func() int {
 		for i := 0; i < 8; i++ {
 			eps := 0.5 / float64(i+1)
-			r := svc.Do(heavy, core.Options{Algorithm: core.Linear, Eps: eps})
+			r := svc.DoCtx(ctx, heavy, core.Options{Algorithm: core.Linear, Eps: eps})
 			must(r.Err)
 			fmt.Printf("    ε=%-6.3f makespan=%-9.4g dual-iters=%d\n",
 				eps, r.Report.Makespan, r.Report.Iterations)

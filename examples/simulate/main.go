@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -22,7 +23,7 @@ import (
 func main() {
 	in := moldable.Random(moldable.GenConfig{
 		N: 120, M: 64, Seed: 99, MinWork: 50, MaxWork: 800})
-	s, rep, err := core.Schedule(in, core.Options{Algorithm: core.Linear, Eps: 0.2, Validate: true})
+	s, rep, err := core.ScheduleCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.2, Validate: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,17 +22,10 @@ import (
 //  2. context.Background() / context.TODO() are forbidden outside
 //     package main and test files: a library function that conjures
 //     its own root context detaches its callees from cancellation.
-//     Two flow-aware exemptions replace the blanket ignores the rule
-//     used to need:
-//
-//     - Delegating shim: a function F without a ctx parameter whose
-//     body is exactly `return FCtx(context.Background(), args...)`
-//     — the Background call exists only to bridge the deprecated
-//     signature, and cancellation-wanting callers use FCtx.
-//     - Nil default: `ctx = context.Background()` dominated by an
-//     `if ctx == nil` check of the same ctx parameter — the
-//     documented nil-means-no-cancellation contract, not a dropped
-//     caller context.
+//     One flow-aware exemption: a nil default, `ctx =
+//     context.Background()` dominated by an `if ctx == nil` check of
+//     the same ctx parameter — the documented nil-means-no-cancellation
+//     contract, not a dropped caller context.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "context must propagate: no dropped ctx when a Ctx variant exists, no context.Background/TODO in library code",
@@ -43,7 +36,7 @@ func runCtxFlow(pass *Pass) error {
 	isMain := pass.Pkg.Name() == "main"
 	for _, f := range pass.Files {
 		// Rule 2: Background/TODO anywhere in a library file, minus the
-		// delegating-shim and nil-default patterns.
+		// nil-default pattern.
 		if !isMain {
 			exempt := ctxRootExemptions(pass, f)
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -80,50 +73,15 @@ func runCtxFlow(pass *Pass) error {
 }
 
 // ctxRootExemptions collects the Background/TODO calls in f that are
-// legitimate under rule 2's two flow-aware exemptions.
+// legitimate under rule 2's nil-default exemption.
 func ctxRootExemptions(pass *Pass, f *ast.File) map[*ast.CallExpr]bool {
 	exempt := map[*ast.CallExpr]bool{}
 	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+			markNilDefaults(pass, fn.Body, exempt)
 		}
-		if call := shimDelegation(pass, fn); call != nil {
-			exempt[call] = true
-		}
-		markNilDefaults(pass, fn.Body, exempt)
 	}
 	return exempt
-}
-
-// shimDelegation matches the deprecated-shim shape: F (no ctx param)
-// whose whole body is `return FCtx(context.Background(), args...)`
-// where FCtx is F's ctx-taking sibling. Returns the root-ctx call to
-// exempt, or nil.
-func shimDelegation(pass *Pass, fn *ast.FuncDecl) *ast.CallExpr {
-	if funcTakesCtx(pass, fn) || len(fn.Body.List) != 1 {
-		return nil
-	}
-	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return nil
-	}
-	call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	root, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-	if !ok || ctxRootName(pass, root) == "" {
-		return nil
-	}
-	callee := calleeFunc(pass, call)
-	if callee == nil || callee.Name() != fn.Name.Name+"Ctx" {
-		return nil
-	}
-	if !signatureTakesCtx(callee.Type().(*types.Signature)) {
-		return nil
-	}
-	return root
 }
 
 // markNilDefaults exempts `ctx = context.Background()` (or TODO)

@@ -322,7 +322,7 @@ func (st *ownState) checkStore(lhs, base ast.Expr, tainted bool) {
 	}
 	if st.owns {
 		// A //sched:owns-result boundary may also publish through an
-		// out-parameter (shelves.BuildScratch fills res *Result).
+		// out-parameter (shelves.Build fills res *Result).
 		st.ownsHit = true
 		return
 	}

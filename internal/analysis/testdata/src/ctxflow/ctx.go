@@ -45,34 +45,19 @@ func okNoCtxParam() int {
 	return work() // caller has no ctx to drop
 }
 
-// --- flow-aware exemptions for rule 2 ---
+// --- rule 2 and its nil-default exemption ---
 
 func solve(ctx context.Context, n int) int { _ = ctx; return n }
 
 func solveCtx(ctx context.Context, n int) int { _ = ctx; return n }
 
-// okShim is the deprecated-shim shape: the whole body delegates to the
-// Ctx sibling with a bridging Background.
-func okShim(n int) int {
-	return okShimCtx(context.Background(), n)
+// badShim is a ctx-free shim whose whole body delegates to its Ctx
+// sibling with a bridging Background: rule 2 has no exemption for it.
+func badShim(n int) int {
+	return badShimCtx(context.Background(), n) // want "context.Background\\(\\) in library code"
 }
 
-func okShimCtx(ctx context.Context, n int) int { _ = ctx; return n }
-
-// badNotSibling delegates, but not to its own Ctx variant — the
-// Background still detaches the callee.
-func badNotSibling(n int) int {
-	return solveCtx(context.Background(), n) // want "context.Background\\(\\) in library code"
-}
-
-// badShimExtra does more than delegate; the bridge exemption does not
-// apply.
-func badShimExtra(n int) int {
-	n++
-	return badShimExtraCtx(context.Background(), n) // want "context.Background\\(\\) in library code"
-}
-
-func badShimExtraCtx(ctx context.Context, n int) int { _ = ctx; return n }
+func badShimCtx(ctx context.Context, n int) int { _ = ctx; return n }
 
 // okNilDefault: the documented nil-means-no-cancellation contract.
 func okNilDefault(ctx context.Context, n int) int {

@@ -126,7 +126,7 @@ func codeTables(section string) [][]string {
 // wireCheckScherr verifies the library half of the vocabulary.
 func wireCheckScherr(pass *Pass) error {
 	scope := pass.Pkg.Scope()
-	var sentinels []string       // exported Err* error vars
+	var sentinels []string        // exported Err* error vars
 	consts := map[string]string{} // Code* name → value
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)

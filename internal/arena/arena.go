@@ -56,6 +56,7 @@ func (h *Heap[T]) Len() int { return len(h.s) }
 
 // Min returns the smallest element without removing it. It must not be
 // called on an empty heap.
+//
 //sched:owns-result
 func (h *Heap[T]) Min() T { return h.s[0] }
 
@@ -63,6 +64,7 @@ func (h *Heap[T]) Min() T { return h.s[0] }
 // Elements appear in heap layout, not sorted order; the layout is
 // deterministic for a deterministic Push/Pop sequence, which is all
 // callers draining leftovers rely on.
+//
 //sched:owns-result
 func (h *Heap[T]) At(i int) T { return h.s[i] }
 
@@ -82,6 +84,7 @@ func (h *Heap[T]) Push(x T) {
 
 // Pop removes and returns the smallest element. It must not be called
 // on an empty heap.
+//
 //sched:owns-result
 func (h *Heap[T]) Pop() T {
 	top := h.s[0]

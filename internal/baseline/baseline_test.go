@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestBaselinesCanBeArbitrarilyBad(t *testing.T) {
 	if mk := AllSequential(giant).Makespan(); mk < 600 {
 		t.Errorf("all-sequential makespan %v — construction broken", mk)
 	}
-	sg, _, err := fast.ScheduleLinear(giant, 0.5)
+	sg, _, err := fast.ScheduleLinear(context.Background(), giant, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBaselinesCanBeArbitrarilyBad(t *testing.T) {
 	if mk := AllParallel(farm).Makespan(); mk != 32 {
 		t.Errorf("all-parallel makespan %v, want 32", mk)
 	}
-	sf, _, err := fast.ScheduleLinear(farm, 0.5)
+	sf, _, err := fast.ScheduleLinear(context.Background(), farm, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

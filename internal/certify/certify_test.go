@@ -1,6 +1,7 @@
 package certify
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	for it := 0; it < 40; it++ {
 		in := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(25), M: 1 + rng.IntN(40),
 			Seed: rng.Uint64()})
-		s, _, err := fast.ScheduleLinear(in, 0.5)
+		s, _, err := fast.ScheduleLinear(context.Background(), in, 0.5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

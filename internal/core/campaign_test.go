@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/moldable"
@@ -27,7 +28,7 @@ func TestCrossAlgorithmConsistency(t *testing.T) {
 			guarantees := map[Algorithm]float64{}
 			best := moldable.Time(0)
 			for i, a := range algos {
-				s, rep, err := Schedule(in, Options{Algorithm: a, Eps: eps, Validate: true})
+				s, rep, err := ScheduleCtx(context.Background(), in, Options{Algorithm: a, Eps: eps, Validate: true})
 				if err != nil {
 					t.Fatalf("%s seed %d %v: %v", preset, seed, a, err)
 				}
@@ -57,7 +58,7 @@ func TestEpsMonotonicity(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 30, M: 64, Seed: 17})
 	var best moldable.Time
 	for i, eps := range []float64{1, 0.5, 0.25, 0.1, 0.05} {
-		s, _, err := Schedule(in, Options{Algorithm: Linear, Eps: eps})
+		s, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Linear, Eps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestEpsMonotonicity(t *testing.T) {
 		}
 	}
 	// the tightest ε should land within its guarantee of the best seen
-	s, _, err := Schedule(in, Options{Algorithm: Linear, Eps: 0.05})
+	s, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Linear, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

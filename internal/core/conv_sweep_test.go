@@ -15,7 +15,7 @@ import (
 // instance, the makespan held to the provable bound against
 // Report.LowerBound — makespan ≤ (3/2+ε)·OPT and OPT ≤ 2κ·LowerBound
 // with κ = 21/20, the wide regime's grid-estimator slack
-// (lt.EstimateGridScratch), so makespan ≤ 2.1(3/2+ε)·LowerBound — and
+// (lt.EstimateGrid), so makespan ≤ 2.1(3/2+ε)·LowerBound — and
 // cross-checked against Linear on the same instance: since both are
 // (3/2+ε)-approximations of the same OPT, neither may exceed
 // (3/2+ε)× the other.
@@ -72,7 +72,7 @@ func FuzzConvSoundness(f *testing.F) {
 			t.Skip()
 		}
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: seed})
-		s, rep, err := Schedule(in, Options{Algorithm: Conv, Eps: eps})
+		s, rep, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Conv, Eps: eps})
 		if err != nil {
 			return // regime errors (m < 40) are the contract, not a bug
 		}

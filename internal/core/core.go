@@ -1,6 +1,6 @@
 // Package core is the public facade of the library: algorithm selection,
-// a single Schedule entry point with options, rich reports, and the PTAS
-// router of §3.2.
+// a single ScheduleCtx entry point with options (ScheduleScratchCtx for
+// callers that reuse buffers), rich reports, and the PTAS router of §3.2.
 //
 // Algorithms (all for monotone moldable jobs, makespan minimization):
 //
@@ -100,7 +100,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		s, strings.Join(AlgorithmNames(), ", "))
 }
 
-// Options configures Schedule.
+// Options configures ScheduleCtx and ScheduleScratchCtx.
 type Options struct {
 	Algorithm Algorithm
 	// Eps is the accuracy parameter ε ∈ (0,1]; defaults to 0.1.
@@ -125,14 +125,8 @@ type Report struct {
 	Elapsed    time.Duration
 }
 
-// Schedule solves the instance with the selected algorithm; it is
-// ScheduleCtx with a background context.
-func Schedule(in *moldable.Instance, opt Options) (*schedule.Schedule, *Report, error) {
-	return ScheduleCtx(context.Background(), in, opt)
-}
-
 // Scratch aggregates the reusable buffers of every algorithm a
-// Schedule call can route to (the scratch-reuse discipline of
+// ScheduleScratchCtx call can route to (the scratch-reuse discipline of
 // internal/arena): the fast (3/2+ε) schedulers, the FPTAS, and MRT. A
 // warm Scratch makes ScheduleScratchCtx allocation-free in the steady
 // state for the FPTAS/Linear regimes — the property guarded by
@@ -232,6 +226,7 @@ func ScheduleCtx(ctx context.Context, in *moldable.Instance, opt Options) (*sche
 // next use; Clone to keep it (internal/service does exactly that
 // before caching). A nil scratch uses fresh buffers, making the result
 // caller-owned.
+//
 //sched:hotpath
 //sched:owns-result
 func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options, sc *Scratch) (*schedule.Schedule, Report, error) {
@@ -276,22 +271,22 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 		dr.Omega = est.Omega
 		rep.Guarantee = 2
 	case MRT:
-		s, dr, err = mrt.ScheduleScratchCtx(ctx, in, opt.Eps, &sc.MRT)
+		s, dr, err = mrt.Schedule(ctx, in, opt.Eps, &sc.MRT)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Alg1:
-		s, dr, err = fast.ScheduleAlg1ScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleAlg1(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Alg3:
-		s, dr, err = fast.ScheduleAlg3ScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleAlg3(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Linear:
-		s, dr, err = fast.ScheduleLinearScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleLinear(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case Conv:
-		s, dr, err = fast.ScheduleConvScratchCtx(ctx, in, opt.Eps, &sc.Fast)
+		s, dr, err = fast.ScheduleConv(ctx, in, opt.Eps, &sc.Fast)
 		rep.Guarantee = 1.5 + opt.Eps
 	case FPTAS:
-		s, dr, err = fptas.ScheduleScratchCtx(ctx, in, opt.Eps, &sc.FP)
+		s, dr, err = fptas.Schedule(ctx, in, opt.Eps, &sc.FP)
 		rep.Guarantee = 1 + opt.Eps
 	default:
 		if obs.On() {
@@ -336,10 +331,11 @@ var ErrPTASRegime = fmt.Errorf("core: m too small for the paper's FPTAS (%w); "+
 	scherr.ErrRegime)
 
 // PTAS is the §3.2 router: the Theorem-2 FPTAS when m ≥ 16n/ε, the exact
-// solver for tiny instances, and ErrPTASRegime otherwise.
-func PTAS(in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
+// solver for tiny instances, and ErrPTASRegime otherwise. ctx cancels
+// the FPTAS between dual probes, as in ScheduleCtx.
+func PTAS(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
 	if fptas.Applicable(in.N(), in.M, eps/2) {
-		return Schedule(in, Options{Algorithm: FPTAS, Eps: eps})
+		return ScheduleCtx(ctx, in, Options{Algorithm: FPTAS, Eps: eps})
 	}
 	if opt, s, err := exact.Solve(in, exact.Limits{}); err == nil {
 		rep := &Report{Algorithm: FPTAS, Eps: eps, Guarantee: 1,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand/v2"
 	"strings"
@@ -18,7 +19,7 @@ func TestAllAlgorithmsEndToEnd(t *testing.T) {
 		in := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(40), M: 1 + rng.IntN(128),
 			Seed: rng.Uint64()})
 		for _, a := range algos {
-			s, rep, err := Schedule(in, Options{Algorithm: a, Eps: 0.25, Validate: true})
+			s, rep, err := ScheduleCtx(context.Background(), in, Options{Algorithm: a, Eps: 0.25, Validate: true})
 			if err != nil {
 				t.Fatalf("it %d %v: %v", it, a, err)
 			}
@@ -34,7 +35,7 @@ func TestAllAlgorithmsEndToEnd(t *testing.T) {
 
 func TestFPTASAlgorithmGuarantee(t *testing.T) {
 	pl := moldable.Planted(moldable.PlantedConfig{M: 8192, D: 64, Seed: 5, MaxJobs: 20})
-	s, rep, err := Schedule(pl.Instance, Options{Algorithm: FPTAS, Eps: 0.2, Validate: true})
+	s, rep, err := ScheduleCtx(context.Background(), pl.Instance, Options{Algorithm: FPTAS, Eps: 0.2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestFPTASAlgorithmGuarantee(t *testing.T) {
 
 func TestAutoPicksFPTASForLargeM(t *testing.T) {
 	pl := moldable.Planted(moldable.PlantedConfig{M: 1 << 14, D: 10, Seed: 2, MaxJobs: 8})
-	_, rep, err := Schedule(pl.Instance, Options{Algorithm: Auto, Eps: 0.5})
+	_, rep, err := ScheduleCtx(context.Background(), pl.Instance, Options{Algorithm: Auto, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestAutoPicksFPTASForLargeM(t *testing.T) {
 		t.Errorf("auto picked %v for m=2^14, n=8", rep.Algorithm)
 	}
 	in := moldable.Random(moldable.GenConfig{N: 64, M: 32, Seed: 3})
-	_, rep2, err := Schedule(in, Options{Algorithm: Auto, Eps: 0.5})
+	_, rep2, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Auto, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestAutoPicksFPTASForLargeM(t *testing.T) {
 func TestPTASRouter(t *testing.T) {
 	// large m: FPTAS path
 	pl := moldable.Planted(moldable.PlantedConfig{M: 1 << 13, D: 32, Seed: 4, MaxJobs: 10})
-	s, _, err := PTAS(pl.Instance, 0.5)
+	s, _, err := PTAS(context.Background(), pl.Instance, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +78,14 @@ func TestPTASRouter(t *testing.T) {
 	}
 	// tiny instance: exact path
 	tiny := moldable.Random(moldable.GenConfig{N: 3, M: 3, Seed: 5, MaxWork: 20})
-	if _, rep, err := PTAS(tiny, 0.1); err != nil {
+	if _, rep, err := PTAS(context.Background(), tiny, 0.1); err != nil {
 		t.Fatal(err)
 	} else if rep.Ratio != 1 {
 		t.Errorf("exact path ratio %v", rep.Ratio)
 	}
 	// middle regime: explicit error
 	mid := moldable.Random(moldable.GenConfig{N: 100, M: 64, Seed: 6})
-	if _, _, err := PTAS(mid, 0.1); err == nil {
+	if _, _, err := PTAS(context.Background(), mid, 0.1); err == nil {
 		t.Error("middle regime must return ErrPTASRegime")
 	}
 }
@@ -117,10 +118,10 @@ func TestParseAlgorithm(t *testing.T) {
 
 func TestScheduleRejectsBadEps(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 2, M: 2, Seed: 1})
-	if _, _, err := Schedule(in, Options{Eps: -0.5}); !errors.Is(err, scherr.ErrBadEps) {
+	if _, _, err := ScheduleCtx(context.Background(), in, Options{Eps: -0.5}); !errors.Is(err, scherr.ErrBadEps) {
 		t.Errorf("negative eps: %v, want ErrBadEps", err)
 	}
-	if _, _, err := Schedule(in, Options{Eps: 1.5}); !errors.Is(err, scherr.ErrBadEps) {
+	if _, _, err := ScheduleCtx(context.Background(), in, Options{Eps: 1.5}); !errors.Is(err, scherr.ErrBadEps) {
 		t.Errorf("eps > 1: %v, want ErrBadEps", err)
 	}
 }
@@ -129,7 +130,7 @@ func TestScheduleRejectsBadEps(t *testing.T) {
 // typed regime error with the violated bound attached.
 func TestFPTASRegimeTyped(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 64, M: 8, Seed: 2})
-	_, _, err := Schedule(in, Options{Algorithm: FPTAS, Eps: 0.5})
+	_, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: FPTAS, Eps: 0.5})
 	if !errors.Is(err, scherr.ErrRegime) {
 		t.Fatalf("out-of-regime FPTAS = %v, want ErrRegime", err)
 	}
@@ -146,7 +147,7 @@ func TestFPTASRegimeTyped(t *testing.T) {
 // wired in (mutating the schedule would fail, covered elsewhere).
 func TestValidateOption(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 6, M: 16, Seed: 9})
-	if _, _, err := Schedule(in, Options{Algorithm: Linear, Eps: 0.5, Validate: true}); err != nil {
+	if _, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Linear, Eps: 0.5, Validate: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +157,7 @@ func TestGuaranteeRespected(t *testing.T) {
 	for _, seed := range []uint64{11, 12, 13} {
 		pl := moldable.Planted(moldable.PlantedConfig{M: 40, D: 77, Seed: seed, MaxJobs: 22})
 		for _, a := range []Algorithm{LT2, MRT, Alg1, Alg3, Linear} {
-			s, rep, err := Schedule(pl.Instance, Options{Algorithm: a, Eps: 0.3})
+			s, rep, err := ScheduleCtx(context.Background(), pl.Instance, Options{Algorithm: a, Eps: 0.3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,51 +171,12 @@ func TestGuaranteeRespected(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 4, M: 8, Seed: 10})
-	s, _, err := Schedule(in, Options{Algorithm: Linear, Eps: 0.5})
+	s, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: Linear, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Placements[0].Duration *= 2
 	if verr := schedule.Validate(in, s, schedule.Options{}); verr == nil {
 		t.Error("validator missed corrupted duration")
-	}
-}
-
-func TestScheduleMany(t *testing.T) {
-	var ins []*moldable.Instance
-	for seed := uint64(0); seed < 12; seed++ {
-		ins = append(ins, moldable.Random(moldable.GenConfig{N: 10, M: 32, Seed: seed}))
-	}
-	results := ScheduleMany(ins, Options{Algorithm: Linear, Eps: 0.5}, 4)
-	if len(results) != len(ins) {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
-		}
-		if err := schedule.Validate(ins[i], r.Schedule, schedule.Options{}); err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		// determinism: batch result equals a serial run
-		s, _, err := Schedule(ins[i], Options{Algorithm: Linear, Eps: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Makespan() != r.Schedule.Makespan() {
-			t.Fatalf("instance %d: batch makespan %v differs from serial %v",
-				i, r.Schedule.Makespan(), s.Makespan())
-		}
-	}
-}
-
-func TestValidateMany(t *testing.T) {
-	good := moldable.Random(moldable.GenConfig{N: 5, M: 16, Seed: 1})
-	bad := &moldable.Instance{M: 2, Jobs: []moldable.Job{moldable.Table{T: []moldable.Time{1, 5}}}}
-	if err := ValidateMany([]*moldable.Instance{good, good}, 0, 2); err != nil {
-		t.Fatalf("valid instances rejected: %v", err)
-	}
-	if err := ValidateMany([]*moldable.Instance{good, bad}, 0, 2); err == nil {
-		t.Fatal("invalid instance accepted")
 	}
 }

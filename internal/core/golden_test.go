@@ -110,7 +110,7 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	h := sha256.New()
 	for i, in := range ins {
-		s, rep, err := PTAS(in, goldenCorpus[i].eps)
+		s, rep, err := PTAS(ctx, in, goldenCorpus[i].eps)
 		goldenWrite(h, s, rep, err)
 	}
 	check("ptas", "exact or FPTAS", hex.EncodeToString(h.Sum(nil)))

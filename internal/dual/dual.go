@@ -54,25 +54,13 @@ type Report struct {
 // the dual algorithm (it must accept any d ≥ OPT).
 var ErrNoSchedule = errors.New("dual: algorithm rejected d ≥ OPT; dual guarantee violated")
 
-// Search runs the binary search without cancellation; it is
-// SearchCtx with a background context.
-func Search(algo Algorithm, omega moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
-	return SearchCtx(context.Background(), algo, omega, eps)
-}
-
-// SearchCtx runs the binary search. omega must satisfy ω ≤ OPT ≤ 2ω.
-// The returned schedule has makespan ≤ (c+eps)·OPT. It is
-// SearchRangeCtx on the classical estimator interval [ω, 2ω].
-func SearchCtx(ctx context.Context, algo Algorithm, omega moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
-	return SearchRangeCtx(ctx, algo, omega, 2*omega, eps)
-}
-
-// SearchRangeCtx runs the dual binary search on a caller-supplied
-// bracket: lo must satisfy lo ≤ OPT and hi must satisfy OPT ≤ hi (so
-// the first probe, at hi, is guaranteed to be accepted by a correct
-// dual algorithm). Estimators weaker than Ludwig–Tiwari's [ω, 2ω] —
-// the grid-restricted estimate of the Conv algorithm brackets OPT by
-// [ω_S/κ, 2ω_S] — pay only O(log(hi/lo)) extra probes.
+// Search runs the dual binary search on the bracket [lo, hi]: lo must
+// satisfy lo ≤ OPT and hi must satisfy OPT ≤ hi (so the first probe,
+// at hi, is guaranteed to be accepted by a correct dual algorithm).
+// With an estimator ω ≤ OPT ≤ 2ω callers pass [ω, 2ω]; the returned
+// schedule then has makespan ≤ (c+eps)·OPT. Estimators weaker than
+// Ludwig–Tiwari's — the grid-restricted estimate of the Conv algorithm
+// brackets OPT by [ω_S/κ, 2ω_S] — pay only O(log(hi/lo)) extra probes.
 //
 // The context is checked between probes (each probe is a full dual
 // call, the expensive unit of work); a canceled context aborts the
@@ -83,7 +71,7 @@ func SearchCtx(ctx context.Context, algo Algorithm, omega moldable.Time, eps flo
 // bound (≤ OPT) or a rejected value (< OPT). The loop narrows hi−lo
 // below (eps/c)·lo, after which
 // makespan ≤ c·hi ≤ c·lo + eps·lo ≤ (c+eps)·OPT.
-func SearchRangeCtx(ctx context.Context, algo Algorithm, lo, hi moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
+func Search(ctx context.Context, algo Algorithm, lo, hi moldable.Time, eps float64) (*schedule.Schedule, Report, error) {
 	if eps <= 0 {
 		return nil, Report{}, scherr.BadEps("dual", eps)
 	}

@@ -37,7 +37,7 @@ func TestSearchGuarantee(t *testing.T) {
 				// estimator: ω ≤ OPT ≤ 2ω; take the worst ω = OPT/2
 				omega := opt / 2
 				algo := &mockDual{opt: opt, c: c}
-				s, rep, err := Search(algo, omega, eps)
+				s, rep, err := Search(context.Background(), algo, omega, 2*omega, eps)
 				if err != nil {
 					t.Fatalf("c=%v eps=%v opt=%v: %v", c, eps, opt, err)
 				}
@@ -57,7 +57,7 @@ func TestSearchGuarantee(t *testing.T) {
 func TestSearchNeverProbesBelowOmega(t *testing.T) {
 	algo := &mockDual{opt: 12, c: 1.5}
 	omega := moldable.Time(8)
-	if _, _, err := Search(algo, omega, 0.1); err != nil {
+	if _, _, err := Search(context.Background(), algo, omega, 2*omega, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range algo.tries {
@@ -70,7 +70,7 @@ func TestSearchNeverProbesBelowOmega(t *testing.T) {
 // TestSearchDetectsBrokenDual: rejecting d = 2ω ≥ OPT must error.
 func TestSearchDetectsBrokenDual(t *testing.T) {
 	algo := &mockDual{opt: 100, c: 1.5} // opt > 2ω: estimator contract broken
-	if _, _, err := Search(algo, 10, 0.1); err == nil {
+	if _, _, err := Search(context.Background(), algo, 10, 20, 0.1); err == nil {
 		t.Error("expected ErrNoSchedule for a dual that rejects 2ω")
 	}
 }
@@ -85,17 +85,17 @@ func (lyingDual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 }
 
 func TestSearchDetectsGuaranteeViolation(t *testing.T) {
-	if _, _, err := Search(lyingDual{}, 5, 0.1); err == nil {
+	if _, _, err := Search(context.Background(), lyingDual{}, 5, 10, 0.1); err == nil {
 		t.Error("expected error for makespan > c·d")
 	}
 }
 
 func TestSearchRejectsBadInputs(t *testing.T) {
 	algo := &mockDual{opt: 1, c: 1}
-	if _, _, err := Search(algo, 1, 0); err == nil {
+	if _, _, err := Search(context.Background(), algo, 1, 2, 0); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, _, err := Search(algo, 0, 0.1); err == nil {
+	if _, _, err := Search(context.Background(), algo, 0, 0, 0.1); err == nil {
 		t.Error("omega=0 accepted")
 	}
 }
@@ -119,9 +119,9 @@ func TestSearchCtxCancelBetweenProbes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	algo := &cancelingDual{mockDual: mockDual{opt: 12, c: 1.5}, cancel: cancel, after: 2}
-	_, rep, err := SearchCtx(ctx, algo, 8, 0.001)
+	_, rep, err := Search(ctx, algo, 8, 16, 0.001)
 	if !errors.Is(err, scherr.ErrCanceled) {
-		t.Fatalf("SearchCtx after mid-search cancel = %v, want ErrCanceled", err)
+		t.Fatalf("Search after mid-search cancel = %v, want ErrCanceled", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Error("canceled search does not unwrap to context.Canceled")
@@ -135,8 +135,8 @@ func TestSearchCtxCancelBetweenProbes(t *testing.T) {
 	dead, dcancel := context.WithCancel(context.Background())
 	dcancel()
 	fresh := &mockDual{opt: 12, c: 1.5}
-	if _, rep, err := SearchCtx(dead, fresh, 8, 0.1); !errors.Is(err, scherr.ErrCanceled) {
-		t.Fatalf("SearchCtx on dead context = %v, want ErrCanceled", err)
+	if _, rep, err := Search(dead, fresh, 8, 16, 0.1); !errors.Is(err, scherr.ErrCanceled) {
+		t.Fatalf("Search on dead context = %v, want ErrCanceled", err)
 	} else if rep.Iterations != 0 || len(fresh.tries) != 0 {
 		t.Errorf("dead context still probed: %d iterations", rep.Iterations)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -16,7 +17,7 @@ import (
 // lower bound, plus wall-clock time. It makes the quality gap concrete:
 // the baselines have no guarantee and lose badly on at least one preset
 // each, while the paper's algorithms stay within theirs everywhere.
-func Comparison(w io.Writer, n, m int, eps float64, seed uint64) {
+func Comparison(ctx context.Context, w io.Writer, n, m int, eps float64, seed uint64) {
 	if n == 0 {
 		n = 64
 	}
@@ -44,7 +45,7 @@ func Comparison(w io.Writer, n, m int, eps float64, seed uint64) {
 		a := a
 		entries = append(entries, entry{a.String(), func(in *moldable.Instance) (*schedule.Schedule, time.Duration, error) {
 			start := time.Now()
-			s, _, err := core.Schedule(in, core.Options{Algorithm: a, Eps: eps})
+			s, _, err := core.ScheduleCtx(ctx, in, core.Options{Algorithm: a, Eps: eps})
 			return s, time.Since(start), err
 		}})
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestTable1Report(t *testing.T) {
 
 func TestTheorem2Report(t *testing.T) {
 	var buf bytes.Buffer
-	Theorem2(&buf, Theorem2Config{N: 8, MSweep: []int{1 << 10, 1 << 12}, Eps: []float64{0.5}, Seed: 2, Reps: 1})
+	Theorem2(context.Background(), &buf, Theorem2Config{N: 8, MSweep: []int{1 << 10, 1 << 12}, Eps: []float64{0.5}, Seed: 2, Reps: 1})
 	out := buf.String()
 	for _, want := range []string{"FPTAS scaling in m", "oracle calls", "m-exponent"} {
 		if !strings.Contains(out, want) {
@@ -45,7 +46,7 @@ func TestTheorem2Report(t *testing.T) {
 
 func TestTheorem3ReportNoViolations(t *testing.T) {
 	var buf bytes.Buffer
-	Theorem3(&buf, Theorem3Config{M: 24, D: 40, Jobs: 12, Eps: []float64{0.5}, Seeds: []uint64{1, 2}})
+	Theorem3(context.Background(), &buf, Theorem3Config{M: 24, D: 40, Jobs: 12, Eps: []float64{0.5}, Seeds: []uint64{1, 2}})
 	out := buf.String()
 	if !strings.Contains(out, "approximation quality") {
 		t.Fatalf("missing table:\n%s", out)
@@ -128,7 +129,7 @@ func TestWriteTableAlignment(t *testing.T) {
 
 func TestComparisonReport(t *testing.T) {
 	var buf bytes.Buffer
-	Comparison(&buf, 16, 64, 0.5, 1)
+	Comparison(context.Background(), &buf, 16, 64, 0.5, 1)
 	out := buf.String()
 	if !strings.Contains(out, "all-sequential") || !strings.Contains(out, "linear") {
 		t.Fatalf("comparison table malformed:\n%s", out)

@@ -124,8 +124,8 @@ func Fig3(w io.Writer, seed uint64) {
 	in, d := figInstance(seed)
 	fmt.Fprintf(w, "Figure 3 — feasible three-shelf schedule after rules (i)-(iii) (m=%d, d=%g)\n", in.M, d)
 	sel := knapsackSelection(in, d)
-	res, ok := shelves.Build(in, d, sel, shelves.Options{})
-	if !ok {
+	var res shelves.Result
+	if !shelves.Build(&res, in, d, sel, shelves.Options{}, nil) {
 		fmt.Fprintf(w, "ERROR: build rejected: %s\n", res.Reason)
 		return
 	}
@@ -141,8 +141,8 @@ func Fig3(w io.Writer, seed uint64) {
 }
 
 func knapsackSelection(in *moldable.Instance, d moldable.Time) []int {
-	part, ok := shelves.Compute(in, d)
-	if !ok {
+	part := &shelves.Partition{}
+	if !shelves.Compute(part, in, d) {
 		return nil
 	}
 	capacity := in.M - part.MandSize()
@@ -150,7 +150,7 @@ func knapsackSelection(in *moldable.Instance, d moldable.Time) []int {
 	for _, j := range part.Opt {
 		items = append(items, knapsack.Item{ID: j, Size: part.G1[j], Profit: part.Profit(in, j)})
 	}
-	sel, _ := knapsack.SolveDense(items, capacity)
+	sel, _ := knapsack.SolveDense(items, capacity, nil)
 	return sel
 }
 
@@ -164,7 +164,7 @@ func Fig4(w io.Writer) {
 	alphaMin := 5.0
 	C := 500
 	nbar := 8
-	A := knapsack.Geom(alphaMin/(1-rho), float64(C), 1/(1-rho))
+	A := knapsack.GeomAppend(nil, alphaMin/(1-rho), float64(C), 1/(1-rho))
 	grid := knapsack.NewGrid(A, alphaMin, rho, nbar)
 	fmt.Fprintf(w, "Figure 4 — adaptive normalization intervals (Lemma 12)\n")
 	fmt.Fprintf(w, "ρ′=%g → internal ρ=%.4f; αmin=%g, C=%d, n̄=%d; |A|=%d, grid points=%d\n",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -36,7 +37,7 @@ func DefaultTheorem2() Theorem2Config {
 // (estimation + dual search), the oracle-call count, and the calls
 // normalized by n·log²m — a roughly flat last column is the headline
 // result of Theorem 2.
-func Theorem2(w io.Writer, cfg Theorem2Config) {
+func Theorem2(ctx context.Context, w io.Writer, cfg Theorem2Config) {
 	fmt.Fprintf(w, "Theorem 2 reproduction — FPTAS for m ≥ 8n/ε, time polylog in m\n")
 	for _, eps := range cfg.Eps {
 		rows := make([][]string, 0, len(cfg.MSweep))
@@ -50,7 +51,7 @@ func Theorem2(w io.Writer, cfg Theorem2Config) {
 			in, calls := moldable.Instrument(base)
 			var mk, ratio float64
 			med := medianTime(cfg.Reps, func() {
-				s, _, err := fptas.Schedule(in, eps)
+				s, _, err := fptas.Schedule(ctx, in, eps, nil)
 				if err != nil {
 					panic(err)
 				}
@@ -97,7 +98,7 @@ func DefaultTheorem3() Theorem3Config {
 // Theorem3 verifies the (3/2+ε) guarantee of all three improved
 // algorithms (plus baselines) against planted-optimum instances: the
 // reported worst ratio must stay below 1.5+ε.
-func Theorem3(w io.Writer, cfg Theorem3Config) {
+func Theorem3(ctx context.Context, w io.Writer, cfg Theorem3Config) {
 	fmt.Fprintf(w, "Theorem 3 reproduction — measured makespan/OPT on planted-optimum instances\n")
 	algos := []core.Algorithm{core.LT2, core.MRT, core.Alg1, core.Alg3, core.Linear}
 	for _, eps := range cfg.Eps {
@@ -106,7 +107,7 @@ func Theorem3(w io.Writer, cfg Theorem3Config) {
 			worst, sum := 0.0, 0.0
 			for _, seed := range cfg.Seeds {
 				pl := moldable.Planted(moldable.PlantedConfig{M: cfg.M, D: cfg.D, Seed: seed, MaxJobs: cfg.Jobs})
-				s, _, err := core.Schedule(pl.Instance, core.Options{Algorithm: a, Eps: eps})
+				s, _, err := core.ScheduleCtx(ctx, pl.Instance, core.Options{Algorithm: a, Eps: eps})
 				if err != nil {
 					panic(err)
 				}

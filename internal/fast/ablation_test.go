@@ -30,8 +30,8 @@ func TestProfitFPTASIsNotEnough(t *testing.T) {
 		// t(1) = 10, t(p) = 4 + 6/p: γ(d)=1 (w=10), γ(d/2)=6 (w=30)
 		in.Jobs = append(in.Jobs, moldable.Amdahl{Seq: 4, Par: 6})
 	}
-	part, ok := shelves.Compute(in, d)
-	if !ok {
+	part := &shelves.Partition{}
+	if !shelves.Compute(part, in, d) {
 		t.Fatal("partition rejected d")
 	}
 	if len(part.Opt) != n {
@@ -45,7 +45,7 @@ func TestProfitFPTASIsNotEnough(t *testing.T) {
 
 	// Exact-profit selection: all n jobs fit capacity m = n and meet the
 	// work budget exactly.
-	selExact, profitExact := knapsack.SolveDense(items, in.M)
+	selExact, profitExact := knapsack.SolveDense(items, in.M, nil)
 	inS1 := make([]bool, n)
 	for _, j := range selExact {
 		inS1[j] = true
@@ -91,18 +91,19 @@ func TestCompressibleKeepsExactProfit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		in.Jobs = append(in.Jobs, moldable.Amdahl{Seq: 4, Par: 6})
 	}
-	part, _ := shelves.Compute(in, d)
+	part := &shelves.Partition{}
+	shelves.Compute(part, in, d)
 	items := make([]knapsack.Item, 0, n)
 	comp := make([]bool, 0, n)
 	for _, j := range part.Opt {
 		items = append(items, knapsack.Item{ID: j, Size: part.G1[j], Profit: part.Profit(in, j)})
 		comp = append(comp, false) // all size-1: incompressible
 	}
-	_, exact := knapsack.SolveDense(items, in.M)
+	_, exact := knapsack.SolveDense(items, in.M, nil)
 	sol, err := knapsack.Solve(knapsack.Problem{
 		Items: items, Compressible: comp, C: in.M, RhoFull: 0.05,
 		AlphaMin: 20, BetaMax: float64(in.M), NBar: 4,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,7 @@
 package fast
 
 import (
-	"context"
-
 	"repro/internal/compress"
-	"repro/internal/dual"
 	"repro/internal/knapsack"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
@@ -53,11 +50,12 @@ func (a *Alg1) Guarantee() float64 { return 1.5 * (1 + 4*a.Eps/6) }
 // target d with ρ = ε/6, then build the three-shelf schedule at
 // d′ = (1+4ρ)d (Corollary 10). Compression is used only in the analysis:
 // the schedule itself allots γ_j(d′) processors.
+//
 //sched:hotpath
 //sched:owns-result
 func (a *Alg1) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	a.Stats.Tries++
-	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, knapsack.SolveScratch)
+	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, knapsack.Solve)
 }
 
 // tryCompressibleShelf1 is the dual round shared by Alg1 and Conv —
@@ -67,6 +65,7 @@ func (a *Alg1) Try(d moldable.Time) (*schedule.Schedule, bool) {
 // optional jobs become knapsack items (compressible ⇔ γ_j(d) ≥ 1/ρ),
 // solve, build the three-shelf schedule at d′ = (1+4ρ)d. SolveConv
 // ignores Problem.NBar, so passing Alg1's bound is harmless there.
+//
 //sched:hotpath
 //sched:owns-result
 func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
@@ -77,7 +76,7 @@ func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
 	}
 	dprime := (1 + 4*rho) * d
 	part := &sc.Shelves.Part
-	if !shelves.ComputeInto(part, in, d) {
+	if !shelves.Compute(part, in, d) {
 		return nil, false
 	}
 	capacity := in.M - part.MandSize()
@@ -122,22 +121,10 @@ func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
 		shelf1 = append(shelf1, sol.Selected...)
 	}
 	sc.shelf1 = shelf1
-	if !shelves.BuildScratch(&sc.buildRes, in, dprime, shelf1, shelves.Options{}, &sc.Shelves) {
+	if !shelves.Build(&sc.buildRes, in, dprime, shelf1, shelves.Options{}, &sc.Shelves) {
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
-}
-
-// ScheduleAlg1 runs the complete (3/2+eps)-approximation around Alg1,
-// splitting eps between the dual factor and the binary-search slack.
-func ScheduleAlg1(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg1Ctx(context.Background(), in, eps)
-}
-
-// ScheduleAlg1Ctx is ScheduleAlg1 with cancellation, checked between
-// dual probes.
-func ScheduleAlg1Ctx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg1ScratchCtx(ctx, in, eps, nil)
 }
 
 func checkEps(eps float64) error {

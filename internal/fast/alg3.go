@@ -1,11 +1,8 @@
 package fast
 
 import (
-	"context"
-
 	"repro/internal/arena"
 	"repro/internal/compress"
-	"repro/internal/dual"
 	"repro/internal/knapsack"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
@@ -68,6 +65,7 @@ type typeKey struct {
 // roundCount rounds a processor count down on the geometric grid when
 // it exceeds b (a package-level helper, not a closure, so the hot path
 // allocates nothing).
+//
 //sched:hotpath
 func roundCount(countGrid []float64, b, g int) int {
 	if g <= b {
@@ -81,6 +79,7 @@ func roundCount(countGrid []float64, b, g int) int {
 }
 
 // Try implements one dual round of Algorithm 3.
+//
 //sched:hotpath
 //sched:owns-result
 func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
@@ -96,7 +95,7 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	dprime := (1 + delta) * (1 + delta) * d
 
 	part := &sc.Shelves.Part
-	if !shelves.ComputeInto(part, in, d) {
+	if !shelves.Compute(part, in, d) {
 		return nil, false
 	}
 	capacity := in.M - part.MandSize()
@@ -185,7 +184,7 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 			betaMax = incompTotal
 		}
 		nbar := capacity/b + 2
-		sol, err := knapsack.SolveBoundedScratch(types, capacity, rho, float64(b), betaMax, nbar, &sc.Knap)
+		sol, err := knapsack.SolveBounded(types, capacity, rho, float64(b), betaMax, nbar, &sc.Knap)
 		if err != nil {
 			return nil, false
 		}
@@ -227,13 +226,14 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	if a.Buckets {
 		opts = shelves.Options{Buckets: true, BucketRatio: 1 + 4*rho}
 	}
-	if !shelves.BuildScratch(&sc.buildRes, in, dprime, shelf1, opts, &sc.Shelves) {
+	if !shelves.Build(&sc.buildRes, in, dprime, shelf1, opts, &sc.Shelves) {
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
 }
 
 // upIdx returns the index of the smallest grid element ≥ v, or -1.
+//
 //sched:hotpath
 func upIdx(g []float64, v float64) int {
 	lo, hi := 0, len(g)-1
@@ -249,27 +249,4 @@ func upIdx(g []float64, v float64) int {
 		}
 	}
 	return lo
-}
-
-// ScheduleAlg3 runs the full (3/2+eps)-approximation around Alg3 (heap
-// transformation rules, §4.3).
-func ScheduleAlg3(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg3Ctx(context.Background(), in, eps)
-}
-
-// ScheduleAlg3Ctx is ScheduleAlg3 with cancellation, checked between
-// dual probes.
-func ScheduleAlg3Ctx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleAlg3ScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleLinear runs the §4.3.3 linear-time variant (bucketed rules).
-func ScheduleLinear(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleLinearCtx(context.Background(), in, eps)
-}
-
-// ScheduleLinearCtx is ScheduleLinear with cancellation, checked
-// between dual probes.
-func ScheduleLinearCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleLinearScratchCtx(ctx, in, eps, nil)
 }

@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestFPTASOracleBudget(t *testing.T) {
 	n, m := 32, 1<<28
 	base := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: 6})
 	in, calls := moldable.Instrument(base)
-	if _, _, err := fptas.Schedule(in, 0.25); err != nil {
+	if _, _, err := fptas.Schedule(context.Background(), in, 0.25, nil); err != nil {
 		t.Fatal(err)
 	}
 	logm := math.Log2(float64(m))

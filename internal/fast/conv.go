@@ -70,7 +70,7 @@ const (
 // convKappa is the candidate grid's round-up slack: a true γ rounds up
 // onto the grid within the factor
 // κ = 1 + 1/(2·convRho) + 1/convWideB = (convRho+1)/convRho (= 21/20),
-// using convWideB = 2·convRho. It is the κ of lt.EstimateGridScratch's
+// using convWideB = 2·convRho. It is the κ of lt.EstimateGrid's
 // bracket ω_S/κ ≤ OPT ≤ 2ω_S, so it must track convRho/convWideB —
 // hence derived, not a literal.
 const convKappa = float64(convRho+1) / convRho
@@ -103,13 +103,14 @@ type Conv struct {
 func (a *Conv) Guarantee() float64 { return 1.5 * (1 + 4*a.Eps/6) }
 
 // Try implements one dual round: the shared Alg1-shape round
-// (tryCompressibleShelf1) with knapsack.SolveConvScratch as the
+// (tryCompressibleShelf1) with knapsack.SolveConv as the
 // shelf-1 engine.
+//
 //sched:hotpath
 //sched:owns-result
 func (a *Conv) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	a.Stats.Tries++
-	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, knapsack.SolveConvScratch)
+	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, knapsack.SolveConv)
 }
 
 // convWide is the large-machine 3/2-dual of the Conv algorithm:
@@ -127,6 +128,7 @@ func (a *convWide) Guarantee() float64 { return 1.5 }
 // every integer in [1, b̃), then the geometric integer grid from b̃ to m
 // with step ⌈g/(2·convRho)⌉, ending exactly at m. Rebuilt only when m
 // changes; Conv runs touch the job oracle only at these counts.
+//
 //sched:hotpath
 //sched:owns-result
 func (sc *Scratch) convCands(m int) []int {
@@ -151,6 +153,7 @@ func (sc *Scratch) convCands(m int) []int {
 // t_j ≤ (1+ε̃)d, compresses wide allotments by ρ, and schedules all
 // jobs at time zero; it rejects iff some job cannot meet the target on
 // m processors or the compressed total exceeds m.
+//
 //sched:hotpath
 //sched:owns-result
 func (a *convWide) Try(d moldable.Time) (*schedule.Schedule, bool) {
@@ -201,24 +204,13 @@ func (a *convWide) Try(d moldable.Time) (*schedule.Schedule, bool) {
 
 // ScheduleConv runs the complete (3/2+eps)-approximation around the
 // Conv duals, splitting eps between the dual factor and the search
-// slack.
-func ScheduleConv(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleConvCtx(context.Background(), in, eps)
-}
-
-// ScheduleConvCtx is ScheduleConv with cancellation, checked between
-// dual probes.
-func ScheduleConvCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleConvScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleConvScratchCtx is ScheduleConvCtx drawing every buffer from
-// sc; see ScheduleAlg1ScratchCtx for the ownership contract. Instances
-// with m < ConvMinM are outside the algorithm's regime and yield an
-// error matching scherr.ErrRegime (use MRT or LT2 there — the online
-// runtime does exactly that).
+// slack; see ScheduleAlg1 for cancellation and the scratch ownership
+// contract. Instances with m < ConvMinM are outside the algorithm's
+// regime and yield an error matching scherr.ErrRegime (use MRT or LT2
+// there — the online runtime does exactly that).
+//
 //sched:owns-result
-func ScheduleConvScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func ScheduleConv(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, dual.Report{}, err
 	}
@@ -235,14 +227,14 @@ func ScheduleConvScratchCtx(ctx context.Context, in *moldable.Instance, eps floa
 		// classical estimator costs more than all dual probes
 		// together at large m; see docs/PERFORMANCE.md). The grid
 		// estimate brackets OPT by [ω_S/κ, 2ω_S] with κ = 21/20 (see
-		// lt.EstimateGridScratch), which SearchRangeCtx consumes for
-		// O(log κ) extra probes.
+		// lt.EstimateGrid), which dual.Search consumes for O(log κ)
+		// extra probes.
 		cands := sc.convCands(in.M)
-		est := lt.EstimateGridScratch(in, cands, &sc.LT)
+		est := lt.EstimateGrid(in, cands, &sc.LT)
 		sc.cw = convWide{In: in, Scratch: sc}
-		return dual.SearchRangeCtx(ctx, &sc.cw, moldable.Time(float64(est.Omega)/convKappa), 2*est.Omega, eps/2)
+		return dual.Search(ctx, &sc.cw, moldable.Time(float64(est.Omega)/convKappa), 2*est.Omega, eps/2)
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.cv = Conv{In: in, Eps: eps / 2, Scratch: sc}
-	return dual.SearchCtx(ctx, &sc.cv, est.Omega, eps/2)
+	return dual.Search(ctx, &sc.cv, est.Omega, 2*est.Omega, eps/2)
 }

@@ -105,7 +105,7 @@ func TestScheduleConvEndToEnd(t *testing.T) {
 			for seed := uint64(0); seed < 6; seed++ {
 				pl := moldable.Planted(moldable.PlantedConfig{M: tc.m, D: 100, Seed: seed, MaxJobs: tc.jobs})
 				eps := 0.25
-				s, rep, err := ScheduleConv(pl.Instance, eps)
+				s, rep, err := ScheduleConv(context.Background(), pl.Instance, eps, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -128,7 +128,7 @@ func TestScheduleConvEndToEnd(t *testing.T) {
 // violated bound — the signal the online runtime's fallback keys on.
 func TestScheduleConvRegimeError(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 4, M: ConvMinM - 1, Seed: 5})
-	_, _, err := ScheduleConv(in, 0.25)
+	_, _, err := ScheduleConv(context.Background(), in, 0.25, nil)
 	if !errors.Is(err, scherr.ErrRegime) {
 		t.Fatalf("m=%d: err = %v, want ErrRegime", ConvMinM-1, err)
 	}
@@ -141,7 +141,7 @@ func TestScheduleConvRegimeError(t *testing.T) {
 	}
 	// At the bound itself the algorithm must run.
 	in2 := moldable.Random(moldable.GenConfig{N: 4, M: ConvMinM, Seed: 5})
-	if _, _, err := ScheduleConv(in2, 0.25); err != nil {
+	if _, _, err := ScheduleConv(context.Background(), in2, 0.25, nil); err != nil {
 		t.Fatalf("m=%d: %v, want success", ConvMinM, err)
 	}
 }
@@ -155,8 +155,8 @@ func TestScheduleConvScratchReuse(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		for i, sh := range shapes {
 			in := moldable.Random(moldable.GenConfig{N: sh.n, M: sh.m, Seed: uint64(10 + i)})
-			want, wantRep, err1 := ScheduleConv(in, 0.25)
-			got, gotRep, err2 := ScheduleConvScratchCtx(ctx, in, 0.25, sc)
+			want, wantRep, err1 := ScheduleConv(context.Background(), in, 0.25, nil)
+			got, gotRep, err2 := ScheduleConv(ctx, in, 0.25, sc)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("#%d: err mismatch %v vs %v", i, err1, err2)
 			}

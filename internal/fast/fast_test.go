@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -71,13 +72,13 @@ func TestApproximationVsExact(t *testing.T) {
 	}
 	runners := []runner{
 		{"alg1", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleAlg1(in, eps)
+			return ScheduleAlg1(context.Background(), in, eps, nil)
 		}},
 		{"alg3", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleAlg3(in, eps)
+			return ScheduleAlg3(context.Background(), in, eps, nil)
 		}},
 		{"linear", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleLinear(in, eps)
+			return ScheduleLinear(context.Background(), in, eps, nil)
 		}},
 	}
 	for it := 0; it < 20; it++ {
@@ -106,10 +107,10 @@ func TestApproximationVsExact(t *testing.T) {
 // (3/2+ε) — via the FPTAS dual — and fast.
 func TestLargeMRegimeUsesFPTAS(t *testing.T) {
 	pl := moldable.Planted(moldable.PlantedConfig{M: 4096, D: 50, Seed: 2, MaxJobs: 12})
-	for _, run := range []func(*moldable.Instance, float64) (*schedule.Schedule, dual.Report, error){
+	for _, run := range []func(context.Context, *moldable.Instance, float64, *Scratch) (*schedule.Schedule, dual.Report, error){
 		ScheduleAlg1, ScheduleAlg3, ScheduleLinear,
 	} {
-		s, _, err := run(pl.Instance, 0.2)
+		s, _, err := run(context.Background(), pl.Instance, 0.2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,10 +133,10 @@ func TestRandomizedEndToEnd(t *testing.T) {
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
 		eps := []float64{1, 0.5, 0.25}[rng.IntN(3)]
 		lb := in.LowerBound()
-		for name, run := range map[string]func(*moldable.Instance, float64) (*schedule.Schedule, dual.Report, error){
+		for name, run := range map[string]func(context.Context, *moldable.Instance, float64, *Scratch) (*schedule.Schedule, dual.Report, error){
 			"alg1": ScheduleAlg1, "alg3": ScheduleAlg3, "linear": ScheduleLinear,
 		} {
-			s, rep, err := run(in, eps)
+			s, rep, err := run(context.Background(), in, eps, nil)
 			if err != nil {
 				t.Fatalf("it %d %s (n=%d m=%d eps=%v): %v", it, name, n, m, eps, err)
 			}

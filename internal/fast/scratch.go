@@ -17,7 +17,7 @@ import (
 // estimator's buffers, the shelf and knapsack scratches shared by Alg1
 // and Alg3 (only one algorithm runs per call), Alg3's item-typing
 // buffers, and the reusable dual-algorithm structs handed to
-// dual.SearchCtx. A warm Scratch makes a whole ScheduleXScratchCtx run
+// dual.Search. A warm Scratch makes a whole ScheduleX run
 // allocation-free in the steady state (map-bucket reuse permitting);
 // the produced schedule is then owned by the scratch and valid until
 // its next use — Clone to keep it. The zero value is ready; a Scratch
@@ -28,7 +28,7 @@ type Scratch struct {
 	Knap    knapsack.Scratch
 
 	// Reusable dual-algorithm values: handing &sc.a1 (etc.) to
-	// dual.SearchCtx avoids a heap allocation per Schedule call.
+	// dual.Search avoids a heap allocation per Schedule call.
 	a1 Alg1
 	a3 Alg3
 	cv Conv
@@ -69,6 +69,7 @@ type Scratch struct {
 // O(n)) need m = O(n), and for larger m the simple FPTAS is both valid
 // and faster. The chosen struct lives in the scratch, so the interface
 // conversion allocates nothing.
+//
 //sched:owns-result
 func (sc *Scratch) dualFor(in *moldable.Instance, mk func(sc *Scratch) dual.Algorithm) dual.Algorithm {
 	if in.M >= 16*in.N() {
@@ -90,11 +91,14 @@ func mkAlg3(sc *Scratch) dual.Algorithm {
 	return &sc.a3
 }
 
-// ScheduleAlg1ScratchCtx is ScheduleAlg1Ctx drawing every buffer from
+// ScheduleAlg1 runs the complete (3/2+eps)-approximation around Alg1,
+// splitting eps between the dual factor and the binary-search slack.
+// Cancellation is checked between dual probes. Every buffer comes from
 // sc; the returned schedule is owned by the scratch (valid until its
 // next use). A nil scratch uses fresh buffers.
+//
 //sched:owns-result
-func ScheduleAlg1ScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func ScheduleAlg1(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, dual.Report{}, err
 	}
@@ -103,13 +107,15 @@ func ScheduleAlg1ScratchCtx(ctx context.Context, in *moldable.Instance, eps floa
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.a1 = Alg1{In: in, Eps: eps / 2}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg1), est.Omega, eps/2)
+	return dual.Search(ctx, sc.dualFor(in, mkAlg1), est.Omega, 2*est.Omega, eps/2)
 }
 
-// ScheduleAlg3ScratchCtx is ScheduleAlg3Ctx drawing every buffer from
-// sc; see ScheduleAlg1ScratchCtx for the ownership contract.
+// ScheduleAlg3 runs the full (3/2+eps)-approximation around Alg3 (heap
+// transformation rules, §4.3); see ScheduleAlg1 for cancellation and
+// the scratch ownership contract.
+//
 //sched:owns-result
-func ScheduleAlg3ScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func ScheduleAlg3(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, dual.Report{}, err
 	}
@@ -118,13 +124,14 @@ func ScheduleAlg3ScratchCtx(ctx context.Context, in *moldable.Instance, eps floa
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.a3 = Alg3{In: in, Eps: eps / 2}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg3), est.Omega, eps/2)
+	return dual.Search(ctx, sc.dualFor(in, mkAlg3), est.Omega, 2*est.Omega, eps/2)
 }
 
-// ScheduleLinearScratchCtx is ScheduleLinearCtx drawing every buffer
-// from sc; see ScheduleAlg1ScratchCtx for the ownership contract.
+// ScheduleLinear runs the §4.3.3 linear-time variant (bucketed rules);
+// see ScheduleAlg1 for cancellation and the scratch ownership contract.
+//
 //sched:owns-result
-func ScheduleLinearScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func ScheduleLinear(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, dual.Report{}, err
 	}
@@ -133,5 +140,5 @@ func ScheduleLinearScratchCtx(ctx context.Context, in *moldable.Instance, eps fl
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.a3 = Alg3{In: in, Eps: eps / 2, Buckets: true}
-	return dual.SearchCtx(ctx, sc.dualFor(in, mkAlg3), est.Omega, eps/2)
+	return dual.Search(ctx, sc.dualFor(in, mkAlg3), est.Omega, 2*est.Omega, eps/2)
 }

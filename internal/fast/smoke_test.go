@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/moldable"
@@ -20,10 +21,22 @@ func TestSmokePlanted(t *testing.T) {
 			run  func() (*schedule.Schedule, error)
 		}
 		algos := []algo{
-			{"mrt", func() (*schedule.Schedule, error) { s, _, err := mrt.Schedule(in, eps); return s, err }},
-			{"alg1", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg1(in, eps); return s, err }},
-			{"alg3", func() (*schedule.Schedule, error) { s, _, err := ScheduleAlg3(in, eps); return s, err }},
-			{"linear", func() (*schedule.Schedule, error) { s, _, err := ScheduleLinear(in, eps); return s, err }},
+			{"mrt", func() (*schedule.Schedule, error) {
+				s, _, err := mrt.Schedule(context.Background(), in, eps, nil)
+				return s, err
+			}},
+			{"alg1", func() (*schedule.Schedule, error) {
+				s, _, err := ScheduleAlg1(context.Background(), in, eps, nil)
+				return s, err
+			}},
+			{"alg3", func() (*schedule.Schedule, error) {
+				s, _, err := ScheduleAlg3(context.Background(), in, eps, nil)
+				return s, err
+			}},
+			{"linear", func() (*schedule.Schedule, error) {
+				s, _, err := ScheduleLinear(context.Background(), in, eps, nil)
+				return s, err
+			}},
 		}
 		for _, a := range algos {
 			s, err := a.run()

@@ -41,7 +41,7 @@ type Dual struct {
 type Scratch struct {
 	LT    lt.Scratch
 	Sched schedule.DoubleBuffer
-	// d is the reusable Dual handed to dual.SearchCtx, kept here so
+	// d is the reusable Dual handed to dual.Search, kept here so
 	// the interface conversion does not heap-allocate a fresh struct
 	// per call.
 	d Dual
@@ -59,6 +59,7 @@ func (a *Dual) Guarantee() float64 { return 1 + a.Eps }
 // Try allots γ_j((1+ε)d) processors to every job and schedules all jobs
 // at time zero. It rejects iff some job cannot meet (1+ε)d on m
 // processors or the total allotment exceeds m.
+//
 //sched:hotpath
 func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	t := (1 + a.Eps) * d
@@ -103,24 +104,16 @@ func MinM(n int, eps float64) int {
 // error matching scherr.ErrRegime when m < 16n/eps (use the (3/2+ε)
 // algorithms in that regime; see §3.2 and DESIGN.md §3 on the
 // Jansen–Thöle substitution).
-func Schedule(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleCtx(context.Background(), in, eps)
-}
-
-// ScheduleCtx is Schedule with cancellation, checked between dual
-// probes; a canceled context yields an error matching
-// scherr.ErrCanceled.
-func ScheduleCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleScratchCtx is ScheduleCtx with caller-supplied scratch: a
-// warm Scratch makes the whole run (estimation + every dual probe)
-// allocation-free. The returned schedule is then owned by the scratch
-// — valid until its next use; Clone to keep it. A nil scratch uses
-// fresh buffers, making the result caller-owned as before.
+//
+// Cancellation is checked between dual probes; a canceled context
+// yields an error matching scherr.ErrCanceled. Every buffer comes from
+// sc: a warm Scratch makes the whole run (estimation + every dual
+// probe) allocation-free, and the returned schedule is then owned by
+// the scratch — valid until its next use; Clone to keep it. A nil
+// scratch uses fresh buffers, making the result caller-owned.
+//
 //sched:owns-result
-func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, dual.Report{}, scherr.BadEps("fptas", eps)
 	}
@@ -133,7 +126,7 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64,
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.d = Dual{In: in, Eps: half, Scratch: sc}
-	return dual.SearchCtx(ctx, &sc.d, est.Omega, half)
+	return dual.Search(ctx, &sc.d, est.Omega, 2*est.Omega, half)
 }
 
 // AllotmentRule2 is the second allotment rule of §3.1, used in the

@@ -1,6 +1,7 @@
 package fptas
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gamma"
@@ -19,7 +20,7 @@ func TestFPTASApproximation(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3} {
 			pl := plantedLargeM(seed, 24, eps)
 			in := pl.Instance
-			s, rep, err := Schedule(in, eps)
+			s, rep, err := Schedule(context.Background(), in, eps, nil)
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -87,7 +88,7 @@ func TestDualRejectionIsSound(t *testing.T) {
 
 func TestScheduleRequiresLargeM(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 100, M: 50, Seed: 1})
-	if _, _, err := Schedule(in, 0.5); err == nil {
+	if _, _, err := Schedule(context.Background(), in, 0.5, nil); err == nil {
 		t.Error("FPTAS accepted m < 16n/ε")
 	}
 }
@@ -95,7 +96,7 @@ func TestScheduleRequiresLargeM(t *testing.T) {
 func TestScheduleRejectsBadEps(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 4, M: 4096, Seed: 1})
 	for _, eps := range []float64{0, -1, 1.5} {
-		if _, _, err := Schedule(in, eps); err == nil {
+		if _, _, err := Schedule(context.Background(), in, eps, nil); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
 	}

@@ -9,6 +9,7 @@ import "repro/internal/moldable"
 
 // Gamma returns γ_j(t) and true, or (0, false) when t_j(m) > t (no
 // processor count meets the threshold, "γ undefined" in the paper).
+//
 //sched:hotpath
 func Gamma(j moldable.Job, m int, t moldable.Time) (int, bool) {
 	if j.Time(m) > t {
@@ -33,6 +34,7 @@ func Gamma(j moldable.Job, m int, t moldable.Time) (int, bool) {
 // GammaStrict returns min{p : t_j(p) < t} (strict inequality) and true,
 // or (0, false) if t_j(m) ≥ t. Used by the Ludwig–Tiwari matrix search to
 // locate the largest breakpoint strictly below a value.
+//
 //sched:hotpath
 func GammaStrict(j moldable.Job, m int, t moldable.Time) (int, bool) {
 	if j.Time(m) >= t {

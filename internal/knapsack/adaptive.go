@@ -44,7 +44,7 @@ func (g *Grid) Reset(A []float64, alpha0, rho float64, nbar int) {
 			continue
 		}
 		lmin := int(prev / ui) //schedlint:ignore fpconv grid endpoint; the loop clamps p to [prev, ai], so an ulp off-by-one only adds a duplicate clamped point
-		lmax := int(ai / ui) //schedlint:ignore fpconv grid endpoint; see lmin above — clamped enumeration tolerates either rounding
+		lmax := int(ai / ui)   //schedlint:ignore fpconv grid endpoint; see lmin above — clamped enumeration tolerates either rounding
 		for l := lmin; l <= lmax; l++ {
 			p := float64(l) * ui
 			if p < prev {
@@ -73,6 +73,7 @@ func (g *Grid) Reset(A []float64, alpha0, rho float64, nbar int) {
 // first point (or above α_k) are returned unchanged: the former cannot
 // occur for sums of compressible sizes ≥ α_0, the latter are discarded
 // by the capacity check anyway.
+//
 //sched:hotpath
 func (g *Grid) Norm(s float64) float64 {
 	if len(g.points) == 0 || s < g.points[0] || s > g.amax {

@@ -22,7 +22,7 @@ func BenchmarkDenseDP(b *testing.B) {
 		items, _ := benchItems(256, c/4, 1)
 		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				SolveDense(items, c)
+				SolveDense(items, c, nil)
 			}
 		})
 	}
@@ -51,7 +51,7 @@ func BenchmarkCompressible(b *testing.B) {
 				_, err := Solve(Problem{
 					Items: items, Compressible: comp, C: c, RhoFull: 0.1,
 					AlphaMin: float64(thr), BetaMax: float64(c), NBar: 64,
-				})
+				}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -62,7 +62,7 @@ func BenchmarkCompressible(b *testing.B) {
 
 func BenchmarkGridNorm(b *testing.B) {
 	rho := 0.1
-	A := Geom(10, 1e6, 1/(1-rho))
+	A := GeomAppend(nil, 10, 1e6, 1/(1-rho))
 	g := NewGrid(A, 10, rho, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -24,16 +24,12 @@ type Container struct {
 	Mult int // how many items of the type it bundles
 }
 
-// Containers expands types into 0/1 items. Items whose size already
+// ContainersAppend expands types into 0/1 items, appending onto the
+// given buffers (nil for fresh slices). Items whose size already
 // exceeds cap are dropped (they can never be packed). The returned
 // parallel slices are the 0/1 items, their type/multiplicity metadata,
 // and their compressibility flags. Item IDs index meta.
-func Containers(types []Type, cap int) ([]Item, []Container, []bool) {
-	return containersAppend(nil, nil, nil, types, cap)
-}
-
-// containersAppend is Containers appending onto reused buffers.
-func containersAppend(items []Item, meta []Container, comp []bool, types []Type, cap int) ([]Item, []Container, []bool) {
+func ContainersAppend(items []Item, meta []Container, comp []bool, types []Type, cap int) ([]Item, []Container, []bool) {
 	for ti, t := range types {
 		if t.Count <= 0 || t.Size <= 0 {
 			continue
@@ -71,20 +67,17 @@ type BoundedSolution struct {
 // the container transform and Algorithm 2. alphaMin/betaMax/nbar are as
 // in Problem (computed over container items by the caller or derived
 // here with safe defaults when zero).
-func SolveBounded(types []Type, C int, rhoFull, alphaMin, betaMax float64, nbar int) (BoundedSolution, error) {
-	return SolveBoundedScratch(types, C, rhoFull, alphaMin, betaMax, nbar, nil)
-}
-
-// SolveBoundedScratch is SolveBounded with caller-supplied scratch: a
-// warm Scratch makes the call allocation-free, and the returned
-// CountByType aliases the scratch (valid until its next use). A nil
-// scratch uses fresh buffers.
+//
+// Buffers come from sc: a warm Scratch makes the call allocation-free,
+// and the returned CountByType aliases the scratch (valid until its
+// next use). A nil scratch uses fresh buffers.
+//
 //sched:owns-result
-func SolveBoundedScratch(types []Type, C int, rhoFull, alphaMin, betaMax float64, nbar int, sc *Scratch) (BoundedSolution, error) {
+func SolveBounded(types []Type, C int, rhoFull, alphaMin, betaMax float64, nbar int, sc *Scratch) (BoundedSolution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	items, meta, comp := containersAppend(sc.items[:0], sc.meta[:0], sc.compFlags[:0], types, C)
+	items, meta, comp := ContainersAppend(sc.items[:0], sc.meta[:0], sc.compFlags[:0], types, C)
 	sc.items, sc.meta, sc.compFlags = items, meta, comp
 	if alphaMin <= 0 {
 		for i, it := range items {
@@ -113,7 +106,7 @@ func SolveBoundedScratch(types []Type, C int, rhoFull, alphaMin, betaMax float64
 			nbar = 1
 		}
 	}
-	sol, err := SolveScratch(Problem{
+	sol, err := Solve(Problem{
 		Items:        items,
 		Compressible: comp,
 		C:            C,

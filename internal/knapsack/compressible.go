@@ -56,20 +56,17 @@ type Solution struct {
 // items within 1/(1−ρ), and the adaptive normalization underestimates
 // sizes by at most n̄·U_i; both slacks together consume exactly the full
 // compressibility ρ′.
-func Solve(p Problem) (Solution, error) {
-	return SolveScratch(p, nil)
-}
-
-// SolveScratch is Solve with caller-supplied scratch buffers: a warm
-// Scratch makes the whole call allocation-free, and the returned
-// Solution.Selected aliases the scratch (valid until its next use). A
-// nil scratch uses fresh buffers, making the result caller-owned.
 //
-// LOCK-STEP: SolveConvScratch (conv.go) shares this function's
-// Algorithm-2 frame verbatim; apply frame fixes to both (see the note
-// there).
+// Buffers come from sc: a warm Scratch makes the whole call
+// allocation-free, and the returned Solution.Selected aliases the
+// scratch (valid until its next use). A nil scratch uses fresh
+// buffers, making the result caller-owned.
+//
+// LOCK-STEP: SolveConv (conv.go) shares this function's Algorithm-2
+// frame verbatim; apply frame fixes to both (see the note there).
+//
 //sched:owns-result
-func SolveScratch(p Problem, sc *Scratch) (Solution, error) {
+func Solve(p Problem, sc *Scratch) (Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}

@@ -114,24 +114,21 @@ func convPointCmp(a, b convPoint) int {
 // ordinary, uncompressed knapsack, and the selection fits C once every
 // compressible item is compressed by RhoFull. Problem.NBar is not used
 // (the engine has no adaptive normalization to bound).
-func SolveConv(p Problem) (Solution, error) {
-	return SolveConvScratch(p, nil)
-}
-
-// SolveConvScratch is SolveConv with caller-supplied scratch buffers:
-// a warm Scratch makes the whole call allocation-free, and the
-// returned Solution.Selected aliases the scratch (valid until its next
-// use). A nil scratch uses fresh buffers.
+//
+// Buffers come from sc: a warm Scratch makes the whole call
+// allocation-free, and the returned Solution.Selected aliases the
+// scratch (valid until its next use). A nil scratch uses fresh buffers.
 //
 // LOCK-STEP: the Algorithm-2 frame here (validation, item split,
 // βmax/αmin clamps, the α-grid, the incompressible PairList DP, the
 // combine loop with its slack nudge, the capacity check) deliberately
-// mirrors SolveScratch in compressible.go — only the wide-side profile
+// mirrors Solve in compressible.go — only the wide-side profile
 // engine differs. A fix to the frame in either function must be
 // applied to both; TestSolveConvContract cross-checks them against the
 // same exact optimum.
+//
 //sched:owns-result
-func SolveConvScratch(p Problem, sc *Scratch) (Solution, error) {
+func SolveConv(p Problem, sc *Scratch) (Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -260,6 +257,7 @@ func SolveConvScratch(p Problem, sc *Scratch) (Solution, error) {
 // newConvNode allocates a merge-tree node from the scratch arena,
 // reusing retained point capacity. Callers must not hold *convNode
 // pointers across calls — the arena may grow.
+//
 //sched:hotpath
 func (sc *Scratch) newConvNode() int32 {
 	if sc.convUsed == len(sc.convNodes) {
@@ -276,6 +274,7 @@ func (sc *Scratch) newConvNode() int32 {
 // builds each class's concave prefix staircase, and combines the
 // classes in a balanced merge tree. Returns the root node index, or -1
 // when no compressible item can contribute.
+//
 //sched:hotpath
 func (sc *Scratch) buildConvProfile(p *Problem, comp []int, rho, cap float64, stats *Stats) int32 {
 	sc.convUsed = 0
@@ -376,6 +375,7 @@ func (sc *Scratch) buildConvProfile(p *Problem, comp []int, rho, cap float64, st
 // improving frontier. Children are frontier-pruned already, which is
 // lossless here: a parent sum through a dominated child point is
 // itself dominated by the sum through the dominating one.
+//
 //sched:hotpath
 func (sc *Scratch) mergeConv(a, b int32, cap float64) int32 {
 	nid := sc.newConvNode()
@@ -416,6 +416,7 @@ func (sc *Scratch) mergeConv(a, b int32, cap float64) int32 {
 // convBest returns the maximum profile profit with size ≤ cap and the
 // index of the point attaining it (-1 when even the origin exceeds
 // cap, which only happens for cap < 0).
+//
 //sched:hotpath
 func (sc *Scratch) convBest(root int32, cap float64) (float64, int32) {
 	pts := sc.convNodes[root].pts
@@ -438,6 +439,7 @@ func (sc *Scratch) convBest(root int32, cap float64) (float64, int32) {
 // leaves, appending the selected item IDs and accumulating the
 // compressed size, without recursion or allocation (explicit stack in
 // the scratch).
+//
 //sched:hotpath
 func (sc *Scratch) backtrackConv(p *Problem, root, pt int32, sol *Solution) {
 	stack := append(sc.convStack[:0], [2]int32{root, pt})

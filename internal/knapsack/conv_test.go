@@ -75,8 +75,8 @@ func TestSolveConvContract(t *testing.T) {
 	for it := 0; it < 400; it++ {
 		rhoFull := []float64{0.25, 0.1, 1.0 / 24}[it%3]
 		p := randomConvProblem(rng, 24, 400, rhoFull)
-		_, opt := SolveDense(p.Items, p.C)
-		sol, err := SolveConv(p)
+		_, opt := SolveDense(p.Items, p.C, nil)
+		sol, err := SolveConv(p, nil)
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
@@ -84,7 +84,7 @@ func TestSolveConvContract(t *testing.T) {
 		// The incumbent must satisfy the same contract on the same
 		// instance — a cross-check that the two engines implement one
 		// guarantee.
-		sol2, err := Solve(p)
+		sol2, err := Solve(p, nil)
 		if err != nil {
 			t.Fatalf("it %d: Solve: %v", it, err)
 		}
@@ -114,8 +114,8 @@ func TestSolveConvDegenerate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Problem{Items: tc.items, Compressible: tc.comp, C: tc.c,
 				RhoFull: rho, AlphaMin: float64(thr)}
-			_, opt := SolveDense(tc.items, tc.c)
-			sol, err := SolveConv(p)
+			_, opt := SolveDense(tc.items, tc.c, nil)
+			sol, err := SolveConv(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,12 +132,12 @@ func TestSolveConvScratchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(72, 0))
 	p := randomConvProblem(rng, 64, 800, 1.0/24)
 	sc := &Scratch{}
-	want, err := SolveConv(p)
+	want, err := SolveConv(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() {
-		sol, err := SolveConvScratch(p, sc)
+		sol, err := SolveConv(p, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestSolveConvScratchZeroAlloc(t *testing.T) {
 		run()
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("steady-state SolveConvScratch allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state SolveConv allocates %v/op, want 0", allocs)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestSolveConvScratchReuse(t *testing.T) {
 	}
 	for rep := 0; rep < 3; rep++ {
 		for i, p := range probs {
-			fresh, err1 := SolveConv(p)
-			pooled, err2 := SolveConvScratch(p, sc)
+			fresh, err1 := SolveConv(p, nil)
+			pooled, err2 := SolveConv(p, sc)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("#%d: err mismatch %v vs %v", i, err1, err2)
 			}
@@ -194,8 +194,8 @@ func FuzzSolveConvVsDense(f *testing.F) {
 		}
 		rng := rand.New(rand.NewPCG(seed, 1))
 		p := randomConvProblem(rng, nRaw, cRaw, 0.2)
-		_, opt := SolveDense(p.Items, p.C)
-		sol, err := SolveConv(p)
+		_, opt := SolveDense(p.Items, p.C, nil)
+		sol, err := SolveConv(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

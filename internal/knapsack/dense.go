@@ -16,18 +16,14 @@ type Item struct {
 // knapsack the Mounié–Rapine–Trystram baseline runs — the very O(nm)
 // bottleneck §4.2 is designed to avoid.
 //
-// Returns the selected item IDs and the optimal profit.
-func SolveDense(items []Item, C int) ([]int, float64) {
-	return SolveDenseScratch(items, C, nil)
-}
-
-// SolveDenseScratch is SolveDense with caller-supplied scratch: the
-// decision bitsets and DP row are reused (as one flat allocation), so
-// a warm Scratch runs the DP allocation-free. The returned selection
+// Returns the selected item IDs and the optimal profit. The decision
+// bitsets and DP row come from sc (as one flat allocation), so a warm
+// Scratch runs the DP allocation-free; the returned selection then
 // aliases the scratch. A nil scratch uses fresh buffers.
+//
 //sched:hotpath
 //sched:owns-result
-func SolveDenseScratch(items []Item, C int, sc *Scratch) ([]int, float64) {
+func SolveDense(items []Item, C int, sc *Scratch) ([]int, float64) {
 	if sc == nil {
 		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
 	}
@@ -80,7 +76,7 @@ func SolvePairs(items []Item, C int) ([]int, float64) {
 	}
 	profit, node := l.Best(float64(C))
 	var sel []int
-	for _, idx := range l.Backtrack(node) {
+	for _, idx := range l.BacktrackAppend(nil, node) {
 		sel = append(sel, items[idx].ID)
 	}
 	return sel, profit

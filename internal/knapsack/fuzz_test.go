@@ -19,7 +19,7 @@ func FuzzPairListVsDense(f *testing.F) {
 			}
 			items = append(items, Item{ID: i, Size: sp[0], Profit: float64(sp[1])})
 		}
-		_, pd := SolveDense(items, C)
+		_, pd := SolveDense(items, C, nil)
 		_, pp := SolvePairs(items, C)
 		if math.Abs(pd-pp) > 1e-9*(1+pd) {
 			t.Fatalf("dense %v != pairs %v (items %v, C=%d)", pd, pp, items, C)
@@ -35,7 +35,7 @@ func FuzzGeomRounding(f *testing.F) {
 		if !(L > 0) || U < L || U > 1e12 || x <= 1.0001 || x > 4 || a < L || a > U {
 			t.Skip()
 		}
-		g := Geom(L, U, x)
+		g := GeomAppend(nil, L, U, x)
 		down := RoundDown(g, a)
 		up := RoundUp(g, a)
 		if math.IsNaN(down) || down > a || down*x < a/(1+1e-9) {

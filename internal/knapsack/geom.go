@@ -9,17 +9,13 @@ package knapsack
 
 import "math"
 
-// Geom returns the geometric progression of Definition 13:
-// geom(L, U, x) = {L·x^i | i = 0..⌈log_x(U/L)⌉}. The first element is L
-// and the last is the first power ≥ U. Requires 0 < L, L ≤ U, x > 1.
-// By Lemma 14, |geom(L,U,x)| = O(log(U/L)/(x−1)) for 1 < x < 2.
-func Geom(L, U, x float64) []float64 {
-	return GeomAppend(nil, L, U, x)
-}
-
-// GeomAppend is Geom appending onto dst (usually dst[:0] of a reused
-// buffer), so hot callers rebuild their grids without allocating.
-// Invalid parameters return dst unchanged, mirroring Geom's nil.
+// GeomAppend appends the geometric progression of Definition 13,
+// geom(L, U, x) = {L·x^i | i = 0..⌈log_x(U/L)⌉}, onto dst (usually
+// dst[:0] of a reused buffer, or nil for a fresh slice), so hot callers
+// rebuild their grids without allocating. The first element is L and
+// the last is the first power ≥ U. Requires 0 < L, L ≤ U, x > 1;
+// invalid parameters return dst unchanged. By Lemma 14,
+// |geom(L,U,x)| = O(log(U/L)/(x−1)) for 1 < x < 2.
 //
 // Elements track the closed form L·x^i instead of drifting with a pure
 // running product: repeated multiplication loses up to one ulp per
@@ -33,6 +29,7 @@ func Geom(L, U, x float64) []float64 {
 // within the block: every element stays within ~32 ulps of the closed
 // form, independent of the index. The monotonicity guard covers
 // adjacent elements rounding onto non-increasing floats.
+//
 //sched:hotpath
 func GeomAppend(dst []float64, L, U, x float64) []float64 {
 	if !(L > 0) || !(U >= L) || !(x > 1) {
@@ -60,6 +57,7 @@ func GeomAppend(dst []float64, L, U, x float64) []float64 {
 
 // RoundDownIdx returns the index of the largest grid element ≤ a, or -1
 // when a is below the first element (gˇr undefined).
+//
 //sched:hotpath
 func RoundDownIdx(g []float64, a float64) int {
 	lo, hi := 0, len(g)-1

@@ -21,7 +21,7 @@ func TestGeomClosedForm(t *testing.T) {
 		{7, 1e9, 1 + 1.0/(1<<16)}, // very fine ratio
 	}
 	for _, tc := range cases {
-		g := Geom(tc.L, tc.U, tc.x)
+		g := GeomAppend(nil, tc.L, tc.U, tc.x)
 		if len(g) == 0 {
 			t.Fatalf("Geom(%v,%v,%v) empty", tc.L, tc.U, tc.x)
 		}
@@ -57,7 +57,7 @@ func TestGeomRoundingAgreesOnGridPoints(t *testing.T) {
 		{0.125, 977, 1.000977},
 	}
 	for _, p := range grids {
-		g := Geom(p[0], p[1], p[2])
+		g := GeomAppend(nil, p[0], p[1], p[2])
 		for i, v := range g {
 			if got := RoundDownIdx(g, v); got != i {
 				t.Fatalf("grid %v: RoundDownIdx(g[%d]) = %d, want %d", p, i, got, i)
@@ -92,7 +92,7 @@ func TestGeomRoundingAgreesOnGridPoints(t *testing.T) {
 // TestGeomAppendReusesBuffer: the appending form must not allocate when
 // the destination capacity suffices, and must equal Geom.
 func TestGeomAppendReusesBuffer(t *testing.T) {
-	want := Geom(24, 8192, 1.0105)
+	want := GeomAppend(nil, 24, 8192, 1.0105)
 	buf := make([]float64, 0, len(want)+8)
 	allocs := testing.AllocsPerRun(10, func() {
 		got := GeomAppend(buf[:0], 24, 8192, 1.0105)

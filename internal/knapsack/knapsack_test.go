@@ -64,7 +64,7 @@ func TestSolveDenseMatchesBruteForce(t *testing.T) {
 		n := 1 + rng.IntN(12)
 		C := rng.IntN(40)
 		items := randomItems(rng, n, 15)
-		sel, profit := SolveDense(items, C)
+		sel, profit := SolveDense(items, C, nil)
 		verifySelection(t, items, sel, C, profit)
 		if want := bruteForce(items, C); math.Abs(profit-want) > 1e-9*(1+want) {
 			t.Fatalf("dense %v, brute %v (n=%d C=%d)", profit, want, n, C)
@@ -80,7 +80,7 @@ func TestSolvePairsMatchesDense(t *testing.T) {
 		items := randomItems(rng, n, 20)
 		selP, profitP := SolvePairs(items, C)
 		verifySelection(t, items, selP, C, profitP)
-		_, profitD := SolveDense(items, C)
+		_, profitD := SolveDense(items, C, nil)
 		if math.Abs(profitP-profitD) > 1e-9*(1+profitD) {
 			t.Fatalf("pairs %v, dense %v", profitP, profitD)
 		}
@@ -117,7 +117,7 @@ func TestPairListDominance(t *testing.T) {
 	if p != 10 {
 		t.Fatalf("Best(5) = %v, want 10", p)
 	}
-	sel := l.Backtrack(node)
+	sel := l.BacktrackAppend(nil, node)
 	if len(sel) != 1 || sel[0] != 0 {
 		t.Fatalf("Backtrack = %v, want [0]", sel)
 	}
@@ -132,7 +132,7 @@ func TestGeomCovering(t *testing.T) {
 		L := 1 + float64(lRaw)
 		U := L + float64(uRaw)
 		x := 1.01 + float64(xRaw%100)/100
-		g := Geom(L, U, x)
+		g := GeomAppend(nil, L, U, x)
 		if len(g) == 0 || g[0] != L || g[len(g)-1] < U {
 			return false
 		}
@@ -160,7 +160,7 @@ func TestGeomCovering(t *testing.T) {
 func TestGeomSizeLemma14(t *testing.T) {
 	// |geom(L,U,x)| = O(log(U/L)/(x−1)) for 1 < x < 2
 	for _, x := range []float64{1.01, 1.1, 1.5} {
-		g := Geom(1, 1e6, x)
+		g := GeomAppend(nil, 1, 1e6, x)
 		bound := 3 * (math.Log(1e6)/(x-1) + 2)
 		if float64(len(g)) > bound {
 			t.Errorf("x=%v: |geom| = %d exceeds O(log(U/L)/(x−1)) ≈ %v", x, len(g), bound)
@@ -190,7 +190,7 @@ func TestRounding(t *testing.T) {
 func TestGridPointsBound(t *testing.T) {
 	// Lemma 12 / Eq. (16): O(n̄) subintervals per capacity step.
 	rho := 0.1
-	A := Geom(10, 1000, 1/(1-rho))
+	A := GeomAppend(nil, 10, 1000, 1/(1-rho))
 	for _, nbar := range []int{1, 4, 16} {
 		g := NewGrid(A, 10, rho, nbar)
 		bound := (len(A) + 1) * (nbar + 3)
@@ -202,7 +202,7 @@ func TestGridPointsBound(t *testing.T) {
 
 func TestGridNormProperties(t *testing.T) {
 	rho := 0.15
-	A := Geom(5, 500, 1/(1-rho))
+	A := GeomAppend(nil, 5, 500, 1/(1-rho))
 	g := NewGrid(A, 5, rho, 8)
 	rng := rand.New(rand.NewPCG(4, 0))
 	prev := 0.0
@@ -267,7 +267,7 @@ func TestSolveCompressible(t *testing.T) {
 			Items: items, Compressible: comp, C: C, RhoFull: rhoFull,
 			AlphaMin: alphaMin, BetaMax: betaMax,
 			NBar: int(float64(C)/alphaMin) + 1,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
@@ -302,7 +302,7 @@ func TestSolveCompressibleProfitMatchesSelection(t *testing.T) {
 			comp[i] = items[i].Size >= 5
 		}
 		sol, err := Solve(Problem{Items: items, Compressible: comp, C: C,
-			RhoFull: rhoFull, AlphaMin: 5, BetaMax: float64(C), NBar: C/5 + 1})
+			RhoFull: rhoFull, AlphaMin: 5, BetaMax: float64(C), NBar: C/5 + 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestContainersExpansion(t *testing.T) {
 		{Size: 1, Profit: 1, Count: 1},
 		{Size: 100, Profit: 50, Count: 5},
 	}
-	items, meta, comp := Containers(types, 50)
+	items, meta, comp := ContainersAppend(nil, nil, nil, types, 50)
 	// type 0: multiplicities 1,2,4,6 (13 = 1+2+4+6)
 	var mults []int
 	total := 0
@@ -349,7 +349,7 @@ func TestContainersExpansion(t *testing.T) {
 // Every count 0..Count must be expressible as a subset of multiplicities.
 func TestContainersExpressEveryCount(t *testing.T) {
 	for count := 1; count <= 40; count++ {
-		items, meta, _ := Containers([]Type{{Size: 1, Profit: 1, Count: count}}, count)
+		items, meta, _ := ContainersAppend(nil, nil, nil, []Type{{Size: 1, Profit: 1, Count: count}}, count)
 		reach := map[int]bool{0: true}
 		for range items {
 		}
@@ -379,7 +379,7 @@ func TestSolveBoundedMatchesBrute(t *testing.T) {
 			types[i] = Type{Size: 1 + rng.IntN(6), Profit: rng.Float64() * 10, Count: 1 + rng.IntN(5)}
 		}
 		C := 5 + rng.IntN(25)
-		sol, err := SolveBounded(types, C, 0.2, 0, 0, 0)
+		sol, err := SolveBounded(types, C, 0.2, 0, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestSolveBoundedMatchesBrute(t *testing.T) {
 
 func TestSolveRejectsBadRho(t *testing.T) {
 	_, err := Solve(Problem{Items: []Item{{ID: 0, Size: 1, Profit: 1}},
-		Compressible: []bool{false}, C: 5, RhoFull: 0})
+		Compressible: []bool{false}, C: 5, RhoFull: 0}, nil)
 	if err == nil {
 		t.Error("rho=0 accepted")
 	}
@@ -452,7 +452,7 @@ func TestSolveEpsApproxCanLoseProfit(t *testing.T) {
 	lost := false
 	for seed := 0; seed < 5 && !lost; seed++ {
 		_, approx := SolveEpsApprox(items, 10, 0.9)
-		_, exact := SolveDense(items, 10)
+		_, exact := SolveDense(items, 10, nil)
 		if approx < exact-1e-12 {
 			lost = true
 		}

@@ -48,6 +48,7 @@ func (l *PairList) Pairs() int { return len(l.arena) }
 // passed through norm (nil for identity), which must be monotone
 // non-decreasing; sizes exceeding cap are discarded. item is an opaque
 // tag returned by Backtrack.
+//
 //sched:hotpath
 func (l *PairList) Add(item int, size, profit, cap float64, norm func(float64) float64) {
 	// Non-positive-profit items never help (we maximize and the empty
@@ -138,6 +139,7 @@ func (l *PairList) Add(item int, size, profit, cap float64, norm func(float64) f
 // Best returns the maximum profit over frontier pairs with size ≤ cap
 // and the arena node attaining it (-1 when none, profit 0 for the empty
 // selection which always fits cap ≥ 0).
+//
 //sched:hotpath
 func (l *PairList) Best(cap float64) (float64, int32) {
 	// frontier sizes ascending, profits ascending: the answer is the last
@@ -166,15 +168,10 @@ func (l *PairList) Size(node int32) float64 {
 	return l.arena[node].size
 }
 
-// Backtrack returns the item tags on the path from node to the root,
-// i.e. the selected items of the solution represented by node.
-func (l *PairList) Backtrack(node int32) []int {
-	return l.BacktrackAppend(nil, node)
-}
-
 // BacktrackAppend appends the item tags on the path from node to the
-// root onto dst, enabling allocation-free backtracking into a reused
-// buffer.
+// root — the selected items of the solution represented by node — onto
+// dst, enabling allocation-free backtracking into a reused buffer (nil
+// for a fresh slice).
 func (l *PairList) BacktrackAppend(dst []int, node int32) []int {
 	for node >= 0 {
 		n := l.arena[node]

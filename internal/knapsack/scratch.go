@@ -3,8 +3,8 @@ package knapsack
 // Scratch holds the reusable buffers of the knapsack solvers (the
 // scratch-reuse discipline of internal/arena): item partitions, the
 // capacity grid A, the adaptive-normalization grid, both pair-list
-// DPs, and the solution buffers. A warm Scratch makes SolveScratch and
-// SolveBoundedScratch allocation-free in the steady state. The zero
+// DPs, and the solution buffers. A warm Scratch makes Solve and
+// SolveBounded allocation-free in the steady state. The zero
 // value is ready to use; a Scratch must not be shared between
 // concurrent calls. Solutions produced with a Scratch alias its
 // buffers (Solution.Selected, BoundedSolution.CountByType) and are

@@ -1,7 +1,7 @@
 package lt
 
 // Grid-restricted estimation (ISSUE 5, after the compression theme of
-// arXiv:2303.01414): EstimateGridScratch runs the same
+// arXiv:2303.01414): EstimateGrid runs the same
 // Frederickson–Johnson matrix search as EstimateScratch, but with the
 // per-job processor counts restricted to a caller-supplied candidate
 // grid — the compressed count classes of the Conv algorithm. The
@@ -24,7 +24,7 @@ package lt
 //	              gives a schedule of makespan ≤ W_S/m + T_S ≤ 2ω_S).
 //
 // So OPT ∈ [ω_S/κ, 2ω_S] — the interval the Conv scheduler hands to
-// dual.SearchRangeCtx. With cands = [1..m] the function degenerates to
+// dual.Search. With cands = [1..m] the function degenerates to
 // EstimateScratch exactly (κ = 1), which the tests pin.
 
 import (
@@ -104,17 +104,12 @@ func predGrid(in *moldable.Instance, cands []int, v moldable.Time) bool {
 	return e.feasible && e.w/moldable.Time(in.M) <= e.t
 }
 
-// EstimateGrid computes the restricted estimate without a scratch.
-func EstimateGrid(in *moldable.Instance, cands []int) Result {
-	return EstimateGridScratch(in, cands, nil)
-}
-
-// EstimateGridScratch computes ω_S, the Ludwig–Tiwari estimate with
+// EstimateGrid computes ω_S, the Ludwig–Tiwari estimate with
 // allotments restricted to the candidate counts cands (strictly
 // increasing, cands[len-1] must be in.M so γ̃ is defined whenever γ
 // is). See the file comment for the ω_S ↔ OPT bracketing. A warm
 // Scratch makes the whole estimation allocation-free; Result.Allot
-// then aliases the scratch.
+// then aliases the scratch. A nil scratch uses fresh buffers.
 //
 // LOCK-STEP: this is EstimateScratch (lt.go) with processor counts
 // replaced by candidate indices and gamma.Gamma/GammaStrict by
@@ -122,8 +117,9 @@ func EstimateGrid(in *moldable.Instance, cands []int) Result {
 // and all. A fix to the matrix search in either function must be
 // applied to both; TestEstimateGridIdentity pins their equivalence on
 // the full grid.
+//
 //sched:owns-result
-func EstimateGridScratch(in *moldable.Instance, cands []int, sc *Scratch) Result {
+func EstimateGrid(in *moldable.Instance, cands []int, sc *Scratch) Result {
 	if sc == nil {
 		sc = &Scratch{}
 	}

@@ -42,7 +42,7 @@ func TestEstimateGridIdentity(t *testing.T) {
 		n, m := 1+rng.IntN(24), 1+rng.IntN(256)
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
 		want := Estimate(in)
-		got := EstimateGrid(in, fullGrid(m))
+		got := EstimateGrid(in, fullGrid(m), nil)
 		if want.Omega != got.Omega || want.VStar != got.VStar {
 			t.Fatalf("it %d (n=%d m=%d): identity grid ω=%v v̂=%v, full search ω=%v v̂=%v",
 				it, n, m, got.Omega, got.VStar, want.Omega, want.VStar)
@@ -63,7 +63,7 @@ func TestEstimateGridBracketsOPT(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		m := 64 << (seed % 7) // 64 … 4096
 		pl := moldable.Planted(moldable.PlantedConfig{M: m, D: 100, Seed: seed, MaxJobs: 1 + int(seed)%30})
-		res := EstimateGrid(pl.Instance, convLikeGrid(m))
+		res := EstimateGrid(pl.Instance, convLikeGrid(m), nil)
 		if float64(res.Omega)/kappa > float64(pl.OPT)*(1+1e-9) {
 			t.Fatalf("seed %d m=%d: ω_S/κ = %v > OPT = %v", seed, m, res.Omega/kappa, pl.OPT)
 		}
@@ -83,7 +83,7 @@ func TestEstimateGridVsFull(t *testing.T) {
 		n, m := 1+rng.IntN(48), 40+rng.IntN(1<<13)
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
 		full := Estimate(in)
-		grid := EstimateGrid(in, convLikeGrid(m))
+		grid := EstimateGrid(in, convLikeGrid(m), nil)
 		if float64(grid.Omega) < float64(full.Omega)/2*(1-1e-9) {
 			t.Fatalf("it %d (n=%d m=%d): ω_S = %v < ω/2 = %v", it, n, m, grid.Omega, full.Omega/2)
 		}
@@ -100,9 +100,9 @@ func TestEstimateGridZeroAlloc(t *testing.T) {
 	cands := convLikeGrid(1 << 16)
 	sc := &Scratch{}
 	for i := 0; i < 3; i++ {
-		EstimateGridScratch(in, cands, sc)
+		EstimateGrid(in, cands, sc)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { EstimateGridScratch(in, cands, sc) }); allocs != 0 {
-		t.Fatalf("steady-state EstimateGridScratch allocates %v/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { EstimateGrid(in, cands, sc) }); allocs != 0 {
+		t.Fatalf("steady-state EstimateGrid allocates %v/op, want 0", allocs)
 	}
 }

@@ -87,6 +87,7 @@ func evaluate(in *moldable.Instance, v moldable.Time) evalResult {
 // pred reports whether W(v)/m ≤ T(v) at a feasible v — the flip predicate
 // of the matrix search. Infeasible v (some γ undefined) report false, so
 // the predicate stays monotone in v.
+//
 //sched:hotpath
 func pred(in *moldable.Instance, v moldable.Time) bool {
 	e := evaluate(in, v)
@@ -145,9 +146,10 @@ func Estimate(in *moldable.Instance) Result {
 // next use; a nil scratch uses fresh buffers (then the caller owns the
 // result outright).
 //
-// LOCK-STEP: EstimateGridScratch (grid.go) is this matrix search over
+// LOCK-STEP: EstimateGrid (grid.go) is this matrix search over
 // a candidate-index space; apply search fixes to both (see the note
 // there).
+//
 //sched:owns-result
 func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 	if sc == nil {

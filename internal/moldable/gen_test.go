@@ -1,6 +1,7 @@
 package moldable
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRandomGeneratorValid(t *testing.T) {
 		if in.N() != 50 || in.M != 256 {
 			t.Fatalf("wrong shape: n=%d m=%d", in.N(), in.M)
 		}
-		if err := in.Validate(0); err != nil {
+		if err := in.ValidateCtx(context.Background(), 0); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -55,7 +56,7 @@ func TestPlantedCertificate(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 99} {
 		pl := Planted(PlantedConfig{M: 32, D: 50, Seed: seed, MaxJobs: 25})
 		in := pl.Instance
-		if err := in.Validate(0); err != nil {
+		if err := in.ValidateCtx(context.Background(), 0); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		var work Time
@@ -132,7 +133,7 @@ func TestPresets(t *testing.T) {
 		}
 		cfg.N, cfg.M, cfg.Seed = 30, 64, 5
 		in := Random(cfg)
-		if err := in.Validate(0); err != nil {
+		if err := in.ValidateCtx(context.Background(), 0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

@@ -121,15 +121,11 @@ func CheckMonotone(j Job, m, maxProbes int) error {
 	return check(m - 1 - min(1, m-2)) // probe near the top as well
 }
 
-// Validate checks the instance: m ≥ 1, at least one job, and every job
-// monotone (probed as in CheckMonotone with the given probe budget).
-func (in *Instance) Validate(maxProbes int) error {
-	return in.ValidateCtx(context.Background(), maxProbes)
-}
-
-// ValidateCtx is Validate with cancellation: the context is checked
-// between jobs (per-job probing is the expensive part), and a canceled
-// context returns an error matching scherr.ErrCanceled.
+// ValidateCtx checks the instance: m ≥ 1, at least one job, and every
+// job monotone (probed as in CheckMonotone with the given probe
+// budget). The context is checked between jobs (per-job probing is the
+// expensive part), and a canceled context returns an error matching
+// scherr.ErrCanceled.
 func (in *Instance) ValidateCtx(ctx context.Context, maxProbes int) error {
 	if in.M < 1 {
 		return fmt.Errorf("moldable: m=%d must be ≥ 1", in.M)

@@ -1,6 +1,7 @@
 package moldable
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -180,14 +181,14 @@ func TestInstanceBounds(t *testing.T) {
 }
 
 func TestInstanceValidate(t *testing.T) {
-	if err := (&Instance{M: 0, Jobs: []Job{Sequential{T: 1}}}).Validate(0); err == nil {
+	if err := (&Instance{M: 0, Jobs: []Job{Sequential{T: 1}}}).ValidateCtx(context.Background(), 0); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if err := (&Instance{M: 2}).Validate(0); err == nil {
+	if err := (&Instance{M: 2}).ValidateCtx(context.Background(), 0); err == nil {
 		t.Error("no jobs accepted")
 	}
 	bad := &Instance{M: 2, Jobs: []Job{Table{T: []Time{1, 5}}}}
-	if err := bad.Validate(0); err == nil {
+	if err := bad.ValidateCtx(context.Background(), 0); err == nil {
 		t.Error("non-monotone job accepted")
 	}
 }

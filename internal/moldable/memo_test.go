@@ -1,6 +1,7 @@
 package moldable
 
 import (
+	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -196,7 +197,7 @@ func TestEnvelopeTableMonotoneSource(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0))
 	raw := SmallTable(rng, 200, 100).T
 	in := &Instance{M: 200, Jobs: []Job{EnvelopeTable{Raw: raw}}}
-	if err := in.Validate(0); err != nil {
+	if err := in.ValidateCtx(context.Background(), 0); err != nil {
 		t.Fatalf("monotone-fed envelope failed validation: %v", err)
 	}
 }

@@ -40,7 +40,7 @@ type Scratch struct {
 	Shelves shelves.Scratch
 	Knap    knapsack.Scratch
 
-	d        Dual // reusable dual handed to dual.SearchCtx
+	d        Dual // reusable dual handed to dual.Search
 	items    []knapsack.Item
 	shelf1   []int
 	buildRes shelves.Result
@@ -56,6 +56,7 @@ type Stats struct {
 func (a *Dual) Guarantee() float64 { return 1.5 }
 
 // Try implements the dual round for target makespan d.
+//
 //sched:hotpath
 //sched:owns-result
 func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
@@ -66,7 +67,7 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	}
 	in := a.In
 	part := &sc.Shelves.Part
-	if !shelves.ComputeInto(part, in, d) {
+	if !shelves.Compute(part, in, d) {
 		return nil, false
 	}
 	capacity := in.M - part.MandSize()
@@ -81,33 +82,24 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 		}
 		sc.items = items
 		a.Stats.KnapsackCells += int64(len(items)) * int64(capacity+1)
-		sel, _ := knapsack.SolveDenseScratch(items, capacity, &sc.Knap)
+		sel, _ := knapsack.SolveDense(items, capacity, &sc.Knap)
 		shelf1 = append(shelf1, sel...)
 	}
 	sc.shelf1 = shelf1
-	if !shelves.BuildScratch(&sc.buildRes, in, d, shelf1, shelves.Options{}, &sc.Shelves) {
+	if !shelves.Build(&sc.buildRes, in, d, shelf1, shelves.Options{}, &sc.Shelves) {
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
 }
 
 // Schedule runs the full (3/2+eps)-approximation: Ludwig–Tiwari
-// estimation plus the dual binary search with slack eps.
-func Schedule(in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleCtx(context.Background(), in, eps)
-}
-
-// ScheduleCtx is Schedule with cancellation, checked between dual
-// probes.
-func ScheduleCtx(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, dual.Report, error) {
-	return ScheduleScratchCtx(ctx, in, eps, nil)
-}
-
-// ScheduleScratchCtx is ScheduleCtx drawing every buffer from sc; the
-// returned schedule is then owned by the scratch (valid until its next
-// use). A nil scratch uses fresh buffers.
+// estimation plus the dual binary search with slack eps, canceled
+// between dual probes. Every buffer comes from sc; the returned
+// schedule is then owned by the scratch (valid until its next use). A
+// nil scratch uses fresh buffers.
+//
 //sched:owns-result
-func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
+func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
 	if eps <= 0 || eps > 1 {
 		return nil, dual.Report{}, scherr.BadEps("mrt", eps)
 	}
@@ -116,5 +108,5 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, eps float64,
 	}
 	est := lt.EstimateScratch(in, &sc.LT)
 	sc.d = Dual{In: in, Scratch: sc}
-	return dual.SearchCtx(ctx, &sc.d, est.Omega, eps)
+	return dual.Search(ctx, &sc.d, est.Omega, 2*est.Omega, eps)
 }

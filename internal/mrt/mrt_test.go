@@ -1,6 +1,7 @@
 package mrt
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestApproximationOnPlanted(t *testing.T) {
 	for _, eps := range []float64{0.5, 0.1} {
 		for _, seed := range []uint64{10, 20, 30} {
 			pl := moldable.Planted(moldable.PlantedConfig{M: 32, D: 100, Seed: seed, MaxJobs: 25})
-			s, _, err := Schedule(pl.Instance, eps)
+			s, _, err := Schedule(context.Background(), pl.Instance, eps, nil)
 			if err != nil {
 				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
 			}
@@ -62,7 +63,7 @@ func TestApproximationVsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
-		s, _, err := Schedule(in, eps)
+		s, _, err := Schedule(context.Background(), in, eps, nil)
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
@@ -76,7 +77,7 @@ func TestApproximationVsExact(t *testing.T) {
 func TestScheduleRejectsBadEps(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 3, M: 4, Seed: 1})
 	for _, eps := range []float64{0, -0.5, 2} {
-		if _, _, err := Schedule(in, eps); err == nil {
+		if _, _, err := Schedule(context.Background(), in, eps, nil); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
 	}

@@ -38,7 +38,7 @@
 // LT2) and surfaces the substitution on the replan event.
 //
 // The harness (Compare) replays a trace online and schedules the same
-// job set offline with the clairvoyant core.Schedule, reporting
+// job set offline with the clairvoyant core.ScheduleCtx, reporting
 // realized-vs-clairvoyant makespan and flow-time metrics.
 package online
 

@@ -219,6 +219,7 @@ func (rt *runtime) emit(e Event) { rt.events = append(rt.events, e) }
 
 // onFinish records a completion (capacity already released by the
 // machine) and emits its event.
+//
 //sched:hotpath
 func (rt *runtime) onFinish(r sim.Running) {
 	rt.finishT[r.Job] = r.Finish
@@ -237,6 +238,7 @@ func (rt *runtime) onFinish(r sim.Running) {
 // dispatch starts planned jobs work-conservingly: strictly in plan
 // order, each as soon as its processors are free (never skipping ahead
 // past a wider job — the discipline of sim's WorkConserving replay).
+//
 //sched:hotpath
 func (rt *runtime) dispatch() {
 	for rt.plan.Len() > 0 {
@@ -264,6 +266,7 @@ func (rt *runtime) dispatch() {
 // only, with a non-empty pending set, a drained machine, and an empty
 // dispatch queue — no earlier than the epoch's minimum length after it
 // opened (the doubling rule).
+//
 //sched:hotpath
 func (rt *runtime) epochClose() (moldable.Time, bool) {
 	if rt.cfg.Policy != ReplanOnEpoch || len(rt.pending) == 0 ||
@@ -279,6 +282,7 @@ func (rt *runtime) epochClose() (moldable.Time, bool) {
 
 // advance processes every machine event with time ≤ t — completions and
 // epoch closures, interleaved in time order — then moves the clock to t.
+//
 //sched:hotpath
 func (rt *runtime) advance(t moldable.Time) error {
 	// The two inner event sources are mutually exclusive: epochClose

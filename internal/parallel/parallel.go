@@ -9,10 +9,9 @@
 //     sweeps where each iteration is cheap.
 //   - The sharded work-queue Pool: long-lived workers, bounded queues,
 //     key-affine routing, and batch/drain semantics, at the cost of a
-//     channel round-trip per task. The substrate for the batch entry
-//     points (core.ScheduleMany/ValidateMany) and the serving layer
-//     (internal/service), where tasks are entire Schedule calls and
-//     affinity/caching matter more than per-task overhead.
+//     channel round-trip per task. The substrate for the serving
+//     layer (internal/service), where tasks are entire scheduling
+//     calls and affinity/caching matter more than per-task overhead.
 //
 // The scheduling algorithms themselves are sequential — their inner
 // loops are dominated by O(log m) binary searches that do not amortize

@@ -49,6 +49,7 @@ func New(m int) *Schedule { return &Schedule{M: m} }
 // Reset empties the schedule and re-targets it to m processors, keeping
 // the placement buffer so steady-state refills allocate nothing. It is
 // the entry point of the scratch-reuse discipline (internal/arena).
+//
 //sched:hotpath
 func (s *Schedule) Reset(m int) {
 	s.M = m
@@ -70,6 +71,7 @@ type DoubleBuffer struct {
 }
 
 // Spare returns the non-retained buffer, reset for m processors.
+//
 //sched:hotpath
 func (db *DoubleBuffer) Spare(m int) *Schedule {
 	s := &db.bufs[db.spare]
@@ -79,10 +81,12 @@ func (db *DoubleBuffer) Spare(m int) *Schedule {
 
 // Commit marks the last Spare as retained; the next Spare returns the
 // other buffer.
+//
 //sched:hotpath
 func (db *DoubleBuffer) Commit() { db.spare ^= 1 }
 
 // Add appends a placement without a concrete processor assignment.
+//
 //sched:hotpath
 func (s *Schedule) Add(job, procs int, start, duration moldable.Time) {
 	s.Placements = append(s.Placements, Placement{
@@ -91,6 +95,7 @@ func (s *Schedule) Add(job, procs int, start, duration moldable.Time) {
 }
 
 // AddAt appends a placement with a concrete contiguous processor block.
+//
 //sched:hotpath
 func (s *Schedule) AddAt(job, procs int, start, duration moldable.Time, firstProc int) {
 	s.Placements = append(s.Placements, Placement{
@@ -100,6 +105,7 @@ func (s *Schedule) AddAt(job, procs int, start, duration moldable.Time, firstPro
 
 // Makespan returns the completion time of the last job (0 for an empty
 // schedule).
+//
 //sched:hotpath
 func (s *Schedule) Makespan() moldable.Time {
 	var mk moldable.Time

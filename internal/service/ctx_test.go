@@ -30,7 +30,7 @@ func TestSubmitCtxPreCanceled(t *testing.T) {
 	if r.Schedule != nil {
 		t.Error("canceled submission carries a schedule")
 	}
-	live := s.Do(in, opt)
+	live := s.DoCtx(context.Background(), in, opt)
 	if live.Err != nil {
 		t.Fatalf("live resubmission failed: %v", live.Err)
 	}
@@ -59,7 +59,7 @@ func TestWaitCtxDoesNotConsumeTicket(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	in := testInstance(9)
-	id := s.Submit(in, core.Options{Algorithm: core.Linear, Eps: 0.25})
+	id := s.SubmitCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25})
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	r, ok := s.WaitCtx(dead, id)

@@ -1,4 +1,4 @@
-// Package service is the serving layer over core.Schedule: a
+// Package service is the serving layer over core.ScheduleScratchCtx: a
 // long-running, high-throughput batch scheduling subsystem (see
 // DESIGN.md §5). It composes three mechanisms, all keyed by the same
 // canonical instance hash:
@@ -7,7 +7,7 @@
 //     non-O(1) oracle (moldable.NeedsMemo) is scheduled through a
 //     memoized twin, so the O(log m) binary searches of the estimator
 //     and the dual calls stop re-evaluating the same t_j(p) points —
-//     within one Schedule call and, via a bounded registry of memoized
+//     within one scheduling call and, via a bounded registry of memoized
 //     instances, across repeated submissions of the same instance
 //     under any options; closed-form jobs run bare;
 //   - a bounded, sharded result cache: structurally identical
@@ -24,12 +24,12 @@
 // results are cloned at this boundary before they escape into the
 // cache or to callers.
 //
-// Submissions are asynchronous (Submit/SubmitCtx return a ticket;
+// Submissions are asynchronous (SubmitCtx returns a ticket;
 // Wait/WaitCtx/Poll collect, Done observes) with synchronous
-// conveniences (Do, DoCtx, DoBatch, DoBatchCtx) on top. SubmitCtx
-// carries a per-submission context — deadline included — all the way
-// into the dual-search probe loops; interrupted submissions complete
-// with errors matching scherr.ErrCanceled and are never cached.
+// conveniences (DoCtx, DoBatchCtx) on top. SubmitCtx carries a
+// per-submission context — deadline included — all the way into the
+// dual-search probe loops; interrupted submissions complete with
+// errors matching scherr.ErrCanceled and are never cached.
 // cmd/moldschedd exposes this package as a JSON-lines daemon; the
 // repro.Client is the in-process public face.
 package service
@@ -155,25 +155,21 @@ func New(cfg Config) *Scheduler {
 	}
 }
 
-// Close drains in-flight work and stops the workers. Submit after Close
+// Close drains in-flight work and stops the workers. SubmitCtx after Close
 // panics; pending tickets remain collectable.
 func (s *Scheduler) Close() { s.pool.Close() }
 
-// Submit enqueues the instance and returns a ticket for Wait/Poll. The
-// instance must not be mutated afterwards. Result-cache hits complete
-// the ticket immediately without touching the pool.
+// SubmitCtx enqueues the instance and returns a ticket for Wait/Poll.
+// The instance must not be mutated afterwards. Result-cache hits
+// complete the ticket immediately without touching the pool.
 //
 // Completed results are retained until collected, up to TicketCap
 // uncollected tickets; beyond that the oldest uncollected results are
 // dropped (their tickets then report unknown). Fire-and-forget callers
 // therefore don't leak; callers that collect always see their result
 // if they stay within TicketCap of the completion front.
-func (s *Scheduler) Submit(in *moldable.Instance, opt core.Options) uint64 {
-	return s.SubmitCtx(context.Background(), in, opt)
-}
-
-// SubmitCtx is Submit with a per-submission context: the deadline or
-// cancellation travels with the ticket. A submission whose context ends
+//
+// The deadline or cancellation of ctx travels with the ticket. A submission whose context ends
 // while it is still queued is abandoned without scheduling; one whose
 // context ends mid-run stops at the next dual probe. Either way the
 // ticket completes with an error matching scherr.ErrCanceled, so
@@ -378,15 +374,10 @@ func (s *Scheduler) Poll(id uint64) (res Result, done, known bool) {
 	}
 }
 
-// Do schedules synchronously through the service (cache, memo, and
-// queue affinity included).
-func (s *Scheduler) Do(in *moldable.Instance, opt core.Options) Result {
-	r, _ := s.Wait(s.Submit(in, opt))
-	return r
-}
-
-// DoCtx is Do under a per-submission context: the work itself carries
-// ctx (deadline included) and the wait is bounded by it too — when ctx
+// DoCtx schedules synchronously through the service (cache, memo, and
+// queue affinity included) under a per-submission context: the work
+// itself carries ctx (deadline included) and the wait is bounded by it
+// too — when ctx
 // ends while the submission is still queued behind other work, DoCtx
 // returns an ErrCanceled result immediately instead of waiting for the
 // worker to reach (and then abandon) the task.
@@ -402,15 +393,9 @@ func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.O
 	return r
 }
 
-// DoBatch submits every instance and waits for all results, in order.
-// It is the service-grade sibling of core.ScheduleMany: same fan-out,
-// plus dedup, result caching, and shared oracle memos.
-func (s *Scheduler) DoBatch(ins []*moldable.Instance, opt core.Options) []Result {
-	return s.DoBatchCtx(context.Background(), ins, opt)
-}
-
-// DoBatchCtx is DoBatch under one shared context: a cancel or deadline
-// mid-batch completes the remaining submissions with ErrCanceled
+// DoBatchCtx submits every instance under one shared context and
+// waits for all results, in order: a pool fan-out plus dedup, result
+// caching, and shared oracle memos. A cancel or deadline mid-batch completes the remaining submissions with ErrCanceled
 // results (already-finished ones keep their results), never a short
 // slice. The waits are ctx-bounded, so the call returns promptly after
 // a cancel instead of trailing the queue.

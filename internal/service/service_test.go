@@ -1,6 +1,8 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
+	"repro/internal/scherr"
 )
 
 func testInstance(seed uint64) *moldable.Instance {
@@ -34,13 +37,13 @@ func envelopeInstance(seed uint64) *moldable.Instance {
 func TestDoMatchesCore(t *testing.T) {
 	in := testInstance(1)
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	want, _, err := core.Schedule(in, opt)
+	want, _, err := core.ScheduleCtx(context.Background(), in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{})
 	defer s.Close()
-	r := s.Do(in, opt)
+	r := s.DoCtx(context.Background(), in, opt)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -57,8 +60,8 @@ func TestResultCacheHit(t *testing.T) {
 	defer s.Close()
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
 	// Structurally equal but distinct instances must share one cache line.
-	r1 := s.Do(testInstance(2), opt)
-	r2 := s.Do(testInstance(2), opt)
+	r1 := s.DoCtx(context.Background(), testInstance(2), opt)
+	r2 := s.DoCtx(context.Background(), testInstance(2), opt)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -84,11 +87,11 @@ func TestMemoSharedAcrossOptions(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	in := envelopeInstance(3)
-	if r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: 0.5}); r.Err != nil {
+	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5}); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	before := s.Stats()
-	if r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
+	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	st := s.Stats()
@@ -112,7 +115,7 @@ func TestSubmitWaitPoll(t *testing.T) {
 	if _, _, known := s.Poll(999); known {
 		t.Error("Poll(unknown) returned known")
 	}
-	id := s.Submit(testInstance(4), core.Options{Algorithm: core.LT2})
+	id := s.SubmitCtx(context.Background(), testInstance(4), core.Options{Algorithm: core.LT2})
 	for {
 		res, done, known := s.Poll(id)
 		if !known {
@@ -136,8 +139,8 @@ func TestErrorNotCached(t *testing.T) {
 	// FPTAS outside its regime fails deterministically.
 	bad := moldable.Random(moldable.GenConfig{N: 64, M: 8, Seed: 5})
 	opt := core.Options{Algorithm: core.FPTAS, Eps: 0.5}
-	r1 := s.Do(bad, opt)
-	r2 := s.Do(bad, opt)
+	r1 := s.DoCtx(context.Background(), bad, opt)
+	r2 := s.DoCtx(context.Background(), bad, opt)
 	if r1.Err == nil || r2.Err == nil {
 		t.Fatal("expected FPTAS regime errors")
 	}
@@ -154,7 +157,7 @@ func TestDisabledCaches(t *testing.T) {
 	defer s.Close()
 	in := testInstance(6)
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	r1, r2 := s.Do(in, opt), s.Do(in, opt)
+	r1, r2 := s.DoCtx(context.Background(), in, opt), s.DoCtx(context.Background(), in, opt)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -178,7 +181,7 @@ func TestUncacheableInstance(t *testing.T) {
 	defer s.Close()
 	in := &moldable.Instance{M: 64, Jobs: []moldable.Job{oddJob{w: 100}, oddJob{w: 50}}}
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	r1, r2 := s.Do(in, opt), s.Do(in, opt)
+	r1, r2 := s.DoCtx(context.Background(), in, opt), s.DoCtx(context.Background(), in, opt)
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
@@ -201,18 +204,72 @@ func TestDoBatchOrder(t *testing.T) {
 	for i := range ins {
 		ins[i] = testInstance(uint64(100 + i%4)) // duplicates included
 	}
-	out := s.DoBatch(ins, core.Options{Algorithm: core.Linear, Eps: 0.25})
+	out := s.DoBatchCtx(context.Background(), ins, core.Options{Algorithm: core.Linear, Eps: 0.25})
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
 		}
-		want, _, _ := core.Schedule(ins[i], core.Options{Algorithm: core.Linear, Eps: 0.25})
+		want, _, _ := core.ScheduleCtx(context.Background(), ins[i], core.Options{Algorithm: core.Linear, Eps: 0.25})
 		if r.Schedule.Makespan() != want.Makespan() {
 			t.Fatalf("instance %d: makespan %v, want %v", i, r.Schedule.Makespan(), want.Makespan())
 		}
 	}
 	if st := s.Stats(); st.ResultHits == 0 {
 		t.Error("duplicate-heavy batch produced no result-cache hits")
+	}
+}
+
+// TestDoBatchErrorPropagation mixes schedulable instances with one that
+// must fail (FPTAS forced outside its m ≥ 16n/ε regime): the failure
+// lands in its own Result and the neighbours still succeed.
+func TestDoBatchErrorPropagation(t *testing.T) {
+	s := New(Config{Workers: 3})
+	defer s.Close()
+	good := moldable.Random(moldable.GenConfig{N: 8, M: 4096, Seed: 1})
+	bad := moldable.Random(moldable.GenConfig{N: 64, M: 8, Seed: 2}) // m ≪ 16n/ε
+	ins := []*moldable.Instance{good, bad, good}
+	out := s.DoBatchCtx(context.Background(), ins, core.Options{Algorithm: core.FPTAS, Eps: 0.5})
+	if len(out) != 3 {
+		t.Fatalf("got %d results, want 3", len(out))
+	}
+	for _, i := range []int{0, 2} {
+		if out[i].Err != nil {
+			t.Errorf("instance %d: unexpected error %v", i, out[i].Err)
+		}
+		if out[i].Schedule == nil || out[i].Report == nil {
+			t.Errorf("instance %d: missing schedule or report", i)
+		} else if err := schedule.Validate(good, out[i].Schedule, schedule.Options{}); err != nil {
+			t.Errorf("instance %d: invalid schedule: %v", i, err)
+		}
+	}
+	if !errors.Is(out[1].Err, scherr.ErrRegime) {
+		t.Errorf("instance 1: err = %v, want the FPTAS regime error", out[1].Err)
+	}
+	if out[1].Schedule != nil {
+		t.Error("instance 1: failed instance must not carry a schedule")
+	}
+}
+
+// TestDoBatchDefaultWorkers pins the documented Config contract: any
+// Workers ≤ 0 (zero or negative) selects GOMAXPROCS — the batch must
+// run normally, not panic or serialize into an error.
+func TestDoBatchDefaultWorkers(t *testing.T) {
+	ins := make([]*moldable.Instance, 8)
+	for i := range ins {
+		ins[i] = moldable.Random(moldable.GenConfig{N: 6, M: 64, Seed: uint64(i + 1)})
+	}
+	for _, workers := range []int{0, -1, -7} {
+		s := New(Config{Workers: workers})
+		out := s.DoBatchCtx(context.Background(), ins, core.Options{Algorithm: core.Linear, Eps: 0.5})
+		s.Close()
+		if len(out) != len(ins) {
+			t.Fatalf("workers=%d: got %d results, want %d", workers, len(out), len(ins))
+		}
+		for i, r := range out {
+			if r.Err != nil || r.Schedule == nil {
+				t.Errorf("workers=%d instance %d: err=%v schedule=%v", workers, i, r.Err, r.Schedule)
+			}
+		}
 	}
 }
 
@@ -226,7 +283,7 @@ func TestMemoEvictionKeepsStatsMonotone(t *testing.T) {
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.5}
 	var lastMisses int64
 	for i := 0; i < 6; i++ {
-		if r := s.Do(envelopeInstance(uint64(40+i)), opt); r.Err != nil {
+		if r := s.DoCtx(context.Background(), envelopeInstance(uint64(40+i)), opt); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		st := s.Stats()
@@ -255,7 +312,7 @@ func TestTicketCapBoundsUncollected(t *testing.T) {
 	opt := core.Options{Algorithm: core.LT2}
 	ids := make([]uint64, 10)
 	for i := range ids {
-		ids[i] = s.Submit(testInstance(uint64(60+i)), opt)
+		ids[i] = s.SubmitCtx(context.Background(), testInstance(uint64(60+i)), opt)
 	}
 	s.pool.Drain()
 	if _, done, k := s.Poll(ids[len(ids)-1]); !k || !done {
@@ -287,7 +344,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				in := envelopeInstance(uint64(rng.IntN(5))) // heavy duplication across goroutines
 				eps := []float64{0.5, 0.25}[rng.IntN(2)]
-				r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: eps})
+				r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: eps})
 				if r.Err != nil {
 					errs <- r.Err
 					return
@@ -320,7 +377,7 @@ func TestClosedFormBypassesMemo(t *testing.T) {
 		t.Helper()
 		s := New(cfg)
 		defer s.Close()
-		r := s.Do(in, opt)
+		r := s.DoCtx(context.Background(), in, opt)
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -353,7 +410,7 @@ func TestMemoCostCountsWrappedJobs(t *testing.T) {
 	for i := 0; i < len(in.Jobs); i += 3 {
 		in.Jobs[i] = env.Jobs[i]
 	}
-	if r := s.Do(in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
+	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	s.memos.mu.Lock()

@@ -17,7 +17,7 @@ func BenchmarkBuild(b *testing.B) {
 			d := 2 * lt.Estimate(in).Omega
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, ok := Build(in, d, nil, Options{}); !ok {
+				if _, ok := build(in, d, nil, Options{}); !ok {
 					b.Fatal("rejected")
 				}
 			}
@@ -28,7 +28,7 @@ func BenchmarkBuild(b *testing.B) {
 		d := 2 * lt.Estimate(in).Omega
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok := Build(in, d, nil, Options{Buckets: true, BucketRatio: 1.05}); !ok {
+			if _, ok := build(in, d, nil, Options{Buckets: true, BucketRatio: 1.05}); !ok {
 				b.Fatal("rejected")
 			}
 		}
@@ -40,7 +40,7 @@ func BenchmarkPartition(b *testing.B) {
 	d := 2 * lt.Estimate(in).Omega
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := Compute(in, d); !ok {
+		if !Compute(&Partition{}, in, d) {
 			b.Fatal("rejected")
 		}
 	}

@@ -137,6 +137,7 @@ type builder struct {
 }
 
 // pushC stores a category-C entry: exact heap or rounded bucket.
+//
 //sched:hotpath
 func (b *builder) pushC(e catCEntry) {
 	if b.opt.Buckets {
@@ -153,6 +154,7 @@ func (b *builder) pushC(e catCEntry) {
 }
 
 // popMinC removes a minimum-key category-C entry.
+//
 //sched:hotpath
 func (b *builder) popMinC() (catCEntry, bool) {
 	if b.opt.Buckets {
@@ -173,6 +175,7 @@ func (b *builder) popMinC() (catCEntry, bool) {
 
 // classify admits a job into shelf S1, immediately applying rules (i)
 // and (ii). procs is the job's shelf-1 processor count, dur its time.
+//
 //sched:hotpath
 func (b *builder) classify(j, procs int, dur moldable.Time) {
 	switch {
@@ -213,34 +216,30 @@ func (b *builder) classify(j, procs int, dur moldable.Time) {
 // most 3τ/2 (plus the bucket slack, see Options) for ALL jobs, following
 // Lemma 7: exhaustively apply transformation rules (i)–(iii), lay the
 // shelves out on concrete processors, and re-insert the small jobs
-// next-fit (Lemma 9). ok=false means τ must be rejected by the caller —
+// next-fit (Lemma 9). A false return means τ must be rejected by the caller —
 // Build never falsely rejects a τ for which the work bound
 // W(J′,τ) ≤ mτ − W_S(τ) holds (Lemmas 6–9).
 //
 // shelf1 lists job indices selected for shelf S1; jobs that are small at
 // τ are ignored (Corollary 10) and mandatory jobs are added
 // automatically.
-func Build(in *moldable.Instance, tau moldable.Time, shelf1 []int, opt Options) (*Result, bool) {
-	res := &Result{}
-	ok := BuildScratch(res, in, tau, shelf1, opt, nil)
-	return res, ok
-}
-
-// BuildScratch is Build writing its result into res and drawing every
-// buffer from sc: a warm Scratch makes accepted and rejected builds
-// allocation-free, with the produced schedule owned by the scratch
-// (valid until the next accepted build; Clone to keep it). A nil
-// scratch uses fresh buffers, making the schedule caller-owned.
+//
+// The result is written into res and every buffer comes from sc: a
+// warm Scratch makes accepted and rejected builds allocation-free,
+// with the produced schedule owned by the scratch (valid until the
+// next accepted build; Clone to keep it). A nil scratch uses fresh
+// buffers, making the schedule caller-owned.
+//
 //sched:hotpath
 //sched:owns-result
-func BuildScratch(res *Result, in *moldable.Instance, tau moldable.Time, shelf1 []int, opt Options, sc *Scratch) bool {
+func Build(res *Result, in *moldable.Instance, tau moldable.Time, shelf1 []int, opt Options, sc *Scratch) bool {
 	if sc == nil {
 		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
 	}
 	m := in.M
 	*res = Result{}
 	part := &sc.part
-	if !ComputeInto(part, in, tau) {
+	if !Compute(part, in, tau) {
 		res.Reason = reasonGammaUndef
 		return false
 	}

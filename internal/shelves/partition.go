@@ -31,19 +31,12 @@ type Partition struct {
 	WSmall moldable.Time // W_S(τ) = Σ_{small} t_j(1)
 }
 
-// Compute builds the partition. ok is false when some big job has
-// γ_j(τ) undefined (t_j(m) > τ), in which case τ must be rejected: no
-// schedule with makespan τ exists.
-func Compute(in *moldable.Instance, tau moldable.Time) (*Partition, bool) {
-	p := &Partition{}
-	ok := ComputeInto(p, in, tau)
-	return p, ok
-}
-
-// ComputeInto rebuilds the partition in place, reusing p's buffers so
-// a warm Partition recomputes without allocating (the scratch-reuse
-// discipline of internal/arena). It returns Compute's ok.
-func ComputeInto(p *Partition, in *moldable.Instance, tau moldable.Time) bool {
+// Compute builds the partition into p, reusing p's buffers so a warm
+// Partition recomputes without allocating (the scratch-reuse discipline
+// of internal/arena). It returns false when some big job has γ_j(τ)
+// undefined (t_j(m) > τ), in which case τ must be rejected: no schedule
+// with makespan τ exists.
+func Compute(p *Partition, in *moldable.Instance, tau moldable.Time) bool {
 	n := in.N()
 	p.Tau = tau
 	p.Small = p.Small[:0]

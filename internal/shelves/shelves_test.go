@@ -17,8 +17,8 @@ func TestPartitionClassification(t *testing.T) {
 		moldable.PerfectSpeedup{W: 24},  // big (t(1)=24), t(8)=3 ≤ 5 ⇒ optional
 		moldable.PerfectSpeedup{W: 4.8}, // small (t(1)=4.8)
 	}}
-	p, ok := Compute(in, 10)
-	if !ok {
+	p := &Partition{}
+	if !Compute(p, in, 10) {
 		t.Fatal("partition rejected feasible τ")
 	}
 	if len(p.Small) != 2 || len(p.Big) != 2 || len(p.Mand) != 1 || len(p.Opt) != 1 {
@@ -38,7 +38,7 @@ func TestPartitionClassification(t *testing.T) {
 
 func TestPartitionRejectsInfeasibleTau(t *testing.T) {
 	in := &moldable.Instance{M: 2, Jobs: []moldable.Job{moldable.Sequential{T: 10}}}
-	if _, ok := Compute(in, 5); ok {
+	if Compute(&Partition{}, in, 5) {
 		t.Error("τ=5 accepted although t(m)=10 > 5")
 	}
 }
@@ -48,8 +48,8 @@ func TestProfitNonNegative(t *testing.T) {
 	for it := 0; it < 100; it++ {
 		in := moldable.Random(moldable.GenConfig{N: 20, M: 64, Seed: rng.Uint64()})
 		d := in.LowerBound() * (1 + rng.Float64())
-		p, ok := Compute(in, d)
-		if !ok {
+		p := &Partition{}
+		if !Compute(p, in, d) {
 			continue
 		}
 		for _, j := range p.Opt {
@@ -60,12 +60,19 @@ func TestProfitNonNegative(t *testing.T) {
 	}
 }
 
+// build is Build into a fresh Result with fresh buffers.
+func build(in *moldable.Instance, tau moldable.Time, shelf1 []int, opt Options) (*Result, bool) {
+	res := &Result{}
+	ok := Build(res, in, tau, shelf1, opt, nil)
+	return res, ok
+}
+
 // buildAll selects shelf 1 with the dense knapsack — exactly the MRT
 // recipe — and builds. Used to exercise Build's internals directly.
 func buildAll(t *testing.T, in *moldable.Instance, d moldable.Time, opt Options) (*Result, bool) {
 	t.Helper()
-	part, ok := Compute(in, d)
-	if !ok {
+	part := &Partition{}
+	if !Compute(part, in, d) {
 		return nil, false
 	}
 	capacity := in.M - part.MandSize()
@@ -76,8 +83,8 @@ func buildAll(t *testing.T, in *moldable.Instance, d moldable.Time, opt Options)
 	for _, j := range part.Opt {
 		items = append(items, knapsack.Item{ID: j, Size: part.G1[j], Profit: part.Profit(in, j)})
 	}
-	sel, _ := knapsack.SolveDense(items, capacity)
-	return Build(in, d, sel, opt)
+	sel, _ := knapsack.SolveDense(items, capacity, nil)
+	return build(in, d, sel, opt)
 }
 
 // TestBuildAcceptsAtOPT is the dual-soundness test at the shelf level:
@@ -141,7 +148,7 @@ func TestBuildRejectsTightTau(t *testing.T) {
 
 func TestBuildRejectsBadBucketRatio(t *testing.T) {
 	in := &moldable.Instance{M: 2, Jobs: []moldable.Job{moldable.Sequential{T: 1}}}
-	if _, ok := Build(in, 2, nil, Options{Buckets: true, BucketRatio: 1}); ok {
+	if _, ok := build(in, 2, nil, Options{Buckets: true, BucketRatio: 1}); ok {
 		t.Error("BucketRatio=1 accepted")
 	}
 }
@@ -153,7 +160,7 @@ func TestBuildSmallJobsOnly(t *testing.T) {
 		in.Jobs = append(in.Jobs, moldable.Sequential{T: 1})
 	}
 	// τ=8: every job small (1 ≤ 4); total work 16 = m·τ/2 fits easily
-	res, ok := Build(in, 8, nil, Options{})
+	res, ok := build(in, 8, nil, Options{})
 	if !ok {
 		t.Fatalf("rejected: %s", res.Reason)
 	}
@@ -173,7 +180,7 @@ func TestBuildWorkBoundRejection(t *testing.T) {
 		in.Jobs = append(in.Jobs, moldable.Sequential{T: 1})
 	}
 	// τ=2: small ⇔ t(1) ≤ 1 ✓ all small; W_S = 10 > m·τ = 4 ⇒ reject
-	res, ok := Build(in, 2, nil, Options{})
+	res, ok := build(in, 2, nil, Options{})
 	if ok {
 		t.Fatalf("accepted with W_S=10 > mτ=4 (makespan %v)", res.Schedule.Makespan())
 	}
@@ -182,8 +189,8 @@ func TestBuildWorkBoundRejection(t *testing.T) {
 func TestTwoShelf(t *testing.T) {
 	pl := moldable.Planted(moldable.PlantedConfig{M: 12, D: 30, Seed: 9, MaxJobs: 10})
 	in := pl.Instance
-	part, ok := Compute(in, pl.OPT)
-	if !ok {
+	part := &Partition{}
+	if !Compute(part, in, pl.OPT) {
 		t.Fatal("partition rejected OPT")
 	}
 	// put everything in S2 (empty shelf1): S2 likely overflows m
@@ -222,7 +229,7 @@ func TestBuildRandomized(t *testing.T) {
 		lb := in.LowerBound()
 		tau := lb * (0.5 + 2*rng.Float64())
 		for _, opt := range []Options{{}, {Buckets: true, BucketRatio: 1.08}} {
-			res, ok := Build(in, tau, nil, opt) // empty shelf-1 proposal
+			res, ok := build(in, tau, nil, opt) // empty shelf-1 proposal
 			if !ok {
 				continue
 			}

@@ -64,8 +64,8 @@ func insertSmall(in *moldable.Instance, part *Partition, sched *schedule.Schedul
 // so it can be rendered; Feasible reports whether it fits the real m.
 // Small jobs are omitted, as in the figure.
 func TwoShelf(in *moldable.Instance, tau moldable.Time, shelf1 []int) (sched *schedule.Schedule, part *Partition, feasible bool) {
-	part, ok := Compute(in, tau)
-	if !ok {
+	part = &Partition{}
+	if !Compute(part, in, tau) {
 		return nil, part, false
 	}
 	inS1 := make([]bool, in.N())

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func planOf(t *testing.T, seed uint64) (*moldable.Instance, *schedule.Schedule) {
 	t.Helper()
 	in := moldable.Random(moldable.GenConfig{N: 20, M: 32, Seed: seed})
-	s, _, err := fast.ScheduleLinear(in, 0.5)
+	s, _, err := fast.ScheduleLinear(context.Background(), in, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,12 @@
 // algorithms' dual-search probe loops; interrupted work returns errors
 // matching ErrCanceled. Errors are typed (ErrNotMonotone, ErrRegime,
 // ErrBadEps, ErrCanceled) and errors.Is/As-able.
-//
-// The pre-Client free functions (Schedule, ScheduleMany, TwoApprox,
-// Estimate, Validate) remain as deprecated shims; see each for its
-// replacement and README.md for the migration table.
 package repro
 
 import (
+	"context"
+
 	"repro/internal/core"
-	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 )
@@ -51,10 +48,6 @@ import (
 // Re-exported types, so basic use needs only this package plus
 // internal/moldable for job definitions.
 type (
-	// Options configures the deprecated free functions; see
-	// core.Options. New code passes WithAlgorithm/WithEps/WithValidation
-	// options to the Client instead.
-	Options = core.Options
 	// Report describes a scheduling run; see core.Report.
 	Report = core.Report
 	// Algorithm selects the algorithm; see the constants below.
@@ -75,62 +68,9 @@ const (
 	Conv   = core.Conv
 )
 
-// BatchResult is the outcome of one instance in a batch; see
-// core.BatchResult.
-type BatchResult = core.BatchResult
-
-// Schedule solves the instance; see core.Schedule.
-//
-// Deprecated: use Client.Schedule, which adds cancellation, result
-// caching, and oracle memoization:
-//
-//	c := repro.New()
-//	defer c.Close()
-//	s, rep, err := c.Schedule(ctx, in, repro.WithEps(opt.Eps))
-func Schedule(in *moldable.Instance, opt Options) (*schedule.Schedule, *Report, error) {
-	return core.Schedule(in, opt)
-}
-
-// ScheduleMany schedules independent instances on a sharded worker
-// pool and returns when every result is ready; see core.ScheduleMany.
-// workers ≤ 0 selects runtime.GOMAXPROCS(0).
-//
-// Deprecated: use Client.ScheduleStream, which streams results in
-// completion order instead of barriering, and observes ctx:
-//
-//	c := repro.New(repro.WithWorkers(workers))
-//	defer c.Close()
-//	for i, r := range c.ScheduleStream(ctx, ins) { ... }
-func ScheduleMany(ins []*moldable.Instance, opt Options, workers int) []BatchResult {
-	return core.ScheduleMany(ins, opt, workers)
-}
-
 // PTAS is the §3.2 router; see core.PTAS. It is a specialist entry
-// point (certifies (1+ε) or returns ErrPTASRegime, matching ErrRegime)
-// and has no Client equivalent.
-func PTAS(in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
-	return core.PTAS(in, eps)
-}
-
-// TwoApprox is the classical 2-approximation (Ludwig–Tiwari estimator +
-// list scheduling).
-//
-// Deprecated: use Client.Schedule with WithAlgorithm(LT2).
-func TwoApprox(in *moldable.Instance) (*schedule.Schedule, lt.Result) {
-	return lt.TwoApprox(in)
-}
-
-// Estimate computes ω with ω ≤ OPT ≤ 2ω in time O(n log²m).
-//
-// Deprecated: use Client.Estimate, which observes ctx.
-func Estimate(in *moldable.Instance) lt.Result {
-	return lt.Estimate(in)
-}
-
-// Validate checks a schedule against its instance.
-//
-// Deprecated: use Client.ValidateSchedule (for schedules) or
-// Client.Validate (for instance preconditions).
-func Validate(in *moldable.Instance, s *schedule.Schedule) error {
-	return schedule.Validate(in, s, schedule.Options{})
+// point (certifies (1+ε) or returns an error matching ErrRegime) and
+// has no Client equivalent. ctx cancels the FPTAS between dual probes.
+func PTAS(ctx context.Context, in *moldable.Instance, eps float64) (*schedule.Schedule, *Report, error) {
+	return core.PTAS(ctx, in, eps)
 }

@@ -31,7 +31,7 @@ func TestScheduleStreamPooledScratchIdentical(t *testing.T) {
 	// Unpooled reference: fresh buffers per call, no service stack.
 	want := make([]*repro.ScheduleResult, n)
 	for i, in := range ins {
-		s, _, err := core.Schedule(in, opt)
+		s, _, err := core.ScheduleCtx(context.Background(), in, opt)
 		if err != nil {
 			t.Fatalf("unpooled #%d: %v", i, err)
 		}
@@ -81,7 +81,7 @@ func TestScheduleStreamConvPooledScratchIdentical(t *testing.T) {
 
 	want := make([]*repro.ScheduleResult, n)
 	for i, in := range ins {
-		s, _, err := core.Schedule(in, opt)
+		s, _, err := core.ScheduleCtx(context.Background(), in, opt)
 		if err != nil {
 			t.Fatalf("unpooled #%d: %v", i, err)
 		}
