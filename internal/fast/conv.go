@@ -15,13 +15,14 @@ package fast
 //   - m ≥ 32n (the large-machine regime): a compressed-allotment dual
 //     replacing the plain FPTAS dual that Alg1/Alg3/Linear use there.
 //     Processor counts are searched over a geometric candidate grid of
-//     O(log m) integers instead of all of [1, m] — roughly halving the
-//     oracle evaluations per probe, the measurable large-m win of
-//     BenchmarkCrossover_ConvVsLinear — and wide allotments are
-//     compressed by ρ = 1/20 to pay the grid's rounding back. All
-//     arithmetic on counts is integer, so no float→int edge can go
-//     one off (the compress-package hardening applies to the float
-//     paths only).
+//     O(log m) integers instead of all of [1, m] — fewer oracle
+//     evaluations than bisecting [1, m], though not than the seeded
+//     γ package gamma gives closed-form jobs
+//     (BenchmarkCrossover_ConvVsLinear measures both) — and wide
+//     allotments are compressed by ρ = 1/20 to pay the grid's rounding
+//     back. All arithmetic on counts is integer, so no float→int edge
+//     can go one off (the compress-package hardening applies to the
+//     float paths only).
 //
 // Constants of the large-machine dual (see DESIGN.md §3 and §8 for
 // the deviation from the paper's):
@@ -169,8 +170,8 @@ func (a *convWide) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	for i, j := range in.Jobs {
 		// Smallest candidate with t_j ≤ t: the predicate is monotone
 		// because t_j is non-increasing in the processor count. The
-		// two-ended shortcut mirrors gamma.Gamma so easy jobs cost two
-		// oracle calls, not a full grid search.
+		// two-ended shortcut mirrors gamma.Gamma's bisection so easy
+		// jobs cost two oracle calls, not a full grid search.
 		var g int
 		switch {
 		case j.Time(1) <= t:

@@ -6,11 +6,10 @@ package lt
 // per-job processor counts restricted to a caller-supplied candidate
 // grid — the compressed count classes of the Conv algorithm. The
 // candidate space shrinks from n·m to n·|cands| entries, every γ
-// search from O(log m) to O(log |cands|) oracle calls, and the number
-// of weighted-median rounds from O(log nm) to O(log(n·|cands|)); at
-// m = 2²⁰ this is the difference between the estimator dominating a
-// whole scheduling run and it costing a quarter of one (see
-// docs/PERFORMANCE.md, BenchmarkCrossover_ConvVsLinear).
+// bisection from O(log m) to O(log |cands|) oracle calls, and the
+// number of weighted-median rounds from O(log nm) to O(log(n·|cands|))
+// (docs/PERFORMANCE.md, BenchmarkCrossover_ConvVsLinear, measures the
+// saving against EstimateScratch's seeded γ).
 //
 // The price is a bounded weakening of the estimate. Let κ bound the
 // overshoot of rounding a count up onto the grid (for the Conv grid,

@@ -24,6 +24,8 @@ package moldable
 // Piecewise, EnvelopeTable, Memo, user-defined jobs — is probed as
 // before.
 
+import "math"
+
 const (
 	// The parameter bounds keep the proof true in floating point, not
 	// just in the reals. With every non-zero parameter in
@@ -67,6 +69,97 @@ func provenMonotone(j Job, depth int) bool {
 		return inDomain(j.Factor) && depth < provenDepth && provenMonotone(j.J, depth+1)
 	}
 	return false
+}
+
+// powerSpan bounds the processor count at which GammaSeed trusts a
+// Power job's inverse. math.Pow is not proven monotone, so where the
+// relative drop t(p) − t(p+1) ≈ α/p falls to a few ulps the float
+// oracle may not be, and the γ boundary may not be unique. Below
+// α·powerSpan each step drops by at least about 2^-41, ~2^11 ulps.
+const powerSpan = 1 << 40
+
+// commFlatRatio bounds W/C for a Comm job GammaSeed trusts. Then
+// q* = √(W/C) ≤ 2^20, and each step of t(p) = min_{q≤p} W/q + C(q−1)
+// before q* drops by at least 1/(2q*²) ≥ 2^-41 relative, while every
+// W/p + C(p−1) past q* lies as far above the minimum: the float oracle
+// is non-increasing, and then constant from ⌈q*⌉ on.
+const commFlatRatio = 1 << 40
+
+// GammaSeed returns a real x with γ_j(t) ≈ ⌈x⌉, read off the inverse of
+// a closed-form speedup model inside the proven domain: Amdahl
+// Par/(t−Seq), Power (W/t)^(1/α), PerfectSpeedup W/t, and for Comm the
+// smaller root of C·p² − (t+C)·p + W = 0. x may be below 1 or +Inf (no
+// processor count meets t); it is never NaN when ok. A *CountingJob is
+// seen through, so its calls are still counted by whoever verifies x.
+//
+// ok is false, and γ is left to a bisection of [1, m], for every other
+// job type, for a NaN t, for flat oracles (Sequential, Power with α = 0,
+// Amdahl with Par = 0: the bisection's endpoint checks settle them in
+// two calls), and where the γ boundary might not be unique in floating
+// point: a Power answer beyond α·powerSpan, a Comm job with W/C beyond
+// commFlatRatio. The seed is only a guess; package gamma verifies it
+// against the oracle.
+func GammaSeed(j Job, t Time) (x float64, ok bool) {
+	if t != t {
+		return 0, false
+	}
+	switch j := j.(type) {
+	case Amdahl:
+		if !inDomainOrZero(j.Seq) || !inDomain(j.Par) {
+			return 0, false // Par = 0 is flat, like Sequential
+		}
+		return positiveInverse(j.Par, t-j.Seq), true
+	case PerfectSpeedup:
+		if !inDomain(j.W) {
+			return 0, false
+		}
+		return positiveInverse(j.W, t), true
+	case Power:
+		if !inDomain(j.W) || !(j.Alpha > 0 && j.Alpha <= 1) {
+			return 0, false
+		}
+		x := positiveInverse(j.W, t)
+		if j.Alpha < 1 {
+			// exp(ln x / α) is a few ulps looser than math.Pow and
+			// about half its cost; a seed only has to land near γ.
+			x = math.Exp(math.Log(x) / j.Alpha)
+			if !(x <= j.Alpha*powerSpan) {
+				return 0, false
+			}
+		}
+		return x, true
+	case Comm:
+		if !inDomain(j.W) || !inDomainOrZero(j.C) {
+			return 0, false
+		}
+		if j.C == 0 || !(t > 0) {
+			return positiveInverse(j.W, t), true
+		}
+		if !(j.W <= j.C*commFlatRatio) {
+			return 0, false
+		}
+		b := t + j.C
+		disc := b*b - 4*j.C*j.W
+		if disc < -1e-12*b*b {
+			return math.Inf(1), true // t below the minimum time
+		}
+		// 2W / (b + √disc) is the smaller root without cancellation; a
+		// t at the minimum, rounded just below it, gets the vertex.
+		return 2 * j.W / (b + math.Sqrt(max(disc, 0))), true
+	case *CountingJob:
+		return GammaSeed(j.J, t)
+	}
+	return 0, false
+}
+
+// positiveInverse returns w/t for t > 0 and +Inf otherwise: then no
+// processor count brings the time w/p (plus any non-negative part) to
+// or below t.
+func positiveInverse(w, t Time) float64 {
+	if t > 0 {
+		return w / t
+	}
+	return math.Inf(1)
 }
 
 // NeedsMemo reports whether memoizing j can pay off. It is false for

@@ -146,7 +146,9 @@ func (in *Instance) ValidateCtx(ctx context.Context, maxProbes int) error {
 
 // CountingJob wraps a job and counts oracle calls. It is safe for
 // concurrent use. Used by the experiment harness to demonstrate the
-// O(n log m) oracle complexity of the algorithms.
+// O(n log m) oracle complexity of the algorithms. GammaSeed sees
+// through it, so γ of a counted closed-form job takes the same seeded
+// search as the bare job, and every call that search makes is counted.
 type CountingJob struct {
 	J     Job
 	calls atomic.Int64
