@@ -9,15 +9,16 @@ import (
 	"repro/internal/schedule"
 )
 
-// TestConvSoundnessSweep is the ISSUE-5 cross-algorithm sweep: random
-// monotone instances across both Conv regimes (knapsack m < 32n and
-// compressed-wide m ≥ 32n), every Conv schedule validated against its
-// instance, the makespan held to the provable bound against
-// Report.LowerBound — makespan ≤ (3/2+ε)·OPT and OPT ≤ 2κ·LowerBound
-// with κ = 21/20, the wide regime's grid-estimator slack
-// (lt.EstimateGrid), so makespan ≤ 2.1(3/2+ε)·LowerBound — and
-// cross-checked against Linear on the same instance: since both are
-// (3/2+ε)-approximations of the same OPT, neither may exceed
+// TestConvSoundnessSweep is the cross-algorithm sweep over random
+// monotone instances in both Conv regimes (knapsack m < 32n and
+// compressed-wide m ≥ 32n). Every Conv schedule is validated against
+// its instance and its makespan held to the provable bound against
+// Report.LowerBound: makespan ≤ (3/2+ε)·OPT and OPT ≤ 2κ·LowerBound,
+// where κ = 21/20 is the slack of the wide regime's grid estimate
+// (lt.EstimateGrid, whose γ are seeded γ rounded up onto the candidate
+// grid), so makespan ≤ 2.1(3/2+ε)·LowerBound. Each run is also
+// cross-checked against Linear on the same instance: both are
+// (3/2+ε)-approximations of the same OPT, so neither may exceed
 // (3/2+ε)× the other.
 func TestConvSoundnessSweep(t *testing.T) {
 	ctx := context.Background()

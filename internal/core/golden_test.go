@@ -115,3 +115,46 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 	check("ptas", "exact or FPTAS", hex.EncodeToString(h.Sum(nil)))
 }
+
+// goldenWideCorpus drives Conv's m ≥ 32n branch (the grid estimator
+// and the compressed-allotment dual), which goldenCorpus reaches with
+// a single instance. m runs up to 2^20.
+var goldenWideCorpus = []goldenCase{
+	{moldable.GenConfig{N: 8, M: 256, Seed: 21}, 0.25},
+	{moldable.GenConfig{N: 40, M: 1 << 12, Seed: 22}, 0.1},
+	{moldable.GenConfig{N: 64, M: 1 << 16, Seed: 23}, 0.2},
+	{moldable.GenConfig{N: 96, M: 1 << 20, Seed: 24}, 0.3},
+}
+
+// goldenWideSums pins Conv's outcomes on goldenWideCorpus, digested
+// like goldenSums.
+var goldenWideSums = map[string]string{
+	"conv": "3c69cfc78d3ead2af5dbe74e9eb91c90b0fc16d963a2ddf72e212597dd28b569",
+}
+
+// TestGoldenWideOutputs is TestGoldenOutputs for Conv's large-machine
+// regime.
+func TestGoldenWideOutputs(t *testing.T) {
+	ctx := context.Background()
+	ins := make([]*moldable.Instance, len(goldenWideCorpus))
+	for i, c := range goldenWideCorpus {
+		ins[i] = moldable.Random(c.cfg)
+		if ins[i].M < 32*ins[i].N() {
+			t.Fatalf("wide corpus entry %d has m < 32n", i)
+		}
+	}
+	warm := NewScratch()
+	for pass, sc := range []*Scratch{nil, warm, warm} {
+		h := sha256.New()
+		for i, in := range ins {
+			s, rep, err := ScheduleScratchCtx(ctx, in, Options{Algorithm: Conv, Eps: goldenWideCorpus[i].eps}, sc)
+			if err != nil {
+				t.Fatalf("wide corpus entry %d: %v", i, err)
+			}
+			goldenWrite(h, s, &rep, err)
+		}
+		if got, want := hex.EncodeToString(h.Sum(nil)), goldenWideSums["conv"]; got != want {
+			t.Errorf("conv (pass %d): golden digest %s, want %s", pass, got, want)
+		}
+	}
+}

@@ -14,15 +14,14 @@ package fast
 //
 //   - m ≥ 32n (the large-machine regime): a compressed-allotment dual
 //     replacing the plain FPTAS dual that Alg1/Alg3/Linear use there.
-//     Processor counts are searched over a geometric candidate grid of
-//     O(log m) integers instead of all of [1, m] — fewer oracle
-//     evaluations than bisecting [1, m], though not than the seeded
-//     γ package gamma gives closed-form jobs
-//     (BenchmarkCrossover_ConvVsLinear measures both) — and wide
-//     allotments are compressed by ρ = 1/20 to pay the grid's rounding
-//     back. All arithmetic on counts is integer, so no float→int edge
-//     can go one off (the compress-package hardening applies to the
-//     float paths only).
+//     Allotments are restricted to a geometric candidate grid of
+//     O(log m) integers: each γ is package gamma's seeded γ rounded up
+//     onto the grid (gamma.RoundUp), which for a non-increasing t_j is
+//     the smallest candidate meeting the target. Wide allotments are
+//     compressed by ρ = 1/20 to pay the grid's rounding back. All
+//     arithmetic on counts is integer, so no float→int edge can go one
+//     off (the compress-package hardening applies to the float paths
+//     only).
 //
 // Constants of the large-machine dual (see DESIGN.md §3 and §8 for
 // the deviation from the paper's):
@@ -46,6 +45,7 @@ import (
 	"context"
 
 	"repro/internal/dual"
+	"repro/internal/gamma"
 	"repro/internal/knapsack"
 	"repro/internal/lt"
 	"repro/internal/moldable"
@@ -128,7 +128,7 @@ func (a *convWide) Guarantee() float64 { return 1.5 }
 // convCands returns the candidate processor counts for machine size m:
 // every integer in [1, b̃), then the geometric integer grid from b̃ to m
 // with step ⌈g/(2·convRho)⌉, ending exactly at m. Rebuilt only when m
-// changes; Conv runs touch the job oracle only at these counts.
+// changes; Conv's wide regime allots only these counts.
 //
 //sched:hotpath
 //sched:owns-result
@@ -168,28 +168,13 @@ func (a *convWide) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	s := sc.cwSched.Spare(in.M)
 	used := 0
 	for i, j := range in.Jobs {
-		// Smallest candidate with t_j ≤ t: the predicate is monotone
-		// because t_j is non-increasing in the processor count. The
-		// two-ended shortcut mirrors gamma.Gamma's bisection so easy
-		// jobs cost two oracle calls, not a full grid search.
-		var g int
-		switch {
-		case j.Time(1) <= t:
-			g = 1
-		case j.Time(in.M) > t:
+		// Smallest candidate with t_j ≤ t: the seeded γ rounded up onto
+		// the grid.
+		g, ok := gamma.Gamma(j, in.M, t)
+		if !ok {
 			return nil, false // even m processors miss the target
-		default:
-			lo, hi := 0, len(cands)-1
-			for hi-lo > 1 {
-				mid := int(uint(lo+hi) >> 1)
-				if j.Time(cands[mid]) <= t {
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
-			g = cands[hi]
 		}
+		g = cands[gamma.RoundUp(cands, g)]
 		if g >= convWideB {
 			g -= (g + convRho - 1) / convRho // ⌊g(1−ρ)⌋, integer-exact
 		}
@@ -222,14 +207,11 @@ func ScheduleConv(ctx context.Context, in *moldable.Instance, eps float64, sc *S
 		sc = &Scratch{}
 	}
 	if in.M >= convRegimeN*in.N() {
-		// Large-machine regime: estimate on the compressed candidate
-		// grid too — the matrix search over n·|cands| entries instead
-		// of n·m is the dominant saving of the whole Conv run (the
-		// classical estimator costs more than all dual probes
-		// together at large m; see docs/PERFORMANCE.md). The grid
-		// estimate brackets OPT by [ω_S/κ, 2ω_S] with κ = 21/20 (see
-		// lt.EstimateGrid), which dual.Search consumes for O(log κ)
-		// extra probes.
+		// Large-machine regime: estimate on the candidate grid too, so
+		// the matrix search covers n·|cands| entries instead of n·m.
+		// The grid estimate brackets OPT by [ω_S/κ, 2ω_S] with
+		// κ = 21/20 (see lt.EstimateGrid), which dual.Search consumes
+		// for O(log κ) extra probes.
 		cands := sc.convCands(in.M)
 		est := lt.EstimateGrid(in, cands, &sc.LT)
 		sc.cw = convWide{In: in, Scratch: sc}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
@@ -174,6 +175,76 @@ func TestScheduleConvScratchReuse(t *testing.T) {
 			}
 			if wantRep.Makespan != gotRep.Makespan || wantRep.Iterations != gotRep.Iterations {
 				t.Fatalf("#%d rep %d: report differs", i, rep)
+			}
+		}
+	}
+}
+
+// refConvWideAllot is convWide.Try's allotment loop as it stood with
+// its own grid bisection (before it used the seeded γ rounded up onto
+// the grid), kept verbatim up to returning the allotment.
+func refConvWideAllot(in *moldable.Instance, cands []int, d moldable.Time) ([]int, bool) {
+	t := (1 + 0.25) * d
+	allot := make([]int, 0, in.N())
+	used := 0
+	for _, j := range in.Jobs {
+		var g int
+		switch {
+		case j.Time(1) <= t:
+			g = 1
+		case j.Time(in.M) > t:
+			return nil, false
+		default:
+			lo, hi := 0, len(cands)-1
+			for hi-lo > 1 {
+				mid := int(uint(lo+hi) >> 1)
+				if j.Time(cands[mid]) <= t {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			g = cands[hi]
+		}
+		if g >= convWideB {
+			g -= (g + convRho - 1) / convRho
+		}
+		used += g
+		if used > in.M {
+			return nil, false
+		}
+		allot = append(allot, g)
+	}
+	return allot, true
+}
+
+// TestConvWideReferenceEquivalence: convWide.Try accepts exactly when
+// the grid-bisecting reference does, with the same allotment, at
+// targets around the grid estimate on both sides of acceptance.
+func TestConvWideReferenceEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewPCG(93, 0))
+	for _, m := range []int{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
+		for it := 0; it < 8; it++ {
+			in := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(48), M: m, Seed: rng.Uint64()})
+			sc := &Scratch{}
+			cands := sc.convCands(m)
+			omega := lt.EstimateGrid(in, cands, &sc.LT).Omega
+			algo := &convWide{In: in, Scratch: sc}
+			for _, f := range []float64{0.3, 0.6, 0.9, 1, 1.1, 1.5, 2} {
+				d := omega * f
+				want, wantOK := refConvWideAllot(in, cands, d)
+				s, ok := algo.Try(d)
+				if ok != wantOK {
+					t.Fatalf("m=%d it=%d d=%v: accept %v, reference %v", m, it, d, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				for k, p := range s.Placements {
+					if p.Job != k || p.Procs != want[k] {
+						t.Fatalf("m=%d it=%d d=%v: job %d gets %d processors, reference %d", m, it, d, p.Job, p.Procs, want[k])
+					}
+				}
 			}
 		}
 	}

@@ -62,11 +62,20 @@ type Solution struct {
 // scratch (valid until its next use). A nil scratch uses fresh
 // buffers, making the result caller-owned.
 //
-// LOCK-STEP: SolveConv (conv.go) shares this function's Algorithm-2
-// frame verbatim; apply frame fixes to both (see the note there).
-//
 //sched:owns-result
 func Solve(p Problem, sc *Scratch) (Solution, error) {
+	return solve(p, sc, false)
+}
+
+// solve is the Algorithm-2 frame of Solve and SolveConv: validation,
+// the item split, the βmax/αmin clamps, the α-grid, the incompressible
+// pair-list DP, the combine loop and the capacity check. conv selects
+// the wide-side profile over the compressible items: the pair-list DP
+// with adaptive normalization (Solve) or the class convolution engine
+// of conv.go (SolveConv).
+//
+//sched:owns-result
+func solve(p Problem, sc *Scratch, conv bool) (Solution, error) {
 	if sc == nil {
 		sc = &Scratch{}
 	}
@@ -103,16 +112,6 @@ func Solve(p Problem, sc *Scratch) (Solution, error) {
 	if alphaMin <= 0 {
 		alphaMin = 1
 	}
-	nbar := p.NBar
-	if nbar < 1 {
-		nbar = 1
-	}
-	// No solution can hold more compressible items than exist: capping n̄
-	// keeps the Lemma-12 grid at O(n̄·|A|) points without weakening the
-	// underestimation bound.
-	if len(comp) > 0 && nbar > len(comp) {
-		nbar = len(comp)
-	}
 
 	var stats Stats
 	// Capacity grid A = geom(αmin/(1−ρ), C, 1/(1−ρ)); every true α in
@@ -140,45 +139,45 @@ func Solve(p Problem, sc *Scratch) (Solution, error) {
 	stats.PairsIncomp = incList.Pairs()
 	stats.IncFrontier = incList.Len()
 
-	// Compressible DP with adaptive normalization over the grid.
-	var compList *PairList
-	if len(A) > 0 {
-		grid := &sc.grid
-		grid.Reset(A, alphaMin, rho, nbar)
-		stats.GridPoints = grid.NumPoints()
-		compList = &sc.compList
-		compList.Reset()
-		amax := A[len(A)-1]
-		// Hoist the method value out of the loop: Add only calls norm,
-		// so the bound closure stays on the stack.
-		norm := grid.Norm
-		for _, i := range comp {
-			compList.Add(i, float64(p.Items[i].Size), p.Items[i].Profit, amax, norm)
-		}
-		stats.PairsComp = compList.Pairs()
-		stats.CompFrontier = compList.Len()
-	}
-
-	// Combine: for each α̃ ∈ A ∪ {0}, β(α̃) = C − (1−ρ)α̃ (βmax for α̃=0).
-	// A plain loop (index −1 standing for α̃ = 0) rather than a closure,
-	// so the captured state stays on the stack.
-	bestProfit := math.Inf(-1)
-	var bestCompNode, bestIncNode int32 = -1, -1
-	bestAlpha := 0.0
 	// Query capacities get a tiny upward nudge: β(α̃) = C−(1−ρ)α̃ is an
 	// exact integer in theory (e.g. C−αmin) but floating-point rounding
 	// can land it one ulp below, hiding the boundary pair. Item sizes are
 	// integers, so the nudge cannot admit an oversized selection.
 	slack := 1e-9 * (C + 1)
+
+	// The wide-side profile answers Best(α̃) queries; root is the
+	// convolution engine's merge-tree root.
+	wide, root := false, int32(-1)
+	if len(A) > 0 {
+		if conv {
+			root = sc.buildConvProfile(&p, comp, rho, C+slack, &stats)
+			wide = root >= 0
+		} else {
+			sc.buildPairProfile(&p, comp, A, alphaMin, rho, &stats)
+			wide = true
+		}
+	}
+
+	// Combine: for each α̃ ∈ A ∪ {0}, wide profit up to α̃, narrow profit
+	// up to β(α̃) = C − (1−ρ)α̃ (βmax for α̃=0). A plain loop (index −1
+	// standing for α̃ = 0) rather than a closure, so the captured state
+	// stays on the stack.
+	bestProfit := math.Inf(-1)
+	var bestWide, bestInc int32 = -1, -1
+	bestAlpha := 0.0
 	for ai := -1; ai < len(A); ai++ {
 		alpha := 0.0
 		if ai >= 0 {
 			alpha = A[ai]
 		}
-		var pc float64
-		var nc int32 = -1
-		if alpha > 0 && compList != nil {
-			pc, nc = compList.Best(alpha + slack)
+		var pw float64
+		var nw int32 = -1
+		if alpha > 0 && wide {
+			if conv {
+				pw, nw = sc.convBest(root, alpha+slack)
+			} else {
+				pw, nw = sc.compList.Best(alpha + slack)
+			}
 		}
 		beta := betaMax
 		if alpha > 0 {
@@ -191,41 +190,28 @@ func Solve(p Problem, sc *Scratch) (Solution, error) {
 			}
 		}
 		pi, ni := incList.Best(beta)
-		if pc+pi > bestProfit {
-			bestProfit = pc + pi
-			bestCompNode, bestIncNode = nc, ni
+		if pw+pi > bestProfit {
+			bestProfit = pw + pi
+			bestWide, bestInc = nw, ni
 			bestAlpha = alpha
 		}
 	}
 	stats.ChosenAlpha = bestAlpha
 
 	sol := Solution{Profit: math.Max(bestProfit, 0), Stats: stats}
-	// Backtrack both DPs into the shared selection buffer. The two item
-	// sets are disjoint (every item is either compressible or not) and a
-	// DP path contains each item at most once, so no dedup is needed.
+	// Backtrack both sides into the shared selection buffer, wide side
+	// first. The two item sets are disjoint (every item is either
+	// compressible or not) and a path contains each item at most once,
+	// so no dedup is needed.
 	sc.selected = sc.selected[:0]
-	for _, l := range [2]*PairList{compList, incList} {
-		if l == nil {
-			continue
-		}
-		node := bestCompNode
-		if l == incList {
-			node = bestIncNode
-		}
-		for ; node >= 0; node = l.arena[node].parent {
-			it := l.arena[node].item
-			if it < 0 {
-				continue
-			}
-			idx := int(it)
-			sc.selected = append(sc.selected, p.Items[idx].ID)
-			if p.Compressible[idx] {
-				sol.SizeCompressed += (1 - p.RhoFull) * float64(p.Items[idx].Size)
-			} else {
-				sol.SizeCompressed += float64(p.Items[idx].Size)
-			}
+	if wide && bestWide >= 0 {
+		if conv {
+			sc.backtrackConv(&p, root, bestWide, &sol)
+		} else {
+			sc.backtrackPairs(&p, &sc.compList, bestWide, 1-p.RhoFull, &sol)
 		}
 	}
+	sc.backtrackPairs(&p, incList, bestInc, 1, &sol)
 	sol.Selected = sc.selected
 	// Theorem 15 guarantees the compressed size fits; tolerate only float
 	// noise here and fail loudly otherwise (callers rely on it).
@@ -233,4 +219,43 @@ func Solve(p Problem, sc *Scratch) (Solution, error) {
 		return sol, fmt.Errorf("knapsack: compressed size %.6f exceeds capacity %d", sol.SizeCompressed, p.C)
 	}
 	return sol, nil
+}
+
+// buildPairProfile is Algorithm 2's wide side: the compressible
+// pair-list DP with the adaptive normalization of Lemma 12 over the
+// α-grid A (non-empty, so comp is too).
+func (sc *Scratch) buildPairProfile(p *Problem, comp []int, A []float64, alphaMin, rho float64, stats *Stats) {
+	// No solution can hold more compressible items than exist: capping n̄
+	// keeps the Lemma-12 grid at O(n̄·|A|) points without weakening the
+	// underestimation bound.
+	nbar := min(max(p.NBar, 1), len(comp))
+	grid := &sc.grid
+	grid.Reset(A, alphaMin, rho, nbar)
+	stats.GridPoints = grid.NumPoints()
+	compList := &sc.compList
+	compList.Reset()
+	amax := A[len(A)-1]
+	// Hoist the method value out of the loop: Add only calls norm,
+	// so the bound closure stays on the stack.
+	norm := grid.Norm
+	for _, i := range comp {
+		compList.Add(i, float64(p.Items[i].Size), p.Items[i].Profit, amax, norm)
+	}
+	stats.PairsComp = compList.Pairs()
+	stats.CompFrontier = compList.Len()
+}
+
+// backtrackPairs appends the items on l's path from node to the root
+// to the selection, each contributing f·size to the compressed size
+// (f = 1−ρ′ on the compressible side, 1 on the other).
+func (sc *Scratch) backtrackPairs(p *Problem, l *PairList, node int32, f float64, sol *Solution) {
+	for ; node >= 0; node = l.arena[node].parent {
+		it := l.arena[node].item
+		if it < 0 {
+			continue
+		}
+		idx := int(it)
+		sc.selected = append(sc.selected, p.Items[idx].ID)
+		sol.SizeCompressed += f * float64(p.Items[idx].Size)
+	}
 }

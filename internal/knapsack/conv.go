@@ -31,11 +31,8 @@ package knapsack
 // DESIGN.md §8 and §3 for where the constants deviate from the paper.
 
 import (
-	"fmt"
 	"math"
 	"slices"
-
-	"repro/internal/compress"
 )
 
 // convItem is one compressible item prepared for the class engine.
@@ -115,143 +112,12 @@ func convPointCmp(a, b convPoint) int {
 // compressible item is compressed by RhoFull. Problem.NBar is not used
 // (the engine has no adaptive normalization to bound).
 //
-// Buffers come from sc: a warm Scratch makes the whole call
-// allocation-free, and the returned Solution.Selected aliases the
-// scratch (valid until its next use). A nil scratch uses fresh buffers.
-//
-// LOCK-STEP: the Algorithm-2 frame here (validation, item split,
-// βmax/αmin clamps, the α-grid, the incompressible PairList DP, the
-// combine loop with its slack nudge, the capacity check) deliberately
-// mirrors Solve in compressible.go — only the wide-side profile
-// engine differs. A fix to the frame in either function must be
-// applied to both; TestSolveConvContract cross-checks them against the
-// same exact optimum.
+// It runs Solve's Algorithm-2 frame with the convolution profile as
+// the wide side. Buffers come from sc as in Solve.
 //
 //sched:owns-result
 func SolveConv(p Problem, sc *Scratch) (Solution, error) {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	if p.RhoFull <= 0 || p.RhoFull >= 1 {
-		return Solution{}, fmt.Errorf("knapsack: rhoFull=%v out of range", p.RhoFull)
-	}
-	rho := compress.HalfFactor(p.RhoFull)
-	C := float64(p.C)
-	comp, incomp := sc.comp[:0], sc.incomp[:0] // item indices
-	var incompTotal float64
-	for i, it := range p.Items {
-		if it.Size <= 0 {
-			return Solution{}, fmt.Errorf("knapsack: item %d has size %d", i, it.Size)
-		}
-		if p.Compressible[i] {
-			comp = append(comp, i)
-		} else {
-			incomp = append(incomp, i)
-			incompTotal += float64(it.Size)
-		}
-	}
-	sc.comp, sc.incomp = comp, incomp
-	betaMax := p.BetaMax
-	if betaMax <= 0 || betaMax > C {
-		betaMax = C
-	}
-	if incompTotal < betaMax {
-		betaMax = incompTotal
-	}
-	alphaMin := p.AlphaMin
-	if alphaMin < C-betaMax {
-		alphaMin = C - betaMax // line 1 of Algorithm 2
-	}
-	if alphaMin <= 0 {
-		alphaMin = 1
-	}
-
-	var stats Stats
-	// Capacity grid A: identical to Solve's (Eq. 17) — every true wide
-	// budget α ∈ [αmin, C] has an α̃ ∈ A with α ≤ α̃ ≤ α/(1−ρ).
-	A := sc.alphas[:0]
-	if len(comp) > 0 && alphaMin <= C {
-		lo := alphaMin / (1 - rho)
-		hi := C
-		if lo > hi {
-			hi = lo
-		}
-		A = GeomAppend(A, lo, hi, 1/(1-rho))
-	}
-	sc.alphas = A
-	stats.NumAlphas = len(A)
-
-	// Incompressible one-pass DP up to betaMax — unchanged from Solve.
-	incList := &sc.incList
-	incList.Reset()
-	for _, i := range incomp {
-		incList.Add(i, float64(p.Items[i].Size), p.Items[i].Profit, betaMax, nil)
-	}
-	stats.PairsIncomp = incList.Pairs()
-	stats.IncFrontier = incList.Len()
-
-	// See Solve for why queries get this upward nudge.
-	slack := 1e-9 * (C + 1)
-	root := int32(-1)
-	if len(A) > 0 {
-		root = sc.buildConvProfile(&p, comp, rho, C+slack, &stats)
-	}
-
-	// Combine: for each α̃ ∈ A ∪ {0}, wide profit from the convolution
-	// profile, narrow profit up to β(α̃) = C − (1−ρ)α̃ (βmax for α̃=0).
-	bestProfit := math.Inf(-1)
-	var bestWide, bestInc int32 = -1, -1
-	bestAlpha := 0.0
-	for ai := -1; ai < len(A); ai++ {
-		alpha := 0.0
-		if ai >= 0 {
-			alpha = A[ai]
-		}
-		var pw float64
-		var nw int32 = -1
-		if alpha > 0 && root >= 0 {
-			pw, nw = sc.convBest(root, alpha+slack)
-		}
-		beta := betaMax
-		if alpha > 0 {
-			beta = C - (1-rho)*alpha + slack
-			if beta < 0 {
-				beta = 0
-			}
-			if beta > betaMax {
-				beta = betaMax
-			}
-		}
-		pi, ni := incList.Best(beta)
-		if pw+pi > bestProfit {
-			bestProfit = pw + pi
-			bestWide, bestInc = nw, ni
-			bestAlpha = alpha
-		}
-	}
-	stats.ChosenAlpha = bestAlpha
-
-	sol := Solution{Profit: math.Max(bestProfit, 0), Stats: stats}
-	sc.selected = sc.selected[:0]
-	if root >= 0 && bestWide >= 0 {
-		sc.backtrackConv(&p, root, bestWide, &sol)
-	}
-	for node := bestInc; node >= 0; node = incList.arena[node].parent {
-		it := incList.arena[node].item
-		if it < 0 {
-			continue
-		}
-		idx := int(it)
-		sc.selected = append(sc.selected, p.Items[idx].ID)
-		sol.SizeCompressed += float64(p.Items[idx].Size)
-	}
-	sol.Selected = sc.selected
-	// The compressed selection must fit; tolerate only float noise and
-	// fail loudly otherwise (same contract as Solve).
-	if sol.SizeCompressed > C*(1+1e-9) {
-		return sol, fmt.Errorf("knapsack: conv compressed size %.6f exceeds capacity %d", sol.SizeCompressed, p.C)
-	}
-	return sol, nil
+	return solve(p, sc, true)
 }
 
 // newConvNode allocates a merge-tree node from the scratch arena,

@@ -106,3 +106,16 @@ func TestEstimateGridZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state EstimateGrid allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestEstimateScratchZeroAlloc: the identity-space entry point runs
+// the same search and must be allocation-free with a warm scratch too.
+func TestEstimateScratchZeroAlloc(t *testing.T) {
+	in := moldable.Random(moldable.GenConfig{N: 128, M: 1 << 30, Seed: 1})
+	sc := &Scratch{}
+	for i := 0; i < 3; i++ {
+		EstimateScratch(in, sc)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { EstimateScratch(in, sc) }); allocs != 0 {
+		t.Fatalf("steady-state EstimateScratch allocates %v/op, want 0", allocs)
+	}
+}
