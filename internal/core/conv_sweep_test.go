@@ -10,14 +10,12 @@ import (
 )
 
 // TestConvSoundnessSweep is the cross-algorithm sweep over random
-// monotone instances in both Conv regimes (knapsack m < 32n and
-// compressed-wide m ≥ 32n). Every Conv schedule is validated against
-// its instance and its makespan held to the provable bound against
-// Report.LowerBound: makespan ≤ (3/2+ε)·OPT and OPT ≤ 2κ·LowerBound,
-// where κ = 21/20 is the slack of the wide regime's grid estimate
-// (lt.EstimateGrid, whose γ are seeded γ rounded up onto the candidate
-// grid), so makespan ≤ 2.1(3/2+ε)·LowerBound. Each run is also
-// cross-checked against Linear on the same instance: both are
+// monotone instances in both Conv regimes (the convolution knapsack at
+// m < 16n, the shared FPTAS dual at m ≥ 16n). Every Conv schedule is
+// validated against its instance and its makespan held to the provable
+// bound against Report.LowerBound: makespan ≤ (3/2+ε)·OPT and
+// OPT ≤ 2·LowerBound, so makespan ≤ 2(3/2+ε)·LowerBound. Each run is
+// also cross-checked against Linear on the same instance: both are
 // (3/2+ε)-approximations of the same OPT, so neither may exceed
 // (3/2+ε)× the other.
 func TestConvSoundnessSweep(t *testing.T) {
@@ -42,8 +40,8 @@ func TestConvSoundnessSweep(t *testing.T) {
 		if rep.LowerBound <= 0 {
 			t.Fatalf("it %d: non-positive lower bound %v", it, rep.LowerBound)
 		}
-		if bound := 2.1 * (1.5 + eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
-			t.Fatalf("it %d (n=%d m=%d ε=%g): makespan %v > 2.1(3/2+ε)·LowerBound = %v",
+		if bound := 2 * (1.5 + eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
+			t.Fatalf("it %d (n=%d m=%d ε=%g): makespan %v > 2(3/2+ε)·LowerBound = %v",
 				it, n, m, eps, rep.Makespan, bound)
 		}
 		lin, _, err := ScheduleCtx(ctx, in, Options{Algorithm: Linear, Eps: eps})
@@ -80,8 +78,8 @@ func FuzzConvSoundness(f *testing.F) {
 		if verr := schedule.Validate(in, s, schedule.Options{}); verr != nil {
 			t.Fatalf("n=%d m=%d ε=%g: invalid schedule: %v", n, m, eps, verr)
 		}
-		if bound := 2.1 * (1.5 + eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
-			t.Fatalf("n=%d m=%d ε=%g: makespan %v > 2.1(3/2+ε)·LowerBound = %v",
+		if bound := 2 * (1.5 + eps) * float64(rep.LowerBound); float64(rep.Makespan) > bound*(1+1e-9) {
+			t.Fatalf("n=%d m=%d ε=%g: makespan %v > 2(3/2+ε)·LowerBound = %v",
 				n, m, eps, rep.Makespan, bound)
 		}
 	})

@@ -23,7 +23,8 @@ type goldenCase struct {
 }
 
 // goldenCorpus covers the three regimes the algorithms branch on:
-// m < 16n (the knapsack duals), m ≥ 16n (the FPTAS dual and Auto's
+// m < 16n (the knapsack duals, Conv's convolution engine among them),
+// m ≥ 16n (the FPTAS dual every fast algorithm shares there, and Auto's
 // FPTAS pick), and m below / at or above fast.ConvMinM. The tiny first
 // entry routes PTAS through the exact solver.
 var goldenCorpus = []goldenCase{
@@ -47,7 +48,7 @@ var goldenSums = map[string]string{
 	"alg3":   "9d68088f422631040e96d0aaf0ee9b934a531a1493f80a18dbe572d7d1bc695b",
 	"linear": "9d68088f422631040e96d0aaf0ee9b934a531a1493f80a18dbe572d7d1bc695b",
 	"fptas":  "23851065a0cfc1f18a252f3ddd9646b66beefa4ca31863762bcec70fc363ba35",
-	"conv":   "b67557f9f47019eb5473c5f15aa42862336f8da04bb2a9b9e8b4f418d2af118f",
+	"conv":   "435403a171dae2b3aa9faafab0b67bb8bfec0b886b6860118b509fb7fa3f9716",
 	"ptas":   "fbfa8c32d0b88a88b70434721bc98d2ebc0a8389c34b43c74cfd97729d4cab79",
 }
 
@@ -116,9 +117,9 @@ func TestGoldenOutputs(t *testing.T) {
 	check("ptas", "exact or FPTAS", hex.EncodeToString(h.Sum(nil)))
 }
 
-// goldenWideCorpus drives Conv's m ≥ 32n branch (the grid estimator
-// and the compressed-allotment dual), which goldenCorpus reaches with
-// a single instance. m runs up to 2^20.
+// goldenWideCorpus covers m ≥ 16n up to m = 2^20, which goldenCorpus
+// reaches with two instances: there Alg1, Alg3, Linear and Conv all
+// run the FPTAS dual of §4.2.5 (fast.Scratch.dualFor).
 var goldenWideCorpus = []goldenCase{
 	{moldable.GenConfig{N: 8, M: 256, Seed: 21}, 0.25},
 	{moldable.GenConfig{N: 40, M: 1 << 12, Seed: 22}, 0.1},
@@ -126,35 +127,48 @@ var goldenWideCorpus = []goldenCase{
 	{moldable.GenConfig{N: 96, M: 1 << 20, Seed: 24}, 0.3},
 }
 
-// goldenWideSums pins Conv's outcomes on goldenWideCorpus, digested
-// like goldenSums.
+// goldenWideSums pins the outcomes on goldenWideCorpus, digested like
+// goldenSums. The four algorithms run identical code there, so the
+// four digests are one.
 var goldenWideSums = map[string]string{
-	"conv": "3c69cfc78d3ead2af5dbe74e9eb91c90b0fc16d963a2ddf72e212597dd28b569",
+	"alg1":   "eb85f02da37036686fcc0c7e9ca64689bc70f466345206d1403585f913eae55d",
+	"alg3":   "eb85f02da37036686fcc0c7e9ca64689bc70f466345206d1403585f913eae55d",
+	"linear": "eb85f02da37036686fcc0c7e9ca64689bc70f466345206d1403585f913eae55d",
+	"conv":   "eb85f02da37036686fcc0c7e9ca64689bc70f466345206d1403585f913eae55d",
 }
 
-// TestGoldenWideOutputs is TestGoldenOutputs for Conv's large-machine
-// regime.
+// TestGoldenWideOutputs is TestGoldenOutputs for the large-machine
+// regime of the fast algorithms; every run must also validate within
+// (3/2+ε)·2ω.
 func TestGoldenWideOutputs(t *testing.T) {
 	ctx := context.Background()
 	ins := make([]*moldable.Instance, len(goldenWideCorpus))
 	for i, c := range goldenWideCorpus {
 		ins[i] = moldable.Random(c.cfg)
-		if ins[i].M < 32*ins[i].N() {
-			t.Fatalf("wide corpus entry %d has m < 32n", i)
+		if ins[i].M < 16*ins[i].N() {
+			t.Fatalf("wide corpus entry %d has m < 16n", i)
 		}
 	}
-	warm := NewScratch()
-	for pass, sc := range []*Scratch{nil, warm, warm} {
-		h := sha256.New()
-		for i, in := range ins {
-			s, rep, err := ScheduleScratchCtx(ctx, in, Options{Algorithm: Conv, Eps: goldenWideCorpus[i].eps}, sc)
-			if err != nil {
-				t.Fatalf("wide corpus entry %d: %v", i, err)
+	for _, a := range []Algorithm{Alg1, Alg3, Linear, Conv} {
+		warm := NewScratch()
+		for pass, sc := range []*Scratch{nil, warm, warm} {
+			h := sha256.New()
+			for i, in := range ins {
+				s, rep, err := ScheduleScratchCtx(ctx, in, Options{Algorithm: a, Eps: goldenWideCorpus[i].eps}, sc)
+				if err != nil {
+					t.Fatalf("%s: wide corpus entry %d: %v", a, i, err)
+				}
+				if verr := schedule.Validate(in, s, schedule.Options{}); verr != nil {
+					t.Fatalf("%s: wide corpus entry %d: invalid schedule: %v", a, i, verr)
+				}
+				if bound := (1.5 + goldenWideCorpus[i].eps) * 2 * rep.Omega; rep.Makespan > bound {
+					t.Fatalf("%s: wide corpus entry %d: makespan %v > (3/2+ε)·2ω = %v", a, i, rep.Makespan, bound)
+				}
+				goldenWrite(h, s, &rep, err)
 			}
-			goldenWrite(h, s, &rep, err)
-		}
-		if got, want := hex.EncodeToString(h.Sum(nil)), goldenWideSums["conv"]; got != want {
-			t.Errorf("conv (pass %d): golden digest %s, want %s", pass, got, want)
+			if got, want := hex.EncodeToString(h.Sum(nil)), goldenWideSums[a.String()]; got != want {
+				t.Errorf("%s (pass %d): golden digest %s, want %s", a, pass, got, want)
+			}
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 // Scratch, single-instance scheduling at n=256, m=4096 must perform no
 // heap allocation in the steady state — for the Theorem-2 FPTAS, for
 // the Linear algorithm (which at m ≥ 16n runs the FPTAS dual per
-// §4.2.5), and for Conv (ISSUE 5), which at m = 16n < 32n runs the
-// full convolution knapsack engine, so the guard covers the class
-// grid, the profile staircases, the merge tree, and the backtracking.
+// §4.2.5), and for Conv, which at m = 16n runs that same FPTAS dual.
+// The convolution knapsack engine (class grid, profile staircases,
+// merge tree, backtracking) has its 0-alloc guard in the budget-0 conv
+// case of TestScheduleScratchLowAllocKnapsackPath (m = 512 < 16n).
 func TestScheduleScratchZeroAlloc(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 256, M: 4096, Seed: 42})
 	// The guard deliberately runs with observability recording enabled

@@ -58,9 +58,8 @@ var ErrNoSchedule = errors.New("dual: algorithm rejected d ≥ OPT; dual guarant
 // satisfy lo ≤ OPT and hi must satisfy OPT ≤ hi (so the first probe,
 // at hi, is guaranteed to be accepted by a correct dual algorithm).
 // With an estimator ω ≤ OPT ≤ 2ω callers pass [ω, 2ω]; the returned
-// schedule then has makespan ≤ (c+eps)·OPT. Estimators weaker than
-// Ludwig–Tiwari's — the grid-restricted estimate of the Conv algorithm
-// brackets OPT by [ω_S/κ, 2ω_S] — pay only O(log(hi/lo)) extra probes.
+// schedule then has makespan ≤ (c+eps)·OPT. A wider bracket costs
+// only O(log(hi/lo)) extra probes.
 //
 // The context is checked between probes (each probe is a full dual
 // call, the expensive unit of work); a canceled context aborts the

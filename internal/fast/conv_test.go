@@ -3,103 +3,24 @@ package fast
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
 	"testing"
 
-	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
 
-// TestConvWideRejectionSoundness: the large-machine compressed dual
-// must never reject d ≥ OPT and must honour makespan ≤ 3/2·d on every
-// accept. Planted instances give an exact OPT at machine counts where
-// the m ≥ 32n regime actually holds.
-func TestConvWideRejectionSoundness(t *testing.T) {
-	rng := rand.New(rand.NewPCG(91, 0))
-	for it := 0; it < 20; it++ {
-		m := 4096 << (it % 3)
-		pl := moldable.Planted(moldable.PlantedConfig{
-			M: m, D: 50 + 100*rng.Float64(), Seed: rng.Uint64(), MaxJobs: 1 + rng.IntN(m/64),
-		})
-		in := pl.Instance
-		if convRegimeN*in.N() > in.M {
-			t.Fatalf("it %d: planted n=%d too large for the wide regime at m=%d", it, in.N(), in.M)
-		}
-		algo := &convWide{In: in, Scratch: &Scratch{}}
-		for _, f := range []float64{1.0, 1.0001, 1.3, 2.5} {
-			d := pl.OPT * f
-			s, ok := algo.Try(d)
-			if !ok {
-				t.Fatalf("it %d: convWide rejected d = %.6g ≥ OPT = %.6g (n=%d m=%d)",
-					it, d, pl.OPT, in.N(), in.M)
-			}
-			if mk := s.Makespan(); mk > algo.Guarantee()*d*(1+1e-9) {
-				t.Fatalf("it %d: makespan %v > 3/2·d = %v", it, mk, algo.Guarantee()*d)
-			}
-			if err := schedule.Validate(in, s, schedule.Options{}); err != nil {
-				t.Fatalf("it %d: invalid schedule: %v", it, err)
-			}
-		}
-	}
-}
-
-// TestConvCandidateGrid pins the integer invariants the soundness
-// argument needs: candidates strictly increase, cover [1, b̃) densely,
-// end exactly at m, and consecutive wide candidates stay within the
-// factor 1+1/(2·convRho)+1/g ≤ 1+1/convRho.
-func TestConvCandidateGrid(t *testing.T) {
-	sc := &Scratch{}
-	for _, m := range []int{1, 39, 40, 41, 4096, 1 << 20} {
-		cands := sc.convCands(m)
-		if cands[0] != 1 || cands[len(cands)-1] != m {
-			t.Fatalf("m=%d: grid spans [%d, %d], want [1, %d]", m, cands[0], cands[len(cands)-1], m)
-		}
-		for i := 1; i < len(cands); i++ {
-			g0, g1 := cands[i-1], cands[i]
-			if g1 <= g0 {
-				t.Fatalf("m=%d: grid not strictly increasing at %d: %d, %d", m, i, g0, g1)
-			}
-			if g0 < convWideB && g1 != g0+1 {
-				t.Fatalf("m=%d: narrow range must be dense, got %d → %d", m, g0, g1)
-			}
-			if g0 >= convWideB && g1 != m {
-				// Integer step ⌈g/40⌉ keeps the ratio within 1+1/20,
-				// which the compressed-total accounting consumes.
-				if 20*(g1-g0) > g0 {
-					t.Fatalf("m=%d: grid step %d → %d exceeds factor 1+1/20", m, g0, g1)
-				}
-			}
-		}
-		// The compressed allotment of every wide candidate must shrink
-		// it and stay positive.
-		for _, g := range cands {
-			if g < convWideB {
-				continue
-			}
-			c := g - (g+convRho-1)/convRho
-			if c < 1 || c >= g {
-				t.Fatalf("m=%d: compressed %d → %d out of [1, g)", m, g, c)
-			}
-			if 20*c > 19*g {
-				t.Fatalf("m=%d: compressed %d → %d exceeds ⌊g·19/20⌋", m, g, c)
-			}
-		}
-	}
-}
-
 // TestScheduleConvEndToEnd: the full Conv run stays within (3/2+ε)·OPT
-// on planted instances in both regimes (knapsack m < 32n, wide
-// m ≥ 32n).
+// on planted instances in both regimes (the convolution knapsack at
+// m < 16n, the FPTAS dual at m ≥ 16n).
 func TestScheduleConvEndToEnd(t *testing.T) {
 	cases := []struct {
 		name    string
 		m, jobs int
 	}{
-		{"knapsack-regime", 64, 40}, // m < 32n
-		{"wide-regime", 8192, 24},   // m ≥ 32n
-		{"boundary", 1280, 40},      // m = 32n exactly
+		{"knapsack-regime", 64, 40}, // m < 16n
+		{"wide-regime", 8192, 24},   // m ≥ 16n: the FPTAS dual
+		{"boundary", 640, 40},       // m = 16n at 40 jobs
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,76 +96,6 @@ func TestScheduleConvScratchReuse(t *testing.T) {
 			}
 			if wantRep.Makespan != gotRep.Makespan || wantRep.Iterations != gotRep.Iterations {
 				t.Fatalf("#%d rep %d: report differs", i, rep)
-			}
-		}
-	}
-}
-
-// refConvWideAllot is convWide.Try's allotment loop as it stood with
-// its own grid bisection (before it used the seeded γ rounded up onto
-// the grid), kept verbatim up to returning the allotment.
-func refConvWideAllot(in *moldable.Instance, cands []int, d moldable.Time) ([]int, bool) {
-	t := (1 + 0.25) * d
-	allot := make([]int, 0, in.N())
-	used := 0
-	for _, j := range in.Jobs {
-		var g int
-		switch {
-		case j.Time(1) <= t:
-			g = 1
-		case j.Time(in.M) > t:
-			return nil, false
-		default:
-			lo, hi := 0, len(cands)-1
-			for hi-lo > 1 {
-				mid := int(uint(lo+hi) >> 1)
-				if j.Time(cands[mid]) <= t {
-					hi = mid
-				} else {
-					lo = mid
-				}
-			}
-			g = cands[hi]
-		}
-		if g >= convWideB {
-			g -= (g + convRho - 1) / convRho
-		}
-		used += g
-		if used > in.M {
-			return nil, false
-		}
-		allot = append(allot, g)
-	}
-	return allot, true
-}
-
-// TestConvWideReferenceEquivalence: convWide.Try accepts exactly when
-// the grid-bisecting reference does, with the same allotment, at
-// targets around the grid estimate on both sides of acceptance.
-func TestConvWideReferenceEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewPCG(93, 0))
-	for _, m := range []int{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
-		for it := 0; it < 8; it++ {
-			in := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(48), M: m, Seed: rng.Uint64()})
-			sc := &Scratch{}
-			cands := sc.convCands(m)
-			omega := lt.EstimateGrid(in, cands, &sc.LT).Omega
-			algo := &convWide{In: in, Scratch: sc}
-			for _, f := range []float64{0.3, 0.6, 0.9, 1, 1.1, 1.5, 2} {
-				d := omega * f
-				want, wantOK := refConvWideAllot(in, cands, d)
-				s, ok := algo.Try(d)
-				if ok != wantOK {
-					t.Fatalf("m=%d it=%d d=%v: accept %v, reference %v", m, it, d, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				for k, p := range s.Placements {
-					if p.Job != k || p.Procs != want[k] {
-						t.Fatalf("m=%d it=%d d=%v: job %d gets %d processors, reference %d", m, it, d, p.Job, p.Procs, want[k])
-					}
-				}
 			}
 		}
 	}

@@ -32,17 +32,10 @@ type Scratch struct {
 	a1 Alg1
 	a3 Alg3
 	cv Conv
-	cw convWide
 	fp fptas.Dual
 	// fpSched backs the regime dual's schedule double buffer; its LT
 	// field is unused (estimation runs through sc.LT).
 	fpSched fptas.Scratch
-
-	// convWide's schedule double buffer and candidate processor grid
-	// (rebuilt only when the machine size changes).
-	cwSched schedule.DoubleBuffer
-	cwCands []int
-	cwM     int
 
 	// Build output, reused across probes.
 	buildRes shelves.Result
@@ -63,32 +56,58 @@ type Scratch struct {
 }
 
 // dualFor picks the regime-appropriate dual algorithm out of the
-// scratch: the knapsack-based dual (mk) when m < 16n, and the FPTAS
-// dual with ε = 1/2 (a 3/2-dual) when m ≥ 16n, exactly as prescribed
-// at the end of §4.2.5 — the knapsack parameter bounds (βmax = m =
-// O(n)) need m = O(n), and for larger m the simple FPTAS is both valid
-// and faster. The chosen struct lives in the scratch, so the interface
-// conversion allocates nothing.
+// scratch: the knapsack-based dual (mk, at accuracy eps) when m < 16n,
+// and the FPTAS dual with ε = 1/2 (a 3/2-dual) when m ≥ 16n, exactly as
+// prescribed at the end of §4.2.5 — the knapsack parameter bounds
+// (βmax = m = O(n)) need m = O(n), and for larger m the simple FPTAS is
+// both valid and faster. The chosen struct lives in the scratch, so the
+// interface conversion allocates nothing.
 //
 //sched:owns-result
-func (sc *Scratch) dualFor(in *moldable.Instance, mk func(sc *Scratch) dual.Algorithm) dual.Algorithm {
+func (sc *Scratch) dualFor(in *moldable.Instance, eps float64, mk func(*Scratch, *moldable.Instance, float64) dual.Algorithm) dual.Algorithm {
 	if in.M >= 16*in.N() {
 		sc.fp = fptas.Dual{In: in, Eps: 0.5, Scratch: &sc.fpSched}
 		return &sc.fp
 	}
-	return mk(sc)
+	return mk(sc, in, eps)
 }
 
+// The mk* functions install one knapsack-regime dual in the scratch.
+// They are top-level functions, not closures, so handing one to run
+// allocates nothing.
+
 //sched:owns-result
-func mkAlg1(sc *Scratch) dual.Algorithm {
-	sc.a1.Scratch = sc
+func mkAlg1(sc *Scratch, in *moldable.Instance, eps float64) dual.Algorithm {
+	sc.a1 = Alg1{In: in, Eps: eps, Scratch: sc}
 	return &sc.a1
 }
 
 //sched:owns-result
-func mkAlg3(sc *Scratch) dual.Algorithm {
-	sc.a3.Scratch = sc
+func mkAlg3(sc *Scratch, in *moldable.Instance, eps float64) dual.Algorithm {
+	sc.a3 = Alg3{In: in, Eps: eps, Scratch: sc}
 	return &sc.a3
+}
+
+//sched:owns-result
+func mkLinear(sc *Scratch, in *moldable.Instance, eps float64) dual.Algorithm {
+	sc.a3 = Alg3{In: in, Eps: eps, Buckets: true, Scratch: sc}
+	return &sc.a3
+}
+
+// run is the body of every fast entry point: estimate ω, then search
+// [ω, 2ω] with the regime's dual, splitting eps evenly between the dual
+// factor and the search slack.
+//
+//sched:owns-result
+func run(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch, mk func(*Scratch, *moldable.Instance, float64) dual.Algorithm) (*schedule.Schedule, dual.Report, error) {
+	if err := checkEps(eps); err != nil {
+		return nil, dual.Report{}, err
+	}
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	est := lt.EstimateScratch(in, &sc.LT)
+	return dual.Search(ctx, sc.dualFor(in, eps/2, mk), est.Omega, 2*est.Omega, eps/2)
 }
 
 // ScheduleAlg1 runs the complete (3/2+eps)-approximation around Alg1,
@@ -99,15 +118,7 @@ func mkAlg3(sc *Scratch) dual.Algorithm {
 //
 //sched:owns-result
 func ScheduleAlg1(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a1 = Alg1{In: in, Eps: eps / 2}
-	return dual.Search(ctx, sc.dualFor(in, mkAlg1), est.Omega, 2*est.Omega, eps/2)
+	return run(ctx, in, eps, sc, mkAlg1)
 }
 
 // ScheduleAlg3 runs the full (3/2+eps)-approximation around Alg3 (heap
@@ -116,15 +127,7 @@ func ScheduleAlg1(ctx context.Context, in *moldable.Instance, eps float64, sc *S
 //
 //sched:owns-result
 func ScheduleAlg3(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a3 = Alg3{In: in, Eps: eps / 2}
-	return dual.Search(ctx, sc.dualFor(in, mkAlg3), est.Omega, 2*est.Omega, eps/2)
+	return run(ctx, in, eps, sc, mkAlg3)
 }
 
 // ScheduleLinear runs the §4.3.3 linear-time variant (bucketed rules);
@@ -132,13 +135,5 @@ func ScheduleAlg3(ctx context.Context, in *moldable.Instance, eps float64, sc *S
 //
 //sched:owns-result
 func ScheduleLinear(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, dual.Report{}, err
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.a3 = Alg3{In: in, Eps: eps / 2, Buckets: true}
-	return dual.Search(ctx, sc.dualFor(in, mkAlg3), est.Omega, 2*est.Omega, eps/2)
+	return run(ctx, in, eps, sc, mkLinear)
 }

@@ -36,30 +36,6 @@ func GammaStrict(j moldable.Job, m int, t moldable.Time) (int, bool) {
 	return search(j, m, t, true)
 }
 
-// RoundUp returns the index of the smallest candidate ≥ g in cands,
-// which must be strictly increasing and end at a count ≥ g. Rounding
-// up γ_j(t) (or its strict variant) this way gives the smallest
-// candidate c with t_j(c) ≤ t (t_j(c) < t): t_j is non-increasing, so
-// every candidate from γ on meets t and every one below it misses.
-//
-// A plain loop rather than slices.BinarySearch keeps RoundUp cheap
-// enough for the compiler to inline it into callers that branch on a
-// nil grid, such as the estimator's identity search.
-//
-//sched:hotpath
-func RoundUp(cands []int, g int) int {
-	lo, hi := 0, len(cands)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cands[mid] < g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // search is Gamma (strict false) and GammaStrict (strict true).
 //
 //sched:hotpath

@@ -244,50 +244,3 @@ func TestPrecompute(t *testing.T) {
 		}
 	}
 }
-
-// TestRoundUpMatchesGridScan: the seeded γ rounded up onto a
-// Conv-style grid (dense below 40, steps ⌈g/40⌉ above, ending at m)
-// is the smallest candidate meeting the threshold, strictly and not,
-// found here by a linear scan of the grid.
-func TestRoundUpMatchesGridScan(t *testing.T) {
-	rng := rand.New(rand.NewPCG(61, 0))
-	for _, m := range []int{40, 41, 1 << 10, 1 << 20, 1 << 30} {
-		var cands []int
-		for p := 1; p < 40; p++ {
-			cands = append(cands, p)
-		}
-		for g := 40; g < m; g += (g + 39) / 40 {
-			cands = append(cands, g)
-		}
-		cands = append(cands, m)
-		in := moldable.Random(moldable.GenConfig{N: 64, M: m, Seed: rng.Uint64()})
-		for _, j := range in.Jobs {
-			for k := 0; k < 8; k++ {
-				th := j.Time(cands[rng.IntN(len(cands))])
-				if k%2 == 1 {
-					th *= 1 + (rng.Float64()-0.5)*1e-3
-				}
-				for _, strict := range []bool{false, true} {
-					want := -1
-					for i, c := range cands {
-						if tc := j.Time(c); tc < th || !strict && tc == th {
-							want = i
-							break
-						}
-					}
-					g, ok := Gamma(j, m, th)
-					if strict {
-						g, ok = GammaStrict(j, m, th)
-					}
-					got := -1
-					if ok {
-						got = RoundUp(cands, g)
-					}
-					if got != want {
-						t.Fatalf("%v m=%d t=%v strict=%v: rounded γ at index %d, grid scan %d", j, m, th, strict, got, want)
-					}
-				}
-			}
-		}
-	}
-}

@@ -1,11 +1,10 @@
 package lt
 
-// Reference equivalence: the estimator once ran as two hand-kept
-// copies of the matrix search, one over processor counts (with the γ
-// of package gamma) and one over a candidate grid (bisecting the grid
-// with gridIdx). The ref* functions below are those copies, kept
-// verbatim up to renaming, and the tests here require the merged
-// search to return the same Result, bit for bit, on both spaces.
+// Reference equivalence: before the search was shared, the estimator
+// ran as two hand-kept copies of the matrix search, one over processor
+// counts and one over a candidate grid. The ref* functions below are
+// the processor-count copy, kept verbatim up to renaming, and the tests
+// here require the search to return the same Result, bit for bit.
 
 import (
 	"fmt"
@@ -27,48 +26,64 @@ func sameResult(got, want Result) bool {
 		got.Rounds == want.Rounds && slices.Equal(got.Allot, want.Allot)
 }
 
-// checkEquivalent runs the merged and the reference search on both the
-// identity space and the Conv-like grid of in.
+// checkEquivalent runs the search and the reference on in.
 func checkEquivalent(t *testing.T, in *moldable.Instance, tag string) {
 	t.Helper()
 	if got, want := EstimateScratch(in, nil), refEstimateScratch(in, nil); !sameResult(got, want) {
-		t.Fatalf("%s identity: got ω=%v v*=%v rounds=%d, want ω=%v v*=%v rounds=%d (allot equal: %v)",
-			tag, got.Omega, got.VStar, got.Rounds, want.Omega, want.VStar, want.Rounds, slices.Equal(got.Allot, want.Allot))
-	}
-	cands := convLikeGrid(in.M)
-	if got, want := EstimateGrid(in, cands, nil), refEstimateGrid(in, cands, nil); !sameResult(got, want) {
-		t.Fatalf("%s grid: got ω=%v v*=%v rounds=%d, want ω=%v v*=%v rounds=%d (allot equal: %v)",
+		t.Fatalf("%s: got ω=%v v*=%v rounds=%d, want ω=%v v*=%v rounds=%d (allot equal: %v)",
 			tag, got.Omega, got.VStar, got.Rounds, want.Omega, want.VStar, want.Rounds, slices.Equal(got.Allot, want.Allot))
 	}
 }
 
-// TestEstimateReferenceEquivalence: on moldable.Random instances with m
-// from just below to far above the grid's dense range, the merged
-// search equals both reference copies exactly.
+// tiedInstance returns n jobs on m machines, each a copy of one of 1–3
+// base jobs of a moldable.Random instance. Copies share every
+// breakpoint, so the search meets exact ties across jobs, which
+// moldable.Random alone never produces; only the job order of
+// tupleLess then separates their tuples.
+func tiedInstance(rng *rand.Rand, n, m int) *moldable.Instance {
+	base := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(3), M: m, Seed: rng.Uint64()})
+	in := &moldable.Instance{M: m, Jobs: make([]moldable.Job, n)}
+	for i := range in.Jobs {
+		in.Jobs[i] = base.Jobs[rng.IntN(len(base.Jobs))]
+	}
+	return in
+}
+
+// TestEstimateReferenceEquivalence: on moldable.Random instances, and
+// on tie-heavy copies of a few of their jobs, with m from 40 to 2^30,
+// the search equals the reference exactly.
 func TestEstimateReferenceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 0))
+	tieRng := rand.New(rand.NewPCG(48, 0))
 	for _, m := range []int{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
 		for it := 0; it < 12; it++ {
 			n := 1 + rng.IntN(64)
 			in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
 			checkEquivalent(t, in, fmt.Sprintf("m=%d it=%d n=%d", m, it, n))
+			n = 1 + tieRng.IntN(64)
+			checkEquivalent(t, tiedInstance(tieRng, n, m), fmt.Sprintf("m=%d it=%d n=%d tied", m, it, n))
 		}
 	}
 }
 
-// FuzzEstimateGridEquivalence extends the reference check to arbitrary
-// shapes with m ≤ 2^30.
-func FuzzEstimateGridEquivalence(f *testing.F) {
+// FuzzEstimateEquivalence extends the reference check to arbitrary
+// shapes with m ≤ 2^30; tied selects a tiedInstance.
+func FuzzEstimateEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		for _, m := range []uint32{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
-			f.Add(uint8(seed*9), m, seed)
+			f.Add(uint8(seed*9), m, seed, seed%2 == 1)
 		}
 	}
-	f.Fuzz(func(t *testing.T, n uint8, m uint32, seed uint64) {
+	f.Fuzz(func(t *testing.T, n uint8, m uint32, seed uint64, tied bool) {
 		nn := 1 + int(n)%64
 		mm := min(max(int(m), 1), 1<<30)
-		in := moldable.Random(moldable.GenConfig{N: nn, M: mm, Seed: seed})
-		checkEquivalent(t, in, fmt.Sprintf("n=%d m=%d seed=%d", nn, mm, seed))
+		var in *moldable.Instance
+		if tied {
+			in = tiedInstance(rand.New(rand.NewPCG(seed, 1)), nn, mm)
+		} else {
+			in = moldable.Random(moldable.GenConfig{N: nn, M: mm, Seed: seed})
+		}
+		checkEquivalent(t, in, fmt.Sprintf("n=%d m=%d seed=%d tied=%v", nn, mm, seed, tied))
 	})
 }
 
@@ -274,252 +289,6 @@ func refFinalize(in *moldable.Instance, vhat, predv moldable.Time, rounds int, s
 	for i, j := range in.Jobs {
 		g, _ := gamma.Gamma(j, in.M, vstar)
 		allot[i] = g
-	}
-	return Result{Omega: omega, VStar: vstar, Allot: allot, Rounds: rounds}
-}
-
-// refGridIdx returns the smallest index i with t_j(cands[i]) ≤ v, or
-// (0, false) when even the last candidate misses v. cands must be
-// strictly increasing, so t_j over cands is non-increasing.
-func refGridIdx(j moldable.Job, cands []int, v moldable.Time) (int, bool) {
-	last := len(cands) - 1
-	if j.Time(cands[last]) > v {
-		return 0, false
-	}
-	if j.Time(cands[0]) <= v {
-		return 0, true
-	}
-	lo, hi := 0, last // invariant: t(cands[lo]) > v, t(cands[hi]) ≤ v
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if j.Time(cands[mid]) <= v {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
-}
-
-// refGridIdxStrict is refGridIdx with strict inequality t_j(cands[i]) < v.
-func refGridIdxStrict(j moldable.Job, cands []int, v moldable.Time) (int, bool) {
-	last := len(cands) - 1
-	if j.Time(cands[last]) >= v {
-		return 0, false
-	}
-	if j.Time(cands[0]) < v {
-		return 0, true
-	}
-	lo, hi := 0, last
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if j.Time(cands[mid]) < v {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true
-}
-
-// refEvaluateGrid is refEvaluate with counts restricted to cands.
-func refEvaluateGrid(in *moldable.Instance, cands []int, v moldable.Time) evalResult {
-	var res evalResult
-	res.feasible = true
-	for _, j := range in.Jobs {
-		idx, ok := refGridIdx(j, cands, v)
-		if !ok {
-			return evalResult{feasible: false}
-		}
-		g := cands[idx]
-		tg := j.Time(g)
-		res.w += moldable.Time(g) * tg
-		if tg > res.t {
-			res.t = tg
-		}
-	}
-	return res
-}
-
-// refPredGrid is the flip predicate of the restricted matrix search.
-func refPredGrid(in *moldable.Instance, cands []int, v moldable.Time) bool {
-	e := refEvaluateGrid(in, cands, v)
-	return e.feasible && e.w/moldable.Time(in.M) <= e.t
-}
-
-// refEstimateGrid is the grid-space matrix search as it stood before
-// the merge: the same search with gridIdx bisection in place of γ.
-func refEstimateGrid(in *moldable.Instance, cands []int, sc *Scratch) Result {
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	n, L := in.N(), len(cands)
-	vmax := moldable.Time(0)
-	for _, j := range in.Jobs {
-		if t := j.Time(cands[0]); t > vmax {
-			vmax = t
-		}
-	}
-	if !refPredGrid(in, cands, vmax) {
-		return refFinalizeGrid(in, cands, vmax, math.Inf(1), 0, sc)
-	}
-
-	// Per-job active interval [a_i, b_i] of candidate INDICES whose
-	// breakpoints may still be v̂.
-	a := arena.Grow(sc.a, n)
-	b := arena.Grow(sc.b, n)
-	sc.a, sc.b = a, b
-	for i := range a {
-		a[i], b[i] = 0, L-1
-	}
-	total := int64(n) * int64(L)
-	rounds := 0
-	med := sc.med[:0]
-	for total > int64(4*n) && rounds < 300 {
-		rounds++
-		med = med[:0]
-		var sum int64
-		for i := 0; i < n; i++ {
-			if a[i] > b[i] {
-				continue
-			}
-			pm := a[i] + (b[i]-a[i])/2
-			w := int64(b[i] - a[i] + 1)
-			med = append(med, wtuple{tuple{in.Jobs[i].Time(cands[pm]), i, pm}, w})
-			sum += w
-		}
-		if len(med) == 0 {
-			break
-		}
-		slices.SortFunc(med, wtupleCmp)
-		var cum int64
-		var tmed tuple
-		for _, wt := range med {
-			cum += wt.w
-			if cum*2 >= sum {
-				tmed = wt.tuple
-				break
-			}
-		}
-		if refPredGrid(in, cands, tmed.v) {
-			// v̂ ≤ tmed: keep-sets are index suffixes [x, L-1].
-			for i := 0; i < n; i++ {
-				if a[i] > b[i] {
-					continue
-				}
-				var x int
-				switch {
-				case i == tmed.j:
-					x = tmed.p
-				case i < tmed.j:
-					g0, ok := refGridIdx(in.Jobs[i], cands, tmed.v)
-					if !ok {
-						x = L
-					} else {
-						x = g0
-					}
-				default:
-					g1, ok := refGridIdxStrict(in.Jobs[i], cands, tmed.v)
-					if !ok {
-						x = L
-					} else {
-						x = g1
-					}
-				}
-				if x > a[i] {
-					a[i] = x
-				}
-			}
-		} else {
-			// v̂ > tmed: keep-sets are index prefixes [0, y].
-			for i := 0; i < n; i++ {
-				if a[i] > b[i] {
-					continue
-				}
-				var y int
-				switch {
-				case i == tmed.j:
-					y = tmed.p - 1
-				case i < tmed.j:
-					g0, ok := refGridIdx(in.Jobs[i], cands, tmed.v)
-					if !ok {
-						y = b[i]
-					} else {
-						y = g0 - 1
-					}
-				default:
-					g1, ok := refGridIdxStrict(in.Jobs[i], cands, tmed.v)
-					if !ok {
-						y = b[i]
-					} else {
-						y = g1 - 1
-					}
-				}
-				if y < b[i] {
-					b[i] = y
-				}
-			}
-		}
-		total = 0
-		for i := 0; i < n; i++ {
-			if a[i] <= b[i] {
-				total += int64(b[i] - a[i] + 1)
-			}
-		}
-	}
-	sc.med = med
-
-	if int64(cap(sc.values)) < total+1 {
-		sc.values = make([]moldable.Time, 0, total+1)
-	}
-	values := sc.values[:0]
-	for i := 0; i < n; i++ {
-		for p := a[i]; p <= b[i]; p++ {
-			values = append(values, in.Jobs[i].Time(cands[p]))
-		}
-	}
-	values = append(values, vmax) // safety: refPredGrid(vmax) holds
-	sc.values = values
-	slices.Sort(values)
-	values = dedupe(values)
-	lo, hi := 0, len(values)-1 // invariant: refPredGrid(values[hi]) true
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if refPredGrid(in, cands, values[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	vhat := values[hi]
-
-	predv := math.Inf(-1)
-	for _, j := range in.Jobs {
-		if idx, ok := refGridIdxStrict(j, cands, vhat); ok {
-			if t := j.Time(cands[idx]); t > predv {
-				predv = t
-			}
-		}
-	}
-	return refFinalizeGrid(in, cands, vhat, predv, rounds, sc)
-}
-
-func refFinalizeGrid(in *moldable.Instance, cands []int, vhat, predv moldable.Time, rounds int, sc *Scratch) Result {
-	fh := refEvaluateGrid(in, cands, vhat).f(in.M)
-	vstar, omega := vhat, fh
-	if !math.IsInf(predv, 0) {
-		if fp := refEvaluateGrid(in, cands, predv).f(in.M); fp < omega {
-			vstar, omega = predv, fp
-		}
-	}
-	allot := arena.Grow(sc.allot, in.N())
-	sc.allot = allot
-	for i, j := range in.Jobs {
-		idx, ok := refGridIdx(j, cands, vstar)
-		if !ok {
-			idx = len(cands) - 1
-		}
-		allot[i] = cands[idx]
 	}
 	return Result{Omega: omega, VStar: vstar, Allot: allot, Rounds: rounds}
 }

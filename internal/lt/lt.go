@@ -16,9 +16,8 @@
 // non-increasing and T non-decreasing in τ, so f is minimized at v̂, the
 // least breakpoint where W/m ≤ T, or at its predecessor. v̂ is found by a
 // Frederickson–Johnson style matrix search over the n implicit sorted
-// breakpoint lists (one per job, indexed by processor count, or by
-// position on a candidate grid for EstimateGrid), using O(log nm)
-// weighted-median rounds of O(n log m) oracle work each.
+// breakpoint lists (one per job, indexed by processor count), using
+// O(log nm) weighted-median rounds of O(n log m) oracle work each.
 package lt
 
 import (
@@ -53,41 +52,6 @@ type Scratch struct {
 	allot  []int
 }
 
-// space is the index space of one matrix search: per job, the
-// processor counts [1, m] when cands is nil, otherwise the indices
-// [0, len(cands)) of a candidate grid — strictly increasing counts
-// ending at m.
-type space struct {
-	in    *moldable.Instance
-	cands []int
-}
-
-// bounds returns the first and last index of every job's interval.
-func (s space) bounds() (lo, hi int) {
-	if s.cands == nil {
-		return 1, s.in.M
-	}
-	return 0, len(s.cands) - 1
-}
-
-// count is the processor count at index k.
-func (s space) count(k int) int {
-	if s.cands == nil {
-		return k
-	}
-	return s.cands[k]
-}
-
-// up returns the index of the smallest count ≥ g. Applied to a γ of
-// package gamma it is the least index whose count meets the same
-// threshold (gamma.RoundUp).
-func (s space) up(g int) int {
-	if s.cands == nil {
-		return g
-	}
-	return gamma.RoundUp(s.cands, g)
-}
-
 // evalResult is f(v) = max(W(v)/m, T(v)) split into parts.
 type evalResult struct {
 	w, t     moldable.Time
@@ -103,15 +67,14 @@ func (e evalResult) f(m int) moldable.Time {
 }
 
 //sched:hotpath
-func evaluate(s space, v moldable.Time) evalResult {
+func evaluate(in *moldable.Instance, v moldable.Time) evalResult {
 	var res evalResult
 	res.feasible = true
-	for _, j := range s.in.Jobs {
-		g, ok := gamma.Gamma(j, s.in.M, v)
+	for _, j := range in.Jobs {
+		g, ok := gamma.Gamma(j, in.M, v)
 		if !ok {
 			return evalResult{feasible: false}
 		}
-		g = s.count(s.up(g))
 		tg := j.Time(g)
 		res.w += moldable.Time(g) * tg
 		if tg > res.t {
@@ -126,15 +89,15 @@ func evaluate(s space, v moldable.Time) evalResult {
 // the predicate stays monotone in v.
 //
 //sched:hotpath
-func pred(s space, v moldable.Time) bool {
-	e := evaluate(s, v)
-	return e.feasible && e.w/moldable.Time(s.in.M) <= e.t
+func pred(in *moldable.Instance, v moldable.Time) bool {
+	e := evaluate(in, v)
+	return e.feasible && e.w/moldable.Time(in.M) <= e.t
 }
 
 // tuple is a breakpoint with a global tie-break order so that all
 // candidate tuples are distinct: value ascending, then job ascending,
-// then index DEscending (within a plateau of equal times, larger
-// processor counts compare smaller, which keeps per-job keep-sets
+// then processor count DEscending (within a plateau of equal times,
+// larger counts compare smaller, which keeps per-job keep-sets
 // contiguous).
 type tuple struct {
 	v moldable.Time
@@ -185,69 +148,32 @@ func Estimate(in *moldable.Instance) Result {
 //
 //sched:owns-result
 func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
-	return estimate(space{in: in}, sc)
-}
-
-// EstimateGrid computes ω_S, the Ludwig–Tiwari estimate with
-// allotments restricted to the candidate counts cands (strictly
-// increasing, ending at in.M so a grid γ is defined whenever γ is) —
-// the compressed count classes of the Conv algorithm, after the
-// compression theme of arXiv:2303.01414. Every γ is the seeded γ of
-// package gamma rounded up onto the grid, and the search runs over
-// n·|cands| entries instead of n·m. Scratch and Result.Allot behave as
-// in EstimateScratch.
-//
-// The price is a bounded weakening of the estimate. Let κ bound the
-// overshoot of rounding a count up onto the grid (for the Conv grid,
-// κ = 21/20: dense below 40, steps ⌈g/40⌉ above). Then:
-//
-//	ω_S ≤ κ·OPT   (evaluate f_S at τ = OPT: every optimal allotment
-//	              rounds up onto the grid within factor κ, work grows
-//	              by at most κ, times only shrink), and
-//	OPT ≤ 2·ω_S   (list-scheduling the restricted canonical allotment
-//	              gives a schedule of makespan ≤ W_S/m + T_S ≤ 2ω_S).
-//
-// So OPT ∈ [ω_S/κ, 2ω_S] — the interval the Conv scheduler hands to
-// dual.Search. With cands = [1..m] it is EstimateScratch exactly
-// (κ = 1).
-//
-//sched:owns-result
-func EstimateGrid(in *moldable.Instance, cands []int, sc *Scratch) Result {
-	return estimate(space{in: in, cands: cands}, sc)
-}
-
-// estimate is the matrix search over s (see the package comment).
-//
-//sched:owns-result
-func estimate(s space, sc *Scratch) Result {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	in := s.in
-	n := in.N()
-	first, last := s.bounds()
-	// vmax = max_j t_j(first count) is the largest breakpoint; it is
-	// always feasible. If even vmax has W/m > T, no breakpoint flips the
+	n, m := in.N(), in.M
+	// vmax = max_j t_j(1) is the largest breakpoint; it is always
+	// feasible. If even vmax has W/m > T, no breakpoint flips the
 	// predicate and f is minimized at vmax.
 	vmax := moldable.Time(0)
 	for _, j := range in.Jobs {
-		if t := j.Time(s.count(first)); t > vmax {
+		if t := j.Time(1); t > vmax {
 			vmax = t
 		}
 	}
-	if !pred(s, vmax) {
-		return finalize(s, vmax, math.Inf(1), 0, sc)
+	if !pred(in, vmax) {
+		return finalize(in, vmax, math.Inf(1), 0, sc)
 	}
 
-	// Per-job active interval [a_i, b_i] of indices whose breakpoints
-	// may still be v̂ (the least breakpoint satisfying pred).
+	// Per-job active interval [a_i, b_i] of processor counts whose
+	// breakpoints may still be v̂ (the least breakpoint satisfying pred).
 	a := arena.Grow(sc.a, n)
 	b := arena.Grow(sc.b, n)
 	sc.a, sc.b = a, b
 	for i := range a {
-		a[i], b[i] = first, last
+		a[i], b[i] = 1, m
 	}
-	total := int64(n) * int64(last-first+1)
+	total := int64(n) * int64(m)
 	rounds := 0
 	med := sc.med[:0]
 	for total > int64(4*n) && rounds < 300 {
@@ -260,7 +186,7 @@ func estimate(s space, sc *Scratch) Result {
 			}
 			pm := a[i] + (b[i]-a[i])/2
 			w := int64(b[i] - a[i] + 1)
-			med = append(med, wtuple{tuple{in.Jobs[i].Time(s.count(pm)), i, pm}, w})
+			med = append(med, wtuple{tuple{in.Jobs[i].Time(pm), i, pm}, w})
 			sum += w
 		}
 		if len(med) == 0 {
@@ -276,37 +202,31 @@ func estimate(s space, sc *Scratch) Result {
 				break
 			}
 		}
-		// Job i's tuples ≤ tmed are its indices from the first one
+		// Job i's tuples ≤ tmed are its counts from the first one
 		// meeting tmed.v — non-strictly for jobs before tmed.j, strictly
 		// after it (the tie-break order of tupleLess).
-		keepLow := pred(s, tmed.v) // v̂ ≤ tmed
+		keepLow := pred(in, tmed.v) // v̂ ≤ tmed
 		for i := 0; i < n; i++ {
 			if a[i] > b[i] {
 				continue
 			}
 			x := tmed.p
 			if i != tmed.j {
-				var g int
 				var ok bool
 				if i < tmed.j {
-					g, ok = gamma.Gamma(in.Jobs[i], in.M, tmed.v)
+					x, ok = gamma.Gamma(in.Jobs[i], m, tmed.v)
 				} else {
-					g, ok = gamma.GammaStrict(in.Jobs[i], in.M, tmed.v)
+					x, ok = gamma.GammaStrict(in.Jobs[i], m, tmed.v)
 				}
-				switch {
-				case ok:
-					x = s.up(g)
-				case keepLow:
-					x = last + 1
-				default:
-					x = b[i] + 1
+				if !ok {
+					x = m + 1 // every tuple of job i lies above tmed
 				}
 			}
 			if keepLow {
-				// Keep tuples ≤ tmed: keep-sets are suffixes [x, last].
+				// Keep tuples ≤ tmed: keep-sets are suffixes [x, m].
 				a[i] = max(a[i], x)
 			} else {
-				// Keep tuples > tmed: keep-sets are prefixes [first, x−1].
+				// Keep tuples > tmed: keep-sets are prefixes [1, x−1].
 				b[i] = min(b[i], x-1)
 			}
 		}
@@ -327,7 +247,7 @@ func estimate(s space, sc *Scratch) Result {
 	values := sc.values[:0]
 	for i := 0; i < n; i++ {
 		for p := a[i]; p <= b[i]; p++ {
-			values = append(values, in.Jobs[i].Time(s.count(p)))
+			values = append(values, in.Jobs[i].Time(p))
 		}
 	}
 	values = append(values, vmax) // safety: pred(vmax) holds
@@ -337,7 +257,7 @@ func estimate(s space, sc *Scratch) Result {
 	lo, hi := 0, len(values)-1 // invariant: pred(values[hi]) true
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if pred(s, values[mid]) {
+		if pred(in, values[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -349,33 +269,31 @@ func estimate(s space, sc *Scratch) Result {
 	// jobs (the minimum of f may be there, where f = W/m).
 	predv := math.Inf(-1)
 	for _, j := range in.Jobs {
-		if g, ok := gamma.GammaStrict(j, in.M, vhat); ok {
-			if t := j.Time(s.count(s.up(g))); t > predv {
+		if g, ok := gamma.GammaStrict(j, m, vhat); ok {
+			if t := j.Time(g); t > predv {
 				predv = t
 			}
 		}
 	}
-	return finalize(s, vhat, predv, rounds, sc)
+	return finalize(in, vhat, predv, rounds, sc)
 }
 
 // finalize picks the better of v̂ and its predecessor. Both are
 // feasible when chosen, so every γ of the allotment is defined.
 //
 //sched:owns-result
-func finalize(s space, vhat, predv moldable.Time, rounds int, sc *Scratch) Result {
-	in := s.in
-	fh := evaluate(s, vhat).f(in.M)
+func finalize(in *moldable.Instance, vhat, predv moldable.Time, rounds int, sc *Scratch) Result {
+	fh := evaluate(in, vhat).f(in.M)
 	vstar, omega := vhat, fh
 	if !math.IsInf(predv, 0) {
-		if fp := evaluate(s, predv).f(in.M); fp < omega {
+		if fp := evaluate(in, predv).f(in.M); fp < omega {
 			vstar, omega = predv, fp
 		}
 	}
 	allot := arena.Grow(sc.allot, in.N())
 	sc.allot = allot
 	for i, j := range in.Jobs {
-		g, _ := gamma.Gamma(j, in.M, vstar)
-		allot[i] = s.count(s.up(g))
+		allot[i], _ = gamma.Gamma(j, in.M, vstar)
 	}
 	return Result{Omega: omega, VStar: vstar, Allot: allot, Rounds: rounds}
 }
@@ -403,7 +321,7 @@ func EstimateBrute(in *moldable.Instance) Result {
 	values = dedupe(values)
 	best := Result{Omega: math.Inf(1)}
 	for _, v := range values {
-		if f := evaluate(space{in: in}, v).f(in.M); f < best.Omega {
+		if f := evaluate(in, v).f(in.M); f < best.Omega {
 			best.Omega = f
 			best.VStar = v
 		}

@@ -134,3 +134,16 @@ func TestSingleJobSingleMachine(t *testing.T) {
 		t.Errorf("ω=%v, want 7", res.Omega)
 	}
 }
+
+// TestEstimateScratchZeroAlloc: a warm scratch must make the
+// estimation allocation-free — it sits on every algorithm's hot path.
+func TestEstimateScratchZeroAlloc(t *testing.T) {
+	in := moldable.Random(moldable.GenConfig{N: 128, M: 1 << 30, Seed: 1})
+	sc := &Scratch{}
+	for i := 0; i < 3; i++ {
+		EstimateScratch(in, sc)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { EstimateScratch(in, sc) }); allocs != 0 {
+		t.Fatalf("steady-state EstimateScratch allocates %v/op, want 0", allocs)
+	}
+}

@@ -62,10 +62,10 @@ func TestScheduleStreamPooledScratchIdentical(t *testing.T) {
 	}
 }
 
-// TestScheduleStreamConvPooledScratchIdentical extends the ISSUE-3
-// byte-identity guard to the Conv algorithm (ISSUE 5): concurrent
-// conv-pinned streaming over instances spanning both conv regimes
-// (knapsack m < 32n and compressed-wide m ≥ 32n) must match the
+// TestScheduleStreamConvPooledScratchIdentical extends the pooled
+// byte-identity guard to the Conv algorithm: concurrent conv-pinned
+// streaming over instances spanning both conv regimes (the convolution
+// knapsack at m < 16n, the FPTAS dual at m ≥ 16n) must match the
 // unpooled single-call path placement for placement. Under -race (CI)
 // this also proves the convolution engine's per-worker scratch arenas
 // are data-race free.
