@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +84,42 @@ var conformanceScript = []cstep{
 	{line: `{"op":"open_online","tag":"s4","m":8,"eps":9}`},
 	{line: `{"op":"trace","id":424242}`},
 	{line: `{"op":"drain","id":424242}`},
+	// Frame-decoding edges: JSON that encoding/json accepts but is not
+	// canonical (case-folded and unknown keys, escapes, repeated keys,
+	// null, keys out of order), and the type, range and trailing-byte
+	// errors it reports. The answers and error texts must not depend on
+	// which decoder read the line.
+	{line: `{"OP":"hello","Tag":"h3","TENANT":"acme"}`},
+	{line: `{"op":"hello","tag":"h4","tenant":"acme","extra":[1,{"x":null}],"tag":"h5"}`},
+	{line: `{"op":"hello","tag":"hé\n","tenant":"ü"}`},
+	{line: `  {"op":"submit","tag":"c1","schedule":true,"instance":{"jobs":[{"par":98,"type":"amdahl","seq":2},{"alpha":0.8,"w":50,"type":"power"}],"m":64}}	`, saveID: "tc1"},
+	{line: `{"op":"result","id":${tc1},"wait":true}`},
+	{line: `{"op":"submit","tag":"c2","eps":0.25,"instance":{"m":4,"jobs":[{"type":"perfect","w":8,"Max":2}]}}`, saveID: "tc2"},
+	{line: `{"op":"result","id":${tc2},"wait":true}`},
+	{line: `{"op":"submit","tag":"c3","instance":{"m":4,"jobs":[{"type":"amdahl","seq":1,"par":9,"max":2}],"jobs":[{"type":"perfect","w":16}]}}`, saveID: "tc3"},
+	{line: `{"op":"result","id":${tc3},"wait":true}`},
+	{line: `{"op":"submit","tag":"c4","instance":{"m":4.0,"jobs":[{"type":"perfect","w":8}]}}`},
+	{line: `{"op":"submit","tag":"c5","instance":{"m":4,"jobs":[{"type":"perfect","w":1e400}]}}`},
+	{line: `{"op":"submit","tag":"c6","instance":null}`},
+	{line: `{"op":"submit","tag":"c7","instance":[]}`},
+	{line: `{"op":"submit","tag":"c8"}`},
+	{line: `{"op":"submit","tag":"c9","instance":{"m":4,"jobs":[{"type":"table","times":[]}]}}`},
+	{line: `{"op":"submit","tag":"c10","instance":{"m":4,"jobs":[{"type":"piecewise","procs":[1,4],"times":[8]}]}}`},
+	{line: `{"op":"submit","tag":"c11","instance":{"m":4,"jobs":[{"type":"perfect","w":8},{"type":"warp"},{"type":"perfect","w":"x"}]}}`},
+	{line: `{"op":"submit","tag":"c12","instance":{"m":8,"jobs":[{"type":"piecewise","procs":[1,4],"times":[8,2.5],"factor":1.5,"max":6},{"type":"comm","w":5e-324,"c":-0},{"type":"sequential","t":1e-7}]}}`, saveID: "tc12"},
+	{line: `{"op":"result","id":${tc12},"wait":true}`},
+	{line: `{"op":"submit","tag":"c13","eps":0.25,"validate":true,"instance":{"m":4,"jobs":[{"type":"perfect","w":8}]}} trailing`},
+	{line: `{"op":"submit","tag":"c14","eps":1E-1,"validate":true,"instance":{"m":-0,"jobs":[]}}`},
+	{line: `{"op":"result","id":-1}`},
+	{line: `{"op":"result","id":1.5}`},
+	{line: `{"op":"result","id":18446744073709551616}`},
+	{line: `{"op":"result","id":7,"wait":"yes"}`},
+	{line: `{"op":"stats","tag":"st0","trace":null}`},
+	{line: `{"op":"arrive","id":424242,"t":0,"job":null}`},
+	{line: `{"op":"arrive","id":424242,"t":0,"job":7}`},
+	{line: `{"op":"arrive","id":424242,"t":0,"job":{"type":"perfect","w":8},"job":{}}`},
+	{line: `{"op":"arrive","id":424242,"t":"0","job":{"type":"perfect","w":8}}`},
+	{line: `{"op":"arrive","id":424242,"t":1e-7,"job":{"type":"perfect","w":8}}`},
 	// Aggregated counters after identical work must agree.
 	{line: `{"op":"stats","tag":"st"}`},
 	{line: `{"op":"shutdown","tag":"bye"}`},
@@ -260,4 +297,51 @@ func playTCP(t *testing.T, shards int) []Response {
 		t.Fatalf("tcp serve: %v", err)
 	}
 	return rs
+}
+
+// conformanceGolden is the normalized response stream of the script,
+// one JSON frame per line, as the reflection-only codec produced it.
+// The one-pass frame scanner must not change a byte of it: every
+// answer, every error code and every "bad request: …" text included.
+const conformanceGolden = "testdata/conformance.golden"
+
+// streamBytes renders a normalized response stream one frame a line.
+func streamBytes(t *testing.T, rs []Response) []byte {
+	t.Helper()
+	var b []byte
+	for i, r := range rs {
+		j, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("marshal response %d: %v", i, err)
+		}
+		b = append(append(b, j...), '\n')
+	}
+	return b
+}
+
+// TestConformanceGolden pins both transports' normalized response
+// streams to the committed golden, byte for byte.
+func TestConformanceGolden(t *testing.T) {
+	want, err := os.ReadFile(conformanceGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, play := range map[string]func(*testing.T) []Response{
+		"pipe": playPipe,
+		"tcp":  func(t *testing.T) []Response { return playTCP(t, 3) },
+	} {
+		got := streamBytes(t, normalize(play(t)))
+		if string(got) == string(want) {
+			continue
+		}
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Errorf("%s: frame %d differs from %s:\n  got:  %s\n  want: %s", name, i, conformanceGolden, gl[i], wl[i])
+			}
+		}
+		if len(gl) != len(wl) {
+			t.Errorf("%s: %d frames, golden has %d", name, len(gl)-1, len(wl)-1)
+		}
+	}
 }

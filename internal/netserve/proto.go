@@ -48,6 +48,14 @@ type Request struct {
 	// Trace asks the "stats" op to include the sampled decision traces
 	// alongside the counters.
 	Trace bool `json:"trace,omitempty"`
+
+	// The frame scanner (codec.go) decodes "instance" and "job" in the
+	// same pass as the frame and leaves Instance and Job empty; the
+	// handlers read these through instance and arrival.
+	inst    *moldable.Instance
+	instErr error
+	job     moldable.Job
+	jobErr  error
 }
 
 // Response is the union of all response shapes. Error responses carry

@@ -86,8 +86,8 @@ func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg S
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		req, err := decodeFrame(line)
+		if err != nil {
 			// A line too broken to parse still gets a trace id: the error
 			// frame is correlatable like any other response.
 			out.send(Response{Op: "error", Code: codeBadRequest, TraceID: nextTraceID(), Error: fmt.Sprintf("bad request: %v", err)})
@@ -283,7 +283,7 @@ func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) 
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: codeBadRequest, Error: err.Error()})
 		return
 	}
-	in, err := moldable.UnmarshalInstance(req.Instance)
+	in, err := req.instance()
 	if err != nil {
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: codeBadRequest, Error: fmt.Sprintf("bad instance: %v", err)})
 		return
@@ -402,11 +402,11 @@ func (s *session) handleArrive(ctx context.Context, req Request) {
 		s.send(req.TraceID, Response{Op: "arrive", ID: req.ID, Code: wireCode(err), Error: err.Error()})
 		return
 	}
-	if len(req.Job) == 0 {
+	if !req.hasJob() {
 		s.send(req.TraceID, Response{Op: "arrive", ID: req.ID, Code: codeBadRequest, Error: "arrive needs a job"})
 		return
 	}
-	job, err := moldable.UnmarshalJob(req.Job)
+	job, err := req.arrival()
 	if err != nil {
 		s.send(req.TraceID, Response{Op: "arrive", ID: req.ID, Code: codeBadRequest, Error: fmt.Sprintf("bad job: %v", err)})
 		return

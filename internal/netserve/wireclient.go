@@ -29,8 +29,7 @@ import (
 type WireClient struct {
 	conn net.Conn
 
-	wmu sync.Mutex
-	enc *json.Encoder //sched:guardedby wmu
+	wmu sync.Mutex // serializes request frames onto conn
 
 	mu      sync.Mutex
 	tags    map[string]chan Response //sched:guardedby mu
@@ -49,7 +48,6 @@ func Dial(ctx context.Context, addr string) (*WireClient, error) {
 	}
 	c := &WireClient{
 		conn:    conn,
-		enc:     json.NewEncoder(conn),
 		tags:    make(map[string]chan Response),
 		ids:     make(map[uint64]chan Response),
 		readerd: make(chan struct{}),
@@ -114,8 +112,19 @@ func (c *WireClient) readLoop() {
 
 // call sends req and waits for the response registered under reg
 // (register must have been called before sending — responses can
-// arrive before Encode returns).
+// arrive before the write returns).
 func (c *WireClient) call(ctx context.Context, req Request, reg func() (chan Response, func())) (Response, error) {
+	frame, err := encodeFrame(req, "", nil)
+	if err != nil {
+		return Response{}, err
+	}
+	return c.send(ctx, frame, reg)
+}
+
+// send writes an encoded frame, releases it, and waits for the
+// response registered under reg.
+func (c *WireClient) send(ctx context.Context, frame *[]byte, reg func() (chan Response, func())) (Response, error) {
+	defer releaseFrame(frame)
 	ch, unregister := reg()
 	if ch == nil {
 		c.mu.Lock()
@@ -124,7 +133,7 @@ func (c *WireClient) call(ctx context.Context, req Request, reg func() (chan Res
 		return Response{}, err
 	}
 	c.wmu.Lock()
-	err := c.enc.Encode(req)
+	_, err := c.conn.Write(*frame)
 	c.wmu.Unlock()
 	if err != nil {
 		unregister()
@@ -193,20 +202,20 @@ func (c *WireClient) Hello(ctx context.Context, tenant string) error {
 // is forwarded as timeout_ms so the server sheds and cancels
 // server-side too, not only at the client.
 func (c *WireClient) Submit(ctx context.Context, in *moldable.Instance, opt core.Options, wantSchedule bool) (uint64, error) {
-	raw, err := moldable.MarshalInstance(in)
-	if err != nil {
-		return 0, fmt.Errorf("encoding instance: %w", err)
-	}
 	req := Request{
 		Op: "submit", Tag: c.nextTag(), Algo: opt.Algorithm.String(), Eps: opt.Eps,
-		Validate: opt.Validate, Instance: raw, Schedule: wantSchedule,
+		Validate: opt.Validate, Schedule: wantSchedule,
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Seconds() * 1000; ms > 0 {
 			req.TimeoutMS = ms
 		}
 	}
-	r, err := c.call(ctx, req, func() (chan Response, func()) { return c.regTag(req.Tag) })
+	frame, err := encodeFrame(req, "instance", func(b []byte) ([]byte, error) { return moldable.AppendInstance(b, in) })
+	if err != nil {
+		return 0, err
+	}
+	r, err := c.send(ctx, frame, func() (chan Response, func()) { return c.regTag(req.Tag) })
 	if err != nil {
 		return 0, err
 	}
@@ -302,12 +311,12 @@ func (c *WireClient) OpenOnline(ctx context.Context, cfg online.Config) (uint64,
 
 // Arrive admits one arrival into a remote session.
 func (c *WireClient) Arrive(ctx context.Context, id uint64, a online.Arrival) ([]online.Event, error) {
-	raw, err := moldable.MarshalJob(a.Job)
+	req := Request{Op: "arrive", ID: id, T: float64(a.T)}
+	frame, err := encodeFrame(req, "job", func(b []byte) ([]byte, error) { return moldable.AppendJob(b, a.Job) })
 	if err != nil {
-		return nil, fmt.Errorf("encoding job: %w", err)
+		return nil, err
 	}
-	req := Request{Op: "arrive", ID: id, T: float64(a.T), Job: raw}
-	r, err := c.call(ctx, req, func() (chan Response, func()) { return c.regID(id) })
+	r, err := c.send(ctx, frame, func() (chan Response, func()) { return c.regID(id) })
 	if err != nil {
 		return nil, err
 	}
