@@ -35,8 +35,10 @@ func FuzzGammaAmdahl(f *testing.F) {
 	})
 }
 
-// FuzzGammaClosedForm: Gamma and GammaStrict equal the reference
-// bisection for every closed-form family (family mod 5: Amdahl{a, b},
+// FuzzGammaClosedForm: Gamma and Search, strict and not, equal the
+// reference bisection, return the oracle's own answers as their bracket
+// and spend refSearch's oracle calls (checkBisect), for every
+// closed-form family (family mod 5: Amdahl{a, b},
 // Power{a, b}, PerfectSpeedup{a}, Comm{a, b}, Sequential{a}), any
 // parameters, m in [1, 2^40], at the breakpoint t(p) moved by nudge
 // ulps, or at the raw threshold th when raw is set. The seeds sit on the

@@ -11,8 +11,9 @@ import (
 )
 
 // gammaBisect is the reference: the paper's binary search over [1, m]
-// with the t(m) and t(1) endpoint checks first, as Gamma (strict false)
-// and GammaStrict (strict true) computed γ before the closed-form seed.
+// with the t(m) and t(1) endpoint checks first, as Search computed γ
+// (strict false) and the strict count (strict true) before the
+// closed-form seed.
 func gammaBisect(j moldable.Job, m int, t moldable.Time, strict bool) (int, bool) {
 	meets := func(p int) bool {
 		if strict {
@@ -38,23 +39,111 @@ func gammaBisect(j moldable.Job, m int, t moldable.Time, strict bool) (int, bool
 	return hi, true
 }
 
-// checkBisect fails t unless Gamma and GammaStrict equal the reference
-// bisection for job j at threshold th.
+// checkBisect fails t unless Search, strict and not, equals the
+// reference bisection for job j at threshold th, and Gamma equals the
+// non-strict Search; see also checkSearch.
 func checkBisect(t *testing.T, j moldable.Job, m int, th moldable.Time) {
 	t.Helper()
 	for _, strict := range []bool{false, true} {
-		var g int
-		var ok bool
-		if strict {
-			g, ok = GammaStrict(j, m, th)
-		} else {
-			g, ok = Gamma(j, m, th)
-		}
+		g, ok := checkSearch(t, j, m, th, strict)
 		if wg, wok := gammaBisect(j, m, th, strict); g != wg || ok != wok {
 			t.Fatalf("%v m=%d t=%v strict=%v: got (%d,%v), bisection (%d,%v)",
 				j, m, th, strict, g, ok, wg, wok)
 		}
+		if !strict {
+			if g2, ok2 := Gamma(j, m, th); g2 != g || ok2 != ok {
+				t.Fatalf("%v m=%d t=%v: Gamma (%d,%v), Search (%d,%v)", j, m, th, g2, ok2, g, ok)
+			}
+		}
 	}
+}
+
+// checkSearch runs Search(j, m, th, strict) and fails t unless its
+// bracket holds the direct oracle answers — tg = t_j(g) and
+// tprev = t_j(g−1) with t_j(0) = +Inf, or (−Inf, t_j(m)) when undefined —
+// and it made exactly as many oracle calls as refSearch, the search
+// before it returned its bracket. It returns g and ok.
+func checkSearch(t *testing.T, j moldable.Job, m int, th moldable.Time, strict bool) (int, bool) {
+	t.Helper()
+	c := &moldable.CountingJob{J: j}
+	g, tg, tprev, ok := Search(c, m, th, strict)
+	calls := c.Calls()
+	c.Reset()
+	rg, rok := refSearch(c, m, th, strict)
+	if g != rg || ok != rok || calls != c.Calls() {
+		t.Fatalf("%v m=%d t=%v strict=%v: Search (%d,%v) in %d oracle calls, refSearch (%d,%v) in %d",
+			j, m, th, strict, g, ok, calls, rg, rok, c.Calls())
+	}
+	wantG, wantPrev := math.Inf(-1), j.Time(m)
+	if ok {
+		wantG, wantPrev = j.Time(g), math.Inf(1)
+		if g > 1 {
+			wantPrev = j.Time(g - 1)
+		}
+	}
+	if !sameTime(tg, wantG) || !sameTime(tprev, wantPrev) {
+		t.Fatalf("%v m=%d t=%v strict=%v: Search γ=%d ok=%v bracket (%v, %v), oracle (%v, %v)",
+			j, m, th, strict, g, ok, tg, tprev, wantG, wantPrev)
+	}
+	return g, ok
+}
+
+// sameTime reports x and y equal, counting two NaNs as equal.
+func sameTime(x, y moldable.Time) bool { return x == y || x != x && y != y }
+
+// refSearch is the seeded search as it stood before it returned its
+// bracket (up to renaming): checkSearch pins Search to its answers and
+// its oracle-call counts.
+func refSearch(j moldable.Job, m int, t moldable.Time, strict bool) (int, bool) {
+	var lo, hi int // t_j(lo) misses t, t_j(hi) meets it
+	if x, ok := moldable.GammaSeed(j, t); ok {
+		g := seedProc(x, m)
+		if refMeets(j, g, t, strict) {
+			hi = g // lo stays 0 until a count below g misses t
+			for step := 1; hi > 1; step *= 2 {
+				p := max(hi-step, 1)
+				if !refMeets(j, p, t, strict) {
+					lo = p
+					break
+				}
+				hi = p
+			}
+		} else {
+			if g == m || !refMeets(j, m, t, strict) {
+				return 0, false
+			}
+			lo, hi = g, m
+			for step := 1; lo+step < hi; step *= 2 {
+				if refMeets(j, lo+step, t, strict) {
+					hi = lo + step
+					break
+				}
+				lo += step
+			}
+		}
+	} else {
+		if strict && j.Time(m) >= t || !strict && j.Time(m) > t {
+			return 0, false
+		}
+		if refMeets(j, 1, t, strict) {
+			return 1, true
+		}
+		lo, hi = 1, m
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if refMeets(j, mid, t, strict) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true
+}
+
+func refMeets(j moldable.Job, p int, t moldable.Time, strict bool) bool {
+	tp := j.Time(p)
+	return tp < t || !strict && tp == t
 }
 
 // TestGammaClosedFormMatchesBisection: for the five closed-form
@@ -113,24 +202,29 @@ func TestGammaMatchesLinearScan(t *testing.T) {
 		// probe thresholds around actual values and in between
 		for k := 0; k < 10; k++ {
 			tt := 100 * rng.Float64()
-			g1, ok1 := Gamma(j, m, tt)
+			g1, ok1 := checkSearch(t, j, m, tt, false)
 			g2, ok2 := gammaLinear(j, m, tt)
 			if ok1 != ok2 || g1 != g2 {
 				t.Fatalf("Gamma(m=%d, t=%v) = (%d,%v), linear (%d,%v)", m, tt, g1, ok1, g2, ok2)
 			}
-			s1, sok1 := GammaStrict(j, m, tt)
+			s1, sok1 := checkSearch(t, j, m, tt, true)
 			s2, sok2 := gammaStrictLinear(j, m, tt)
 			if sok1 != sok2 || s1 != s2 {
-				t.Fatalf("GammaStrict(m=%d, t=%v) = (%d,%v), linear (%d,%v)", m, tt, s1, sok1, s2, sok2)
+				t.Fatalf("strict Search(m=%d, t=%v) = (%d,%v), linear (%d,%v)", m, tt, s1, sok1, s2, sok2)
 			}
 		}
 		// exact breakpoints are the tricky thresholds
 		for p := 1; p <= m; p++ {
 			tt := j.Time(p)
-			g1, ok1 := Gamma(j, m, tt)
+			g1, ok1 := checkSearch(t, j, m, tt, false)
 			g2, ok2 := gammaLinear(j, m, tt)
 			if ok1 != ok2 || g1 != g2 {
 				t.Fatalf("breakpoint Gamma(m=%d, t=t(%d)) = (%d,%v), linear (%d,%v)", m, p, g1, ok1, g2, ok2)
+			}
+			s1, sok1 := checkSearch(t, j, m, tt, true)
+			s2, sok2 := gammaStrictLinear(j, m, tt)
+			if sok1 != sok2 || s1 != s2 {
+				t.Fatalf("breakpoint strict Search(m=%d, t=t(%d)) = (%d,%v), linear (%d,%v)", m, p, s1, sok1, s2, sok2)
 			}
 		}
 	}
@@ -175,8 +269,8 @@ func TestGammaUndefined(t *testing.T) {
 	if g, ok := Gamma(j, 100, 10); !ok || g != 1 {
 		t.Errorf("Gamma = (%d,%v), want (1,true)", g, ok)
 	}
-	if _, ok := GammaStrict(j, 100, 10); ok {
-		t.Error("GammaStrict defined although t_j(m) = t (strict)")
+	if _, _, _, ok := Search(j, 100, 10, true); ok {
+		t.Error("strict Search defined although t_j(m) = t")
 	}
 }
 
@@ -202,11 +296,7 @@ func TestGammaLogarithmicOracleCalls(t *testing.T) {
 			th := j.Time(int(math.Pow(m, rng.Float64())))
 			for _, strict := range []bool{false, true} {
 				c.Reset()
-				if strict {
-					GammaStrict(c, m, th)
-				} else {
-					Gamma(c, m, th)
-				}
+				Search(c, m, th, strict)
 				total, queries, worst = total+c.Calls(), queries+1, max(worst, c.Calls())
 			}
 		}

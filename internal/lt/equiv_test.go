@@ -1,10 +1,12 @@
 package lt
 
-// Reference equivalence: before the search was shared, the estimator
-// ran as two hand-kept copies of the matrix search, one over processor
-// counts and one over a candidate grid. The ref* functions below are
-// the processor-count copy, kept verbatim up to renaming, and the tests
-// here require the search to return the same Result, bit for bit.
+// Reference equivalence: the ref* functions below are the matrix search
+// as it stood before γ brackets, the fused γ pass and the weighted-median
+// selection: every predicate searches γ and calls t(γ) for every job,
+// every prune searches γ again (strictly after tmed's job), and the
+// median comes from a sort. They are kept verbatim up to renaming, and
+// the tests here require the search to return the same Result, bit for
+// bit.
 
 import (
 	"fmt"
@@ -49,12 +51,48 @@ func tiedInstance(rng *rand.Rand, n, m int) *moldable.Instance {
 	return in
 }
 
-// TestEstimateReferenceEquivalence: on moldable.Random instances, and
-// on tie-heavy copies of a few of their jobs, with m from 40 to 2^30,
-// the search equals the reference exactly.
+// mixedInstance returns n jobs on m machines drawn from the job types
+// moldable.Random never emits: Table (at most 64 entries, constant
+// beyond), Capped and Scaled closed forms, and Piecewise. γ has no
+// closed-form seed for any of them, so their searches take the
+// bisection path; about a quarter of the jobs are Random's closed forms,
+// which take the seeded one.
+func mixedInstance(rng *rand.Rand, n, m int) *moldable.Instance {
+	base := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
+	in := &moldable.Instance{M: m, Jobs: make([]moldable.Job, n)}
+	for i, j := range base.Jobs {
+		switch rng.IntN(5) {
+		case 0:
+			in.Jobs[i] = moldable.SmallTable(rng, min(m, 64), 1+1000*rng.Float64())
+		case 1:
+			in.Jobs[i] = moldable.Capped{J: j, Max: 1 + rng.IntN(m)}
+		case 2:
+			in.Jobs[i] = moldable.Scaled{J: j, Factor: 0.25 + 4*rng.Float64()}
+		case 3:
+			procs, times := []int{1}, []moldable.Time{j.Time(1)}
+			for p := 2 + rng.IntN(4); p <= m; p *= 2 + rng.IntN(7) {
+				procs, times = append(procs, p), append(times, j.Time(p))
+			}
+			pw, err := moldable.NewPiecewise(procs, times)
+			if err != nil {
+				panic(err)
+			}
+			in.Jobs[i] = pw
+		default:
+			in.Jobs[i] = j
+		}
+	}
+	return in
+}
+
+// TestEstimateReferenceEquivalence: on moldable.Random instances, on
+// tie-heavy copies of a few of their jobs, and on mixed instances of
+// the bisection-path job types, with m from 40 to 2^30, the search
+// equals the reference exactly.
 func TestEstimateReferenceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 0))
 	tieRng := rand.New(rand.NewPCG(48, 0))
+	mixRng := rand.New(rand.NewPCG(49, 0))
 	for _, m := range []int{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
 		for it := 0; it < 12; it++ {
 			n := 1 + rng.IntN(64)
@@ -62,32 +100,47 @@ func TestEstimateReferenceEquivalence(t *testing.T) {
 			checkEquivalent(t, in, fmt.Sprintf("m=%d it=%d n=%d", m, it, n))
 			n = 1 + tieRng.IntN(64)
 			checkEquivalent(t, tiedInstance(tieRng, n, m), fmt.Sprintf("m=%d it=%d n=%d tied", m, it, n))
+			n = 1 + mixRng.IntN(64)
+			checkEquivalent(t, mixedInstance(mixRng, n, m), fmt.Sprintf("m=%d it=%d n=%d mixed", m, it, n))
 		}
 	}
 }
 
 // FuzzEstimateEquivalence extends the reference check to arbitrary
-// shapes with m ≤ 2^30; tied selects a tiedInstance.
+// shapes with m ≤ 2^30; shape%3 selects moldable.Random, a
+// tiedInstance or a mixedInstance.
 func FuzzEstimateEquivalence(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		for _, m := range []uint32{40, 41, 1 << 10, 1 << 16, 1 << 20, 1 << 30} {
-			f.Add(uint8(seed*9), m, seed, seed%2 == 1)
+			for shape := uint8(0); shape < 3; shape++ {
+				f.Add(uint8(seed*9), m, seed, shape)
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, n uint8, m uint32, seed uint64, tied bool) {
+	f.Fuzz(func(t *testing.T, n uint8, m uint32, seed uint64, shape uint8) {
 		nn := 1 + int(n)%64
 		mm := min(max(int(m), 1), 1<<30)
 		var in *moldable.Instance
-		if tied {
-			in = tiedInstance(rand.New(rand.NewPCG(seed, 1)), nn, mm)
-		} else {
+		switch shape % 3 {
+		case 0:
 			in = moldable.Random(moldable.GenConfig{N: nn, M: mm, Seed: seed})
+		case 1:
+			in = tiedInstance(rand.New(rand.NewPCG(seed, 1)), nn, mm)
+		default:
+			in = mixedInstance(rand.New(rand.NewPCG(seed, 2)), nn, mm)
 		}
-		checkEquivalent(t, in, fmt.Sprintf("n=%d m=%d seed=%d tied=%v", nn, mm, seed, tied))
+		checkEquivalent(t, in, fmt.Sprintf("n=%d m=%d seed=%d shape=%d", nn, mm, seed, shape%3))
 	})
 }
 
 // --- the reference copies ---
+
+// refGammaStrict is min{p : t_j(p) < t}, the strict count the reference
+// looks up; the gamma tests pin gamma.Search to the paper's bisection.
+func refGammaStrict(j moldable.Job, m int, t moldable.Time) (int, bool) {
+	g, _, _, ok := gamma.Search(j, m, t, true)
+	return g, ok
+}
 
 func refEvaluate(in *moldable.Instance, v moldable.Time) evalResult {
 	var res evalResult
@@ -187,7 +240,7 @@ func refEstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 						x = g0
 					}
 				default:
-					g1, ok := gamma.GammaStrict(in.Jobs[i], m, tmed.v)
+					g1, ok := refGammaStrict(in.Jobs[i], m, tmed.v)
 					if !ok {
 						x = m + 1
 					} else {
@@ -216,7 +269,7 @@ func refEstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 						y = g0 - 1
 					}
 				default:
-					g1, ok := gamma.GammaStrict(in.Jobs[i], m, tmed.v)
+					g1, ok := refGammaStrict(in.Jobs[i], m, tmed.v)
 					if !ok {
 						y = b[i]
 					} else {
@@ -267,7 +320,7 @@ func refEstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 	// jobs (the minimum of f may be there, where f = W/m).
 	predv := math.Inf(-1)
 	for _, j := range in.Jobs {
-		if g, ok := gamma.GammaStrict(j, m, vhat); ok {
+		if g, ok := refGammaStrict(j, m, vhat); ok {
 			if t := j.Time(g); t > predv {
 				predv = t
 			}

@@ -17,11 +17,17 @@
 // least breakpoint where W/m ≤ T, or at its predecessor. v̂ is found by a
 // Frederickson–Johnson style matrix search over the n implicit sorted
 // breakpoint lists (one per job, indexed by processor count), using
-// O(log nm) weighted-median rounds of O(n log m) oracle work each.
+// O(log nm) weighted-median rounds. A round selects its weighted median
+// in linear time and makes one γ pass over the jobs; a job answers from
+// the bracket of its last γ search when the bracket holds the round's
+// value, which it does once no breakpoint of the job is left in play, so
+// a round searches (O(log m) oracle calls, O(1) for the closed forms)
+// only for the jobs still in play. See DESIGN.md §3.
 package lt
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -41,15 +47,52 @@ type Result struct {
 }
 
 // Scratch holds the reusable buffers of one estimation call chain
-// (see internal/arena): interval bounds, weighted-median rounds,
-// surviving breakpoint values, and the result allotment. A Scratch
-// must not be shared between concurrent calls; the zero value is ready
-// to use.
+// (see internal/arena): interval bounds, per-job γ brackets,
+// weighted-median rounds, surviving breakpoint values, and the result
+// allotment. A Scratch must not be shared between concurrent calls; the
+// zero value is ready to use.
 type Scratch struct {
 	a, b   []int
+	br     []bracket
 	med    []wtuple
 	values []moldable.Time
 	allot  []int
+}
+
+// bracket is a job's last γ search (gamma.Search): the count g, 0 when
+// undefined, with tg = t(g) and tprev = t(g−1). It holds a threshold v
+// when tg ≤ v < tprev (strict: tg < v ≤ tprev), and then, t being
+// non-increasing, g is the search's answer at v too.
+type bracket struct {
+	g         int
+	tg, tprev moldable.Time
+}
+
+// gamma returns γ_j(v) (strict: min{p : t_j(p) < v}), 0 when undefined,
+// and t_j of it: from the bracket when it holds v, else from a search
+// that replaces the bracket.
+//
+//sched:hotpath
+func (br *bracket) gamma(j moldable.Job, m int, v moldable.Time, strict bool) (int, moldable.Time) {
+	if strict && !(br.tg < v && v <= br.tprev) || !strict && !(br.tg <= v && v < br.tprev) {
+		br.g, br.tg, br.tprev, _ = gamma.Search(j, m, v, strict)
+	}
+	return br.g, br.tg
+}
+
+// initBrackets sizes br for in and starts job i at γ_i(t_i(1)) = 1, the
+// bracket [t_i(1), +Inf). It returns br and vmax = max_i t_i(1).
+func initBrackets(in *moldable.Instance, br []bracket) ([]bracket, moldable.Time) {
+	br = arena.Grow(br, in.N())
+	vmax := moldable.Time(0)
+	for i, j := range in.Jobs {
+		t := j.Time(1)
+		br[i] = bracket{g: 1, tg: t, tprev: math.Inf(1)}
+		if t > vmax {
+			vmax = t
+		}
+	}
+	return br, vmax
 }
 
 // evalResult is f(v) = max(W(v)/m, T(v)) split into parts.
@@ -66,16 +109,18 @@ func (e evalResult) f(m int) moldable.Time {
 	return math.Max(e.w/moldable.Time(m), e.t)
 }
 
+// evaluate is the γ pass at v: it returns f(v)'s parts and leaves
+// γ_i(v) and t_i(γ_i(v)) in br[i].g and br[i].tg for every job i.
+//
 //sched:hotpath
-func evaluate(in *moldable.Instance, v moldable.Time) evalResult {
-	var res evalResult
-	res.feasible = true
-	for _, j := range in.Jobs {
-		g, ok := gamma.Gamma(j, in.M, v)
-		if !ok {
-			return evalResult{feasible: false}
+func evaluate(in *moldable.Instance, br []bracket, v moldable.Time) evalResult {
+	res := evalResult{feasible: true}
+	for i, j := range in.Jobs {
+		g, tg := br[i].gamma(j, in.M, v, false)
+		if g == 0 {
+			res.feasible = false
+			continue
 		}
-		tg := j.Time(g)
 		res.w += moldable.Time(g) * tg
 		if tg > res.t {
 			res.t = tg
@@ -89,8 +134,8 @@ func evaluate(in *moldable.Instance, v moldable.Time) evalResult {
 // the predicate stays monotone in v.
 //
 //sched:hotpath
-func pred(in *moldable.Instance, v moldable.Time) bool {
-	e := evaluate(in, v)
+func pred(in *moldable.Instance, br []bracket, v moldable.Time) bool {
+	e := evaluate(in, br, v)
 	return e.feasible && e.w/moldable.Time(in.M) <= e.t
 }
 
@@ -122,7 +167,7 @@ type wtuple struct {
 	w int64
 }
 
-// wtupleCmp orders wtuples for the weighted-median selection. A
+// wtupleCmp orders wtuples for the selection's final sort. A
 // package-level function (not a closure) so sorting stays
 // allocation-free on the hot path.
 func wtupleCmp(x, y wtuple) int {
@@ -133,6 +178,69 @@ func wtupleCmp(x, y wtuple) int {
 		return 1
 	}
 	return 0
+}
+
+// weightedMedian returns the first tuple of med, in tupleLess order,
+// at which the running weight reaches half of sum, the total weight.
+// The tuples are distinct (one per job), so the pick is unique: it is
+// the tuple a scan of the sorted med would stop at. A quickselect finds
+// it in expected linear time, reordering med. Once at most 16 tuples
+// remain, or after 2·log₂ len(med) partition passes, it sorts what is
+// left, so the worst case stays O(n log n).
+//
+//sched:hotpath
+func weightedMedian(med []wtuple, sum int64) tuple {
+	// The answer lies in med[lo:hi], every tuple below lo sorts before
+	// it, and need is half of sum minus their weight.
+	need := (sum + 1) / 2 // cum·2 ≥ sum ⇔ cum ≥ ⌈sum/2⌉
+	lo, hi := 0, len(med)
+	for pass, limit := 0, 2*bits.Len(uint(len(med))); hi-lo > 16 && pass < limit; pass++ {
+		k, wl := partition(med[lo:hi])
+		k += lo
+		switch {
+		case wl >= need:
+			hi = k
+		case wl+med[k].w >= need:
+			return med[k].tuple
+		default:
+			need -= wl + med[k].w
+			lo = k + 1
+		}
+	}
+	rest := med[lo:hi]
+	slices.SortFunc(rest, wtupleCmp)
+	for _, wt := range rest[:len(rest)-1] {
+		if need -= wt.w; need <= 0 {
+			return wt.tuple
+		}
+	}
+	return rest[len(rest)-1].tuple
+}
+
+// partition moves the median of s's first, middle and last tuples to
+// index k, the tuples below it to s[:k] and those above to s[k+1:], and
+// returns k with the weight of s[:k]. len(s) ≥ 3.
+func partition(s []wtuple) (k int, wl int64) {
+	last, mid := len(s)-1, len(s)/2
+	if tupleLess(s[mid].tuple, s[0].tuple) {
+		s[mid], s[0] = s[0], s[mid]
+	}
+	if tupleLess(s[last].tuple, s[0].tuple) {
+		s[last], s[0] = s[0], s[last]
+	}
+	if tupleLess(s[mid].tuple, s[last].tuple) {
+		s[mid], s[last] = s[last], s[mid]
+	}
+	pivot := s[last].tuple
+	for i := range s[:last] {
+		if tupleLess(s[i].tuple, pivot) {
+			wl += s[i].w
+			s[i], s[k] = s[k], s[i]
+			k++
+		}
+	}
+	s[k], s[last] = s[last], s[k]
+	return k, wl
 }
 
 // Estimate computes ω and the canonical allotment attaining it.
@@ -155,13 +263,9 @@ func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 	// vmax = max_j t_j(1) is the largest breakpoint; it is always
 	// feasible. If even vmax has W/m > T, no breakpoint flips the
 	// predicate and f is minimized at vmax.
-	vmax := moldable.Time(0)
-	for _, j := range in.Jobs {
-		if t := j.Time(1); t > vmax {
-			vmax = t
-		}
-	}
-	if !pred(in, vmax) {
+	br, vmax := initBrackets(in, sc.br)
+	sc.br = br
+	if !pred(in, br, vmax) {
 		return finalize(in, vmax, math.Inf(1), 0, sc)
 	}
 
@@ -192,35 +296,26 @@ func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 		if len(med) == 0 {
 			break
 		}
-		slices.SortFunc(med, wtupleCmp)
-		var cum int64
-		var tmed tuple
-		for _, wt := range med {
-			cum += wt.w
-			if cum*2 >= sum {
-				tmed = wt.tuple
-				break
-			}
-		}
+		tmed := weightedMedian(med, sum)
 		// Job i's tuples ≤ tmed are its counts from the first one
 		// meeting tmed.v — non-strictly for jobs before tmed.j, strictly
-		// after it (the tie-break order of tupleLess).
-		keepLow := pred(in, tmed.v) // v̂ ≤ tmed
+		// after it (the tie-break order of tupleLess). The γ pass of
+		// pred leaves the non-strict count in br[i]; the strict one
+		// differs only where t_i(γ) = tmed.v.
+		keepLow := pred(in, br, tmed.v) // v̂ ≤ tmed
 		for i := 0; i < n; i++ {
 			if a[i] > b[i] {
 				continue
 			}
-			x := tmed.p
-			if i != tmed.j {
-				var ok bool
-				if i < tmed.j {
-					x, ok = gamma.Gamma(in.Jobs[i], m, tmed.v)
-				} else {
-					x, ok = gamma.GammaStrict(in.Jobs[i], m, tmed.v)
-				}
-				if !ok {
-					x = m + 1 // every tuple of job i lies above tmed
-				}
+			x := br[i].g
+			switch {
+			case i == tmed.j:
+				x = tmed.p
+			case i > tmed.j && br[i].tg == tmed.v:
+				x, _ = br[i].gamma(in.Jobs[i], m, tmed.v, true)
+			}
+			if x == 0 {
+				x = m + 1 // every tuple of job i lies above tmed
 			}
 			if keepLow {
 				// Keep tuples ≤ tmed: keep-sets are suffixes [x, m].
@@ -257,7 +352,7 @@ func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 	lo, hi := 0, len(values)-1 // invariant: pred(values[hi]) true
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if pred(in, values[mid]) {
+		if pred(in, br, values[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -268,11 +363,9 @@ func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 	// Predecessor: the largest breakpoint strictly below v̂ across all
 	// jobs (the minimum of f may be there, where f = W/m).
 	predv := math.Inf(-1)
-	for _, j := range in.Jobs {
-		if g, ok := gamma.GammaStrict(j, m, vhat); ok {
-			if t := j.Time(g); t > predv {
-				predv = t
-			}
+	for i, j := range in.Jobs {
+		if g, tg := br[i].gamma(j, m, vhat, true); g != 0 && tg > predv {
+			predv = tg
 		}
 	}
 	return finalize(in, vhat, predv, rounds, sc)
@@ -283,17 +376,18 @@ func EstimateScratch(in *moldable.Instance, sc *Scratch) Result {
 //
 //sched:owns-result
 func finalize(in *moldable.Instance, vhat, predv moldable.Time, rounds int, sc *Scratch) Result {
-	fh := evaluate(in, vhat).f(in.M)
+	br := sc.br
+	fh := evaluate(in, br, vhat).f(in.M)
 	vstar, omega := vhat, fh
 	if !math.IsInf(predv, 0) {
-		if fp := evaluate(in, predv).f(in.M); fp < omega {
+		if fp := evaluate(in, br, predv).f(in.M); fp < omega {
 			vstar, omega = predv, fp
 		}
 	}
 	allot := arena.Grow(sc.allot, in.N())
 	sc.allot = allot
 	for i, j := range in.Jobs {
-		allot[i], _ = gamma.Gamma(j, in.M, vstar)
+		allot[i], _ = br[i].gamma(j, in.M, vstar, false)
 	}
 	return Result{Omega: omega, VStar: vstar, Allot: allot, Rounds: rounds}
 }
@@ -319,9 +413,13 @@ func EstimateBrute(in *moldable.Instance) Result {
 	}
 	sort.Float64s(values)
 	values = dedupe(values)
+	var br []bracket
 	best := Result{Omega: math.Inf(1)}
 	for _, v := range values {
-		if f := evaluate(in, v).f(in.M); f < best.Omega {
+		// Fresh brackets: every γ below t_j(1) is searched, so the
+		// reference does not rest on bracket reuse.
+		br, _ = initBrackets(in, br)
+		if f := evaluate(in, br, v).f(in.M); f < best.Omega {
 			best.Omega = f
 			best.VStar = v
 		}

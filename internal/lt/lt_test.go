@@ -147,3 +147,23 @@ func TestEstimateScratchZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state EstimateScratch allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestEstimateOracleCalls pins the estimator's oracle work on the
+// Random mix at n = 256, m = 2^20: one γ search per job still in play
+// per round, the other jobs answering from their brackets. A γ search
+// and a t(γ) call for every job in every predicate, and a second γ per
+// job in every prune, made 13 994 calls per estimate on average.
+func TestEstimateOracleCalls(t *testing.T) {
+	const seeds = 8
+	var total int64
+	for seed := uint64(0); seed < seeds; seed++ {
+		in, calls := moldable.Instrument(moldable.Random(moldable.GenConfig{N: 256, M: 1 << 20, Seed: seed}))
+		Estimate(in)
+		total += calls()
+	}
+	mean := float64(total) / seeds
+	t.Logf("%.0f oracle calls per estimate", mean)
+	if mean > 6000 {
+		t.Errorf("%.0f oracle calls per estimate at n=256, m=2^20, want ≤ 6000", mean)
+	}
+}
