@@ -37,8 +37,8 @@ var (
 //
 //	ErrOverloaded  — the server shed the request (admission budget or
 //	                 tenant quota exhausted)
-//	ErrUnavailable — the backend shard died mid-request, or the
-//	                 connection to the server was lost
+//	ErrUnavailable — the connection or the server went away before
+//	                 the request was answered
 var (
 	ErrOverloaded  = netserve.ErrOverloaded
 	ErrUnavailable = netserve.ErrUnavailable
@@ -511,7 +511,7 @@ func (c *Client) RunOnline(ctx context.Context, arrivals iter.Seq[Arrival], opts
 }
 
 // remoteOnline is RunOnline over the wire: the session lives on the
-// server (one shard), arrivals are relayed one request per arrival, and
+// server, arrivals are relayed one request per arrival, and
 // the drain both finishes the run and releases the remote session. The
 // event/error contract matches the local path. Breaking out early
 // leaves the remote session to the server's cleanup (released when this

@@ -3,27 +3,29 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/moldable"
 	"repro/internal/netserve"
+	"repro/internal/online"
 	"repro/internal/service"
 )
 
 // Remote-transport tests: the public Client driving a moldschedd-style
 // netserve.Server over a real TCP socket via WithDial, including the
-// chaos case the serving layer must survive — a backend shard dying
-// while a ScheduleStream is in flight.
+// chaos cases a remote caller must survive — its connection dropping,
+// or the server closing, while a ScheduleStream is in flight.
 
-// startRemoteServer boots a sharded server on a loopback listener.
-func startRemoteServer(t *testing.T, shards, workers int) (*netserve.Server, string) {
+// startRemoteServer boots a server on a loopback listener.
+func startRemoteServer(t *testing.T, workers int) (*netserve.Server, string) {
 	t.Helper()
 	srv := netserve.NewServer(context.Background(), netserve.ServerConfig{
-		Shards:  shards,
 		Service: service.Config{Workers: workers},
 		Probes:  64,
 	})
@@ -42,23 +44,15 @@ func startRemoteServer(t *testing.T, shards, workers int) (*netserve.Server, str
 	return srv, ln.Addr().String()
 }
 
-// remoteInstanceFor fabricates distinct heavyweight instances until one
-// hashes to the wanted shard.
-func remoteInstanceFor(t *testing.T, srv *netserve.Server, want, jobs, salt int) *moldable.Instance {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		in := &moldable.Instance{M: 256}
-		for j := 0; j < jobs; j++ {
-			in.Jobs = append(in.Jobs, moldable.Amdahl{
-				Seq: 1 + float64(salt), Par: 90 + float64(i) + float64(j%7),
-			})
-		}
-		if srv.Router().ShardOf(in) == want {
-			return in
-		}
+// heavyInstance builds a distinct instance that takes milliseconds to
+// schedule; salt varies the canonical hash, so a burst of them never
+// hits the result cache.
+func heavyInstance(salt int) *moldable.Instance {
+	in := &moldable.Instance{M: 256}
+	for j := 0; j < 400; j++ {
+		in.Jobs = append(in.Jobs, moldable.Amdahl{Seq: 1 + float64(salt), Par: 90 + float64(j%7)})
 	}
-	t.Fatal("could not fabricate an instance for the wanted shard")
-	return nil
+	return in
 }
 
 func waitNoGoroutineLeak(t *testing.T, base int) {
@@ -79,9 +73,9 @@ func waitNoGoroutineLeak(t *testing.T, base int) {
 
 // TestRemoteSchedule pins the WithDial round trip end to end: the
 // public Schedule call yields a full schedule and report computed by
-// the remote fleet, indistinguishable (but for transport) from local.
+// the remote server, indistinguishable (but for transport) from local.
 func TestRemoteSchedule(t *testing.T) {
-	_, addr := startRemoteServer(t, 2, 2)
+	_, addr := startRemoteServer(t, 2)
 	c := repro.New(repro.WithDial(addr), repro.WithTenant("t1"))
 	defer c.Close()
 
@@ -116,71 +110,10 @@ func TestRemoteSchedule(t *testing.T) {
 	}
 }
 
-// TestRemoteScheduleStreamShardKilled is the chaos satellite at the
-// public-API level: a shard dies while a ScheduleStream is mid-flight.
-// The stream must still yield exactly one Result per instance — each
-// either successful or a typed ErrUnavailable, never a hang or an
-// untyped failure — and the client must shut down without leaking
-// goroutines.
-func TestRemoteScheduleStreamShardKilled(t *testing.T) {
-	base := runtime.NumGoroutine()
-	srv, addr := startRemoteServer(t, 3, 1) // one worker per shard: the burst queues
-	c := repro.New(repro.WithDial(addr))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	const victim = 0
-	const burst = 32
-	ins := make([]*moldable.Instance, burst)
-	for i := range ins {
-		ins[i] = remoteInstanceFor(t, srv, victim, 400, i)
-	}
-
-	var ok, unavailable, yields int
-	killed := false
-	for _, r := range c.ScheduleStream(ctx, ins, repro.WithEps(0.1)) {
-		yields++
-		if !killed {
-			// First completion: the other 31 are still queued behind the
-			// victim's single worker. Kill it now — mid-stream by
-			// construction.
-			srv.Router().Kill(victim)
-			killed = true
-		}
-		switch {
-		case r.Err == nil:
-			ok++
-		case errors.Is(r.Err, repro.ErrUnavailable):
-			unavailable++
-		default:
-			t.Fatalf("stream result: error is not typed unavailable: %v", r.Err)
-		}
-	}
-	if yields != burst {
-		t.Fatalf("stream yielded %d results, want %d", yields, burst)
-	}
-	if unavailable == 0 {
-		t.Fatalf("all %d results outran the kill (ok=%d); the burst must be heavier", burst, ok)
-	}
-	t.Logf("stream of %d: %d completed, %d typed unavailable", burst, ok, unavailable)
-
-	// Survivors keep serving through the same client.
-	for _, shard := range []int{1, 2} {
-		in := remoteInstanceFor(t, srv, shard, 2, 1000+shard)
-		if _, _, err := c.Schedule(ctx, in, repro.WithEps(0.25)); err != nil {
-			t.Fatalf("post-kill schedule on shard %d: %v", shard, err)
-		}
-	}
-
-	c.Close()
-	srv.Close()
-	waitNoGoroutineLeak(t, base)
-}
-
 // TestRemoteRunOnline replays an arrival stream through a remote
 // session: same event contract as the local path, finishing every job.
 func TestRemoteRunOnline(t *testing.T) {
-	_, addr := startRemoteServer(t, 2, 2)
+	_, addr := startRemoteServer(t, 2)
 	c := repro.New(repro.WithDial(addr))
 	defer c.Close()
 
@@ -214,37 +147,194 @@ func TestRemoteRunOnline(t *testing.T) {
 	}
 }
 
-// TestRemoteRunOnlineShardKilled kills the session's shard between two
-// arrivals: the stream must terminate with one EvError event carrying a
-// typed ErrUnavailable, not hang or die untyped.
-func TestRemoteRunOnlineShardKilled(t *testing.T) {
-	srv, addr := startRemoteServer(t, 1, 1)
-	c := repro.New(repro.WithDial(addr))
-	defer c.Close()
+// cutProxy relays TCP connections to an upstream address until cut,
+// which resets every relayed connection at once: a network failure,
+// as the client sees it.
+type cutProxy struct {
+	ln net.Listener
+	wg sync.WaitGroup
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	mu    sync.Mutex
+	conns []net.Conn //sched:guardedby mu
+	done  bool       //sched:guardedby mu
+}
+
+func startCutProxy(t *testing.T, upstream string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("proxy listen: %v", err)
+	}
+	p := &cutProxy{ln: ln}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			u, err := net.Dial("tcp", upstream)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			p.relay(c, u)
+		}
+	}()
+	return p
+}
+
+// relay pumps bytes both ways between c and u until either closes.
+func (p *cutProxy) relay(c, u net.Conn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.done {
+		c.Close()
+		u.Close()
+		return
+	}
+	p.conns = append(p.conns, c, u)
+	p.wg.Add(2)
+	go func() { defer p.wg.Done(); io.Copy(u, c); u.Close() }()
+	go func() { defer p.wg.Done(); io.Copy(c, u); c.Close() }()
+}
+
+// cut resets every relayed connection and stops the proxy.
+func (p *cutProxy) cut() {
+	p.ln.Close()
+	p.mu.Lock()
+	p.done = true
+	for _, c := range p.conns {
+		if tc, ok := c.(*net.TCPConn); ok {
+			tc.SetLinger(0) // RST, not FIN: the peer sees a reset
+		}
+		c.Close()
+	}
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// streamBurst streams n heavy instances through c and runs cut once,
+// at the first yield, while the rest are still queued behind the
+// server's single worker. Every item must yield, ok or with the typed
+// ErrUnavailable, and at least one must be unavailable.
+func streamBurst(ctx context.Context, t *testing.T, c *repro.Client, n, salt int, cut func()) {
+	t.Helper()
+	ins := make([]*moldable.Instance, n)
+	for i := range ins {
+		ins[i] = heavyInstance(salt + i)
+	}
+	var ok, unavailable int
+	for _, r := range c.ScheduleStream(ctx, ins, repro.WithEps(0.1)) {
+		switch {
+		case r.Err == nil:
+			ok++
+		case errors.Is(r.Err, repro.ErrUnavailable):
+			unavailable++
+		default:
+			t.Errorf("stream item failed with %v, want ok or ErrUnavailable", r.Err)
+		}
+		if ok+unavailable == 1 {
+			cut()
+		}
+	}
+	if ok+unavailable != n {
+		t.Fatalf("stream yielded %d typed results, want %d", ok+unavailable, n)
+	}
+	if unavailable == 0 {
+		t.Fatalf("all %d items outran the cut (ok=%d); the burst must be heavier", n, ok)
+	}
+	t.Logf("stream of %d: %d completed before the cut, %d typed unavailable", n, ok, unavailable)
+}
+
+// gatedOnline starts a RunOnline session on c that admits one arrival,
+// then waits for gate before the second. It returns once the first
+// arrival is in; the channel delivers every event once the run ends.
+func gatedOnline(ctx context.Context, t *testing.T, c *repro.Client, gate <-chan struct{}) <-chan []repro.OnlineEvent {
+	t.Helper()
+	admitted := make(chan struct{})
 	arrivals := func(yield func(repro.Arrival) bool) {
 		if !yield(repro.Arrival{T: 0, Job: moldable.Amdahl{Seq: 2, Par: 40}}) {
 			return
 		}
-		srv.Router().Kill(0) // the only shard: the session is orphaned
+		close(admitted)
+		<-gate
 		yield(repro.Arrival{T: 1, Job: moldable.Amdahl{Seq: 2, Par: 41}})
 	}
 	seq, err := c.RunOnline(ctx, arrivals, repro.WithMachines(64), repro.WithEps(0.5))
 	if err != nil {
 		t.Fatalf("remote online: %v", err)
 	}
-	var last repro.OnlineEvent
-	for _, e := range seq {
-		last = e
+	done := make(chan []repro.OnlineEvent, 1)
+	go func() {
+		var evs []repro.OnlineEvent
+		for _, e := range seq {
+			evs = append(evs, e)
+		}
+		done <- evs
+	}()
+	select {
+	case <-admitted:
+	case evs := <-done:
+		t.Fatalf("online run ended before its first arrival was in: %+v", evs)
 	}
-	if last.Kind != repro.EvError {
-		t.Fatalf("stream did not terminate in EvError: %+v", last)
+	return done
+}
+
+// TestRemoteServerClosesMidStream is the chaos test at the public-API
+// level. A client whose connection drops mid-stream, and a client
+// whose server closes mid-stream, each get exactly one Result per
+// instance, ok or ErrUnavailable, and never hang. An online session on
+// another connection survives the drop and drains normally; one open
+// when the server closes ends in a single EvError matching
+// ErrUnavailable. Nothing leaks.
+func TestRemoteServerClosesMidStream(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, addr := startRemoteServer(t, 1) // one worker: a burst queues
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	b := repro.New(repro.WithDial(addr))
+
+	// a reaches the server through a proxy that resets its connection
+	// mid-stream, while b's session is open.
+	gate := make(chan struct{})
+	survivor := gatedOnline(ctx, t, b, gate)
+	p := startCutProxy(t, addr)
+	a := repro.New(repro.WithDial(p.ln.Addr().String()))
+	streamBurst(ctx, t, a, 16, 0, p.cut)
+	a.Close()
+	close(gate)
+	kinds := map[online.EventKind]int{}
+	for _, e := range <-survivor {
+		if e.Kind == repro.EvError {
+			t.Fatalf("session on the surviving connection failed: %v", e.Err)
+		}
+		kinds[e.Kind]++
 	}
-	if !errors.Is(last.Err, repro.ErrUnavailable) {
-		t.Fatalf("terminal event error: %v, want ErrUnavailable", last.Err)
+	if kinds[repro.EvArrive] != 2 || kinds[repro.EvFinish] != 2 {
+		t.Fatalf("surviving session events: %v, want 2 arrivals and 2 finishes", kinds)
 	}
+
+	// Then the server closes under b's stream and a second session.
+	gate = make(chan struct{})
+	orphan := gatedOnline(ctx, t, b, gate)
+	streamBurst(ctx, t, b, 16, 100, srv.Close)
+	close(gate)
+	evs := <-orphan
+	var errs int
+	for _, e := range evs {
+		if e.Kind == repro.EvError {
+			errs++
+		}
+	}
+	last := evs[len(evs)-1]
+	if errs != 1 || last.Kind != repro.EvError || !errors.Is(last.Err, repro.ErrUnavailable) {
+		t.Fatalf("session open at Close: %d error events, last %+v; want one EvError matching ErrUnavailable, last", errs, last)
+	}
+
+	b.Close()
+	waitNoGoroutineLeak(t, base)
 }
 
 // TestRemoteDialFailure pins the failure shape of an unreachable

@@ -10,10 +10,9 @@
 //	mkfifo req && moldschedd < req > resp &
 //
 // With -listen it instead serves the same protocol over TCP, one
-// protocol session per connection, fronting -shards backend scheduler
-// shards routed by instance hash:
+// protocol session per connection, all in front of one scheduler:
 //
-//	moldschedd -listen :7463 -shards 4
+//	moldschedd -listen :7463
 //
 // Network mode adds admission control (-max-inflight; shed requests get
 // the "overloaded" code), per-tenant token-bucket quotas (-quota-rate /
@@ -82,7 +81,8 @@
 // "error" text, from the typed taxonomy of internal/scherr:
 // "not_monotone", "regime", "canceled", "bad_eps", "internal", plus
 // the protocol-level "bad_request", "unknown_ticket", "overloaded"
-// (admission or quota shed) and "unavailable" (backend shard died).
+// (admission or quota shed). Clients built on netserve.WireClient
+// also report "unavailable" when the connection or server goes away.
 // Clients should branch on the code, never the text.
 //
 // See DESIGN.md §5 for the daemon's place in the serving architecture
@@ -105,17 +105,16 @@ import (
 
 func main() {
 	var (
-		workers  = flag.Int("workers", 0, "pool workers per shard (0: GOMAXPROCS)")
-		cacheCap = flag.Int("cache", 1024, "result-cache capacity per shard (0: default)")
-		memoCap  = flag.Int("memo", 256, "memoized-instance capacity per shard (0: default)")
-		memoMB   = flag.Int("memo-mb", 256, "memoized-instance byte budget in MB per shard (0: default)")
+		workers  = flag.Int("workers", 0, "pool workers (0: GOMAXPROCS)")
+		cacheCap = flag.Int("cache", 1024, "result-cache capacity (0: default)")
+		memoCap  = flag.Int("memo", 256, "memoized-instance capacity (0: default)")
+		memoMB   = flag.Int("memo-mb", 256, "memoized-instance byte budget in MB (0: default)")
 		noMemo   = flag.Bool("no-memo", false, "disable oracle memoization")
 		noCache  = flag.Bool("no-cache", false, "disable the result cache")
 		probes   = flag.Int("probes", 256, "monotonicity probes per submitted job (0: exhaustive)")
 
 		listen      = flag.String("listen", "", "serve the wire protocol on this TCP address (e.g. :7463) instead of stdin/stdout")
 		httpAddr    = flag.String("http", "", "serve /healthz, /stats and POST /rpc on this HTTP address")
-		shards      = flag.Int("shards", 1, "backend scheduler shards (network mode; instances route by hash)")
 		maxInflight = flag.Int("max-inflight", 0, "admitted-request budget across all connections (0: unlimited; excess sheds with code \"overloaded\")")
 		quotaRate   = flag.Float64("quota-rate", 0, "per-tenant request quota in req/s (0: no quotas)")
 		quotaBurst  = flag.Float64("quota-burst", 0, "per-tenant quota burst capacity (0: defaults to max(1, quota-rate))")
@@ -154,7 +153,6 @@ func main() {
 	}
 
 	srv := netserve.NewServer(ctx, netserve.ServerConfig{
-		Shards:  *shards,
 		Service: svcCfg,
 		Limits: netserve.Limits{
 			MaxInflight: *maxInflight,
@@ -177,7 +175,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("listen %s: %v", *listen, err)
 		}
-		log.Printf("serving wire protocol on %s (%d shards)", ln.Addr(), *shards)
+		log.Printf("serving wire protocol on %s", ln.Addr())
 		go func() { errc <- srv.Serve(ln) }()
 	}
 	if *httpAddr != "" {

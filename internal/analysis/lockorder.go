@@ -12,11 +12,11 @@ import (
 
 // LockOrder builds the whole-repo lock-ordering graph and rejects
 // cycles. Deadlock by inconsistent nesting is invisible to -race and
-// to any per-package check: thread A holds router.mu and wants a
-// failover-table lock while thread B holds the failover lock and wants
-// router.mu, and the two acquisitions can live in different functions
-// — or different packages — composed only at run time. This analyzer
-// makes the ordering a build-time artifact:
+// to any per-package check: thread A holds a client's state lock and
+// wants its write lock while thread B holds the write lock and wants
+// the state lock, and the two acquisitions can live in different
+// functions — or different packages — composed only at run time. This
+// analyzer makes the ordering a build-time artifact:
 //
 //   - Every sync.Mutex/sync.RWMutex that is a struct field or a
 //     package-level variable gets a stable node key (pkg.Type.field),

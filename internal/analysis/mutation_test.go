@@ -77,12 +77,14 @@ func runOnDir(t *testing.T, dir, importPath string, a *Analyzer) []Diagnostic {
 	return diags
 }
 
-// TestMutationRouterLockOrder reverses the router's sanctioned fmu → mu
-// nesting at one site: adopt takes mu before fmu. Combined with
-// reassign's fmu → leastLoadedAlive → mu chain this is a textbook
-// cross-function deadlock, and lockorder must report the cycle (and the
-// self-deadlock through leastLoadedAlive) naming both mutexes.
-func TestMutationRouterLockOrder(t *testing.T) {
+// TestMutationWireClientLockOrder nests WireClient's two mutexes both
+// ways. First the reader's failure path takes wmu before mu, to fence
+// writers out while it fails the waiters: one consistent order, which
+// lockorder must accept. Then send holds mu across the frame write,
+// so the reader cannot fail a waiter mid-write: mu before wmu. The
+// two orders together are a textbook deadlock between the reader and
+// a writer, and lockorder must report the cycle naming both mutexes.
+func TestMutationWireClientLockOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks internal/netserve")
 	}
@@ -91,30 +93,30 @@ func TestMutationRouterLockOrder(t *testing.T) {
 		t.Fatalf("unmutated netserve copy not lockorder-clean: %v", diags)
 	}
 
-	mutateFile(t, dir, "router.go",
-		"func (r *Router) adopt(dead int) (int, bool) {\n\tr.fmu.Lock()\n\tdefer r.fmu.Unlock()\n",
-		"func (r *Router) adopt(dead int) (int, bool) {\n\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tr.fmu.Lock()\n\tdefer r.fmu.Unlock()\n")
+	mutateFile(t, dir, "wireclient.go",
+		"\tc.mu.Lock()\n\tc.broken = err\n",
+		"\tc.wmu.Lock()\n\tdefer c.wmu.Unlock()\n\tc.mu.Lock()\n\tc.broken = err\n")
+	if diags := runOnDir(t, dir, "mutation/netserve", LockOrder); len(diags) != 0 {
+		t.Fatalf("one consistent wmu → mu nesting reported: %v", diags)
+	}
 
+	mutateFile(t, dir, "wireclient.go",
+		"\tc.wmu.Lock()\n\t_, err := c.conn.Write(*frame)\n\tc.wmu.Unlock()\n",
+		"\tc.mu.Lock()\n\tc.wmu.Lock()\n\t_, err := c.conn.Write(*frame)\n\tc.wmu.Unlock()\n\tc.mu.Unlock()\n")
 	diags := runOnDir(t, dir, "mutation/netserve", LockOrder)
-	var cycle, self bool
+	var cycle bool
 	for _, d := range diags {
 		if strings.Contains(d.Message, "lock-order cycle") &&
-			strings.Contains(d.Message, "netserve.Router.fmu") &&
-			strings.Contains(d.Message, "netserve.Router.mu") {
+			strings.Contains(d.Message, "netserve.WireClient.wmu") &&
+			strings.Contains(d.Message, "netserve.WireClient.mu") {
 			cycle = true
 		}
-		if strings.Contains(d.Message, "may acquire netserve.Router.mu, which is already held") {
-			self = true
-		}
-		if filepath.Base(d.Pos.Filename) != "router.go" {
-			t.Errorf("diagnostic outside router.go: %v", d)
+		if filepath.Base(d.Pos.Filename) != "wireclient.go" {
+			t.Errorf("diagnostic outside wireclient.go: %v", d)
 		}
 	}
 	if !cycle {
-		t.Errorf("swapped nesting in adopt produced no lock-order cycle diagnostic; got: %v", diags)
-	}
-	if !self {
-		t.Errorf("adopt holding mu while calling leastLoadedAlive produced no self-deadlock diagnostic; got: %v", diags)
+		t.Errorf("wmu → mu in readLoop plus mu → wmu in send produced no lock-order cycle diagnostic; got: %v", diags)
 	}
 }
 

@@ -39,13 +39,3 @@ func BenchmarkGamma(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkPrecompute(b *testing.B) {
-	in := moldable.Random(moldable.GenConfig{N: 1024, M: 1 << 20, Seed: 3})
-	d := in.LowerBound() * 2
-	ths := []moldable.Time{d / 2, d, 1.1 * d, 2.2 * d, 3.3 * d}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Precompute(in, ths)
-	}
-}

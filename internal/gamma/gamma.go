@@ -131,37 +131,3 @@ func seedProc(x float64, m int) int {
 	}
 	return compress.CeilInt(x)
 }
-
-// Thresholds precomputes γ_j at a fixed set of thresholds for every job
-// of an instance, as done at the top of Algorithms 1 and 3 (the paper
-// precomputes γ_j(d/2), γ_j(d), γ_j(d′/2), γ_j(d′), γ_j(3d′/2)).
-//
-// Values[k][i] is γ of job i at thresholds[k]; Defined[k][i] reports
-// whether it exists.
-type Thresholds struct {
-	T       []moldable.Time
-	Values  [][]int
-	Defined [][]bool
-}
-
-// Precompute evaluates γ for every (threshold, job) pair.
-func Precompute(in *moldable.Instance, thresholds []moldable.Time) *Thresholds {
-	th := &Thresholds{
-		T:       thresholds,
-		Values:  make([][]int, len(thresholds)),
-		Defined: make([][]bool, len(thresholds)),
-	}
-	for k, t := range thresholds {
-		th.Values[k] = make([]int, in.N())
-		th.Defined[k] = make([]bool, in.N())
-		for i, j := range in.Jobs {
-			g, ok := Gamma(j, in.M, t)
-			th.Values[k][i] = g
-			th.Defined[k][i] = ok
-		}
-	}
-	return th
-}
-
-// At returns γ of job i at the k-th threshold.
-func (th *Thresholds) At(k, i int) (int, bool) { return th.Values[k][i], th.Defined[k][i] }

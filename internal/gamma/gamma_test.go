@@ -319,18 +319,3 @@ func TestGammaLogarithmicOracleCalls(t *testing.T) {
 		}
 	}
 }
-
-func TestPrecompute(t *testing.T) {
-	in := moldable.Random(moldable.GenConfig{N: 12, M: 128, Seed: 4})
-	d := in.LowerBound() * 2
-	th := Precompute(in, []moldable.Time{d / 2, d, 1.5 * d})
-	for k, tt := range th.T {
-		for i, j := range in.Jobs {
-			want, wok := Gamma(j, in.M, tt)
-			got, gok := th.At(k, i)
-			if wok != gok || (wok && want != got) {
-				t.Fatalf("threshold %v job %d: precomputed (%d,%v), direct (%d,%v)", tt, i, got, gok, want, wok)
-			}
-		}
-	}
-}

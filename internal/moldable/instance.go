@@ -20,16 +20,6 @@ type Instance struct {
 // N returns the number of jobs.
 func (in *Instance) N() int { return len(in.Jobs) }
 
-// TotalWorkAt returns Σ_j w_j(a_j) for the given allotment.
-// The allotment must have one entry per job, each in [1, M].
-func (in *Instance) TotalWorkAt(allot []int) Time {
-	var w Time
-	for i, j := range in.Jobs {
-		w += Work(j, allot[i])
-	}
-	return w
-}
-
 // MinTotalWork returns Σ_j w_j(1), the least possible total work of any
 // schedule (monotone jobs have their minimum work on one processor).
 // W/m is a valid lower bound on the optimal makespan.

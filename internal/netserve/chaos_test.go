@@ -15,12 +15,12 @@ import (
 	"repro/internal/service"
 )
 
-// Chaos harness: kill a backend shard while clients are mid-request
-// and pin what they observe. The contract under fire is threefold —
-// every request completes within its deadline with a TYPED terminal
-// error (ErrUnavailable; never a hang, never an untyped string), the
-// surviving shards keep serving unaffected, and the whole exercise
-// leaks no goroutines (checked under -race in CI).
+// Chaos harness: drop a connection or close the server while clients
+// are mid-request and pin what they observe. The contract under fire is
+// threefold — every request completes within its deadline, ok or with
+// a TYPED terminal error (ErrUnavailable; never a hang, never an
+// untyped string), other connections keep serving unaffected, and the
+// whole exercise leaks no goroutines (checked under -race in CI).
 
 // startTestServer boots a Server on a loopback listener and returns it
 // with its address. The server is closed by the caller.
@@ -36,24 +36,15 @@ func startTestServer(t *testing.T, cfg ServerConfig) (*Server, string, chan erro
 	return srv, ln.Addr().String(), errc
 }
 
-// instanceForShard fabricates distinct instances until one hashes to
-// the wanted shard (varying a job parameter perturbs the canonical
-// hash).
-func instanceForShard(t *testing.T, r *Router, want, jobs, salt int) *moldable.Instance {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		in := &moldable.Instance{M: 256}
-		for j := 0; j < jobs; j++ {
-			in.Jobs = append(in.Jobs, moldable.Amdahl{
-				Seq: 1 + float64(salt), Par: 90 + float64(i) + float64(j%7),
-			})
-		}
-		if r.ShardOf(in) == want {
-			return in
-		}
+// heavyInstance builds a distinct instance of jobs Amdahl jobs that
+// takes milliseconds to schedule; salt varies the canonical hash, so a
+// burst of them never hits the result cache.
+func heavyInstance(jobs, salt int) *moldable.Instance {
+	in := &moldable.Instance{M: 256}
+	for j := 0; j < jobs; j++ {
+		in.Jobs = append(in.Jobs, moldable.Amdahl{Seq: 1 + float64(salt), Par: 90 + float64(j%7)})
 	}
-	t.Fatal("could not fabricate an instance for the wanted shard")
-	return nil
+	return in
 }
 
 // checkNoGoroutineLeak polls until the goroutine count returns to the
@@ -75,46 +66,21 @@ func checkNoGoroutineLeak(t *testing.T, base int) {
 	}
 }
 
-// TestChaosKillShardMidStream kills a shard while a burst of
-// submissions routed to it is still in flight. Every ticket must
-// resolve within the deadline — completed before the kill, or failed
-// with the typed "unavailable" code — and submissions hashing to the
-// surviving shards must be untouched. Afterwards the server tears down
-// without leaking goroutines.
-func TestChaosKillShardMidStream(t *testing.T) {
-	base := runtime.NumGoroutine()
-	srv, addr, errc := startTestServer(t, ServerConfig{
-		Shards:  3,
-		Service: service.Config{Workers: 1}, // single worker per shard: a burst stays queued
-	})
-	router := srv.Router()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-
-	const victim = 0
-	const burst = 64
-	// Heavyweight distinct instances (hundreds of jobs each, no cache
-	// hits), submitted CONCURRENTLY: the acks all come back while the
-	// shard's single worker has barely started, so the queue is deep
-	// when the kill lands — mid-stream by construction, not by
-	// sleep-based luck.
-	insts := make([]*moldable.Instance, burst)
-	for i := range insts {
-		insts[i] = instanceForShard(t, router, victim, 400, i)
-	}
-	ids := make([]uint64, burst)
-	errs := make([]error, burst)
+// submitBurst submits n heavy instances concurrently, so every ack
+// comes back while the single worker has barely started: the queue is
+// deep by construction, not by sleep-based luck.
+func submitBurst(ctx context.Context, t *testing.T, wc *WireClient, n, salt int) ([]uint64, []*moldable.Instance) {
+	t.Helper()
+	ids := make([]uint64, n)
+	ins := make([]*moldable.Instance, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := range insts {
+	for i := range ins {
+		ins[i] = heavyInstance(400, salt+i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ids[i], errs[i] = wc.Submit(ctx, insts[i], core.Options{Eps: 0.1}, false)
+			ids[i], errs[i] = wc.Submit(ctx, ins[i], core.Options{Eps: 0.1}, false)
 		}(i)
 	}
 	wg.Wait()
@@ -123,177 +89,115 @@ func TestChaosKillShardMidStream(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
+	return ids, ins
+}
 
-	router.Kill(victim)
-
+// collectBurst waits for every ticket from its own goroutine. cut runs
+// once, as soon as the first result is in, while the rest are still
+// queued. Each ticket must then resolve ok or with the typed
+// ErrUnavailable; at least one must be unavailable.
+func collectBurst(ctx context.Context, t *testing.T, wc *WireClient, ids []uint64, ins []*moldable.Instance, cut func()) {
+	t.Helper()
+	outcomes := make(chan error, len(ids))
+	for i := range ids {
+		go func(i int) {
+			res, err := wc.Result(ctx, ids[i], true, ins[i])
+			if err == nil {
+				err = res.Err
+			}
+			outcomes <- err
+		}(i)
+	}
 	var ok, unavailable int
-	for i, id := range ids {
-		res, err := wc.Result(ctx, id, true, insts[i])
-		if err != nil {
-			t.Fatalf("result %d: transport error %v", i, err)
-		}
+	for range ids {
+		err := <-outcomes
 		switch {
-		case res.Err == nil:
+		case err == nil:
 			ok++
-		case errors.Is(res.Err, ErrUnavailable):
+		case errors.Is(err, ErrUnavailable):
 			unavailable++
 		default:
-			t.Fatalf("ticket %d: error is not typed unavailable: %v", id, res.Err)
+			t.Errorf("ticket resolved with %v, want ok or ErrUnavailable", err)
+		}
+		if ok+unavailable == 1 {
+			cut()
 		}
 	}
 	if unavailable == 0 {
-		t.Fatalf("all %d queued submissions outran the kill (ok=%d); the burst must be heavier", burst, ok)
+		t.Fatalf("all %d tickets outran the cut (ok=%d); the burst must be heavier", len(ids), ok)
 	}
-	t.Logf("burst of %d: %d completed before the kill, %d typed unavailable", burst, ok, unavailable)
-
-	// Survivors keep serving: work routed to the dead shard fails over,
-	// work for alive shards is unaffected.
-	for _, shard := range []int{1, 2} {
-		in := instanceForShard(t, router, shard, 2, 1000+shard)
-		id, err := wc.Submit(ctx, in, core.Options{Eps: 0.1}, false)
-		if err != nil {
-			t.Fatalf("post-kill submit to shard %d: %v", shard, err)
-		}
-		res, err := wc.Result(ctx, id, true, in)
-		if err != nil || res.Err != nil {
-			t.Fatalf("post-kill result from shard %d: %v / %v", shard, err, res.Err)
-		}
-	}
-	failover := instanceForShard(t, router, victim, 2, 2000)
-	id, err := wc.Submit(ctx, failover, core.Options{Eps: 0.1}, false)
-	if err != nil {
-		t.Fatalf("failover submit: %v", err)
-	}
-	if res, err := wc.Result(ctx, id, true, failover); err != nil || res.Err != nil {
-		t.Fatalf("failover result: %v / %v", err, res.Err)
-	}
-
-	wc.Close()
-	srv.Close()
-	if err := <-errc; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	checkNoGoroutineLeak(t, base)
+	t.Logf("burst of %d: %d completed before the cut, %d typed unavailable", len(ids), ok, unavailable)
 }
 
-// TestChaosKillShardMidOnlineSession opens one online session per
-// shard, feeds each an arrival, kills one shard, and pins the split:
-// the session owned by the dead shard reports the typed "unavailable"
-// code on every further op, while the other sessions arrive and drain
-// as if nothing happened. No goroutines leak through the kill.
-func TestChaosKillShardMidOnlineSession(t *testing.T) {
+// TestChaosServerClosesMidStream pins what wire clients see when their
+// connection or the whole server goes away mid-stream:
+//
+//   - a connection dropped abruptly while its tickets are queued fails
+//     each one typed (ErrUnavailable), and a second connection's open
+//     online session arrives and drains as if nothing happened;
+//   - Server.Close with tickets queued and a session open resolves
+//     every ticket ok or ErrUnavailable, and the session's next op
+//     fails ErrUnavailable — no call hangs past its deadline;
+//   - no goroutine outlives the server.
+func TestChaosServerClosesMidStream(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv, addr, errc := startTestServer(t, ServerConfig{
-		Shards:  3,
-		Service: service.Config{Workers: 1},
+		Service: service.Config{Workers: 1}, // one worker: a burst stays queued
 	})
-	router := srv.Router()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-
-	cfg := online.Config{M: 64, Eps: 0.5}
 	job := func(i int) online.Arrival {
-		return online.Arrival{T: 0, Job: moldable.Amdahl{Seq: 2, Par: 90 + float64(i)}}
-	}
-	// Round-robin placement: 3 opens land on 3 distinct shards.
-	sessions := make([]uint64, 3)
-	for i := range sessions {
-		id, err := wc.OpenOnline(ctx, cfg)
-		if err != nil {
-			t.Fatalf("open %d: %v", i, err)
-		}
-		sessions[i] = id
-		if _, err := wc.Arrive(ctx, id, job(i)); err != nil {
-			t.Fatalf("arrive %d: %v", i, err)
-		}
+		return online.Arrival{T: moldable.Time(i), Job: moldable.Amdahl{Seq: 2, Par: 90 + float64(i)}}
 	}
 
-	const victim = 1
-	router.Kill(victim)
-
-	// Find the orphaned session empirically: exactly one session's next
-	// arrive must be the typed unavailable error; the others continue.
-	var orphans, healthy []uint64
-	for i, id := range sessions {
-		_, err := wc.Arrive(ctx, id, online.Arrival{T: 1, Job: moldable.Amdahl{Seq: 2, Par: 80 + float64(i)}})
-		switch {
-		case err == nil:
-			healthy = append(healthy, id)
-		case errors.Is(err, ErrUnavailable):
-			orphans = append(orphans, id)
-		default:
-			t.Fatalf("session %d: error is not typed unavailable: %v", id, err)
-		}
+	b, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatalf("dial b: %v", err)
 	}
-	if len(orphans) != 1 || len(healthy) != 2 {
-		t.Fatalf("kill of one shard orphaned %d sessions (want 1): orphans=%v healthy=%v",
-			len(orphans), orphans, healthy)
+	sess, err := b.OpenOnline(ctx, online.Config{M: 64, Eps: 0.5})
+	if err != nil {
+		t.Fatalf("open: %v", err)
 	}
-	// Draining the orphan is equally typed — and equally terminal.
-	if _, _, err := wc.Drain(ctx, orphans[0]); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("drain of orphaned session: %v, want ErrUnavailable", err)
-	}
-	// The survivors drain to completion with real metrics.
-	for _, id := range healthy {
-		evs, met, err := wc.Drain(ctx, id)
-		if err != nil {
-			t.Fatalf("drain of healthy session %d: %v", id, err)
-		}
-		if len(evs) == 0 && met.Finished == 0 {
-			t.Fatalf("healthy session %d drained to nothing: %+v", id, met)
-		}
-		if met.Finished != 2 {
-			t.Fatalf("healthy session %d finished %d jobs, want 2", id, met.Finished)
-		}
+	if _, err := b.Arrive(ctx, sess, job(0)); err != nil {
+		t.Fatalf("arrive: %v", err)
 	}
 
-	wc.Close()
-	srv.Close()
+	// Connection a queues a burst and drops abruptly mid-stream.
+	a, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatalf("dial a: %v", err)
+	}
+	ids, ins := submitBurst(ctx, t, a, 16, 0)
+	collectBurst(ctx, t, a, ids, ins, func() { a.Close() })
+
+	// b's session never noticed.
+	if _, err := b.Arrive(ctx, sess, job(1)); err != nil {
+		t.Fatalf("arrive after a dropped: %v", err)
+	}
+	if _, met, err := b.Drain(ctx, sess); err != nil || met.Finished != 2 {
+		t.Fatalf("drain after a dropped: finished %d, err %v; want 2 jobs, no error", met.Finished, err)
+	}
+
+	// Now the server closes under b's burst and a second open session.
+	sess, err = b.OpenOnline(ctx, online.Config{M: 64, Eps: 0.5})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := b.Arrive(ctx, sess, job(0)); err != nil {
+		t.Fatalf("arrive: %v", err)
+	}
+	ids, ins = submitBurst(ctx, t, b, 16, 100)
+	collectBurst(ctx, t, b, ids, ins, srv.Close)
+	if _, err := b.Arrive(ctx, sess, job(1)); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("arrive after Close: %v, want ErrUnavailable", err)
+	}
+	if _, _, err := b.Drain(ctx, sess); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("drain after Close: %v, want ErrUnavailable", err)
+	}
+
+	b.Close()
 	if err := <-errc; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	checkNoGoroutineLeak(t, base)
-}
-
-// TestChaosAllShardsDead is the endgame: with every shard killed, a
-// submission still answers — promptly, with the typed unavailable
-// error — rather than hanging a client on a fleet that no longer
-// exists.
-func TestChaosAllShardsDead(t *testing.T) {
-	srv, addr, errc := startTestServer(t, ServerConfig{Shards: 2, Service: service.Config{Workers: 1}})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	wc, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	srv.Router().Kill(0)
-	srv.Router().Kill(1)
-
-	in := &moldable.Instance{M: 8, Jobs: []moldable.Job{moldable.PerfectSpeedup{W: 8}}}
-	id, err := wc.Submit(ctx, in, core.Options{Eps: 0.5}, false)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	res, err := wc.Result(ctx, id, true, in)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	if !errors.Is(res.Err, ErrUnavailable) {
-		t.Fatalf("result on dead fleet: %v, want ErrUnavailable", res.Err)
-	}
-	if _, err := wc.OpenOnline(ctx, online.Config{M: 8, Eps: 0.5}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("open_online on dead fleet: %v, want ErrUnavailable", err)
-	}
-
-	wc.Close()
-	srv.Close()
-	if err := <-errc; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
 }

@@ -22,7 +22,7 @@ import (
 // bad instance, bad eps, non-monotone input, canceled deadlines) — is
 // replayed once through the pipe-mode serve loop (exactly what
 // `moldschedd < requests.jsonl` runs) and once over a real TCP
-// connection to a 3-shard Server. The two response streams must be
+// connection to a Server. The two response streams must be
 // byte-identical after normalizing ticket ids and elapsed times: the
 // socket transport may not change what the protocol says.
 
@@ -222,11 +222,10 @@ func normalize(rs []Response) []Response {
 // TestConformance pins that the TCP transport is byte-equivalent to
 // pipe mode: the same request script yields the same response bytes
 // (modulo ticket ids and elapsed times) whether it flows through
-// ServeLines on a pipe against one scheduler or over a socket to a
-// sharded Server.
+// ServeLines on a pipe or over a socket to a Server.
 func TestConformance(t *testing.T) {
 	pipe := normalize(playPipe(t))
-	tcp := normalize(playTCP(t, 3))
+	tcp := normalize(playTCP(t))
 
 	if len(pipe) != len(tcp) {
 		t.Fatalf("response count differs: pipe %d, tcp %d", len(pipe), len(tcp))
@@ -267,12 +266,10 @@ func playPipe(t *testing.T) []Response {
 	return rs
 }
 
-// playTCP runs the script over a real socket to a Server with the
-// given shard count.
-func playTCP(t *testing.T, shards int) []Response {
+// playTCP runs the script over a real socket to a Server.
+func playTCP(t *testing.T) []Response {
 	t.Helper()
 	srv := NewServer(context.Background(), ServerConfig{
-		Shards:  shards,
 		Service: service.Config{Workers: 2},
 		Probes:  64,
 	})
@@ -328,7 +325,7 @@ func TestConformanceGolden(t *testing.T) {
 	}
 	for name, play := range map[string]func(*testing.T) []Response{
 		"pipe": playPipe,
-		"tcp":  func(t *testing.T) []Response { return playTCP(t, 3) },
+		"tcp":  playTCP,
 	} {
 		got := streamBytes(t, normalize(play(t)))
 		if string(got) == string(want) {

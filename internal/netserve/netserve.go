@@ -1,30 +1,28 @@
 // Package netserve is the network front door of the scheduling
 // service: it speaks the moldschedd wire protocol (docs/PROTOCOL.md —
 // JSON-lines requests and responses) over per-connection sessions, in
-// front of one or many service.Scheduler backends.
+// front of one service.Scheduler.
 //
-// The package has four layers (DESIGN.md §5):
+// The package has three layers (DESIGN.md §5):
 //
 //   - the serve loop (ServeLines): one protocol session over any
 //     io.Reader/io.Writer pair. cmd/moldschedd's stdin/stdout mode and
 //     every TCP connection run this exact code, so the wire behavior of
 //     a socket is identical to the pipe daemon's by construction — a
 //     property the conformance suite pins from the outside;
-//   - the Router: N backend shards routed by the canonical instance
-//     hash (service.HashInstance), so structurally equal submissions
-//     land on the same shard and keep their result-cache and memo hit
-//     rates. Tickets are translated to a router-global id space.
-//     Kill marks a shard dead for chaos testing and operational drain:
-//     its in-flight work is canceled at the next probe and its clients
-//     get typed ErrUnavailable results instead of hangs;
 //   - the Server: a concurrent TCP listener (one serve loop per
 //     connection, sessions released on disconnect) plus an HTTP
-//     handler exposing /healthz and /stats aggregated across shards;
+//     handler exposing /healthz, /stats, /metrics and the protocol over
+//     POST /rpc. Close cancels every session's in-flight work;
 //   - the Limiter: admission control (bounded in-flight budget with
 //     deadline-based shedding — a request that cannot be admitted
 //     before its deadline is shed with the "overloaded" code) and
 //     per-tenant token-bucket quotas keyed by the connection-declared
 //     tenant id (the "hello" op).
+//
+// Affinity, caching and ticket numbering live in the scheduler, not
+// here: its key-affine pool sends structurally equal instances to the
+// same worker, and its one counter numbers batch and online tickets.
 //
 // WireClient is the matching client side: the same JSON-lines protocol
 // spoken from Go, used by repro.Client's WithDial option so the public
@@ -62,10 +60,11 @@ var (
 	// backoff — the work was never started.
 	ErrOverloaded = errors.New("server overloaded; request shed before execution")
 
-	// ErrUnavailable reports a request routed to a shard that has been
-	// killed or drained. Unlike ErrOverloaded this is not load: the
-	// backend is gone and retries reach it no sooner.
-	ErrUnavailable = errors.New("backend shard unavailable")
+	// ErrUnavailable reports a request whose connection or server went
+	// away before it was answered. Unlike ErrOverloaded this is not
+	// load: the work may or may not have run, and only a new
+	// connection can ask again.
+	ErrUnavailable = errors.New("server unavailable")
 
 	// ErrUnknownTicket is the client-side face of the unknown_ticket
 	// wire code: the id was never issued, already collected, or aged
@@ -74,8 +73,8 @@ var (
 )
 
 // Backend is what one protocol session needs from the scheduling
-// service. *service.Scheduler implements it (single-shard serving, the
-// stdin daemon's default); *Router implements it over N schedulers.
+// service. *service.Scheduler implements it; the pipe daemon and the
+// Server both serve through one.
 type Backend interface {
 	// Batch tickets (docs/PROTOCOL.md: submit/result).
 	SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,9 +15,11 @@ import (
 
 // ServerConfig sizes a Server.
 type ServerConfig struct {
-	// Shards is the backend scheduler count (≤ 0 selects 1); Service
-	// configures each shard.
-	Shards  int
+	// Shards is ignored: the server runs one scheduler.
+	//
+	// Deprecated: leave it unset.
+	Shards int
+	// Service configures the scheduler (workers, caches, memo budget).
 	Service service.Config
 	// Limits is the admission-control and quota policy, shared by all
 	// connections. The zero value admits everything.
@@ -34,12 +35,13 @@ type ServerConfig struct {
 }
 
 // Server is the network front door: a concurrent TCP listener running
-// one protocol session per connection against a sharded Router, plus
-// an HTTP handler for health and stats. Create with NewServer, attach
-// listeners with Serve (TCP) and Handler (HTTP), stop with Close.
+// one protocol session per connection against one service.Scheduler,
+// plus an HTTP handler for health, stats and the protocol over POST.
+// Create with NewServer, attach listeners with Serve (TCP) and Handler
+// (HTTP), stop with Close.
 type Server struct {
 	cfg    ServerConfig
-	router *Router
+	svc    *service.Scheduler
 	lim    *Limiter
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -51,14 +53,14 @@ type Server struct {
 	closed bool                  //sched:guardedby mu
 }
 
-// NewServer builds the router and starts the idle-session reaper. ctx
-// bounds the server's lifetime: when it ends, every connection's
+// NewServer starts the scheduler and the idle-session reaper. ctx
+// bounds the server's lifetime: when it ends, every session's
 // in-flight work is canceled (Close still must be called).
 func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
 		cfg:    cfg,
-		router: NewRouter(sctx, RouterConfig{Shards: cfg.Shards, Service: cfg.Service}),
+		svc:    service.New(cfg.Service),
 		lim:    NewLimiter(cfg.Limits),
 		ctx:    sctx,
 		cancel: cancel,
@@ -79,7 +81,7 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 				case <-s.ctx.Done():
 					return
 				case <-t.C:
-					s.router.ReapOnlineIdle(s.cfg.IdleSession)
+					s.svc.ReapOnlineIdle(s.cfg.IdleSession)
 				}
 			}
 		}()
@@ -87,14 +89,16 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 	return s
 }
 
-// Router exposes the backend router — the chaos tests' kill switch and
-// the shard-level stats source.
-func (s *Server) Router() *Router { return s.router }
+// Router returns the server's scheduler.
+//
+// Deprecated: the name predates the single-scheduler server; use the
+// result only for Stats.
+func (s *Server) Router() *service.Scheduler { return s.svc }
 
 // Serve accepts connections on ln until Close (or a fatal listener
 // error) and runs one protocol session per connection. A "shutdown"
 // request over TCP ends its own connection, never the process — a
-// remote client must not be able to take down the fleet's front door.
+// remote client must not be able to take down the server.
 func (s *Server) Serve(ln net.Listener) error {
 	if !s.addListener(ln) {
 		ln.Close()
@@ -108,11 +112,13 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.track(conn, true)
-		s.wg.Add(1)
+		if !s.track(conn) {
+			conn.Close() // accepted as Close ran
+			continue
+		}
 		go func() {
 			defer s.wg.Done()
-			defer s.track(conn, false)
+			defer s.untrack(conn)
 			defer conn.Close()
 			cctx, cancel := context.WithCancel(s.ctx)
 			defer cancel()
@@ -120,7 +126,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			// framing after 256 MiB): the session dies, the server
 			// lives. The deferred cleanup in ServeLines has already
 			// released the connection's online sessions.
-			_ = ServeLines(cctx, s.router, conn, conn, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
+			_ = ServeLines(cctx, s.svc, conn, conn, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
 		}()
 	}
 }
@@ -137,45 +143,45 @@ func (s *Server) addListener(ln net.Listener) bool {
 	return true
 }
 
-// track registers or unregisters a live connection so Close can
-// unblock their read loops; the live count feeds the wire_conns gauge.
-func (s *Server) track(c net.Conn, add bool) {
+// track registers a live connection so Close can unblock its read loop
+// and join its session, and counts it in the wire_conns gauge. false
+// means Close has already run: the caller closes the connection.
+func (s *Server) track(c net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
-		s.conns[c] = struct{}{}
-		obs.WireConns.Inc()
-	} else {
-		delete(s.conns, c)
-		obs.WireConns.Dec()
+	if s.closed {
+		return false
 	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	obs.WireConns.Inc()
+	return true
 }
 
-// RefreshObsGauges republishes the scrape-time gauges — the aggregate
-// service counters and per-shard pending depths — onto the obs
-// registry. The /metrics handler calls it per scrape; gauges derived
-// from Stats snapshots are refreshed here rather than maintained on
-// the hot path.
-func (s *Server) RefreshObsGauges() {
-	service.PublishStats(s.router.Stats())
-	for i := 0; i < s.router.Shards(); i++ {
-		obs.ServiceShardPending.With(strconv.Itoa(i)).Set(s.router.ShardStats(i).Pending)
-	}
+func (s *Server) untrack(c net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.conns, c)
+	obs.WireConns.Dec()
 }
+
+// RefreshObsGauges republishes the scheduler's counters onto the obs
+// registry's scrape-time gauges. The /metrics handler calls it per
+// scrape; gauges derived from Stats snapshots are refreshed here rather
+// than maintained on the hot path.
+func (s *Server) RefreshObsGauges() { service.PublishStats(s.svc.Stats()) }
 
 // Handler returns the HTTP side of the server:
 //
-//	GET /healthz — 200 "ok" when every shard is alive, 503 with the
-//	               dead shard ids otherwise
-//	GET /stats   — JSON {"stats": aggregate, "shards": per-shard,
-//	               "alive": []bool}
+//	GET /healthz — 200 "ok" while serving
+//	GET /stats   — JSON {"stats": the scheduler's counters}
 //	GET /metrics — the obs registry in Prometheus text exposition
 //	               format (docs/OBSERVABILITY.md); scrape-time gauges
-//	               are refreshed from the router first
+//	               are refreshed from the scheduler first
 //	POST /rpc    — the wire protocol over HTTP: the request body is
 //	               JSON-lines requests, the response body the
 //	               JSON-lines responses (one protocol session per
-//	               HTTP request)
+//	               HTTP request, ended by the request or by Close)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -184,56 +190,44 @@ func (s *Server) Handler() http.Handler {
 		_ = obs.WritePrometheus(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		var dead []int
-		for i := 0; i < s.router.Shards(); i++ {
-			if !s.router.Alive(i) {
-				dead = append(dead, i)
-			}
-		}
-		if len(dead) == 0 {
-			w.WriteHeader(http.StatusOK)
-			w.Write([]byte("ok\n"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"status": "degraded", "dead_shards": dead})
+		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-		shards := make([]service.Stats, s.router.Shards())
-		alive := make([]bool, s.router.Shards())
-		for i := range shards {
-			shards[i] = s.router.ShardStats(i)
-			alive[i] = s.router.Alive(i)
-		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{
-			"stats": s.router.Stats(), "shards": shards, "alive": alive,
-		})
+		json.NewEncoder(w).Encode(map[string]any{"stats": s.svc.Stats()})
 	})
 	mux.HandleFunc("POST /rpc", func(w http.ResponseWriter, req *http.Request) {
+		// The session ends with the request or with the server,
+		// whichever comes first, so Close cancels HTTP work too.
+		ctx, cancel := context.WithCancel(req.Context())
+		defer cancel()
+		stop := context.AfterFunc(s.ctx, cancel)
+		defer stop()
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = ServeLines(req.Context(), s.router, req.Body, w, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
+		_ = ServeLines(ctx, s.svc, req.Body, w, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
 	})
 	return mux
 }
 
-// Close stops accepting, unblocks and joins every connection, cancels
-// in-flight work, and shuts the shards down. Idempotent.
+// Close stops accepting, closes every connection, cancels in-flight
+// work, joins the sessions, and stops the scheduler. Connections close
+// before the work is canceled, so a TCP client sees its connection go
+// away (ErrUnavailable), never a result canceled by the shutdown.
+// Idempotent.
 func (s *Server) Close() {
 	lns, conns, already := s.beginClose()
 	if already {
 		return
 	}
-	s.cancel()
 	for _, ln := range lns {
 		ln.Close()
 	}
 	for _, c := range conns {
 		c.Close() // unblock blocked Reads
 	}
+	s.cancel()
 	s.wg.Wait()
-	s.router.Close()
+	s.svc.Close()
 }
 
 // beginClose atomically flips the server closed and takes ownership of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -249,7 +250,7 @@ func TestServeLinesLongLine(t *testing.T) {
 // --- HTTP endpoints ---
 
 func TestServerHTTPEndpoints(t *testing.T) {
-	srv := NewServer(context.Background(), ServerConfig{Shards: 2, Service: service.Config{Workers: 1}, Probes: 8})
+	srv := NewServer(context.Background(), ServerConfig{Service: service.Config{Workers: 1}, Probes: 8})
 	defer srv.Close()
 	h := srv.Handler()
 
@@ -259,8 +260,8 @@ func TestServerHTTPEndpoints(t *testing.T) {
 		return rec
 	}
 
-	if rec := get("/healthz"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
-		t.Fatalf("healthz on healthy fleet: %d %q", rec.Code, rec.Body.String())
+	if rec := get("/healthz"); rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
+		t.Fatalf("healthz: %d %q", rec.Code, rec.Body.String())
 	}
 
 	// The protocol rides over POST /rpc too: one session per request.
@@ -277,28 +278,25 @@ func TestServerHTTPEndpoints(t *testing.T) {
 	if sub.Code != "" || sub.ID == 0 {
 		t.Fatalf("rpc submit: %+v", sub)
 	}
-	res, known := srv.Router().Wait(sub.ID)
+	res, known := srv.svc.Wait(sub.ID)
 	if !known || res.Err != nil {
 		t.Fatalf("rpc-submitted ticket: known=%v err=%v", known, res.Err)
 	}
 
-	// Stats aggregates and itemizes per shard.
-	var stats struct {
-		Stats  service.Stats   `json:"stats"`
-		Shards []service.Stats `json:"shards"`
-		Alive  []bool          `json:"alive"`
-	}
+	// Stats carries the scheduler's counters and nothing else.
+	var stats map[string]json.RawMessage
 	if rec := get("/stats"); rec.Code != http.StatusOK {
 		t.Fatalf("stats: %d", rec.Code)
 	} else if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("stats decode: %v", err)
 	}
-	if len(stats.Shards) != 2 || len(stats.Alive) != 2 || stats.Stats.Submitted != 1 {
-		t.Fatalf("stats payload: %+v", stats)
+	var st service.Stats
+	if err := json.Unmarshal(stats["stats"], &st); err != nil || len(stats) != 1 || st.Submitted != 1 {
+		t.Fatalf("stats payload: %s (%v)", stats, err)
 	}
 
 	// GET /metrics serves the obs registry in Prometheus text format
-	// with the scrape-time gauges refreshed from the router (ISSUE 9).
+	// with the scrape-time gauges refreshed from the scheduler.
 	rec = get("/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", rec.Code)
@@ -315,11 +313,65 @@ func TestServerHTTPEndpoints(t *testing.T) {
 			t.Errorf("metrics body lacks %q", want)
 		}
 	}
+}
 
-	// A killed shard degrades health with its id in the body.
-	srv.Router().Kill(1)
-	if rec := get("/healthz"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "dead_shards") {
-		t.Fatalf("healthz on degraded fleet: %d %q", rec.Code, rec.Body.String())
+// TestServerCloseCancelsRPC pins that Server.Close reaches HTTP
+// sessions too: a POST /rpc blocked in "result wait:true" on queued
+// work answers "canceled" promptly, rather than running the queue out.
+func TestServerCloseCancelsRPC(t *testing.T) {
+	srv := NewServer(context.Background(), ServerConfig{Service: service.Config{Workers: 1}, Probes: 8})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	// A queue of slow submits behind one worker; the body waits on the
+	// last ticket, which no worker reaches before Close.
+	const n = 16
+	var body strings.Builder
+	for i := 0; i < n; i++ {
+		b, err := moldable.AppendInstance(nil, heavyInstance(400, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&body, `{"op":"submit","tag":"s%d","eps":0.1,"instance":%s}`+"\n", i, b)
+	}
+	fmt.Fprintf(&body, `{"op":"result","id":%d,"wait":true}`+"\n", n)
+
+	type reply struct {
+		body string
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/rpc", "application/x-ndjson", strings.NewReader(body.String()))
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		replies <- reply{string(b), err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.svc.Stats().Submitted < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("submits never arrived: %+v", srv.svc.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+
+	select {
+	case r := <-replies:
+		if r.err != nil {
+			t.Fatalf("rpc: %v", r.err)
+		}
+		res := findResp(t, decodeAll(t, r.body), "result", func(r Response) bool { return r.Op == "result" })
+		if res.Code != "canceled" {
+			t.Fatalf("result after Close: code %q (%s), want canceled", res.Code, res.Error)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("POST /rpc still running 5 s after Server.Close")
 	}
 }
 
@@ -330,7 +382,7 @@ func TestServerHTTPEndpoints(t *testing.T) {
 // leave online_sessions at zero once the server notices the
 // disconnect.
 func TestAbruptDisconnectReleasesOnlineSessions(t *testing.T) {
-	srv, addr, errc := startTestServer(t, ServerConfig{Shards: 2, Service: service.Config{Workers: 1}, Probes: 8})
+	srv, addr, errc := startTestServer(t, ServerConfig{Service: service.Config{Workers: 1}, Probes: 8})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -347,17 +399,17 @@ func TestAbruptDisconnectReleasesOnlineSessions(t *testing.T) {
 			t.Fatalf("arrive %d: %v", i, err)
 		}
 	}
-	if got := srv.Router().Stats().OnlineSessions; got != 4 {
+	if got := srv.svc.Stats().OnlineSessions; got != 4 {
 		t.Fatalf("before disconnect: %d open sessions, want 4", got)
 	}
 
 	wc.Close() // abrupt: no drains, no shutdown
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Router().Stats().OnlineSessions != 0 {
+	for srv.svc.Stats().OnlineSessions != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("online sessions leaked after disconnect: %d still open",
-				srv.Router().Stats().OnlineSessions)
+				srv.svc.Stats().OnlineSessions)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -82,7 +82,6 @@ func TestStatsTraceDimensionPipe(t *testing.T) {
 
 func TestStatsTraceDimensionTCP(t *testing.T) {
 	srv := NewServer(context.Background(), ServerConfig{
-		Shards:  2,
 		Service: service.Config{Workers: 1},
 		Probes:  64,
 	})

@@ -93,9 +93,11 @@ func (c *WireClient) readLoop() {
 			ch <- r // buffered 1; never blocks
 		}
 	}
-	err := sc.Err()
-	if err == nil {
-		err = fmt.Errorf("%w: connection closed", ErrUnavailable)
+	// Every way the stream can end — EOF, a reset, a local Close — is
+	// the connection going away, so every pending waiter fails typed.
+	err := fmt.Errorf("%w: connection closed", ErrUnavailable)
+	if serr := sc.Err(); serr != nil {
+		err = fmt.Errorf("%w: %v", ErrUnavailable, serr)
 	}
 	c.mu.Lock()
 	c.broken = err

@@ -57,7 +57,6 @@ var (
 	ServiceMemoized       = Default.Gauge("service_memoized_instances", "instances with a live memo entry; memoized oracles only, 0 for closed-form traffic (scrape-time snapshot)")
 	ServiceCachedResults  = Default.Gauge("service_cached_results", "retained result-cache entries (scrape-time snapshot)")
 	ServiceOnlineSessions = Default.Gauge("service_online_sessions", "open online sessions (scrape-time snapshot)")
-	ServiceShardPending   = Default.GaugeVec("service_shard_pending", "shard", "per-shard pending batch instances (scrape-time snapshot)")
 )
 
 // Wire layer (internal/netserve).

@@ -34,11 +34,10 @@ func newHasher() hasher { return hasher{seed: maphash.MakeSeed()} }
 // HashInstance is the canonical content hash of (m, jobs) under the
 // given seed, with ok=false when some job type has no canonical
 // encoding. It is the exported face of the scheduler's internal
-// instance hashing, for layers that route instances *across*
-// schedulers (internal/netserve shards by it): using the same encoding
-// guarantees that structurally equal instances land on the same shard,
-// so the per-shard result cache and memo registry keep their hit rates
-// under sharding.
+// instance hashing, for code outside the package that needs the same
+// key: perfbench times it as the ladder's hash rung, and the codec
+// tests use it to check that a decoded instance hashes like the
+// original.
 func HashInstance(seed maphash.Seed, in *moldable.Instance) (key uint64, ok bool) {
 	return hasher{seed: seed}.instanceKey(in)
 }
