@@ -464,6 +464,16 @@ func (c *Client) RunOnline(ctx context.Context, arrivals iter.Seq[Arrival], opts
 	if err != nil {
 		return nil, err
 	}
+	return onlineEvents(ctx, arrivals, rt.Arrive, rt.Drain), nil
+}
+
+// onlineEvents is the event sequence both RunOnline paths return:
+// arrivals are pulled lazily and fed to arrive, then drain finishes the
+// run. Events are numbered in yield order, and the first failure ends
+// the sequence with one EvError event at the last event's time.
+func onlineEvents(ctx context.Context, arrivals iter.Seq[Arrival],
+	arrive func(context.Context, Arrival) ([]OnlineEvent, error),
+	drain func(context.Context) ([]OnlineEvent, error)) iter.Seq2[int, OnlineEvent] {
 	return func(yield func(int, OnlineEvent) bool) {
 		seq := 0
 		last := moldable.Time(0)
@@ -491,7 +501,7 @@ func (c *Client) RunOnline(ctx context.Context, arrivals iter.Seq[Arrival], opts
 			if !ok {
 				break
 			}
-			evs, err := rt.Arrive(ctx, a)
+			evs, err := arrive(ctx, a)
 			if !emit(evs) {
 				return
 			}
@@ -500,14 +510,14 @@ func (c *Client) RunOnline(ctx context.Context, arrivals iter.Seq[Arrival], opts
 				return
 			}
 		}
-		evs, err := rt.Drain(ctx)
+		evs, err := drain(ctx)
 		if !emit(evs) {
 			return
 		}
 		if err != nil {
 			fail(err)
 		}
-	}, nil
+	}
 }
 
 // remoteOnline is RunOnline over the wire: the session lives on the
@@ -527,50 +537,12 @@ func (c *Client) remoteOnline(ctx context.Context, arrivals iter.Seq[Arrival], o
 	if err != nil {
 		return nil, err
 	}
-	return func(yield func(int, OnlineEvent) bool) {
-		seq := 0
-		last := moldable.Time(0)
-		emit := func(evs []OnlineEvent) bool {
-			for _, e := range evs {
-				if !yield(seq, e) {
-					return false
-				}
-				seq++
-				last = e.T
-			}
-			return true
-		}
-		fail := func(err error) {
-			yield(seq, OnlineEvent{T: last, Kind: online.EvError, Job: -1, Err: err})
-		}
-		next, stop := iter.Pull(arrivals)
-		defer stop()
-		for {
-			if err := ctx.Err(); err != nil {
-				fail(scherr.Canceled(err))
-				return
-			}
-			a, ok := next()
-			if !ok {
-				break
-			}
-			evs, err := wc.Arrive(ctx, id, a)
-			if !emit(evs) {
-				return
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-		}
+	arrive := func(ctx context.Context, a Arrival) ([]OnlineEvent, error) { return wc.Arrive(ctx, id, a) }
+	drain := func(ctx context.Context) ([]OnlineEvent, error) {
 		evs, _, err := wc.Drain(ctx, id)
-		if !emit(evs) {
-			return
-		}
-		if err != nil {
-			fail(err)
-		}
-	}, nil
+		return evs, err
+	}
+	return onlineEvents(ctx, arrivals, arrive, drain), nil
 }
 
 // Estimate computes the Ludwig–Tiwari estimate ω with ω ≤ OPT ≤ 2ω in

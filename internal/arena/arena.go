@@ -7,7 +7,7 @@
 // (internal/lt, internal/fptas, internal/fast, internal/shelves,
 // internal/knapsack, internal/core) threads a reusable Scratch value
 // built from the helpers here. A Scratch is single-goroutine state:
-// internal/service keys one per parallel.Pool worker, which makes
+// internal/service gives one to each worker goroutine, which makes
 // reuse race-free by construction.
 //
 // The helpers follow one discipline: buffers grow monotonically and

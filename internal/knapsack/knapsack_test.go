@@ -420,48 +420,6 @@ func TestSolveRejectsBadRho(t *testing.T) {
 	}
 }
 
-// TestSolveEpsApproxGuarantee: profit ≥ (1−ε)·OPT and size feasible.
-func TestSolveEpsApproxGuarantee(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 0))
-	for it := 0; it < 200; it++ {
-		n := 1 + rng.IntN(10)
-		C := 5 + rng.IntN(50)
-		items := randomItems(rng, n, 20)
-		for _, eps := range []float64{0.5, 0.2, 0.05} {
-			sel, profit := SolveEpsApprox(items, C, eps)
-			verifySelection(t, items, sel, C, profit)
-			want := bruteForce(items, C)
-			if profit < (1-eps)*want-1e-9 {
-				t.Fatalf("it %d eps=%v: profit %v < (1−ε)OPT = %v", it, eps, profit, (1-eps)*want)
-			}
-		}
-	}
-}
-
-// TestSolveEpsApproxCanLoseProfit documents that the FPTAS really does
-// return suboptimal profit on adversarial instances (otherwise the
-// ablation in package fast would be vacuous).
-func TestSolveEpsApproxCanLoseProfit(t *testing.T) {
-	// many equal items: rounding K = ε·pmax/n makes each item lose up to
-	// K profit, total ≈ ε·pmax — with pmax = every item's profit the
-	// relative loss per excluded item is large for coarse ε.
-	var items []Item
-	for i := 0; i < 20; i++ {
-		items = append(items, Item{ID: i, Size: 1, Profit: 1 + 0.04*float64(i%2)})
-	}
-	lost := false
-	for seed := 0; seed < 5 && !lost; seed++ {
-		_, approx := SolveEpsApprox(items, 10, 0.9)
-		_, exact := SolveDense(items, 10, nil)
-		if approx < exact-1e-12 {
-			lost = true
-		}
-	}
-	if !lost {
-		t.Skip("FPTAS happened to be exact here; the guarantee test above still holds")
-	}
-}
-
 // TestLemma11Separation: OPT(I, C) ≤ OPT(I₁, α) + OPT(I₂, β) for any
 // partition I = I₁ ∪ I₂ and any α ≥ space used by I₁'s part of an
 // optimal solution (similarly β); with α+β = C, equality holds for the

@@ -46,12 +46,6 @@ type ServeConfig struct {
 	// Limiter applies admission control and tenant quotas; nil admits
 	// everything.
 	Limiter *Limiter
-	// KeepSessions leaves online sessions open when the serve loop
-	// ends. The default (false) releases every session this connection
-	// opened and never drained — the disconnect-cleanup path: without
-	// it, a client that vanished mid-session would leak its runtime
-	// and event log in the backend until process exit.
-	KeepSessions bool
 }
 
 // ServeLines runs one protocol session: JSON-lines requests from in,
@@ -73,9 +67,10 @@ type ServeConfig struct {
 func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg ServeConfig) error {
 	out := &writer{enc: json.NewEncoder(w)}
 	sess := &session{b: b, out: out, cfg: cfg, opened: make(map[uint64]bool), barrier: closedBarrier()}
-	if !cfg.KeepSessions {
-		defer sess.releaseSessions()
-	}
+	// Release every online session this stream opened and never
+	// drained: a client that vanished mid-session would otherwise leak
+	// its runtime and event log in the backend until process exit.
+	defer sess.releaseSessions()
 	sc := bufio.NewScanner(in)
 	// Start at 64 KiB — every HTTP POST runs a session of its own, so
 	// this is paid per request — and let the scanner grow the buffer on

@@ -158,6 +158,18 @@ func (s *Server) track(c net.Conn) bool {
 	return true
 }
 
+// join registers an HTTP session so Close can join it; false means
+// Close has already run.
+func (s *Server) join() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.wg.Add(1)
+	return true
+}
+
 func (s *Server) untrack(c net.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,7 +193,8 @@ func (s *Server) RefreshObsGauges() { service.PublishStats(s.svc.Stats()) }
 //	POST /rpc    — the wire protocol over HTTP: the request body is
 //	               JSON-lines requests, the response body the
 //	               JSON-lines responses (one protocol session per
-//	               HTTP request, ended by the request or by Close)
+//	               HTTP request, ended by the request or by Close;
+//	               503 once Close has run)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -197,11 +210,26 @@ func (s *Server) Handler() http.Handler {
 		json.NewEncoder(w).Encode(map[string]any{"stats": s.svc.Stats()})
 	})
 	mux.HandleFunc("POST /rpc", func(w http.ResponseWriter, req *http.Request) {
+		// Close joins the session like a TCP connection's, so no
+		// submit can reach the scheduler after it has stopped.
+		if !s.join() {
+			http.Error(w, "server closed", http.StatusServiceUnavailable)
+			return
+		}
+		defer s.wg.Done()
 		// The session ends with the request or with the server,
-		// whichever comes first, so Close cancels HTTP work too.
+		// whichever comes first, so Close cancels HTTP work too. The
+		// read deadline unblocks a body read from a client that went
+		// quiet, as closing a TCP connection does; it can fail only on
+		// a transport without deadlines, where Close then waits for the
+		// client to finish its body.
 		ctx, cancel := context.WithCancel(req.Context())
 		defer cancel()
-		stop := context.AfterFunc(s.ctx, cancel)
+		rc := http.NewResponseController(w)
+		stop := context.AfterFunc(s.ctx, func() {
+			cancel()
+			_ = rc.SetReadDeadline(time.Now())
+		})
 		defer stop()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = ServeLines(ctx, s.svc, req.Body, w, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})

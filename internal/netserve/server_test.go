@@ -375,6 +375,65 @@ func TestServerCloseCancelsRPC(t *testing.T) {
 	}
 }
 
+// TestServerCloseJoinsRPC pins that Server.Close joins HTTP sessions:
+// a POST whose client has sent one submit and then gone quiet without
+// ending the body does not hold Close up, and a POST that arrives after
+// Close is refused with 503 rather than reaching the stopped scheduler.
+func TestServerCloseJoinsRPC(t *testing.T) {
+	srv := NewServer(context.Background(), ServerConfig{Service: service.Config{Workers: 1}, Probes: 8})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	posted := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/rpc", "application/x-ndjson", pr)
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		posted <- err
+	}()
+	b, err := moldable.AppendInstance(nil, heavyInstance(50, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(pw, `{"op":"submit","eps":0.5,"instance":%s}`+"\n", b)
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.svc.Stats().Submitted < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("submit never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close still waiting 5 s on a quiet POST /rpc")
+	}
+	select {
+	case <-posted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("quiet POST /rpc still open 5 s after Server.Close")
+	}
+
+	resp, err := http.Post(hs.URL+"/rpc", "application/x-ndjson", strings.NewReader(`{"op":"stats"}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /rpc after Close: status %d, want 503", resp.StatusCode)
+	}
+}
+
 // --- Disconnect and idle-session cleanup (the leak fix) ---
 
 // TestAbruptDisconnectReleasesOnlineSessions pins the leak fix: a
@@ -421,9 +480,8 @@ func TestAbruptDisconnectReleasesOnlineSessions(t *testing.T) {
 }
 
 // TestIdleSessionReaper pins the backstop for owners that vanish while
-// their connection stays up (a wedged peer, an embedder serving with
-// KeepSessions): sessions idle past the horizon are collected, fresh
-// ones are not.
+// their connection stays up (a wedged peer): sessions idle past the
+// horizon are collected, fresh ones are not.
 func TestIdleSessionReaper(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	defer svc.Close()

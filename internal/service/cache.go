@@ -27,8 +27,11 @@ type resultShard struct {
 	m  map[uint64]Result //sched:guardedby mu
 }
 
-func newResultCache(shards, total int) *resultCache {
-	c := &resultCache{shards: make([]resultShard, shards), cap: (total + shards - 1) / shards}
+// cacheShards is the number of result-cache shards.
+const cacheShards = 8
+
+func newResultCache(total int) *resultCache {
+	c := &resultCache{shards: make([]resultShard, cacheShards), cap: (total + cacheShards - 1) / cacheShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint64]Result)
 	}

@@ -12,7 +12,7 @@ import (
 // Canonical instance hashing. Two instances that are structurally equal
 // (same m, same job parameters in the same order) hash to the same
 // 64-bit key, which drives all the sharing in this package: the result
-// cache, the memoized-instance registry, and work-queue shard affinity.
+// cache, the memoized-instance registry, and worker-queue affinity.
 // The hash streams job parameters directly into a maphash (seeded per
 // Scheduler) — no intermediate serialization, so hashing a table-backed
 // instance costs one pass over its entries, negligible next to a single

@@ -21,8 +21,8 @@ import (
 //
 // Unlike batch submissions, a session is stateful and its operations
 // are order-dependent, so they run on the caller's goroutine under the
-// session mutex rather than on the worker pool; each runtime keeps its
-// own pooled core.Scratch, so repeated replans within a session are
+// session mutex rather than on the worker queues; each runtime keeps its
+// own core.Scratch, so repeated replans within a session are
 // allocation-free just like the batch hot path.
 
 // ErrUnknownSession reports an online-session id that was never opened

@@ -13,16 +13,15 @@
 //   - a bounded, sharded result cache: structurally identical
 //     (instance, options) submissions are answered without scheduling
 //     at all;
-//   - a sharded work-queue pool (parallel.Pool) with hash-affine
-//     routing: duplicate submissions land on one worker in order, so a
-//     burst of the same instance computes once and then hits the cache
-//     instead of stampeding.
+//   - one bounded FIFO queue per worker goroutine, chosen by the
+//     instance hash: duplicate submissions land on one worker in order,
+//     so a burst of the same instance computes once and then hits the
+//     cache instead of stampeding.
 //
-// A fourth mechanism rides on the pool's shard ownership: every worker
-// keeps a core.Scratch reused across all submissions it runs, so the
-// scheduling hot path allocates nothing after warm-up (DESIGN.md §6);
-// results are cloned at this boundary before they escape into the
-// cache or to callers.
+// Each worker goroutine owns a core.Scratch reused across all
+// submissions it runs, so the scheduling hot path allocates nothing
+// after warm-up (DESIGN.md §6); results are cloned at this boundary
+// before they escape into the cache or to callers.
 //
 // Submissions are asynchronous (SubmitCtx returns a ticket;
 // Wait/WaitCtx/Poll collect, Done observes) with synchronous
@@ -36,6 +35,7 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,15 +43,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
 
 // Config sizes the scheduler. The zero value is a sensible default.
 type Config struct {
-	Workers        int  // pool workers; ≤ 0 selects GOMAXPROCS
-	CacheShards    int  // result-cache shards; ≤ 0 selects 8
+	Workers        int  // worker goroutines; ≤ 0 selects GOMAXPROCS
 	ResultCacheCap int  // max cached results; ≤ 0 selects 1024
 	MemoCap        int  // max memoized instances retained; ≤ 0 selects 256
 	MemoBudgetMB   int  // max estimated MB of retained memo tables; ≤ 0 selects 256
@@ -61,8 +59,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.ResultCacheCap <= 0 {
 		c.ResultCacheCap = 1024
@@ -115,16 +113,11 @@ type Stats struct {
 type Scheduler struct {
 	cfg     Config
 	h       hasher
-	pool    *parallel.Pool
+	queues  []chan job // one per worker goroutine, chosen by instance key
+	workers sync.WaitGroup
+	closing sync.Once
 	results *resultCache
 	memos   *memoRegistry
-	// scratch holds one core.Scratch per pool worker (indexed by
-	// pool.ShardOf(key)): each worker reuses its scratch across every
-	// submission it runs, so the scheduling hot path stops allocating
-	// after warm-up. Safe without locks because a shard's tasks run on
-	// exactly one worker goroutine; slots are lazily initialized by
-	// their owning worker.
-	scratch []*core.Scratch
 	tasks   sync.Map    // ticket → *task
 	onlines sync.Map    // ticket → *onlineSession (see online.go)
 	retired chan uint64 // FIFO of completed tickets, bounding uncollected retention
@@ -140,28 +133,78 @@ type task struct {
 	done chan struct{}
 }
 
+// job is one queued submission: everything run needs.
+type job struct {
+	ctx       context.Context
+	id        uint64
+	t         *task
+	in        *moldable.Instance
+	opt       core.Options
+	key, rkey uint64
+	canon     bool
+}
+
+// queueCap bounds each worker's queue; beyond it SubmitCtx blocks. It
+// is deep enough to absorb a burst of submissions from many
+// connections, and shallow enough that a flood backs up into the
+// submitters instead of into memory.
+const queueCap = 256
+
 // New starts a scheduler.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	pool := parallel.NewPool(cfg.Workers)
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:     cfg,
 		h:       newHasher(),
-		pool:    pool,
-		results: newResultCache(cfg.CacheShards, cfg.ResultCacheCap),
+		queues:  make([]chan job, cfg.Workers),
+		results: newResultCache(cfg.ResultCacheCap),
 		memos:   newMemoRegistry(cfg.MemoCap, int64(cfg.MemoBudgetMB)<<20),
-		scratch: make([]*core.Scratch, pool.Size()),
 		retired: make(chan uint64, cfg.TicketCap),
+	}
+	for i := range s.queues {
+		q := make(chan job, queueCap)
+		s.queues[i] = q
+		s.workers.Add(1)
+		go func() {
+			defer s.workers.Done()
+			s.work(q)
+		}()
+	}
+	return s
+}
+
+// work runs one worker: its queue's jobs in FIFO order, all on one
+// core.Scratch, so the scheduling hot path stops allocating after
+// warm-up.
+func (s *Scheduler) work(q <-chan job) {
+	sc := core.NewScratch()
+	for j := range q {
+		s.run(j, sc)
 	}
 }
 
-// Close drains in-flight work and stops the workers. SubmitCtx after Close
-// panics; pending tickets remain collectable.
-func (s *Scheduler) Close() { s.pool.Close() }
+// enqueue sends j to its key's worker, blocking while that queue is
+// full. Fibonacci hashing spreads dense sequential keys (ticket ids)
+// evenly.
+func (s *Scheduler) enqueue(j job) {
+	s.queues[(j.key*0x9e3779b97f4a7c15)%uint64(len(s.queues))] <- j
+}
+
+// Close runs the queued work to completion and stops the workers.
+// SubmitCtx after Close panics; pending tickets remain collectable.
+// Idempotent.
+func (s *Scheduler) Close() {
+	s.closing.Do(func() {
+		for _, q := range s.queues {
+			close(q)
+		}
+	})
+	s.workers.Wait()
+}
 
 // SubmitCtx enqueues the instance and returns a ticket for Wait/Poll.
 // The instance must not be mutated afterwards. Result-cache hits
-// complete the ticket immediately without touching the pool.
+// complete the ticket immediately without touching the queues.
 //
 // Completed results are retained until collected, up to TicketCap
 // uncollected tickets; beyond that the oldest uncollected results are
@@ -201,62 +244,54 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt co
 		}
 	} else {
 		// No canonical hash: spread by ticket so unhashable submissions
-		// don't all serialize onto one shard.
+		// don't all serialize onto one worker.
 		key = id
 	}
 	if err := ctx.Err(); err != nil {
 		s.finish(id, t, Result{Err: scherr.Canceled(err)})
 		return id
 	}
-	s.pool.Submit(key, func() { s.run(ctx, id, t, in, opt, key, rkey, canon) })
+	s.enqueue(job{ctx: ctx, id: id, t: t, in: in, opt: opt, key: key, rkey: rkey, canon: canon})
 	return id
 }
 
-// run executes one submission on a pool worker.
-func (s *Scheduler) run(ctx context.Context, id uint64, t *task, in *moldable.Instance, opt core.Options, key, rkey uint64, canon bool) {
+// run executes one submission on the worker that owns sc.
+func (s *Scheduler) run(j job, sc *core.Scratch) {
 	// Abandon work whose caller has already given up: the deadline ended
 	// while this submission sat in the queue.
-	if err := ctx.Err(); err != nil {
-		s.finish(id, t, Result{Err: scherr.Canceled(err)})
+	if err := j.ctx.Err(); err != nil {
+		s.finish(j.id, j.t, Result{Err: scherr.Canceled(err)})
 		return
 	}
 	// Re-check the cache: a key-mate submitted moments earlier may have
-	// just computed this exact result (shard affinity serialized us
+	// just computed this exact result (key affinity serialized us
 	// behind it).
-	if canon && !s.cfg.NoResultCache {
-		if r, ok := s.results.get(rkey); ok {
+	if j.canon && !s.cfg.NoResultCache {
+		if r, ok := s.results.get(j.rkey); ok {
 			r.Cached = true
 			s.resultHits.Add(1)
 			if obs.On() {
 				obs.ServiceResultHits.Inc()
 			}
-			s.finish(id, t, r)
+			s.finish(j.id, j.t, r)
 			return
 		}
 	}
 	// Memoize only when some job's oracle costs more than O(1) (see
 	// moldable.NeedsMemo): an all-closed-form instance runs bare and
 	// never enters the memo registry.
-	exec := in
+	exec := j.in
 	var looseStats func() (int64, int64)
-	if !s.cfg.NoMemoize && slices.ContainsFunc(in.Jobs, moldable.NeedsMemo) {
-		if canon {
-			exec = s.memos.get(key, in)
+	if !s.cfg.NoMemoize && slices.ContainsFunc(j.in.Jobs, moldable.NeedsMemo) {
+		if j.canon {
+			exec = s.memos.get(j.key, j.in)
 		} else {
-			exec, looseStats = moldable.MemoizeInstance(in)
+			exec, looseStats = moldable.MemoizeInstance(j.in)
 		}
 	}
-	// Run on this worker's pooled scratch: buffers are reused across
-	// every submission the worker executes (race-free; see the scratch
-	// field). The scratch owns the produced schedule, so clone it
+	// The worker's scratch owns the produced schedule, so clone it
 	// before the result escapes into the cache or to callers.
-	worker := s.pool.ShardOf(key)
-	sc := s.scratch[worker]
-	if sc == nil {
-		sc = core.NewScratch()
-		s.scratch[worker] = sc
-	}
-	sched, rep, err := core.ScheduleScratchCtx(ctx, exec, opt, sc)
+	sched, rep, err := core.ScheduleScratchCtx(j.ctx, exec, j.opt, sc)
 	if looseStats != nil {
 		h, m := looseStats()
 		s.looseHits.Add(h)
@@ -271,10 +306,10 @@ func (s *Scheduler) run(ctx context.Context, id uint64, t *task, in *moldable.In
 		sched = sched.Clone()
 	}
 	r := Result{Schedule: sched, Report: repp, Err: err}
-	if err == nil && canon && !s.cfg.NoResultCache {
-		s.results.put(rkey, r)
+	if err == nil && j.canon && !s.cfg.NoResultCache {
+		s.results.put(j.rkey, r)
 	}
-	s.finish(id, t, r)
+	s.finish(j.id, j.t, r)
 }
 
 func (s *Scheduler) finish(id uint64, t *task, r Result) {
@@ -394,7 +429,7 @@ func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.O
 }
 
 // DoBatchCtx submits every instance under one shared context and
-// waits for all results, in order: a pool fan-out plus dedup, result
+// waits for all results, in order: a fan-out over the workers plus dedup, result
 // caching, and shared oracle memos. A cancel or deadline mid-batch completes the remaining submissions with ErrCanceled
 // results (already-finished ones keep their results), never a short
 // slice. The waits are ctx-bounded, so the call returns promptly after

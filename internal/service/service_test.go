@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -260,6 +261,9 @@ func TestDoBatchDefaultWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{0, -1, -7} {
 		s := New(Config{Workers: workers})
+		if got, want := len(s.queues), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("workers=%d: %d worker queues, want GOMAXPROCS = %d", workers, got, want)
+		}
 		out := s.DoBatchCtx(context.Background(), ins, core.Options{Algorithm: core.Linear, Eps: 0.5})
 		s.Close()
 		if len(out) != len(ins) {
@@ -314,7 +318,12 @@ func TestTicketCapBoundsUncollected(t *testing.T) {
 	for i := range ids {
 		ids[i] = s.SubmitCtx(context.Background(), testInstance(uint64(60+i)), opt)
 	}
-	s.pool.Drain()
+	// A ticket the cap already dropped had completed; wait on the rest.
+	for _, id := range ids {
+		if done, ok := s.Done(id); ok {
+			<-done
+		}
+	}
 	if _, done, k := s.Poll(ids[len(ids)-1]); !k || !done {
 		t.Fatal("newest ticket must survive the cap")
 	}
