@@ -140,7 +140,7 @@ func collectObjKeys(pkg *Package, into map[types.Object]string, want func(types.
 // fullSweep is false (the package never imports sync/atomic), only the
 // copy check runs — see runAtomicMix.
 func (st *atomicMixState) sweep(pkg *Package, fullSweep bool) {
-	pass := loPass(pkg)
+	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, owner: pkg}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -292,7 +292,7 @@ func (w *amWalker) access(id *ast.Ident, whole ast.Expr, write bool) {
 		return
 	}
 	if sel, isSel := whole.(*ast.SelectorExpr); isSel {
-		if root := rootObject(w.pass, sel.X); root != nil && w.fresh[root] {
+		if root := rootObject(w.pass.TypesInfo, sel.X); root != nil && w.fresh[root] {
 			return // constructor: storage not yet shared
 		}
 	}

@@ -3,11 +3,12 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 )
 
-// The intraprocedural CFG + dataflow substrate under the concurrency
-// analyzers (lockguard, lockorder, chanrule) and the flow-sensitive
-// parts of ctxflow/resetcheck.
+// The intraprocedural CFG + dataflow substrate under every flow
+// analyzer: lockguard, lockorder, chanrule, resetcheck and scratchown.
 //
 // A cfg decomposes one function scope (a FuncDecl body or a FuncLit
 // body — nested literals are separate scopes, matching the lockguard
@@ -18,15 +19,17 @@ import (
 // client's transfer function can walk every node it is handed without
 // re-entering bodies. Branch edges carry the condition expression and
 // the boolean value under which the edge is taken, which is what lets
-// lockguard model `if !mu.TryLock() { return }` and ctxflow model
-// `if ctx == nil { ctx = context.Background() }` precisely.
+// the lock analyzers model `if !mu.TryLock() { return }` and
+// scratchown model `if x != nil { x = x.Clone() }` precisely.
 //
 // On top of the graph, forward() runs a classic iterative worklist
-// dataflow to a fixpoint. Clients supply the lattice (entry/clone/
-// join/equal) and the transfer functions (node, edge); nil is the
-// unreachable state. Diagnostics are emitted only after convergence,
-// by replaying each reachable block once against its converged
-// in-state, so the fixpoint iteration itself never reports.
+// dataflow to a fixpoint over one lattice shape, facts: a keyed map
+// joined by intersection (must) or union (may). Clients supply the
+// transfer functions (node, edge). Diagnostics are emitted only after
+// convergence, by replay(), which walks each reachable block once
+// against its converged in-state, so the fixpoint iteration itself
+// never reports. Interprocedural summaries (scratchown's escapes,
+// lockorder's may-acquire sets) grow under fixpoint() until stable.
 
 // A cfgBlock is one basic block: nodes in execution order, then edges.
 type cfgBlock struct {
@@ -38,7 +41,8 @@ type cfgBlock struct {
 
 // A cfgEdge is one control transfer. When cond is non-nil, the edge is
 // taken exactly when cond evaluates to `when` — the hook for
-// branch-sensitive refinement (TryLock, nil checks).
+// branch-sensitive refinement (TryLock in the lock analyzers, nil
+// checks in scratchown).
 type cfgEdge struct {
 	to   *cfgBlock
 	cond ast.Expr
@@ -289,9 +293,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 }
 
 // caseBodies wires a switch/type-switch/select: every case body hangs
-// off the head; `blocking` false (select without default) still routes
-// all control through the bodies since exactly one case always runs.
-// A missing default on a (type-)switch adds a direct head→join edge.
+// off the head. A select without default still routes all control
+// through the bodies since exactly one case always runs (so `select {}`
+// leaves join unreachable). A missing default on a (type-)switch adds a
+// direct head→join edge.
 func (b *cfgBuilder) caseBodies(clauses []ast.Stmt, parts func(ast.Stmt) ([]ast.Node, []ast.Stmt, bool), isSwitch bool) {
 	head := b.cur
 	if head == nil {
@@ -320,7 +325,6 @@ func (b *cfgBuilder) caseBodies(clauses []ast.Stmt, parts func(ast.Stmt) ([]ast.
 				b.emit(n)
 			}
 		}
-		bodies[i] = blk // blk never splits on lead nodes (simple emits)
 		b.edge(head, blk, nil, false)
 	}
 	for i := range clauses {
@@ -347,64 +351,93 @@ func (b *cfgBuilder) caseBodies(clauses []ast.Stmt, parts func(ast.Stmt) ([]ast.
 	if isSwitch && !hasDefault {
 		b.edge(head, join, nil, false)
 	}
-	if !isSwitch && !hasDefault && len(clauses) == 0 {
-		// `select {}` blocks forever: join is unreachable, which the
-		// dataflow handles naturally (no edge).
-		_ = head
-	}
 	b.cur = join
 }
 
-// flowFuncs parameterizes forward dataflow over a cfg. States are
-// opaque; nil means unreachable. node and edge may mutate and return
-// their argument (the engine clones before every block replay).
-type flowFuncs struct {
-	entry func() any
-	clone func(any) any
-	join  func(a, b any) any // both non-nil
-	equal func(a, b any) bool
-	node  func(n ast.Node, st any) any
-	edge  func(e cfgEdge, st any) any
+// facts is the lattice value of every flow client: a finite map from
+// a key (a held mutex, a closed channel, a touched field, a variable)
+// to a comparable fact about it. nil is the unreachable state.
+type facts[K, V comparable] map[K]V
+
+// A flow is one forward dataflow client over facts. node and edge
+// update the state in place; the engine copies before every block.
+type flow[K, V comparable] struct {
+	// may selects the join at merges: union (a fact on some path is
+	// enough) when set, intersection (a fact on every path) otherwise.
+	may bool
+	// meet combines the facts of a key present on both sides of a
+	// merge; nil keeps the fact already there.
+	meet func(a, b V) V
+	// node applies one block node. report is false while iterating to
+	// the fixpoint and true during the replay.
+	node func(n ast.Node, st facts[K, V], report bool)
+	// edge refines the state on a conditional edge (nil: no
+	// refinement).
+	edge func(e cfgEdge, st facts[K, V])
+}
+
+// merge joins next into *dst, reporting whether *dst changed. It may
+// take next over as the new state.
+func (f *flow[K, V]) merge(dst *facts[K, V], next facts[K, V]) bool {
+	cur := *dst
+	if cur == nil {
+		*dst = next
+		return true
+	}
+	changed := false
+	for k, a := range cur {
+		b, ok := next[k]
+		switch {
+		case !ok && !f.may:
+			delete(cur, k)
+			changed = true
+		case ok && f.meet != nil:
+			if m := f.meet(a, b); m != a {
+				cur[k] = m
+				changed = true
+			}
+		}
+	}
+	if f.may {
+		for k, b := range next {
+			if _, ok := cur[k]; !ok {
+				cur[k] = b
+				changed = true
+			}
+		}
+	}
+	return changed
 }
 
 // forward computes the converged in-state of every block (indexed by
-// cfgBlock.index; nil = unreachable). Iteration is bounded as a
-// backstop against a non-monotone client; the bound is far above what
-// the lattices used here need to converge.
-func (g *cfg) forward(ff flowFuncs) []any {
-	in := make([]any, len(g.blocks))
-	in[g.entry.index] = ff.entry()
+// cfgBlock.index; nil = unreachable), starting from entry. Iteration is
+// bounded as a backstop against a non-monotone client; the bound is
+// far above what the lattices used here need to converge.
+func forward[K, V comparable](g *cfg, f flow[K, V], entry facts[K, V]) []facts[K, V] {
+	in := make([]facts[K, V], len(g.blocks))
+	in[g.entry.index] = maps.Clone(entry)
 	order := g.postorder()
-	// reverse postorder
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	maxIter := 4 * (len(g.blocks) + 1)
-	for iter := 0; iter < maxIter; iter++ {
+	slices.Reverse(order)
+	for iter := 0; iter < 4*(len(g.blocks)+1); iter++ {
 		changed := false
 		for _, blk := range order {
-			st := in[blk.index]
-			if st == nil {
+			if in[blk.index] == nil {
 				continue
 			}
-			out := ff.clone(st)
+			out := maps.Clone(in[blk.index])
 			for _, n := range blk.nodes {
-				out = ff.node(n, out)
+				f.node(n, out, false)
 			}
-			for _, e := range blk.succs {
-				next := ff.clone(out)
-				if e.cond != nil && ff.edge != nil {
-					next = ff.edge(e, next)
+			for i, e := range blk.succs {
+				next := out
+				refine := e.cond != nil && f.edge != nil
+				if refine || i < len(blk.succs)-1 {
+					next = maps.Clone(out)
 				}
-				cur := in[e.to.index]
-				var merged any
-				if cur == nil {
-					merged = next
-				} else {
-					merged = ff.join(ff.clone(cur), next)
+				if refine {
+					f.edge(e, next)
 				}
-				if cur == nil || !ff.equal(cur, merged) {
-					in[e.to.index] = merged
+				if f.merge(&in[e.to.index], next) {
 					changed = true
 				}
 			}
@@ -414,6 +447,29 @@ func (g *cfg) forward(ff flowFuncs) []any {
 		}
 	}
 	return in
+}
+
+// replay walks every reachable block once from its converged in-state
+// with report set, so a client emits each finding exactly once and
+// never from an intermediate fixpoint state.
+func replay[K, V comparable](g *cfg, f flow[K, V], in []facts[K, V]) {
+	for _, blk := range g.blocks {
+		if in[blk.index] == nil {
+			continue
+		}
+		st := maps.Clone(in[blk.index])
+		for _, n := range blk.nodes {
+			f.node(n, st, true)
+		}
+	}
+}
+
+// fixpoint calls step until it reports that no summary grew. Summaries
+// only grow and are bounded by the module's finite keys, so this
+// terminates; the bound is a backstop.
+func fixpoint(step func() bool) {
+	for iter := 0; iter < 32 && step(); iter++ {
+	}
 }
 
 // postorder returns the blocks reachable from entry in postorder.

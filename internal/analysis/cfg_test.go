@@ -28,7 +28,7 @@ func parseBody(t *testing.T, src string) *ast.BlockStmt {
 // mustMentions runs a must-analysis (intersection join) that collects
 // the identifiers named in call statements, and returns the converged
 // exit in-state (nil when no path reaches the exit).
-func mustMentions(g *cfg) map[string]bool {
+func mustMentions(g *cfg) facts[string, bool] {
 	calls := func(n ast.Node) []string {
 		var out []string
 		if _, isHeader := n.(rangeHeader); isHeader {
@@ -44,50 +44,12 @@ func mustMentions(g *cfg) map[string]bool {
 		})
 		return out
 	}
-	in := g.forward(flowFuncs{
-		entry: func() any { return map[string]bool{} },
-		clone: func(s any) any {
-			out := map[string]bool{}
-			for k := range s.(map[string]bool) {
-				out[k] = true
-			}
-			return out
-		},
-		join: func(a, b any) any {
-			out := map[string]bool{}
-			for k := range a.(map[string]bool) {
-				if b.(map[string]bool)[k] {
-					out[k] = true
-				}
-			}
-			return out
-		},
-		equal: func(a, b any) bool {
-			as, bs := a.(map[string]bool), b.(map[string]bool)
-			if len(as) != len(bs) {
-				return false
-			}
-			for k := range as {
-				if !bs[k] {
-					return false
-				}
-			}
-			return true
-		},
-		node: func(n ast.Node, s any) any {
-			st := s.(map[string]bool)
-			for _, name := range calls(n) {
-				st[name] = true
-			}
-			return st
-		},
-		edge: func(e cfgEdge, s any) any { return s },
-	})
-	st := in[g.exit.index]
-	if st == nil {
-		return nil
-	}
-	return st.(map[string]bool)
+	in := forward(g, flow[string, bool]{node: func(n ast.Node, st facts[string, bool], _ bool) {
+		for _, name := range calls(n) {
+			st[name] = true
+		}
+	}}, facts[string, bool]{})
+	return in[g.exit.index]
 }
 
 func TestCFGBranchJoinIsIntersection(t *testing.T) {
@@ -257,14 +219,7 @@ func TestCFGDeadCodeIsWalkedButUnreachable(t *testing.T) {
 		return
 		dead()
 	`))
-	in := g.forward(flowFuncs{
-		entry: func() any { return 0 },
-		clone: func(s any) any { return s },
-		join:  func(a, b any) any { return a },
-		equal: func(a, b any) bool { return true },
-		node:  func(n ast.Node, s any) any { return s },
-		edge:  func(e cfgEdge, s any) any { return s },
-	})
+	in := forward(g, flow[string, bool]{node: func(ast.Node, facts[string, bool], bool) {}}, facts[string, bool]{})
 	foundDead := false
 	for _, blk := range g.blocks {
 		for _, n := range blk.nodes {

@@ -4,7 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // ChanRule enforces the channel ownership discipline the serving path
@@ -245,18 +248,6 @@ func makeChanCall(pass *Pass, e ast.Expr) (*ast.CallExpr, bool) {
 	return call, isChan
 }
 
-// closedSet is the may-be-closed lattice: channel object → first close
-// position. Join is union (closed on some path is enough to panic).
-type closedSet map[types.Object]token.Pos
-
-func cloneClosed(s closedSet) closedSet {
-	out := make(closedSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // chanEvent is one close/send/remake in a CFG node, position-ordered.
 type chanEvent struct {
 	pos  token.Pos
@@ -326,88 +317,43 @@ func nodeChanEvents(pass *Pass, n ast.Node) []chanEvent {
 	return evs
 }
 
-// flowClosed runs the may-be-closed dataflow over one scope and
-// reports sends and closes reachable after a close on some path.
+// flowClosed runs the may-be-closed dataflow over one scope (channel
+// object → first close site, joined by union: closed on some path is
+// enough to panic) and reports sends and closes reachable after a
+// close on some path.
 func flowClosed(pass *Pass, scope *ast.BlockStmt) {
 	evCache := map[ast.Node][]chanEvent{}
-	events := func(n ast.Node) []chanEvent {
-		evs, ok := evCache[n]
-		if !ok {
-			evs = nodeChanEvents(pass, n)
-			evCache[n] = evs
-		}
-		return evs
-	}
-	mk := func(onEv func(ev chanEvent, closed closedSet)) flowFuncs {
-		return flowFuncs{
-			entry: func() any { return closedSet{} },
-			clone: func(st any) any { return cloneClosed(st.(closedSet)) },
-			join: func(a, b any) any {
-				out := cloneClosed(a.(closedSet))
-				for k, v := range b.(closedSet) {
-					if _, ok := out[k]; !ok {
-						out[k] = v
-					}
-				}
-				return out
-			},
-			equal: func(a, b any) bool {
-				as, bs := a.(closedSet), b.(closedSet)
-				if len(as) != len(bs) {
-					return false
-				}
-				for k := range as {
-					if _, ok := bs[k]; !ok {
-						return false
-					}
-				}
-				return true
-			},
-			node: func(n ast.Node, st any) any {
-				closed := st.(closedSet)
-				for _, ev := range events(n) {
-					if onEv != nil {
-						onEv(ev, closed)
-					}
+	f := flow[types.Object, token.Pos]{
+		may: true,
+		node: func(n ast.Node, closed facts[types.Object, token.Pos], report bool) {
+			evs, ok := evCache[n]
+			if !ok {
+				evs = nodeChanEvents(pass, n)
+				evCache[n] = evs
+			}
+			for _, ev := range evs {
+				if at, isClosed := closed[ev.obj]; report && isClosed {
+					where := shortPos(pass.Fset.Position(at))
 					switch ev.kind {
+					case ceSend:
+						pass.Report(ev.pos, "send on %s, which may already be closed (close at %s); send on a closed channel panics", ev.expr, where)
 					case ceClose:
-						if _, ok := closed[ev.obj]; !ok {
-							closed[ev.obj] = ev.pos
-						}
-					case ceRemake:
-						delete(closed, ev.obj)
+						pass.Report(ev.pos, "close of %s, which may already be closed (close at %s); double close panics", ev.expr, where)
 					}
 				}
-				return closed
-			},
-			edge: func(e cfgEdge, st any) any { return st },
-		}
+				switch ev.kind {
+				case ceClose:
+					if _, ok := closed[ev.obj]; !ok {
+						closed[ev.obj] = ev.pos
+					}
+				case ceRemake:
+					delete(closed, ev.obj)
+				}
+			}
+		},
 	}
 	g := cfgOf(pass.owner, scope)
-	in := g.forward(mk(nil))
-	report := mk(func(ev chanEvent, closed closedSet) {
-		at, isClosed := closed[ev.obj]
-		if !isClosed {
-			return
-		}
-		where := shortPos(pass.Fset.Position(at))
-		switch ev.kind {
-		case ceSend:
-			pass.Report(ev.pos, "send on %s, which may already be closed (close at %s); send on a closed channel panics", ev.expr, where)
-		case ceClose:
-			pass.Report(ev.pos, "close of %s, which may already be closed (close at %s); double close panics", ev.expr, where)
-		}
-	})
-	for _, blk := range g.blocks {
-		st := in[blk.index]
-		if st == nil {
-			continue // unreachable
-		}
-		cur := any(cloneClosed(st.(closedSet)))
-		for _, n := range blk.nodes {
-			cur = report.node(n, cur)
-		}
-	}
+	replay(g, f, forward(g, f, facts[types.Object, token.Pos]{}))
 }
 
 // guardMutexNames collects the mutex field names referenced by any
@@ -435,45 +381,28 @@ func guardMutexNames(pass *Pass) map[string]bool {
 // flowGuardedSends runs the held-lock dataflow (shared with lockguard)
 // and reports unbuffered sends executed while a guard mutex is held.
 func flowGuardedSends(pass *Pass, scope *ast.BlockStmt, guardNames map[string]bool, unbuffered func(ast.Expr) bool) {
-	c := &lockCollector{pass: pass, scope: scope, guards: map[types.Object]string{},
-		fresh: freshLocals(pass, scope)}
+	f := lockFlow(newLockReader(pass.TypesInfo, exprKey), nil)
+	apply := f.node
+	f.node = func(n ast.Node, held heldLocks, report bool) {
+		if send, ok := n.(*ast.SendStmt); ok && report && unbuffered(send.Chan) {
+			if key, ok := heldGuard(held, guardNames); ok {
+				pass.Report(send.Arrow, "unbuffered send on %s while holding %s (a //sched:guardedby mutex); the critical section blocks until a receiver is ready — buffer the channel or send after Unlock",
+					types.ExprString(ast.Unparen(send.Chan)), key)
+			}
+		}
+		apply(n, held, report)
+	}
 	g := cfgOf(pass.owner, scope)
-	ff := heldFlowFuncs(pass, c.nodeOps, nil)
-	in := g.forward(ff)
-	heldGuard := func(held heldSet) (string, bool) {
-		keys := make([]string, 0, len(held))
-		for k := range held {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dot := len(k)
-			for i := len(k) - 1; i >= 0; i-- {
-				if k[i] == '.' {
-					dot = i
-					break
-				}
-			}
-			if dot < len(k) && guardNames[k[dot+1:]] {
-				return k, true
-			}
-		}
-		return "", false
-	}
-	for _, blk := range g.blocks {
-		st := in[blk.index]
-		if st == nil {
-			continue
-		}
-		cur := any(st.(heldSet).clone())
-		for _, n := range blk.nodes {
-			if send, ok := n.(*ast.SendStmt); ok && unbuffered(send.Chan) {
-				if key, held := heldGuard(cur.(heldSet)); held {
-					pass.Report(send.Arrow, "unbuffered send on %s while holding %s (a //sched:guardedby mutex); the critical section blocks until a receiver is ready — buffer the channel or send after Unlock",
-						types.ExprString(ast.Unparen(send.Chan)), key)
-				}
-			}
-			cur = ff.node(n, cur)
+	replay(g, f, forward(g, f, heldLocks{}))
+}
+
+// heldGuard returns the first held mutex (in key order) whose last
+// selector names a guard mutex.
+func heldGuard(held heldLocks, guardNames map[string]bool) (string, bool) {
+	for _, k := range slices.Sorted(maps.Keys(held)) {
+		if dot := strings.LastIndexByte(k, '.'); dot >= 0 && guardNames[k[dot+1:]] {
+			return k, true
 		}
 	}
+	return "", false
 }

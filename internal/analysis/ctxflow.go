@@ -178,7 +178,7 @@ func isContextType(t types.Type) bool {
 // checkCtxCall flags a call to a non-ctx function when a ctx-taking
 // sibling named <callee>Ctx exists.
 func checkCtxCall(pass *Pass, call *ast.CallExpr) {
-	callee := calleeFunc(pass, call)
+	callee := calleeFunc(pass.TypesInfo, call)
 	if callee == nil {
 		return
 	}
@@ -194,13 +194,13 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr) {
 
 // calleeFunc resolves the called function or method, or nil for
 // builtins, conversions, and indirect calls through function values.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := pass.ObjectOf(fun).(*types.Func)
+		fn, _ := info.ObjectOf(fun).(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := pass.ObjectOf(fun.Sel).(*types.Func)
+		fn, _ := info.ObjectOf(fun.Sel).(*types.Func)
 		return fn
 	}
 	return nil

@@ -25,16 +25,12 @@ import (
 // change, so a stale cache entry could otherwise point at outdated
 // .a files. As a second guard, a hit is only used if every recorded
 // export file still exists (the build cache may have been trimmed).
-//
-// Set SCHEDLINT_NOCACHE=1 to bypass (and not write) the cache.
+// Entries live in schedlint/golist-<key>.json under os.UserCacheDir().
 
 // cachedGoList consults the on-disk cache before shelling out. Cache
 // failures of any kind fall back to the real go list — the cache is an
 // optimization, never a correctness dependency.
 func cachedGoList(dir string, args ...string) ([]listedPackage, error) {
-	if os.Getenv("SCHEDLINT_NOCACHE") != "" {
-		return goList(dir, args...)
-	}
 	path, ok := listCachePath(dir, args)
 	if !ok {
 		return goList(dir, args...)

@@ -148,192 +148,30 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// isRWMutexType reports specifically sync.RWMutex (whose RLock grants
-// read-only access).
-func isRWMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "RWMutex"
-}
-
-// A lockOp is one position-ordered event in a scope: a lock
-// acquisition/release or a guarded-field access.
-type lockOp struct {
-	pos  token.Pos
-	kind int // opAcquire, opRelease, opAccess
-	key  string
-	// acquire/release: mode 'w' (Lock) or 'r' (RLock);
-	// access: mode 'w' for writes, 'r' for reads.
-	mode  byte
-	field string // access: rendered field expression for the message
-	guard string // access: guard field name
-}
-
-const (
-	opAcquire = iota
-	opRelease
-	opAccess
-)
-
-// checkLockScopes finds every scope (the given body plus each nested
-// function literal) and runs the held-lock dataflow on its CFG.
+// checkLockScopes runs the held-lock dataflow on the CFG of every
+// scope of body (the body plus each nested function literal) and
+// reports unguarded accesses.
 func checkLockScopes(pass *Pass, body *ast.BlockStmt, guards map[types.Object]string) {
 	for _, scope := range funcScopes(body) {
-		flowScope(pass, scope, guards)
-	}
-}
-
-// heldSet is the lock-state lattice value: lock key → 'r' or 'w'.
-// Join is key intersection, weakening 'w' to 'r' on mode disagreement
-// (a lock is only write-held after a merge if it is write-held on
-// every incoming path).
-type heldSet map[string]byte
-
-func (h heldSet) clone() heldSet {
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-func joinHeld(a, b heldSet) heldSet {
-	out := heldSet{}
-	for k, av := range a {
-		if bv, ok := b[k]; ok {
-			if av == bv {
-				out[k] = av
-			} else {
-				out[k] = 'r'
+		r := newLockReader(pass.TypesInfo, exprKey)
+		r.guards, r.fresh = guards, freshLocals(pass, scope)
+		f := lockFlow(r, func(ev lockEvent, held heldLocks) {
+			if ev.kind != lockAccess {
+				return
 			}
-		}
-	}
-	return out
-}
-
-func equalHeld(a, b heldSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// heldFlowFuncs builds the lock-state dataflow client shared by
-// lockguard and chanrule: opsOf extracts the ordered lock events of a
-// node, and branch edges on TryLock/TryRLock acquire on the success
-// path. onOp (optional) observes every op with the state before it —
-// nil during fixpoint, set during the post-convergence report replay.
-func heldFlowFuncs(pass *Pass, opsOf func(ast.Node) []lockOp, onOp func(op lockOp, held heldSet)) flowFuncs {
-	apply := func(n ast.Node, st any) any {
-		held := st.(heldSet)
-		for _, op := range opsOf(n) {
-			if onOp != nil {
-				onOp(op, held)
+			h, ok := held[ev.key]
+			switch {
+			case !ok:
+				pass.Report(ev.pos, "%s %s without holding %s (//sched:guardedby %s)",
+					accessWord(ev.mode), types.ExprString(ev.sel), ev.key, ev.guard)
+			case ev.mode == 'w' && h.mode == 'r':
+				pass.Report(ev.pos, "write to %s while %s is only read-held (RLock); writes need Lock",
+					types.ExprString(ev.sel), ev.key)
 			}
-			switch op.kind {
-			case opAcquire:
-				held[op.key] = op.mode
-			case opRelease:
-				delete(held, op.key)
-			}
-		}
-		return held
+		})
+		g := cfgOf(pass.owner, scope)
+		replay(g, f, forward(g, f, heldLocks{}))
 	}
-	return flowFuncs{
-		entry: func() any { return heldSet{} },
-		clone: func(st any) any { return st.(heldSet).clone() },
-		join:  func(a, b any) any { return joinHeld(a.(heldSet), b.(heldSet)) },
-		equal: func(a, b any) bool { return equalHeld(a.(heldSet), b.(heldSet)) },
-		node:  apply,
-		edge: func(e cfgEdge, st any) any {
-			held := st.(heldSet)
-			expr, val := condValue(e.cond, e.when)
-			if key, mode, ok := tryLockCall(pass, expr); ok && val {
-				held[key] = mode
-			}
-			return held
-		},
-	}
-}
-
-// tryLockCall recognizes X.TryLock()/X.TryRLock() on a mutex and
-// returns the lock key and granted mode.
-func tryLockCall(pass *Pass, expr ast.Expr) (key string, mode byte, ok bool) {
-	call, isCall := expr.(*ast.CallExpr)
-	if !isCall {
-		return "", 0, false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || !isMutexType(pass.TypeOf(sel.X)) {
-		return "", 0, false
-	}
-	switch sel.Sel.Name {
-	case "TryLock":
-		return types.ExprString(ast.Unparen(sel.X)), 'w', true
-	case "TryRLock":
-		return types.ExprString(ast.Unparen(sel.X)), 'r', true
-	}
-	return "", 0, false
-}
-
-// flowScope runs the held-lock dataflow over one scope's CFG to a
-// fixpoint, then replays each reachable block once against its
-// converged in-state to report unguarded accesses.
-func flowScope(pass *Pass, scope *ast.BlockStmt, guards map[types.Object]string) {
-	c := &lockCollector{pass: pass, scope: scope, guards: guards,
-		fresh: freshLocals(pass, scope)}
-	g := cfgOf(pass.owner, scope)
-	in := g.forward(heldFlowFuncs(pass, c.nodeOps, nil))
-	ff := heldFlowFuncs(pass, c.nodeOps, func(op lockOp, held heldSet) {
-		if op.kind != opAccess {
-			return
-		}
-		mode, ok := held[op.key]
-		switch {
-		case !ok:
-			pass.Report(op.pos, "%s %s without holding %s (//sched:guardedby %s)",
-				accessWord(op.mode), op.field, op.key, op.guard)
-		case op.mode == 'w' && mode == 'r':
-			pass.Report(op.pos, "write to %s while %s is only read-held (RLock); writes need Lock",
-				op.field, op.key)
-		}
-	})
-	for _, blk := range g.blocks {
-		st := in[blk.index]
-		if st == nil {
-			continue // unreachable
-		}
-		cur := any(st.(heldSet).clone())
-		for _, n := range blk.nodes {
-			cur = ff.node(n, cur)
-		}
-	}
-}
-
-// nodeOps extracts the position-ordered lock events of one CFG node
-// (a simple statement or a branch-condition expression).
-func (c *lockCollector) nodeOps(n ast.Node) []lockOp {
-	c.ops = c.ops[:0]
-	switch n := n.(type) {
-	case rangeHeader:
-		c.walk(n.Key, true, false)
-		c.walk(n.Value, true, false)
-		c.walk(n.X, false, false)
-	case ast.Stmt:
-		c.walk(n, false, false)
-	case ast.Expr:
-		c.walk(n, false, false)
-	}
-	sort.Slice(c.ops, func(i, j int) bool { return c.ops[i].pos < c.ops[j].pos })
-	return c.ops
 }
 
 func accessWord(mode byte) string {
@@ -397,85 +235,130 @@ func freshExpr(e ast.Expr) bool {
 	return false
 }
 
-type lockCollector struct {
-	pass   *Pass
-	scope  *ast.BlockStmt
-	guards map[types.Object]string
-	fresh  map[types.Object]bool
-	ops    []lockOp
-}
-
+// lockMethods is the one table of mutex methods the lock analyzers
+// read. A Try acquisition holds the mutex only on the success edge of
+// a branch on its result (see lockFlow); as a plain event it leaves
+// the held set unchanged.
 var lockMethods = map[string]struct {
 	kind int
 	mode byte
+	try  bool
 }{
-	"Lock":    {opAcquire, 'w'},
-	"RLock":   {opAcquire, 'r'},
-	"Unlock":  {opRelease, 'w'},
-	"RUnlock": {opRelease, 'r'},
+	"Lock":     {lockAcquire, 'w', false},
+	"RLock":    {lockAcquire, 'r', false},
+	"TryLock":  {lockAcquire, 'w', true},
+	"TryRLock": {lockAcquire, 'r', true},
+	"Unlock":   {lockRelease, 'w', false},
+	"RUnlock":  {lockRelease, 'r', false},
 }
 
-// walk visits the scope in source order, skipping nested function
-// literals (their bodies are separate scopes). write marks the
-// assignment-target context; deferred marks calls under defer (whose
-// releases are held-to-end and dropped).
-func (c *lockCollector) walk(n ast.Node, write, deferred bool) {
+const (
+	lockAcquire = iota
+	lockRelease
+	lockAccess // a read or write of a //sched:guardedby field
+	lockCall   // a call to a declared function
+)
+
+// A lockEvent is one lock-relevant event inside a CFG node.
+type lockEvent struct {
+	pos  token.Pos
+	kind int
+	// key names the mutex (acquire/release) or the guard an access
+	// needs ("<base>.<guard>").
+	key string
+	// mode is 'w' for Lock and writes, 'r' for RLock and reads.
+	mode     byte
+	try      bool
+	deferred bool              // runs at scope exit, not here
+	sel      *ast.SelectorExpr // access: the guarded field
+	guard    string            // access: the guard field's name
+	fn       *types.Func       // call: the callee
+}
+
+// A lockReader extracts the position-ordered lock events of CFG nodes
+// (and, for lockorder's summaries, of whole bodies). key names a mutex
+// expression, "" leaving it untracked: lockguard and chanrule key by
+// the expression text, lockorder by the module-wide mutex identity.
+// guards, when set, adds access events for guarded fields, except
+// through the fresh (not yet shared) locals.
+type lockReader struct {
+	info   *types.Info
+	key    func(mutex ast.Expr) string
+	guards map[types.Object]string
+	fresh  map[types.Object]bool
+	cache  map[ast.Node][]lockEvent
+	evs    []lockEvent
+}
+
+func newLockReader(info *types.Info, key func(ast.Expr) string) *lockReader {
+	return &lockReader{info: info, key: key, cache: map[ast.Node][]lockEvent{}}
+}
+
+// exprKey is the lockguard/chanrule mutex key: the expression text.
+func exprKey(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
+
+// events returns the lock events of n in source order.
+func (r *lockReader) events(n ast.Node) []lockEvent {
+	if evs, ok := r.cache[n]; ok {
+		return evs
+	}
+	r.evs = nil
+	if h, ok := n.(rangeHeader); ok {
+		r.walk(h.Key, true, false)
+		r.walk(h.Value, true, false)
+		r.walk(h.X, false, false)
+	} else {
+		r.walk(n, false, false)
+	}
+	sort.SliceStable(r.evs, func(i, j int) bool { return r.evs[i].pos < r.evs[j].pos })
+	r.cache[n] = r.evs
+	return r.evs
+}
+
+// walk visits n in source order, skipping nested function literals
+// (their bodies are separate scopes). write marks the assignment-target
+// context; deferred marks the call under a defer.
+func (r *lockReader) walk(n ast.Node, write, deferred bool) {
 	switch n := n.(type) {
 	case nil:
 	case *ast.BlockStmt:
 		for _, s := range n.List {
-			c.walk(s, false, false)
+			r.walk(s, false, false)
 		}
 	case *ast.AssignStmt:
 		for _, l := range n.Lhs {
-			c.walk(l, true, false)
+			r.walk(l, true, false)
 		}
-		for _, r := range n.Rhs {
-			c.walk(r, false, false)
+		for _, rhs := range n.Rhs {
+			r.walk(rhs, false, false)
 		}
 	case *ast.IncDecStmt:
-		c.walk(n.X, true, false)
+		r.walk(n.X, true, false)
 	case *ast.DeferStmt:
-		c.walk(n.Call, false, true)
-	case *ast.GoStmt:
-		c.walk(n.Call, false, false)
+		r.walk(n.Call, false, true)
 	case *ast.CallExpr:
-		if c.lockCall(n, deferred) {
+		if r.lockCall(n, deferred) {
 			return
 		}
-		c.walk(n.Fun, false, false)
+		if fn := calleeFunc(r.info, n); fn != nil {
+			r.evs = append(r.evs, lockEvent{pos: n.Pos(), kind: lockCall, fn: fn, deferred: deferred})
+		}
+		r.walk(n.Fun, false, false)
 		for _, a := range n.Args {
-			c.walk(a, false, false)
+			r.walk(a, false, false)
 		}
 	case *ast.SelectorExpr:
-		c.access(n, write)
-		c.walk(n.X, false, false)
+		r.access(n, write)
+		r.walk(n.X, false, false)
 	case *ast.IndexExpr:
-		c.walk(n.X, write, false) // s.m[k] = v writes through s.m
-		c.walk(n.Index, false, false)
+		r.walk(n.X, write, false) // s.m[k] = v writes through s.m
+		r.walk(n.Index, false, false)
 	case *ast.StarExpr:
-		c.walk(n.X, write, false)
+		r.walk(n.X, write, false)
 	case *ast.UnaryExpr:
-		c.walk(n.X, n.Op == token.AND || write, false)
+		r.walk(n.X, n.Op == token.AND || write, false)
 	case *ast.FuncLit:
 		// separate scope
-	case *ast.ExprStmt:
-		c.walk(n.X, false, false)
-	case *ast.IfStmt:
-		c.walk(n.Init, false, false)
-		c.walk(n.Cond, false, false)
-		c.walk(n.Body, false, false)
-		c.walk(n.Else, false, false)
-	case *ast.ForStmt:
-		c.walk(n.Init, false, false)
-		c.walk(n.Cond, false, false)
-		c.walk(n.Body, false, false)
-		c.walk(n.Post, false, false)
-	case *ast.RangeStmt:
-		c.walk(n.Key, true, false)
-		c.walk(n.Value, true, false)
-		c.walk(n.X, false, false)
-		c.walk(n.Body, false, false)
 	default:
 		// Generic traversal for everything else, preserving the
 		// no-descend-into-literals rule.
@@ -485,7 +368,7 @@ func (c *lockCollector) walk(n ast.Node, write, deferred bool) {
 			}
 			switch m.(type) {
 			case ast.Stmt, ast.Expr:
-				c.walk(m, write, deferred)
+				r.walk(m, write, deferred)
 				return false
 			}
 			return true
@@ -493,48 +376,94 @@ func (c *lockCollector) walk(n ast.Node, write, deferred bool) {
 	}
 }
 
-// lockCall records X.Lock()/RLock()/Unlock()/RUnlock() on a mutex and
-// reports whether the call was consumed as a lock event.
-func (c *lockCollector) lockCall(call *ast.CallExpr, deferred bool) bool {
+// lockCall records a lockMethods call on a mutex and reports whether
+// the call was consumed as a lock event. The mutex expression itself
+// is still read: it may select through guarded state or call.
+func (r *lockReader) lockCall(call *ast.CallExpr, deferred bool) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	op, ok := lockMethods[sel.Sel.Name]
-	if !ok || !isMutexType(c.pass.TypeOf(sel.X)) {
+	m, ok := lockMethods[sel.Sel.Name]
+	if !ok || !isMutexType(r.info.TypeOf(sel.X)) {
 		return false
 	}
-	if op.kind == opRelease && deferred {
-		return true // deferred unlock: held to scope end
+	if key := r.key(sel.X); key != "" {
+		r.evs = append(r.evs, lockEvent{pos: call.Pos(), kind: m.kind, key: key,
+			mode: m.mode, try: m.try, deferred: deferred})
 	}
-	c.ops = append(c.ops, lockOp{
-		pos: call.Pos(), kind: op.kind,
-		key: types.ExprString(ast.Unparen(sel.X)), mode: op.mode,
-	})
+	r.walk(sel.X, false, false)
 	return true
 }
 
 // access records a read or write of a guarded field.
-func (c *lockCollector) access(sel *ast.SelectorExpr, write bool) {
-	obj := c.pass.ObjectOf(sel.Sel)
-	guard, ok := c.guards[obj]
+func (r *lockReader) access(sel *ast.SelectorExpr, write bool) {
+	guard, ok := r.guards[r.info.ObjectOf(sel.Sel)]
 	if !ok {
 		return
 	}
-	if root := rootObject(c.pass, sel.X); root != nil && c.fresh[root] {
+	if root := rootObject(r.info, sel.X); root != nil && r.fresh[root] {
 		return // not yet shared
 	}
 	mode := byte('r')
 	if write {
 		mode = 'w'
 	}
-	// Plain-Mutex guards have no read mode: any hold licenses access.
-	// The simulation handles that naturally since Lock registers 'w'.
-	c.ops = append(c.ops, lockOp{
-		pos: sel.Pos(), kind: opAccess,
-		key:   types.ExprString(ast.Unparen(sel.X)) + "." + guard,
-		mode:  mode,
-		field: types.ExprString(sel),
-		guard: guard,
-	})
+	// Plain-Mutex guards have no read mode: any hold licenses access,
+	// which falls out of Lock registering 'w'.
+	r.evs = append(r.evs, lockEvent{pos: sel.Pos(), kind: lockAccess,
+		key: r.key(sel.X) + "." + guard, mode: mode, sel: sel, guard: guard})
+}
+
+// hold is how a mutex is held: its mode and acquisition site.
+type hold struct {
+	mode byte // 'w' (Lock) or 'r' (RLock)
+	at   token.Pos
+}
+
+// heldLocks is the lock analyzers' state: held mutex key → hold.
+type heldLocks = facts[string, hold]
+
+// lockFlow is the held-lock dataflow shared by lockguard, lockorder and
+// chanrule. The join is intersection, weakening 'w' to 'r' on mode
+// disagreement (a lock is write-held after a merge only if write-held
+// on every path). A deferred release leaves the lock held to the end
+// of the scope, including defers registered inside loops, and a branch
+// on TryLock/TryRLock holds the mutex exactly on its success edge.
+// onEvent, when set, sees every event with the state before it during
+// the replay.
+func lockFlow(r *lockReader, onEvent func(ev lockEvent, held heldLocks)) flow[string, hold] {
+	return flow[string, hold]{
+		meet: func(a, b hold) hold {
+			if a.mode != b.mode {
+				a.mode = 'r'
+			}
+			return a
+		},
+		node: func(n ast.Node, held heldLocks, report bool) {
+			for _, ev := range r.events(n) {
+				if report && onEvent != nil {
+					onEvent(ev, held)
+				}
+				switch {
+				case ev.kind == lockAcquire && !ev.try:
+					held[ev.key] = hold{ev.mode, ev.pos}
+				case ev.kind == lockRelease && !ev.deferred:
+					delete(held, ev.key)
+				}
+			}
+		},
+		edge: func(e cfgEdge, held heldLocks) {
+			expr, val := condValue(e.cond, e.when)
+			call, ok := expr.(*ast.CallExpr)
+			if !ok || !val {
+				return
+			}
+			for _, ev := range r.events(call) {
+				if ev.try && ev.pos == call.Pos() {
+					held[ev.key] = hold{ev.mode, ev.pos}
+				}
+			}
+		},
+	}
 }

@@ -23,10 +23,11 @@ import (
 //     the same identity the //sched:guardedby annotations name.
 //   - Per function scope, the CFG lock-state dataflow (cfg.go) tracks
 //     what is held; acquiring B while holding A adds the edge A → B.
-//   - Calls compose: an escsum-style fixpoint (escsum.go) computes the
-//     may-acquire summary of every function in the module, so holding
-//     A while calling a function that (transitively) acquires B also
-//     adds A → B, across package boundaries.
+//   - Calls compose: a summary fixpoint (cfg.go's fixpoint, shared with
+//     scratchown's escape summaries) computes the may-acquire set of
+//     every function in the module, so holding A while calling a
+//     function that (transitively) acquires B also adds A → B, across
+//     package boundaries.
 //   - Re-acquiring a lock that is already held — including RLock
 //     inside Lock on the same mutex, and calls whose summary reaches
 //     the held lock — is reported directly as a self-deadlock.
@@ -34,37 +35,14 @@ import (
 //     edge with the site where the nested acquisition happens.
 //
 // TryLock/TryRLock acquisitions never block, so they cannot be the
-// waiting side of a deadlock: they contribute held state (and may be
-// edge sources) but never edge targets. Deferred calls and function
-// literals run under unknowable held sets and are composed into
-// summaries but not used as edge sites.
+// waiting side of a deadlock: they hold the mutex on their success
+// edge (and may be edge sources) but are never edge targets. Deferred
+// calls and function literals run under unknowable held sets and are
+// composed into summaries but not used as edge sites.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
 	Doc:       "whole-repo lock-ordering graph from guardedby mutexes and Lock/RLock sites must be acyclic; no same-mutex nested acquisition",
 	RunModule: runLockOrder,
-}
-
-// loEvent is one lock-relevant event inside a CFG node.
-type loEvent struct {
-	pos  token.Pos
-	kind int // loAcquire, loRelease, loCall
-	key  string
-	mode byte
-	try  bool
-	fn   string // loCall: callee summary key
-}
-
-const (
-	loAcquire = iota
-	loRelease
-	loCall
-)
-
-// loAcq is the lattice value for one held lock.
-type loAcq struct {
-	mode byte
-	pos  token.Position // acquisition site (for messages)
-	try  bool
 }
 
 // loEdge is one lock-ordering edge with its witness site: the place
@@ -104,7 +82,7 @@ func runLockOrder(mp *ModulePass) error {
 	for _, pkg := range mp.Pkgs {
 		st.collectSummaries(pkg)
 	}
-	st.fixpoint()
+	st.closeSummaries()
 	for _, pkg := range mp.Pkgs {
 		st.flowPackage(pkg)
 	}
@@ -195,92 +173,18 @@ func loFuncKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-var loLockModes = map[string]struct {
-	kind int
-	mode byte
-	try  bool
-}{
-	"Lock":     {loAcquire, 'w', false},
-	"RLock":    {loAcquire, 'r', false},
-	"TryLock":  {loAcquire, 'w', true},
-	"TryRLock": {loAcquire, 'r', true},
-	"Unlock":   {loRelease, 'w', false},
-	"RUnlock":  {loRelease, 'r', false},
+// reader returns a lock-event reader keyed by module-wide mutex
+// identity.
+func (st *lockOrderState) reader(pkg *Package) *lockReader {
+	return newLockReader(pkg.Info, func(e ast.Expr) string { return st.mutexKey(pkg, e) })
 }
 
-// nodeEvents extracts the ordered lock/call events of one CFG node.
-// deferred mutex releases are dropped (held to scope end) and deferred
-// ordinary calls are skipped (they run under the exit-time held set,
-// not this node's).
-func (st *lockOrderState) nodeEvents(pass *Pass, pkg *Package, n ast.Node) []loEvent {
-	var evs []loEvent
-	var visit func(n ast.Node, deferred bool)
-	inspect := func(n ast.Node, deferred bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false // separate scope
-			case *ast.DeferStmt:
-				visit(m, deferred)
-				return false
-			case *ast.CallExpr:
-				sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr)
-				if ok {
-					if op, isLock := loLockModes[sel.Sel.Name]; isLock && isMutexType(pkg.Info.TypeOf(sel.X)) {
-						if key := st.mutexKey(pkg, sel.X); key != "" {
-							if !(op.kind == loRelease && deferred) {
-								evs = append(evs, loEvent{pos: m.Pos(), kind: op.kind, key: key, mode: op.mode, try: op.try})
-							}
-						}
-						return true // still walk args/index exprs
-					}
-				}
-				if !deferred {
-					if fn := calleeFunc(pass, m); fn != nil {
-						if k := loFuncKey(fn); k != "" {
-							evs = append(evs, loEvent{pos: m.Pos(), kind: loCall, fn: k})
-						}
-					}
-				}
-				return true
-			}
-			return true
-		})
-	}
-	visit = func(n ast.Node, deferred bool) {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			inspect(n.Call, true)
-		case rangeHeader:
-			inspect(n.X, deferred)
-			if n.Key != nil {
-				inspect(n.Key, deferred)
-			}
-			if n.Value != nil {
-				inspect(n.Value, deferred)
-			}
-		default:
-			inspect(n, deferred)
-		}
-	}
-	if n != nil {
-		visit(n, false)
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-	return evs
-}
-
-// loPass wraps a Package as a minimal Pass for the shared helpers
-// (calleeFunc needs ObjectOf).
-func loPass(pkg *Package) *Pass {
-	return &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, TypesInfo: pkg.Info, owner: pkg}
-}
-
-// collectSummaries records every FuncDecl's direct acquisitions and
-// outgoing calls (function literals are excluded: they run under their
-// caller-of-the-value's held set, which is unknowable here).
+// collectSummaries records every FuncDecl's direct blocking
+// acquisitions and outgoing calls, deferred ones included (function
+// literals are excluded: they run under their caller-of-the-value's
+// held set, which is unknowable here).
 func (st *lockOrderState) collectSummaries(pkg *Package) {
-	pass := loPass(pkg)
+	r := st.reader(pkg)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -293,44 +197,29 @@ func (st *lockOrderState) collectSummaries(pkg *Package) {
 				continue
 			}
 			sum := &loSummary{acquires: map[string]token.Position{}, calls: map[string]token.Pos{}}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if op, isLock := loLockModes[sel.Sel.Name]; isLock && isMutexType(pkg.Info.TypeOf(sel.X)) {
-						if mk := st.mutexKey(pkg, sel.X); mk != "" && op.kind == loAcquire && !op.try {
-							if _, seen := sum.acquires[mk]; !seen {
-								sum.acquires[mk] = pkg.Fset.Position(call.Pos())
-							}
-						}
-						return true
+			for _, ev := range r.events(fd.Body) {
+				switch {
+				case ev.kind == lockAcquire && !ev.try:
+					if _, seen := sum.acquires[ev.key]; !seen {
+						sum.acquires[ev.key] = pkg.Fset.Position(ev.pos)
 					}
-				}
-				if fn := calleeFunc(pass, call); fn != nil {
-					if ck := loFuncKey(fn); ck != "" {
+				case ev.kind == lockCall:
+					if ck := loFuncKey(ev.fn); ck != "" {
 						if _, seen := sum.calls[ck]; !seen {
-							sum.calls[ck] = call.Pos()
+							sum.calls[ck] = ev.pos
 						}
 					}
 				}
-				return true
-			})
+			}
 			st.sums[key] = sum
 		}
 	}
 }
 
-// fixpoint closes the summaries transitively: f may acquire whatever
-// its callees may acquire. Sets only grow and are bounded by the
-// module's mutex population, so iteration converges; the bound is a
-// backstop (same shape as escsum.go).
-func (st *lockOrderState) fixpoint() {
-	for iter := 0; iter < 32; iter++ {
+// closeSummaries closes the summaries transitively: f may acquire
+// whatever its callees may acquire.
+func (st *lockOrderState) closeSummaries() {
+	fixpoint(func() bool {
 		changed := false
 		for _, sum := range st.sums {
 			for callee := range sum.calls {
@@ -346,10 +235,8 @@ func (st *lockOrderState) fixpoint() {
 				}
 			}
 		}
-		if !changed {
-			return
-		}
-	}
+		return changed
+	})
 }
 
 // flowPackage runs the held-lock dataflow over every scope of a
@@ -358,6 +245,7 @@ func (st *lockOrderState) fixpoint() {
 // nothing ever held, no edge and no diagnostic can arise, and most
 // functions fall in this class.
 func (st *lockOrderState) flowPackage(pkg *Package) {
+	r := st.reader(pkg)
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -365,7 +253,7 @@ func (st *lockOrderState) flowPackage(pkg *Package) {
 				continue
 			}
 			for _, scope := range funcScopes(fd.Body) {
-				st.flowScope(pkg, scope)
+				st.flowScope(r, pkg, scope)
 			}
 		}
 	}
@@ -388,7 +276,7 @@ func hasDirectAcquire(pkg *Package, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if op, isLock := loLockModes[sel.Sel.Name]; isLock && op.kind == loAcquire && isMutexType(pkg.Info.TypeOf(sel.X)) {
+		if m, isLock := lockMethods[sel.Sel.Name]; isLock && m.kind == lockAcquire && isMutexType(pkg.Info.TypeOf(sel.X)) {
 			found = true
 			return false
 		}
@@ -397,115 +285,31 @@ func hasDirectAcquire(pkg *Package, body *ast.BlockStmt) bool {
 	return found
 }
 
-type loHeld map[string]loAcq
-
-func (h loHeld) clone() loHeld {
-	out := make(loHeld, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-func (st *lockOrderState) flowScope(pkg *Package, scope *ast.BlockStmt) {
+// flowScope runs the held-lock dataflow over one scope and, on the
+// replay, records ordering edges and self-deadlocks. Deferred calls run
+// under the exit-time held set, not this node's, so they are no edge
+// sites.
+func (st *lockOrderState) flowScope(r *lockReader, pkg *Package, scope *ast.BlockStmt) {
+	f := lockFlow(r, func(ev lockEvent, held heldLocks) {
+		switch {
+		case ev.kind == lockAcquire:
+			st.recordAcquire(pkg, held, ev)
+		case ev.kind == lockCall && !ev.deferred:
+			st.recordCall(pkg, held, ev)
+		}
+	})
 	g := cfgOf(pkg, scope)
-	pass := loPass(pkg)
-	evCache := map[ast.Node][]loEvent{}
-	events := func(n ast.Node) []loEvent {
-		if evs, ok := evCache[n]; ok {
-			return evs
-		}
-		evs := st.nodeEvents(pass, pkg, n)
-		evCache[n] = evs
-		return evs
-	}
-	apply := func(report bool) func(n ast.Node, s any) any {
-		return func(n ast.Node, s any) any {
-			held := s.(loHeld)
-			for _, ev := range events(n) {
-				switch ev.kind {
-				case loAcquire:
-					if report {
-						st.recordAcquire(pkg, held, ev)
-					}
-					held[ev.key] = loAcq{mode: ev.mode, pos: pkg.Fset.Position(ev.pos), try: ev.try}
-				case loRelease:
-					delete(held, ev.key)
-				case loCall:
-					if report {
-						st.recordCall(pkg, held, ev)
-					}
-				}
-			}
-			return held
-		}
-	}
-	ff := flowFuncs{
-		entry: func() any { return loHeld{} },
-		clone: func(s any) any { return s.(loHeld).clone() },
-		join: func(a, b any) any {
-			out := loHeld{}
-			for k, av := range a.(loHeld) {
-				if bv, ok := b.(loHeld)[k]; ok {
-					if av.mode != bv.mode {
-						av.mode = 'r'
-					}
-					out[k] = av
-				}
-			}
-			return out
-		},
-		equal: func(a, b any) bool {
-			ah, bh := a.(loHeld), b.(loHeld)
-			if len(ah) != len(bh) {
-				return false
-			}
-			for k, av := range ah {
-				bv, ok := bh[k]
-				if !ok || av.mode != bv.mode {
-					return false
-				}
-			}
-			return true
-		},
-		node: apply(false),
-		edge: func(e cfgEdge, s any) any {
-			held := s.(loHeld)
-			expr, val := condValue(e.cond, e.when)
-			if call, ok := expr.(*ast.CallExpr); ok && val {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if op, isLock := loLockModes[sel.Sel.Name]; isLock && op.try && isMutexType(pkg.Info.TypeOf(sel.X)) {
-						if key := st.mutexKey(pkg, sel.X); key != "" {
-							held[key] = loAcq{mode: op.mode, pos: pkg.Fset.Position(call.Pos()), try: true}
-						}
-					}
-				}
-			}
-			return held
-		},
-	}
-	in := g.forward(ff)
-	reportNode := apply(true)
-	for _, blk := range g.blocks {
-		s := in[blk.index]
-		if s == nil {
-			continue
-		}
-		cur := any(s.(loHeld).clone())
-		for _, n := range blk.nodes {
-			cur = reportNode(n, cur)
-		}
-	}
+	replay(g, f, forward(g, f, heldLocks{}))
 }
 
 // recordAcquire handles a direct acquisition under a non-empty held
 // set: a self-deadlock when the same mutex is already held, an
 // ordering edge per other held mutex otherwise.
-func (st *lockOrderState) recordAcquire(pkg *Package, held loHeld, ev loEvent) {
+func (st *lockOrderState) recordAcquire(pkg *Package, held heldLocks, ev lockEvent) {
 	pos := pkg.Fset.Position(ev.pos)
 	if prev, ok := held[ev.key]; ok {
 		st.mp.Report(pos, "acquires %s while already holding it (acquired at %s): same-mutex nesting — including RLock inside Lock — self-deadlocks",
-			ev.key, shortPos(prev.pos))
+			ev.key, shortPos(pkg.Fset.Position(prev.at)))
 		return
 	}
 	if ev.try {
@@ -518,11 +322,12 @@ func (st *lockOrderState) recordAcquire(pkg *Package, held loHeld, ev loEvent) {
 
 // recordCall composes a callee's may-acquire summary into the caller's
 // held set.
-func (st *lockOrderState) recordCall(pkg *Package, held loHeld, ev loEvent) {
+func (st *lockOrderState) recordCall(pkg *Package, held heldLocks, ev lockEvent) {
 	if len(held) == 0 {
 		return
 	}
-	sum, ok := st.sums[ev.fn]
+	fn := loFuncKey(ev.fn)
+	sum, ok := st.sums[fn]
 	if !ok {
 		return
 	}
@@ -530,11 +335,11 @@ func (st *lockOrderState) recordCall(pkg *Package, held loHeld, ev loEvent) {
 	for acq := range sum.acquires {
 		if _, same := held[acq]; same {
 			st.mp.Report(pos, "call to %s may acquire %s, which is already held here: same-mutex nesting through a call self-deadlocks",
-				ev.fn, acq)
+				fn, acq)
 			continue
 		}
 		for from := range held {
-			st.addEdge(from, acq, pos, ev.fn)
+			st.addEdge(from, acq, pos, fn)
 		}
 	}
 }

@@ -153,3 +153,34 @@ func TestMutationObsAtomicMix(t *testing.T) {
 		t.Errorf("plain read of TraceRing.n produced no atomicmix diagnostic; got: %v", diags)
 	}
 }
+
+// TestMutationServiceCloneScratchOwn drops the one Clone that keeps
+// the worker's scratch-owned schedule out of the result cache and the
+// ticket. The schedule then reaches both only through same-package
+// calls, so scratchown must follow its escape summaries (put stores
+// into the cache's shard map, finish into the ticket) and flag both
+// arguments.
+func TestMutationServiceCloneScratchOwn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks internal/service")
+	}
+	dir := copyPkgNonTest(t, filepath.Join("..", "service"))
+	if diags := runOnDir(t, dir, "mutation/service", ScratchOwn); len(diags) != 0 {
+		t.Fatalf("unmutated service copy not scratchown-clean: %v", diags)
+	}
+
+	mutateFile(t, dir, "service.go", "sched = sched.Clone()", "_ = sched")
+
+	diags := runOnDir(t, dir, "mutation/service", ScratchOwn)
+	var put, finish bool
+	for _, d := range diags {
+		put = put || strings.Contains(d.Message, "escapes through put")
+		finish = finish || strings.Contains(d.Message, "escapes through finish")
+		if filepath.Base(d.Pos.Filename) != "service.go" {
+			t.Errorf("diagnostic outside service.go: %v", d)
+		}
+	}
+	if len(diags) != 2 || !put || !finish {
+		t.Errorf("unCloned schedule: want exactly the put and finish escapes, got: %v", diags)
+	}
+}

@@ -115,19 +115,9 @@ func isRetentiveType(t ast.Expr) bool {
 	return false
 }
 
-// touchSet is the must-touched lattice value: field names mentioned on
-// every path so far. The wholeStruct key "*" stands for *r = T{}.
-type touchSet map[string]bool
-
+// wholeStructKey stands for *r = T{} in the must-touched set (field
+// names mentioned on every path so far).
 const wholeStructKey = "*"
-
-func cloneTouch(s touchSet) touchSet {
-	out := make(touchSet, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
 
 // nodeTouches collects the recv.field mentions and whole-struct
 // assignments of one CFG node. Function literals are included, as in
@@ -185,44 +175,15 @@ func checkReset(pass *Pass, fn *ast.FuncDecl, recvName, typeName string, st *ast
 		}
 		return ts
 	}
-	in := g.forward(flowFuncs{
-		entry: func() any { return touchSet{} },
-		clone: func(s any) any { return cloneTouch(s.(touchSet)) },
-		join: func(a, b any) any {
-			out := touchSet{}
-			for k := range a.(touchSet) {
-				if b.(touchSet)[k] {
-					out[k] = true
-				}
-			}
-			return out
-		},
-		equal: func(a, b any) bool {
-			as, bs := a.(touchSet), b.(touchSet)
-			if len(as) != len(bs) {
-				return false
-			}
-			for k := range as {
-				if !bs[k] {
-					return false
-				}
-			}
-			return true
-		},
-		node: func(n ast.Node, s any) any {
-			ts := s.(touchSet)
-			for _, name := range touches(n) {
-				ts[name] = true
-			}
-			return ts
-		},
-		edge: func(e cfgEdge, s any) any { return s },
-	})
-	exitState := in[g.exit.index]
-	if exitState == nil {
+	in := forward(g, flow[string, bool]{node: func(n ast.Node, ts facts[string, bool], _ bool) {
+		for _, name := range touches(n) {
+			ts[name] = true
+		}
+	}}, facts[string, bool]{})
+	atExit := in[g.exit.index]
+	if atExit == nil {
 		return // no path reaches return (e.g. infinite serve loop)
 	}
-	atExit := exitState.(touchSet)
 	if atExit[wholeStructKey] {
 		return
 	}

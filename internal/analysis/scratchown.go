@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -16,36 +17,40 @@ import (
 // and returned result safe; before this analyzer, that clone was a
 // convention enforced by exactly one line of code.
 //
-// The analysis is an intra-procedural taint walk, flow-sensitive in
-// source order (a reassignment from a fresh value — typically
-// x = x.Clone() — clears the taint):
+// The analysis is a may-dataflow over each function's CFG (cfg.go):
+// every variable carries the set of roots its value may derive from —
+// the function's parameters, its receiver, and the scratch. Merges
+// take the union, so a clear on one branch only (`if c { v = fresh }`)
+// or a value carried around a loop stays derived; a reassignment from
+// a fresh value on every path (typically x = x.Clone()) clears it, as
+// does the branch on which `x == nil` holds.
 //
 //   - Sources: any expression of scratch type (a named type whose name
 //     contains "Scratch", or any type from internal/arena), and the
-//     results of calls that receive a scratch-typed argument or
+//     results of calls that receive a scratch-derived argument or
 //     receiver (the *Scratch-threading convention of PR 3: such calls
 //     return views into the scratch). Error results are exempt.
 //   - Propagation: selectors, indexing, slicing, dereference, address-
-//     of, append, composite literals, and type assertions carry taint;
-//     only reference-carrying ("retentive") types can be tainted at
-//     all — scalars and scalar-only structs never are.
+//     of, append, conversions, composite literals, and type assertions
+//     carry roots; only reference-carrying ("retentive") types can
+//     carry any — scalars and scalar-only structs never do.
 //   - Laundering: a Clone or Copy method call returns fresh storage.
 //
-// Escapes of a tainted value are diagnostics:
-//
-//   - returning it (suppressed by the //sched:owns-result directive,
-//     which declares the documented caller-must-clone contract; a
-//     directive on a function that never returns scratch-derived
-//     storage is itself flagged);
-//   - storing it in a field, map, or element whose base is neither
-//     scratch-typed nor itself scratch-derived;
-//   - sending it on a channel;
-//   - capturing it in a function literal that escapes (go statement,
-//     call argument, return, store, send);
-//   - passing it to a same-package function that publishes the
-//     corresponding parameter (per an escape summary computed for
-//     every function in the package, to a fixpoint) into storage that
-//     is not scratch-derived at this call site.
+// Escapes of a value are: returning it; storing it in a field, map,
+// element, or package-level variable whose storage is not derived from
+// the scratch (a store into a not-yet-derived local only makes the
+// local derived); sending it on a channel; passing it to a goroutine
+// or capturing it in a function literal that escapes (go statement,
+// store, send, return, assignment); and passing it to a same-package
+// function that publishes the corresponding parameter. An escape of a
+// parameter-derived value grows the function's escape summary (where
+// each parameter may be published: another parameter's storage, the
+// receiver's, or anywhere shared); summaries grow to a fixpoint, so a
+// chain run → finish → helper resolves. An escape of a scratch-derived
+// value is a diagnostic, except that returns and stores are allowed in
+// a function marked //sched:owns-result, which declares the documented
+// caller-must-clone contract (a directive on a function that never
+// hands out scratch-derived storage is itself flagged).
 //
 // Values that are themselves scratch-typed (the scratch, a sub-scratch
 // field, a pooled []*Scratch slot) are plumbing, not leaks: moving a
@@ -56,18 +61,158 @@ var ScratchOwn = &Analyzer{
 	Run:  runScratchOwn,
 }
 
+// roots is the set of origins a value may derive from, one bit each.
+// As an escape-summary target set it also uses rootOther.
+type roots uint64
+
+const (
+	rootScratch roots = 1 << iota // storage a scratch owns
+	rootRecv                      // the method receiver
+	rootOther                     // unconditionally shared storage (targets only)
+	rootParam0                    // parameter 0; see paramRoot
+)
+
+// paramRoot is parameter i's bit. Parameters past the word share the
+// last bit, a conservative merge no function in the repository needs.
+func paramRoot(i int) roots { return rootParam0 << min(i, 60) }
+
+// ownFacts maps each variable to the roots its value may derive from.
+type ownFacts = facts[types.Object, roots]
+
+// An escapeSummary records, per parameter, the targets the function may
+// publish it to: rootRecv, rootOther, or other parameters' bits.
+type escapeSummary struct {
+	params   []roots
+	variadic bool
+}
+
+// targets returns the targets of the parameter that call argument i
+// binds.
+func (s *escapeSummary) targets(i int) roots {
+	if s.variadic && i >= len(s.params)-1 {
+		i = len(s.params) - 1
+	}
+	if i < 0 || i >= len(s.params) {
+		return 0
+	}
+	return s.params[i]
+}
+
+// add records that the parameters in src may be published to t,
+// reporting whether the summary grew.
+func (s *escapeSummary) add(src, t roots) bool {
+	grew := false
+	for i, had := range s.params {
+		if src&paramRoot(i) != 0 && had|t != had {
+			s.params[i] |= t
+			grew = true
+		}
+	}
+	return grew
+}
+
+// ownFn is one function under the walk.
+type ownFn struct {
+	decl    *ast.FuncDecl
+	sum     *escapeSummary
+	entry   ownFacts // parameters and receiver → their own root
+	in      []ownFacts
+	ownsHit bool // some return or store handed out scratch storage
+}
+
+// ownWalk runs the derivation dataflow over one package's functions.
+type ownWalk struct {
+	pass   *Pass
+	sums   map[*types.Func]*escapeSummary
+	fn     *ownFn
+	st     ownFacts // the state the current node transforms
+	replay bool     // converged replay: escapes count
+	grew   bool
+	found  []finding // scratch escapes of the current replay
+}
+
+type finding struct {
+	pos token.Pos
+	msg string
+}
+
 func runScratchOwn(pass *Pass) error {
-	sums := buildEscapeSummaries(pass)
+	w := &ownWalk{pass: pass, sums: map[*types.Func]*escapeSummary{}}
+	var fns []*ownFn
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
 				continue
 			}
-			checkScratchOwn(pass, fn, sums)
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			sig := fn.Type().(*types.Signature)
+			of := &ownFn{decl: fd, entry: ownFacts{},
+				sum: &escapeSummary{params: make([]roots, sig.Params().Len()), variadic: sig.Variadic()}}
+			if r := sig.Recv(); r != nil {
+				of.entry[r] = rootRecv
+			}
+			for i := 0; i < sig.Params().Len(); i++ {
+				if p := sig.Params().At(i); retentiveType(p.Type()) {
+					of.entry[p] = paramRoot(i)
+				}
+			}
+			fns = append(fns, of)
+			w.sums[fn] = of.sum
+		}
+	}
+	// Every finding starts at a scratch-typed expression: a package
+	// without one needs no dataflow.
+	if usesScratch(pass.TypesInfo) {
+		w.solve(fns)
+	}
+	for _, of := range fns {
+		if HasOwnsResultDirective(of.decl) && !of.ownsHit {
+			pass.Report(of.decl.Pos(), "//sched:owns-result on %s, but it never returns a scratch-derived value; drop the directive", of.decl.Name.Name)
 		}
 	}
 	return nil
+}
+
+// solve converges each function's derivation state, then replays until
+// no summary grows; the findings of the last replay, made against the
+// stable summaries, are the ones reported.
+func (w *ownWalk) solve(fns []*ownFn) {
+	f := flow[types.Object, roots]{
+		may:  true,
+		meet: func(a, b roots) roots { return a | b },
+		node: w.node,
+		edge: w.nilEdge,
+	}
+	// The derivation state does not depend on the summaries, so each
+	// function's dataflow converges once; only the replays repeat.
+	for _, of := range fns {
+		w.fn = of
+		of.in = forward(cfgOf(w.pass.owner, of.decl.Body), f, of.entry)
+	}
+	fixpoint(func() bool {
+		w.grew, w.found = false, w.found[:0]
+		for _, of := range fns {
+			w.fn, of.ownsHit = of, false
+			replay(cfgOf(w.pass.owner, of.decl.Body), f, of.in)
+		}
+		return w.grew
+	})
+	for _, d := range w.found {
+		w.pass.Report(d.pos, "%s", d.msg)
+	}
+}
+
+func usesScratch(info *types.Info) bool {
+	for _, tv := range info.Types {
+		if isScratchType(tv.Type) {
+			return true
+		}
+	}
+	return false
 }
 
 // isScratchType reports whether t is scratch-owning storage by the
@@ -97,7 +242,7 @@ func isScratchType(t types.Type) bool {
 // retentiveType reports whether a value of type t can hold a reference
 // into scratch-owned memory: pointers, slices, maps, channels, funcs,
 // interfaces, and aggregates containing one. Scalars, strings, and
-// scalar-only structs cannot alias a buffer and are never tainted.
+// scalar-only structs cannot alias a buffer and never carry roots.
 func retentiveType(t types.Type) bool {
 	return retentive(t, map[types.Type]bool{})
 }
@@ -126,257 +271,326 @@ func retentive(t types.Type, seen map[types.Type]bool) bool {
 // launderNames are methods that return freshly owned storage.
 var launderNames = map[string]bool{"Clone": true, "Copy": true}
 
-// ownState is the per-function taint walk.
-type ownState struct {
-	pass    *Pass
-	fn      *ast.FuncDecl
-	sums    map[*types.Func]*escapeSummary
-	tainted map[types.Object]bool
-	owns    bool // fn carries //sched:owns-result
-	ownsHit bool // some return actually was scratch-derived
-}
-
-func checkScratchOwn(pass *Pass, fn *ast.FuncDecl, sums map[*types.Func]*escapeSummary) {
-	st := &ownState{
-		pass:    pass,
-		fn:      fn,
-		sums:    sums,
-		tainted: map[types.Object]bool{},
-		owns:    HasOwnsResultDirective(fn),
-	}
-	st.stmt(fn.Body)
-	if st.owns && !st.ownsHit {
-		pass.Report(fn.Pos(), "//sched:owns-result on %s, but it never returns a scratch-derived value; drop the directive", fn.Name.Name)
-	}
-}
-
-// flagged reports whether e is a taint whose escape should be reported:
-// tainted, but not itself scratch-typed (moving a scratch is ownership
-// transfer, not a leak).
-func (st *ownState) flagged(e ast.Expr) bool {
-	return st.taintedExpr(e) && !isScratchType(st.pass.TypeOf(e))
-}
-
-// stmt walks one statement in source order, updating taint and
-// reporting escapes.
-func (st *ownState) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, sub := range s.List {
-			st.stmt(sub)
+// rootObject follows selectors/indexes/derefs to the base identifier's
+// object, or nil.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return info.ObjectOf(x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
 		}
-	case *ast.IfStmt:
-		st.stmt(s.Init)
-		st.exprTree(s.Cond, false)
-		st.stmt(s.Body)
-		st.stmt(s.Else)
-	case *ast.ForStmt:
-		st.stmt(s.Init)
-		st.exprTree(s.Cond, false)
-		st.stmt(s.Body)
-		st.stmt(s.Post)
-	case *ast.RangeStmt:
-		st.exprTree(s.X, false)
-		if st.taintedExpr(s.X) {
-			// Ranging a tainted container taints its elements.
-			for _, lhs := range []ast.Expr{s.Key, s.Value} {
-				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-					if obj := st.pass.ObjectOf(id); obj != nil && retentiveType(obj.Type()) {
-						st.tainted[obj] = true
-					}
-				}
+	}
+}
+
+// rootsOf is the one derivation rule set: the roots the value of e may
+// derive from in the current state.
+func (w *ownWalk) rootsOf(e ast.Expr) roots {
+	e = ast.Unparen(e)
+	if e == nil {
+		return 0
+	}
+	var r roots
+	if t := w.pass.TypeOf(e); t != nil {
+		_, isTuple := t.(*types.Tuple) // filtered per result at the assignment
+		switch {
+		case isScratchType(t):
+			r = rootScratch
+		case isErrorType(t):
+			return 0 // errors are fresh by convention, never views
+		case !isTuple && !retentiveType(t):
+			return 0
+		}
+	}
+	switch e := e.(type) {
+	case *ast.Ident:
+		r |= w.st[w.pass.ObjectOf(e)]
+	case *ast.SelectorExpr:
+		r |= w.rootsOf(e.X)
+	case *ast.IndexExpr:
+		r |= w.rootsOf(e.X)
+	case *ast.SliceExpr:
+		r |= w.rootsOf(e.X)
+	case *ast.StarExpr:
+		r |= w.rootsOf(e.X)
+	case *ast.TypeAssertExpr:
+		r |= w.rootsOf(e.X)
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			r |= w.rootsOf(e.X)
+		}
+	case *ast.CompositeLit:
+		for _, el := range e.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			// A scratch-typed element is ownership plumbing (a struct
+			// may own its scratches); only derived views propagate.
+			if !isScratchType(w.pass.TypeOf(el)) {
+				r |= w.rootsOf(el)
 			}
 		}
-		st.stmt(s.Body)
-	case *ast.SwitchStmt:
-		st.stmt(s.Init)
-		st.exprTree(s.Tag, false)
-		st.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		st.stmt(s.Init)
-		st.stmt(s.Assign)
-		st.stmt(s.Body)
-	case *ast.SelectStmt:
-		st.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			st.exprTree(e, false)
-		}
-		for _, sub := range s.Body {
-			st.stmt(sub)
-		}
-	case *ast.CommClause:
-		st.stmt(s.Comm)
-		for _, sub := range s.Body {
-			st.stmt(sub)
-		}
-	case *ast.LabeledStmt:
-		st.stmt(s.Stmt)
-	case *ast.ExprStmt:
-		st.exprTree(s.X, false)
-	case *ast.AssignStmt:
-		st.assign(s)
-	case *ast.DeclStmt:
-		st.decl(s)
-	case *ast.ReturnStmt:
-		st.ret(s)
-	case *ast.SendStmt:
-		st.exprTree(s.Value, true)
-		if st.flagged(s.Value) {
-			st.pass.Report(s.Arrow, "scratch-derived value sent on a channel escapes its scratch; Clone first")
-		}
-	case *ast.GoStmt:
-		st.goOrDefer(s.Call, true)
-	case *ast.DeferStmt:
-		st.goOrDefer(s.Call, false)
-	case *ast.IncDecStmt:
-		st.exprTree(s.X, false)
+	case *ast.CallExpr:
+		r |= w.callRoots(e)
 	}
+	return r
 }
 
-func (st *ownState) goOrDefer(call *ast.CallExpr, escaping bool) {
-	// The spawned/deferred call's arguments (and, for go, a capturing
-	// literal) escape the current frame's lifetime discipline.
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		if escaping {
-			st.checkLitCapture(lit)
+// callRoots derives a call's result from its arguments and method
+// receiver (the scratch-threading convention: a function handed
+// storage may return views into it), unless the call launders
+// (Clone/Copy) or builds fresh storage (make/new and other builtins
+// but append).
+func (w *ownWalk) callRoots(call *ast.CallExpr) roots {
+	if tv, ok := w.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+		return w.rootsOf(call.Args[0]) // conversion T(x)
+	}
+	fun := ast.Unparen(call.Fun)
+	if id, ok := fun.(*ast.Ident); ok {
+		if b, ok := w.pass.ObjectOf(id).(*types.Builtin); ok && b.Name() != "append" {
+			return 0
 		}
-		st.exprTree(lit, false)
+	}
+	var r roots
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if s := w.pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+			if launderNames[sel.Sel.Name] {
+				return 0
+			}
+			r = w.rootsOf(sel.X)
+		}
 	}
 	for _, a := range call.Args {
-		st.exprTree(a, escaping)
+		r |= w.rootsOf(a)
 	}
-	st.checkCallArgs(call)
+	return r
 }
 
-// assign evaluates RHS taint, reports store-escapes, and updates (or
-// kills) the taint of assigned variables.
-func (st *ownState) assign(s *ast.AssignStmt) {
-	for _, r := range s.Rhs {
-		st.exprTree(r, true)
+// valueRoots is rootsOf for a value being published: a scratch-typed
+// value is ownership transfer and carries nothing.
+func (w *ownWalk) valueRoots(e ast.Expr) roots {
+	if isScratchType(w.pass.TypeOf(e)) {
+		return 0
 	}
-	if len(s.Lhs) == len(s.Rhs) {
-		for i, lhs := range s.Lhs {
-			st.assignOne(lhs, st.taintedExpr(s.Rhs[i]))
-		}
-		return
-	}
-	// Multi-value RHS: one call/type-assertion/map-read. Taint every
-	// retentive, non-error LHS when the source is tainted.
-	tainted := len(s.Rhs) == 1 && st.taintedExpr(s.Rhs[0])
-	for _, lhs := range s.Lhs {
-		t := st.pass.TypeOf(lhs)
-		st.assignOne(lhs, tainted && retentiveType(t) && !isErrorType(t))
-	}
+	return w.rootsOf(e)
 }
 
-// assignOne records one LHS receiving a (possibly tainted) value:
-// identifiers gain or lose taint (flow-sensitively), stores into
-// non-scratch bases with a tainted value are escapes.
-func (st *ownState) assignOne(lhs ast.Expr, tainted bool) {
-	switch l := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if l.Name == "_" {
-			return
+// node is the transfer function: it updates the derivation state for
+// one CFG node and, on the replay, records its escapes.
+func (w *ownWalk) node(n ast.Node, st ownFacts, replay bool) {
+	w.st, w.replay = st, replay
+	switch n := n.(type) {
+	case rangeHeader:
+		r := w.rootsOf(n.X) // ranging a derived container derives its elements
+		w.assign(n.Key, r)
+		w.assign(n.Value, r)
+	case *ast.AssignStmt:
+		for _, r := range n.Rhs {
+			w.visit(r, true)
 		}
-		obj := st.pass.ObjectOf(l)
-		if obj == nil {
-			return
-		}
-		if tainted {
-			st.tainted[obj] = true
-		} else {
-			delete(st.tainted, obj) // x = x.Clone() clears the taint
-		}
-	case *ast.SelectorExpr:
-		st.checkStore(l, l.X, tainted)
-	case *ast.IndexExpr:
-		st.checkStore(l, l.X, tainted)
-	case *ast.StarExpr:
-		st.checkStore(l, l.X, tainted)
-	}
-}
-
-// checkStore handles a tainted value stored through a base that is
-// neither scratch-derived nor scratch-typed storage. A store into a
-// local aggregate does not publish anything yet — it taints the local,
-// and the later return/store of that local is where the diagnostic
-// belongs (sol.Selected = sc.selected; return sol flags the return).
-// A store through a parameter, receiver, or package variable publishes
-// immediately.
-func (st *ownState) checkStore(lhs, base ast.Expr, tainted bool) {
-	if !tainted {
-		return
-	}
-	if st.taintedExpr(base) || isScratchType(st.pass.TypeOf(lhs)) {
-		return // scratch-to-scratch, or scratch plumbing (pooling slots)
-	}
-	if root := rootObject(st.pass, base); root != nil {
-		if v, ok := root.(*types.Var); ok && !v.IsField() &&
-			st.fn.Body != nil &&
-			v.Pos() >= st.fn.Body.Pos() && v.Pos() < st.fn.Body.End() {
-			st.tainted[root] = true
-			return
-		}
-	}
-	if st.owns {
-		// A //sched:owns-result boundary may also publish through an
-		// out-parameter (shelves.Build fills res *Result).
-		st.ownsHit = true
-		return
-	}
-	st.pass.Report(lhs.Pos(), "scratch-derived value stored outside its scratch escapes reuse; Clone it or route it through scratch-owned storage")
-}
-
-func (st *ownState) decl(s *ast.DeclStmt) {
-	gd, ok := s.Decl.(*ast.GenDecl)
-	if !ok {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		for i, name := range vs.Names {
-			if i < len(vs.Values) {
-				st.exprTree(vs.Values[i], true)
-				if obj := st.pass.ObjectOf(name); obj != nil && st.taintedExpr(vs.Values[i]) {
-					st.tainted[obj] = true
-				}
+		if len(n.Lhs) == len(n.Rhs) {
+			rs := make([]roots, len(n.Rhs))
+			for i, r := range n.Rhs {
+				rs[i] = w.rootsOf(r)
+			}
+			for i, l := range n.Lhs {
+				w.assign(l, rs[i])
+			}
+		} else if len(n.Rhs) == 1 {
+			r := w.rootsOf(n.Rhs[0])
+			for _, l := range n.Lhs {
+				w.assign(l, r)
 			}
 		}
-	}
-}
-
-func (st *ownState) ret(s *ast.ReturnStmt) {
-	for _, r := range s.Results {
-		st.exprTree(r, true)
-		if st.flagged(r) {
-			if st.owns {
-				st.ownsHit = true
+	case *ast.DeclStmt:
+		for _, spec := range n.Decl.(*ast.GenDecl).Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
 				continue
 			}
-			st.pass.Report(r.Pos(), "returning a scratch-derived value publishes storage the scratch will reuse; Clone it or mark the function //sched:owns-result")
+			var r roots
+			for i, name := range vs.Names {
+				if i < len(vs.Values) {
+					w.visit(vs.Values[i], true)
+					r = w.rootsOf(vs.Values[i])
+				} else if len(vs.Values) != 1 {
+					r = 0
+				}
+				w.assign(name, r)
+			}
+		}
+	case *ast.ReturnStmt:
+		for _, res := range n.Results {
+			w.visit(res, true)
+			if w.replay && w.valueRoots(res)&rootScratch != 0 {
+				w.escapeScratch(0, true, res.Pos(), "returning a scratch-derived value publishes storage the scratch will reuse; Clone it or mark the function //sched:owns-result")
+			}
+		}
+	case *ast.SendStmt:
+		w.visit(n.Chan, false)
+		w.visit(n.Value, true)
+		w.escape(w.valueRoots(n.Value), rootOther, false, n.Arrow, "scratch-derived value sent on a channel escapes its scratch; Clone first")
+	case *ast.GoStmt:
+		if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			w.capture(lit)
+		} else {
+			w.visit(n.Call.Fun, false)
+		}
+		for _, a := range n.Call.Args {
+			w.visit(a, true)
+			w.escape(w.valueRoots(a), rootOther, false, a.Pos(), "scratch-derived argument escapes into a goroutine; Clone it first")
+		}
+	default: // conditions, expression statements, defers
+		w.visit(n, false)
+	}
+}
+
+// nilEdge clears a variable on the branch where it is nil: it holds no
+// storage there.
+func (w *ownWalk) nilEdge(e cfgEdge, st ownFacts) {
+	cond, when := condValue(e.cond, e.when)
+	bin, ok := cond.(*ast.BinaryExpr)
+	if !ok || (bin.Op == token.EQL) != when || (bin.Op != token.EQL && bin.Op != token.NEQ) {
+		return
+	}
+	for _, side := range [][2]ast.Expr{{bin.X, bin.Y}, {bin.Y, bin.X}} {
+		id, ok := ast.Unparen(side[0]).(*ast.Ident)
+		if ok && w.pass.TypesInfo.Types[side[1]].IsNil() {
+			delete(st, w.pass.ObjectOf(id))
 		}
 	}
 }
 
-// exprTree walks an expression tree for escapes that live inside
-// expressions: calls whose arguments hit a publishing parameter, and
-// function literals capturing tainted variables in escaping positions.
-func (st *ownState) exprTree(e ast.Expr, escaping bool) {
-	if e == nil {
+// assign binds lhs to a value with roots r: a variable of this
+// function takes r (killing what it held), any other destination is a
+// store.
+func (w *ownWalk) assign(lhs ast.Expr, r roots) {
+	if lhs == nil {
+		return
+	}
+	if t := w.pass.TypeOf(lhs); t != nil && (!retentiveType(t) || isErrorType(t)) {
+		r = 0
+	}
+	switch l := ast.Unparen(lhs).(type) {
+	case *ast.Ident:
+		obj := w.pass.ObjectOf(l)
+		if obj == nil || l.Name == "_" {
+			return
+		}
+		if isPackageVar(obj) {
+			w.store(l, l, r)
+		} else if r == 0 {
+			delete(w.st, obj)
+		} else {
+			w.st[obj] = r
+		}
+	case *ast.SelectorExpr:
+		w.store(l, l.X, r)
+	case *ast.IndexExpr:
+		w.store(l, l.X, r)
+	case *ast.StarExpr:
+		w.store(l, l.X, r)
+	}
+}
+
+func isPackageVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// dest is the one store classifier: the roots of the storage a store
+// through base writes into, plus rootOther when that storage is rooted
+// in a package-level variable. When base is rooted in a local variable
+// of this function that derives from nothing yet, dest returns that
+// local instead: storing into it publishes nothing, it only makes the
+// local derived (sol.Selected = sc.selected; return sol flags the
+// return).
+func (w *ownWalk) dest(base ast.Expr) (roots, types.Object) {
+	if base == nil {
+		return 0, nil
+	}
+	dst := w.rootsOf(base)
+	obj := rootObject(w.pass.TypesInfo, base)
+	if v, ok := obj.(*types.Var); ok && !v.IsField() {
+		body := w.fn.decl.Body
+		switch {
+		case isPackageVar(v):
+			dst |= rootOther
+		case dst == 0 && v.Pos() >= body.Pos() && v.Pos() < body.End():
+			return 0, v
+		}
+	}
+	return dst, nil
+}
+
+// store handles lhs = value (roots r) writing through base. Stores
+// into scratch-typed slots are pooling, not leaks.
+func (w *ownWalk) store(lhs, base ast.Expr, r roots) {
+	if r == 0 || isScratchType(w.pass.TypeOf(lhs)) {
+		return
+	}
+	dst, local := w.dest(base)
+	if local != nil {
+		w.st[local] |= r
+		return
+	}
+	w.escape(r, dst, true, lhs.Pos(), "scratch-derived value stored outside its scratch escapes reuse; Clone it or route it through scratch-owned storage")
+}
+
+// escape records a value with roots r reaching storage dst. On the
+// replay, its parameter roots grow the summary, and its scratch root
+// is a finding unless dst is itself scratch storage (ownsOK: or the
+// function owns its result). Reports whether there was a finding.
+func (w *ownWalk) escape(r, dst roots, ownsOK bool, pos token.Pos, msg string, args ...any) bool {
+	if !w.replay {
+		return false
+	}
+	if t := dst &^ rootScratch; t != 0 && w.fn.sum.add(r, t) {
+		w.grew = true
+	}
+	if r&rootScratch == 0 {
+		return false
+	}
+	return w.escapeScratch(dst, ownsOK, pos, msg, args...)
+}
+
+// escapeScratch is escape's finding half for a scratch-rooted value.
+func (w *ownWalk) escapeScratch(dst roots, ownsOK bool, pos token.Pos, msg string, args ...any) bool {
+	if !w.replay || dst&rootScratch != 0 {
+		return false
+	}
+	if ownsOK && HasOwnsResultDirective(w.fn.decl) {
+		w.fn.ownsHit = true
+		return false
+	}
+	w.found = append(w.found, finding{pos, fmt.Sprintf(msg, args...)})
+	return true
+}
+
+// visit finds the escapes that live inside an expression: calls whose
+// arguments reach a publishing parameter, and function literals in an
+// escaping position (not immediately invoked) capturing derived
+// variables.
+func (w *ownWalk) visit(e ast.Node, escaping bool) {
+	if e == nil || !w.replay {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			st.checkCallArgs(n)
+			w.call(n)
 		case *ast.FuncLit:
 			if escaping && !isDirectCall(e, n) {
-				st.checkLitCapture(n)
+				w.capture(n)
 			}
 			return false // a literal's body is not this frame's flow
 		}
@@ -386,7 +600,7 @@ func (st *ownState) exprTree(e ast.Expr, escaping bool) {
 
 // isDirectCall reports whether lit is immediately invoked within root
 // (an IIFE does not escape).
-func isDirectCall(root ast.Expr, lit *ast.FuncLit) bool {
+func isDirectCall(root ast.Node, lit *ast.FuncLit) bool {
 	direct := false
 	ast.Inspect(root, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == lit {
@@ -397,168 +611,64 @@ func isDirectCall(root ast.Expr, lit *ast.FuncLit) bool {
 	return direct
 }
 
-// checkLitCapture flags an escaping literal that captures a tainted,
-// non-scratch-typed variable of the enclosing function.
-func (st *ownState) checkLitCapture(lit *ast.FuncLit) {
+// capture publishes every derived, non-scratch-typed variable of this
+// function that an escaping literal references.
+func (w *ownWalk) capture(lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		obj := st.pass.TypesInfo.Uses[id]
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() || !st.tainted[obj] || isScratchType(v.Type()) {
-			return true
-		}
-		if pos := v.Pos(); pos >= st.fn.Pos() && pos <= st.fn.End() && (pos < lit.Pos() || pos > lit.End()) {
-			st.pass.Report(id.Pos(), "escaping closure captures scratch-derived %q; the buffer may be reused while the closure still holds it", v.Name())
-			return false
+		if v, ok := w.pass.TypesInfo.Uses[id].(*types.Var); ok && !v.IsField() && !isScratchType(v.Type()) {
+			w.escape(w.st[v], rootOther, false, id.Pos(), "escaping closure captures scratch-derived %q; the buffer may be reused while the closure still holds it", v.Name())
 		}
 		return true
 	})
 }
 
-// taintedExpr reports whether e currently holds scratch-derived
-// storage.
-func (st *ownState) taintedExpr(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if e == nil {
-		return false
-	}
-	t := st.pass.TypeOf(e)
-	if t != nil && isScratchType(t) {
-		return true
-	}
-	if t != nil && isErrorType(t) {
-		return false // errors are fresh by convention, never scratch views
-	}
-	// Multi-value calls have tuple type; the per-result filtering
-	// happens at the assignment, so don't shortcut on the tuple.
-	if _, isTuple := t.(*types.Tuple); t != nil && !isTuple && !retentiveType(t) {
-		return false
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		obj := st.pass.ObjectOf(e)
-		return obj != nil && st.tainted[obj]
-	case *ast.SelectorExpr:
-		return st.taintedExpr(e.X)
-	case *ast.IndexExpr:
-		return st.taintedExpr(e.X)
-	case *ast.SliceExpr:
-		return st.taintedExpr(e.X)
-	case *ast.StarExpr:
-		return st.taintedExpr(e.X)
-	case *ast.TypeAssertExpr:
-		return st.taintedExpr(e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return st.taintedExpr(e.X)
-		}
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			// A scratch-typed element is ownership plumbing (a struct
-			// may own its scratches); only derived views propagate.
-			if st.taintedExpr(el) && !isScratchType(st.pass.TypeOf(el)) {
-				return true
-			}
-		}
-	case *ast.CallExpr:
-		return st.taintedCall(e)
-	}
-	return false
-}
-
-// taintedCall decides whether a call's result is scratch-derived: yes
-// when any argument or the method receiver is tainted (the scratch-
-// threading convention: a function handed scratch storage may return
-// views into it), unless the call launders (Clone/Copy) or builds
-// fresh storage (make/new).
-func (st *ownState) taintedCall(call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	// Conversion T(x) keeps x's taint.
-	if tv, ok := st.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return st.taintedExpr(call.Args[0])
-	}
-	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := st.pass.ObjectOf(id).(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				for _, a := range call.Args {
-					if st.taintedExpr(a) {
-						return true
-					}
-				}
-			}
-			return false // make/new/len/cap/...: fresh or scalar
-		}
-	}
-	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if s := st.pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-			if launderNames[sel.Sel.Name] {
-				return false
-			}
-			if st.taintedExpr(sel.X) {
-				return true
-			}
-		}
-	}
-	for _, a := range call.Args {
-		if st.taintedExpr(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkCallArgs applies the same-package escape summaries: passing a
-// tainted value to a parameter the callee publishes is an escape,
-// unless it is published into storage that is itself scratch-derived
-// at this call site.
-func (st *ownState) checkCallArgs(call *ast.CallExpr) {
-	callee := calleeFunc(st.pass, call)
-	if callee == nil {
-		return
-	}
-	sum := st.sums[callee]
+// call composes a same-package callee's escape summary: an argument
+// handed to a parameter the callee publishes escapes to the storage
+// the matching receiver or argument has at this call site. At most one
+// finding is reported per argument.
+func (w *ownWalk) call(call *ast.CallExpr) {
+	callee := calleeFunc(w.pass.TypesInfo, call)
+	sum := w.sums[callee]
 	if sum == nil {
 		return // cross-package or summary-less callee
 	}
-	var recvExpr ast.Expr
+	var recv ast.Expr
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s := st.pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-			recvExpr = sel.X
+		if s := w.pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+			recv = sel.X
 		}
-	}
-	argExpr := func(idx int) ast.Expr { // idx −1 is the receiver
-		if idx == recvTarget {
-			return recvExpr
-		}
-		if idx >= 0 && idx < len(call.Args) {
-			return call.Args[idx]
-		}
-		return nil
 	}
 	for i, arg := range call.Args {
-		if !st.flagged(arg) {
+		r := w.valueRoots(arg)
+		t := sum.targets(i)
+		if r == 0 || t == 0 {
 			continue
 		}
-		pi := i
-		if sum.variadic && pi >= sum.nparams-1 {
-			pi = sum.nparams - 1
+		if t&rootOther != 0 && w.escape(r, rootOther, false, arg.Pos(), "scratch-derived argument escapes through %s, which publishes this parameter; Clone it first", callee.Name()) {
+			r &^= rootScratch // one finding per argument
 		}
-		for _, target := range sum.targets(pi) {
-			if target == otherTarget {
-				st.pass.Report(arg.Pos(), "scratch-derived argument escapes through %s, which publishes this parameter; Clone it first", callee.Name())
-				break
+		into := func(site ast.Expr) {
+			// A local that derives from nothing yet is no scratch
+			// storage either: publishing into it at a call is reported.
+			dst, _ := w.dest(site)
+			if w.escape(r, dst, false, arg.Pos(), "scratch-derived argument escapes through %s into non-scratch storage; Clone it first", callee.Name()) {
+				r &^= rootScratch
 			}
-			dst := argExpr(target)
-			if dst == nil || !st.taintedExpr(dst) {
-				st.pass.Report(arg.Pos(), "scratch-derived argument escapes through %s into non-scratch storage; Clone it first", callee.Name())
-				break
+		}
+		if t&rootRecv != 0 {
+			into(recv)
+		}
+		for j := range max(len(call.Args), len(sum.params)) {
+			switch {
+			case t&paramRoot(j) == 0:
+			case j < len(call.Args):
+				into(call.Args[j])
+			default:
+				into(nil)
 			}
 		}
 	}

@@ -143,3 +143,57 @@ type holder struct {
 func (h *holder) adopt(sc *Scratch) {
 	h.sc = sc
 }
+
+// --- package-level variables publish ---
+
+var sink []int
+
+func toGlobal(sc *Scratch) {
+	sink = sc.buf // want "stored outside its scratch"
+}
+
+func toGlobalViaLocal(sc *Scratch) {
+	v := sc.buf
+	sink = v // want "stored outside its scratch"
+}
+
+func keep(v []int) {
+	sink = v
+}
+
+func toGlobalViaCall(sc *Scratch) {
+	keep(sc.buf) // want "escapes through keep, which publishes this parameter"
+}
+
+// --- every path counts ---
+
+type box struct {
+	v []int
+}
+
+// A clear on one branch leaves the other path scratch-derived.
+func branchClear(sc *Scratch, b *box, c bool) {
+	v := sc.buf
+	if c {
+		v = make([]int, 1)
+	}
+	b.v = v // want "stored outside its scratch"
+}
+
+// A value derived late in one iteration is stored in the next.
+func loopCarried(sc *Scratch, b *box, n int) {
+	var v []int
+	for i := 0; i < n; i++ {
+		b.v = v // want "stored outside its scratch"
+		v = sc.buf
+	}
+}
+
+// The nil path holds no storage, so cloning the other one suffices.
+func cloneIfSet(sc *Scratch, g *registry) {
+	r := build(sc)
+	if r != nil {
+		r = r.Clone()
+	}
+	g.put(1, r.Data)
+}

@@ -58,9 +58,11 @@ func (a *Dual) Guarantee() float64 { return 1 + a.Eps }
 
 // Try allots γ_j((1+ε)d) processors to every job and schedules all jobs
 // at time zero. It rejects iff some job cannot meet (1+ε)d on m
-// processors or the total allotment exceeds m.
+// processors or the total allotment exceeds m. With a Scratch, the
+// returned schedule is the scratch's double buffer.
 //
 //sched:hotpath
+//sched:owns-result
 func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	t := (1 + a.Eps) * d
 	in := a.In

@@ -65,19 +65,3 @@ func SolveDense(items []Item, C int, sc *Scratch) ([]int, float64) {
 	sc.denseSel = sel
 	return sel, dp[best]
 }
-
-// SolvePairs solves the same problem with a pair list (no rounding).
-// Useful when C is huge but few distinct sizes occur. Returns selected
-// IDs and profit.
-func SolvePairs(items []Item, C int) ([]int, float64) {
-	l := NewPairList()
-	for idx, it := range items {
-		l.Add(idx, float64(it.Size), it.Profit, float64(C), nil)
-	}
-	profit, node := l.Best(float64(C))
-	var sel []int
-	for _, idx := range l.BacktrackAppend(nil, node) {
-		sel = append(sel, items[idx].ID)
-	}
-	return sel, profit
-}

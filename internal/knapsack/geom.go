@@ -74,31 +74,3 @@ func RoundDownIdx(g []float64, a float64) int {
 	}
 	return lo
 }
-
-// RoundDown is gˇr(a, L, U, x) on a precomputed grid: the largest grid
-// value ≤ a. Returns NaN when undefined.
-func RoundDown(g []float64, a float64) float64 {
-	i := RoundDownIdx(g, a)
-	if i < 0 {
-		return math.NaN()
-	}
-	return g[i]
-}
-
-// RoundUp is gˆr: the smallest grid value ≥ a. Returns NaN when a exceeds
-// the last grid value.
-func RoundUp(g []float64, a float64) float64 {
-	if len(g) == 0 || a > g[len(g)-1] {
-		return math.NaN()
-	}
-	lo, hi := 0, len(g)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if g[mid] >= a {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return g[lo]
-}
