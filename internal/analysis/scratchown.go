@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -23,7 +24,8 @@ import (
 // take the union, so a clear on one branch only (`if c { v = fresh }`)
 // or a value carried around a loop stays derived; a reassignment from
 // a fresh value on every path (typically x = x.Clone()) clears it, as
-// does the branch on which `x == nil` holds.
+// does the branch on which `x == nil` holds. An immediately invoked
+// function literal is replayed in its caller's frame.
 //
 //   - Sources: any expression of scratch type (a named type whose name
 //     contains "Scratch", or any type from internal/arena), and the
@@ -124,9 +126,11 @@ type ownFn struct {
 type ownWalk struct {
 	pass   *Pass
 	sums   map[*types.Func]*escapeSummary
+	flow   flow[types.Object, roots]
 	fn     *ownFn
 	st     ownFacts // the state the current node transforms
 	replay bool     // converged replay: escapes count
+	inline int      // depth of directly called literals being replayed
 	grew   bool
 	found  []finding // scratch escapes of the current replay
 }
@@ -181,7 +185,7 @@ func runScratchOwn(pass *Pass) error {
 // no summary grows; the findings of the last replay, made against the
 // stable summaries, are the ones reported.
 func (w *ownWalk) solve(fns []*ownFn) {
-	f := flow[types.Object, roots]{
+	w.flow = flow[types.Object, roots]{
 		may:  true,
 		meet: func(a, b roots) roots { return a | b },
 		node: w.node,
@@ -191,13 +195,13 @@ func (w *ownWalk) solve(fns []*ownFn) {
 	// function's dataflow converges once; only the replays repeat.
 	for _, of := range fns {
 		w.fn = of
-		of.in = forward(cfgOf(w.pass.owner, of.decl.Body), f, of.entry)
+		of.in = forward(cfgOf(w.pass.owner, of.decl.Body), w.flow, of.entry)
 	}
 	fixpoint(func() bool {
 		w.grew, w.found = false, w.found[:0]
 		for _, of := range fns {
 			w.fn, of.ownsHit = of, false
-			replay(cfgOf(w.pass.owner, of.decl.Body), f, of.in)
+			replay(cfgOf(w.pass.owner, of.decl.Body), w.flow, of.in)
 		}
 		return w.grew
 	})
@@ -431,7 +435,9 @@ func (w *ownWalk) node(n ast.Node, st ownFacts, replay bool) {
 	case *ast.ReturnStmt:
 		for _, res := range n.Results {
 			w.visit(res, true)
-			if w.replay && w.valueRoots(res)&rootScratch != 0 {
+			// A directly called literal's return hands the value back to
+			// this frame, not out of it.
+			if w.replay && w.inline == 0 && w.valueRoots(res)&rootScratch != 0 {
 				w.escapeScratch(0, true, res.Pos(), "returning a scratch-derived value publishes storage the scratch will reuse; Clone it or mark the function //sched:owns-result")
 			}
 		}
@@ -577,9 +583,9 @@ func (w *ownWalk) escapeScratch(dst roots, ownsOK bool, pos token.Pos, msg strin
 }
 
 // visit finds the escapes that live inside an expression: calls whose
-// arguments reach a publishing parameter, and function literals in an
-// escaping position (not immediately invoked) capturing derived
-// variables.
+// arguments reach a publishing parameter, the bodies of immediately
+// invoked function literals, and function literals in an escaping
+// position capturing derived variables.
 func (w *ownWalk) visit(e ast.Node, escaping bool) {
 	if e == nil || !w.replay {
 		return
@@ -589,26 +595,53 @@ func (w *ownWalk) visit(e ast.Node, escaping bool) {
 		case *ast.CallExpr:
 			w.call(n)
 		case *ast.FuncLit:
-			if escaping && !isDirectCall(e, n) {
+			if call := directCall(e, n); call != nil {
+				w.replayLiteral(n, call.Args)
+			} else if escaping {
 				w.capture(n)
 			}
-			return false // a literal's body is not this frame's flow
+			return false // the literal's body is a flow of its own
 		}
 		return true
 	})
 }
 
-// isDirectCall reports whether lit is immediately invoked within root
-// (an IIFE does not escape).
-func isDirectCall(root ast.Node, lit *ast.FuncLit) bool {
-	direct := false
+// directCall returns the call within root that immediately invokes lit
+// (an IIFE, which does not escape), or nil.
+func directCall(root ast.Node, lit *ast.FuncLit) *ast.CallExpr {
+	var direct *ast.CallExpr
 	ast.Inspect(root, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == lit {
-			direct = true
+			direct = call
 		}
-		return true
+		return direct == nil
 	})
 	return direct
+}
+
+// replayLiteral checks an immediately invoked literal as part of this
+// frame: its CFG runs from the current state, so captured variables
+// keep their roots, and each parameter takes its argument's. A store
+// or send inside the literal is then judged like one outside it.
+func (w *ownWalk) replayLiteral(lit *ast.FuncLit, args []ast.Expr) {
+	entry := maps.Clone(w.st)
+	var params []*ast.Ident // all named or all unnamed
+	for _, field := range lit.Type.Params.List {
+		params = append(params, field.Names...)
+	}
+	for i, p := range params {
+		if obj := w.pass.ObjectOf(p); obj != nil && i < len(args) {
+			if r := w.rootsOf(args[i]); r != 0 {
+				entry[obj] = r
+			}
+		}
+	}
+	st := w.st
+	g := cfgOf(w.pass.owner, lit.Body)
+	w.inline++
+	replay(g, w.flow, forward(g, w.flow, entry))
+	w.inline--
+	w.st, w.replay = st, true
 }
 
 // capture publishes every derived, non-scratch-typed variable of this

@@ -197,3 +197,32 @@ func cloneIfSet(sc *Scratch, g *registry) {
 	}
 	g.put(1, r.Data)
 }
+
+// --- immediately invoked literals run in their caller's frame ---
+
+// A store inside the literal is the caller's store.
+func literalStore(sc *Scratch, b *box) {
+	v := sc.buf
+	func() {
+		b.v = v // want "stored outside its scratch"
+	}()
+}
+
+// A parameter takes its argument's roots.
+func literalParam(sc *Scratch, b *box) {
+	func(x []int) {
+		b.v = x // want "stored outside its scratch"
+	}(sc.buf)
+}
+
+// A literal that only reads scratch storage publishes nothing.
+func literalRead(sc *Scratch) int {
+	v := sc.buf
+	n := 0
+	func() {
+		for _, x := range v {
+			n += x
+		}
+	}()
+	return n
+}

@@ -127,19 +127,29 @@ var conformanceScript = []cstep{
 
 // lockConn drives one transport in lockstep.
 type lockConn struct {
-	t   *testing.T
-	w   io.Writer
-	dec *json.Decoder
+	t *testing.T
+	w io.Writer
+	r *bufio.Reader
 }
 
+// roundTrip writes one request line and reads its response frame,
+// which must be the line encoding/json writes for the decoded value:
+// the server's frame appenders may not change a byte of it.
 func (c *lockConn) roundTrip(line string) Response {
 	c.t.Helper()
 	if _, err := io.WriteString(c.w, line+"\n"); err != nil {
 		c.t.Fatalf("writing request %q: %v", line, err)
 	}
-	var r Response
-	if err := c.dec.Decode(&r); err != nil {
+	frame, err := c.r.ReadBytes('\n')
+	if err != nil {
 		c.t.Fatalf("reading response to %q: %v", line, err)
+	}
+	var r Response
+	if err := json.Unmarshal(frame, &r); err != nil {
+		c.t.Fatalf("decoding response to %q: %v", line, err)
+	}
+	if want, err := json.Marshal(r); err != nil || string(want)+"\n" != string(frame) {
+		c.t.Errorf("response to %q is not encoding/json's frame:\n  wrote: %s  json:  %s", line, frame, want)
 	}
 	return r
 }
@@ -257,7 +267,7 @@ func playPipe(t *testing.T) []Response {
 	go func() {
 		errc <- ServeLines(context.Background(), svc, inR, outW, ServeConfig{Probes: 64})
 	}()
-	rs := playScript(t, &lockConn{t: t, w: inW, dec: json.NewDecoder(outR)})
+	rs := playScript(t, &lockConn{t: t, w: inW, r: bufio.NewReader(outR)})
 	if err := <-errc; err != nil { // script ends in shutdown
 		t.Fatalf("pipe serve loop: %v", err)
 	}
@@ -287,7 +297,7 @@ func playTCP(t *testing.T) []Response {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(2 * time.Minute))
-	rs := playScript(t, &lockConn{t: t, w: conn, dec: json.NewDecoder(bufio.NewReader(conn))})
+	rs := playScript(t, &lockConn{t: t, w: conn, r: bufio.NewReader(conn)})
 	conn.Close()
 	srv.Close()
 	if err := <-errc; err != nil {

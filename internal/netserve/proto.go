@@ -4,6 +4,7 @@ import (
 	"repro/internal/moldable"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/schedule"
 	"repro/internal/service"
 
 	"encoding/json"
@@ -103,6 +104,13 @@ type Response struct {
 	Replans   int         `json:"replans,omitempty"`
 	Fallbacks int         `json:"fallbacks,omitempty"`
 	Finished  int         `json:"finished,omitempty"`
+
+	// sched stands in for Allot and Starts (with withStarts) on a
+	// result frame the server writes: the frame appender (codec.go)
+	// reads the placements in place, and fill builds the two slices
+	// only when the frame falls back to encoding/json.
+	sched      *schedule.Schedule
+	withStarts bool
 }
 
 // WireTrace is the JSON shape of one sampled scheduling decision

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +25,8 @@ import (
 var traceSeq atomic.Uint64
 
 func nextTraceID() string {
-	return fmt.Sprintf("t-%d", traceSeq.Add(1))
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], "t-"...), traceSeq.Add(1), 10))
 }
 
 // opIndex maps a wire op to its obs.OpLabels slot; unknown ops fall to
@@ -65,7 +67,7 @@ type ServeConfig struct {
 // per TCP connection. The conformance suite (conformance_test.go)
 // pins that the two transports stay byte-equivalent.
 func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg ServeConfig) error {
-	out := &writer{enc: json.NewEncoder(w)}
+	out := &writer{w: w, enc: json.NewEncoder(w)}
 	sess := &session{b: b, out: out, cfg: cfg, opened: make(map[uint64]bool), barrier: closedBarrier()}
 	// Release every online session this stream opened and never
 	// drained: a client that vanished mid-session would otherwise leak
@@ -102,14 +104,18 @@ func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg S
 
 // writer serializes concurrent response emission onto one stream.
 type writer struct {
-	mu  sync.Mutex
-	enc *json.Encoder //sched:guardedby mu
-	err error         //sched:guardedby mu
+	mu    sync.Mutex
+	w     io.Writer     //sched:guardedby mu
+	frame respFrame     //sched:guardedby mu
+	enc   *json.Encoder //sched:guardedby mu
+	err   error         //sched:guardedby mu
 }
 
-// send encodes one response. Write errors are latched, not fatal: a
-// TCP peer that disappeared mid-response must not crash the server,
-// and every later send on the session becomes a no-op. Every error
+// send encodes one response: in one pass by the frame appender, or by
+// encoding/json when the appender declines; the bytes are the same
+// either way. Write errors are latched, not fatal: a TCP peer that
+// disappeared mid-response must not crash the server, and every later
+// send on the session becomes a no-op. Every error
 // response funnels through here, so this is also where the per-code
 // error counters are fed (shed, quota, and unavailable counts fall out
 // of the code dimension).
@@ -122,6 +128,14 @@ func (w *writer) send(r Response) {
 	if w.err != nil {
 		return
 	}
+	if w.frame.encode(&r) {
+		_, w.err = w.w.Write(w.frame.b)
+		if cap(w.frame.b) > maxPooledFrame {
+			w.frame = respFrame{} // a huge schedule's buffer is not kept for the session's life
+		}
+		return
+	}
+	r.fill()
 	w.err = w.enc.Encode(r)
 }
 
@@ -488,13 +502,7 @@ func (s *session) sendResult(tid string, id uint64, res service.Result, known, d
 	resp.Ratio = rep.Ratio
 	resp.Iterations = rep.Iterations
 	resp.ElapsedMS = float64(rep.Elapsed.Microseconds()) / 1000
-	resp.Allot = res.Schedule.Allotment(len(res.Schedule.Placements))
-	if wantSched {
-		resp.Starts = make([]moldable.Time, len(res.Schedule.Placements))
-		for _, p := range res.Schedule.Placements {
-			resp.Starts[p.Job] = p.Start
-		}
-	}
+	resp.sched, resp.withStarts = res.Schedule, wantSched
 	s.send(tid, resp)
 }
 

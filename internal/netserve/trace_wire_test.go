@@ -3,7 +3,6 @@ package netserve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -67,7 +66,7 @@ func TestStatsTraceDimensionPipe(t *testing.T) {
 	go func() {
 		errc <- ServeLines(context.Background(), svc, inR, outW, ServeConfig{Probes: 64})
 	}()
-	c := &lockConn{t: t, w: inW, dec: json.NewDecoder(outR)}
+	c := &lockConn{t: t, w: inW, r: bufio.NewReader(outR)}
 	st := driveTraceScript(t, c, "trace-dim-pipe")
 	if r := c.roundTrip(`{"op":"shutdown"}`); r.Op != "shutdown" {
 		t.Fatalf("shutdown ack: %+v", r)
@@ -99,7 +98,7 @@ func TestStatsTraceDimensionTCP(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(time.Minute))
-	c := &lockConn{t: t, w: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
+	c := &lockConn{t: t, w: conn, r: bufio.NewReader(conn)}
 	st := driveTraceScript(t, c, "trace-dim-tcp")
 	conn.Close()
 	srv.Close()

@@ -3,7 +3,6 @@ package netserve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strconv"
@@ -71,13 +70,14 @@ func (c *WireClient) Close() error {
 func (c *WireClient) readLoop() {
 	sc := bufio.NewScanner(c.conn)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	var derr error
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var r Response
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			continue // unparsable response line; protocol noise, skip
+		if r, derr = decodeResponse(sc.Bytes()); derr != nil {
+			break
 		}
 		c.mu.Lock()
 		var ch chan Response
@@ -95,8 +95,14 @@ func (c *WireClient) readLoop() {
 	}
 	// Every way the stream can end — EOF, a reset, a local Close — is
 	// the connection going away, so every pending waiter fails typed.
+	// So is a line neither decoder can read: the waiter it answered
+	// would otherwise wait forever, and the stream can no longer be
+	// trusted to be in step with the requests.
 	err := fmt.Errorf("%w: connection closed", ErrUnavailable)
-	if serr := sc.Err(); serr != nil {
+	if derr != nil {
+		err = fmt.Errorf("%w: unreadable response: %w", ErrUnavailable, derr)
+		c.conn.Close()
+	} else if serr := sc.Err(); serr != nil {
 		err = fmt.Errorf("%w: %v", ErrUnavailable, serr)
 	}
 	c.mu.Lock()

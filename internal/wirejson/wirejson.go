@@ -1,7 +1,7 @@
 // Package wirejson is the one-pass JSON codec of the wire protocol: a
 // scanner for the canonical subset of JSON that the protocol's own
-// encoders write, and the float appender those encoders share with
-// encoding/json.
+// encoders write, and the string and float appenders those encoders
+// share with encoding/json.
 //
 // The scanner reports no syntax or type error. On any input outside
 // the subset it declines, and the caller reads the same bytes again
@@ -16,6 +16,7 @@
 package wirejson
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -104,6 +105,21 @@ func (s *Scanner) More(end byte, n int) bool {
 		return s.expect(',')
 	}
 	return true
+}
+
+// Elems counts the elements ahead in an array of numbers just opened
+// by Open('['), for sizing the slice that receives them. It only looks
+// ahead, consuming nothing, and the count is a hint: one the scan then
+// does not bear out costs capacity only.
+func (s *Scanner) Elems() int {
+	if s.peek() == ']' || s.bad {
+		return 0
+	}
+	rest := s.data[s.pos:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return 1 + bytes.Count(rest, []byte{','})
 }
 
 // Key reads an object member's key and the colon after it. The key
@@ -256,6 +272,22 @@ func digits(d []byte, i int) int {
 	return i
 }
 
+// AppendString appends s quoted exactly as encoding/json writes it,
+// and reports whether it could: false, with dst as it was, when
+// encoding/json would escape some byte of s (a control byte, '"',
+// '\\', the HTML-sensitive '<', '>' and '&', or any byte outside
+// ASCII). Those strings are left to encoding/json.
+func AppendString(dst []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return dst, false
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"'), true
+}
+
 // AppendFloat appends f exactly as encoding/json writes a float64:
 // shortest round-trip digits, 'e' form below 1e-6 and from 1e21 up,
 // with a one-digit negative exponent written e-7, not e-07. NaN and
@@ -263,6 +295,12 @@ func digits(d []byte, i int) int {
 func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	// Below 2^53 floats are spaced at most 1 apart, so no shorter digit
+	// string round-trips to an integral value: its shortest form is the
+	// integer itself. −0 keeps its sign.
+	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(dst, i, 10), nil
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,12 @@ func TestAppendFloatMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for range 20000 {
 		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	// Integral values take a shortcut below 2^53; walk its edges.
+	vals = append(vals, 1<<53-1, 1<<53, 1<<53+2, -(1<<53 - 1), -(1 << 53), 1<<63, -(1 << 63), 1e15, 1e16, 4503599627370496, 4503599627370497)
+	for range 20000 {
+		i := rng.Int64N(1<<54) - 1<<53
+		vals = append(vals, float64(i), float64(i>>rng.IntN(53)))
 	}
 	for _, f := range vals {
 		want, werr := json.Marshal(f)
@@ -102,6 +109,36 @@ func readValue(s *Scanner) {
 			}
 		default:
 			s.Decline()
+		}
+	}
+}
+
+// TestAppendStringMatchesMarshal pins AppendString to json.Marshal:
+// every byte on its own and amid plain text is either written as
+// encoding/json writes it or left to encoding/json, which is declined
+// for an ASCII string only when encoding/json escapes it.
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	strs := []string{"", "linear", "t-12", "a b", "\x7f", "é", " ", "<", "a&b", `"`, `\`, "\x00", "\t"}
+	for c := range 256 {
+		strs = append(strs, string(rune(c)), "x"+string([]byte{byte(c)})+"y")
+	}
+	for _, s := range strs {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := AppendString([]byte("x"), s)
+		if !ok {
+			if string(got) != "x" {
+				t.Fatalf("%q: dst %q after declining", s, got)
+			}
+			if string(want) == `"`+s+`"` && strings.IndexFunc(s, func(r rune) bool { return r >= 0x80 }) < 0 {
+				t.Errorf("%q: declined an ASCII string encoding/json writes verbatim", s)
+			}
+			continue
+		}
+		if string(got[1:]) != string(want) {
+			t.Fatalf("%q: AppendString %s, json.Marshal %s", s, got[1:], want)
 		}
 	}
 }
