@@ -13,13 +13,14 @@ import (
 
 // decodeFrame decodes one request line. Canonical frames — what
 // WireClient writes, keys in any order — take one wirejson pass that
-// decodes "instance" and "job" straight into jobs. On any other line
+// decodes "instance" and "job" straight into jobs, or takes an
+// instance known already from known (nil: none). On any other line
 // the scanner declines and encoding/json reads the same bytes, so
 // lenient input and every error text behave as they always have.
 // Nothing in the returned Request aliases line.
-func decodeFrame(line []byte) (Request, error) {
+func decodeFrame(line []byte, known *knownInstances) (Request, error) {
 	var req Request
-	if req.scan(line) {
+	if req.scan(line, known) {
 		return req, nil
 	}
 	req = Request{}
@@ -77,8 +78,9 @@ const (
 )
 
 // scan fills r from a canonical frame in one pass and reports whether
-// it could; on false r holds garbage.
-func (r *Request) scan(line []byte) bool {
+// it could; on false r holds garbage. An instance that known holds is
+// taken from it rather than decoded (scanInstance); known may be nil.
+func (r *Request) scan(line []byte, known *knownInstances) bool {
 	s := wirejson.NewScanner(line)
 	if !s.Open('{') {
 		return false
@@ -105,7 +107,7 @@ func (r *Request) scan(line []byte) bool {
 			bit, r.TimeoutMS = keyTimeoutMS, s.Float()
 		case "instance":
 			bit = keyInstance
-			r.inst, r.instErr = moldable.ScanInstance(&s)
+			r.scanInstance(&s, line, known)
 		case "schedule":
 			bit, r.Schedule = keySchedule, s.Bool()
 		case "tenant":

@@ -47,6 +47,16 @@ func frameSeeds() []string {
 		`{"op":"result","id":1} x`,
 		"{\"op\":\"stats\",\"trace\":true}\t \r",
 		`{"op":"hello","tenant":"a\tb"}`,
+		// Where the instance's bytes do not run to the closing brace, or
+		// do with something else in the frame, a known instance must not
+		// be taken: not last, bytes after the frame, a second instance,
+		// whitespace inside the span.
+		`{"op":"submit","instance":{"m":4,"jobs":[{"type":"perfect","w":8}]},"tag":"q2"}`,
+		`{"op":"submit","instance":{"m":4,"jobs":[{"type":"perfect","w":8}]}} {"op":"stats"}`,
+		`{"op":"submit","instance":{"m":4,"jobs":[{"type":"perfect","w":8}]}}x`,
+		`{"op":"submit","instance":{"m":4,"jobs":[{"type":"perfect","w":8}]},"instance":{"m":4,"jobs":[{"type":"perfect","w":8}]}}`,
+		`{"op":"submit","instance":{"m":4,"jobs":[{"type":"perfect","w":9}]},"instance":{"m":4,"jobs":[{"type":"perfect","w":8}]}}`,
+		"{\"op\":\"submit\",\"instance\": {\"m\":4,\"jobs\":[{\"type\":\"perfect\",\"w\":8}]} \t}\r\n",
 	)
 }
 
@@ -56,7 +66,10 @@ func frameSeeds() []string {
 // against encoding/json in turn). The scanner may decline. When it
 // accepts, encoding/json must accept the line too, and every field the
 // handlers read must come out the same, float bits and errors
-// included. Nothing decoded may alias the line.
+// included. Nothing decoded may alias the line. A line whose instance
+// validates is then recorded in a table of known instances and decoded
+// again: a resubmission must read the same, whether or not the scanner
+// takes the instance from the table.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range frameSeeds() {
 		f.Add([]byte(s))
@@ -65,12 +78,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		var want Request
 		werr := json.Unmarshal(line, &want)
 		var scanned Request
-		accepted := scanned.scan(bytes.Clone(line))
+		accepted := scanned.scan(bytes.Clone(line), nil)
 		if accepted && werr != nil {
 			t.Fatalf("scanner accepted %q, encoding/json refuses it: %v", line, werr)
 		}
 		buf := bytes.Clone(line)
-		got, err := decodeFrame(buf)
+		got, err := decodeFrame(buf, nil)
 		if fmt.Sprint(err) != fmt.Sprint(werr) {
 			t.Fatalf("decodeFrame(%q) error %v, encoding/json %v", line, err, werr)
 		}
@@ -82,6 +95,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			job, jobErr := r.arrival()
 			r.Instance, r.Job = nil, nil
 			r.inst, r.instErr, r.job, r.jobErr = nil, nil, nil, nil
+			r.instKnown, r.instSpan, r.instFP = false, false, fingerprint{}
 			return fmt.Sprintf("%#v\ninstance %#v, %v\nhas job %v: %#v, %v", r, in, inErr, r.hasJob(), job, jobErr)
 		}
 		gv := view(got)
@@ -91,8 +105,29 @@ func FuzzDecodeFrame(f *testing.F) {
 		if again := view(got); again != gv {
 			t.Fatalf("decoded request of %q changed when the line was overwritten:\n%s\n%s", line, gv, again)
 		}
-		if wv := view(want); gv != wv {
+		wv := view(want)
+		if gv != wv {
 			t.Fatalf("decodeFrame(%q) (scanner accepted: %v):\n  got:  %s\n  want: %s", line, accepted, gv, wv)
+		}
+
+		known := newKnownInstances()
+		first, err := decodeFrame(bytes.Clone(line), known)
+		if err != nil {
+			t.Fatalf("decodeFrame(%q) with a table: %v", line, err)
+		}
+		in, err := first.instance()
+		if err != nil || in == nil || known.validate(context.Background(), in, &first, 8) != nil {
+			return
+		}
+		again, err := decodeFrame(bytes.Clone(line), known)
+		if err != nil {
+			t.Fatalf("resubmitted %q: %v", line, err)
+		}
+		if again.instKnown != first.instSpan {
+			t.Errorf("resubmitted %q: taken from the table %v, recorded %v", line, again.instKnown, first.instSpan)
+		}
+		if av := view(again); av != gv {
+			t.Fatalf("resubmitted %q (known: %v):\n  got:  %s\n  want: %s", line, again.instKnown, av, gv)
 		}
 	})
 }
@@ -152,8 +187,11 @@ func TestFrameEncoding(t *testing.T) {
 			t.Errorf("%s frame decodes to %#v, want %#v", c.req.Op, back, c.old)
 		}
 		var r Request
-		if !r.scan(frame) {
+		if !r.scan(frame, newKnownInstances()) {
 			t.Errorf("the scanner declined a %s frame WireClient writes", c.req.Op)
+		}
+		if r.instSpan != (c.key == "instance") {
+			t.Errorf("%s frame: instance fingerprinted %v", c.req.Op, r.instSpan)
 		}
 	}
 	if _, err := encodeFrame(Request{Op: "submit"}, "instance", func(b []byte) ([]byte, error) {

@@ -57,6 +57,13 @@ type Request struct {
 	instErr error
 	job     moldable.Job
 	jobErr  error
+	// instKnown marks an inst taken from the server's table of known
+	// instances, validated already; instSpan marks one decoded from the
+	// frame's last member, whose bytes have fingerprint instFP
+	// (known.go).
+	instKnown bool
+	instSpan  bool
+	instFP    fingerprint
 }
 
 // Response is the union of all response shapes. Error responses carry

@@ -48,6 +48,10 @@ type ServeConfig struct {
 	// Limiter applies admission control and tenant quotas; nil admits
 	// everything.
 	Limiter *Limiter
+
+	// known is the Server's table of validated instances, shared by its
+	// connections; nil gives the session a table of its own.
+	known *knownInstances
 }
 
 // ServeLines runs one protocol session: JSON-lines requests from in,
@@ -68,6 +72,9 @@ type ServeConfig struct {
 // pins that the two transports stay byte-equivalent.
 func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg ServeConfig) error {
 	out := &writer{w: w, enc: json.NewEncoder(w)}
+	if cfg.known == nil {
+		cfg.known = newKnownInstances()
+	}
 	sess := &session{b: b, out: out, cfg: cfg, opened: make(map[uint64]bool), barrier: closedBarrier()}
 	// Release every online session this stream opened and never
 	// drained: a client that vanished mid-session would otherwise leak
@@ -83,7 +90,7 @@ func ServeLines(ctx context.Context, b Backend, in io.Reader, w io.Writer, cfg S
 		if len(line) == 0 {
 			continue
 		}
-		req, err := decodeFrame(line)
+		req, err := decodeFrame(line, cfg.known)
 		if err != nil {
 			// A line too broken to parse still gets a trace id: the error
 			// frame is correlatable like any other response.
@@ -330,7 +337,7 @@ func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) 
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: wireCode(err), Error: err.Error()})
 		return
 	}
-	if err := in.ValidateCtx(ctx, s.cfg.Probes); err != nil {
+	if err := s.cfg.known.validate(ctx, in, &req, s.cfg.Probes); err != nil {
 		if cancel != nil {
 			cancel()
 		}

@@ -43,6 +43,7 @@ type Server struct {
 	cfg    ServerConfig
 	svc    *service.Scheduler
 	lim    *Limiter
+	known  *knownInstances
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -62,6 +63,7 @@ func NewServer(ctx context.Context, cfg ServerConfig) *Server {
 		cfg:    cfg,
 		svc:    service.New(cfg.Service),
 		lim:    NewLimiter(cfg.Limits),
+		known:  newKnownInstances(),
 		ctx:    sctx,
 		cancel: cancel,
 		conns:  make(map[net.Conn]struct{}),
@@ -126,9 +128,15 @@ func (s *Server) Serve(ln net.Listener) error {
 			// framing after 256 MiB): the session dies, the server
 			// lives. The deferred cleanup in ServeLines has already
 			// released the connection's online sessions.
-			_ = ServeLines(cctx, s.svc, conn, conn, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
+			_ = ServeLines(cctx, s.svc, conn, conn, s.serveConfig())
 		}()
 	}
+}
+
+// serveConfig is the configuration of every session the server runs,
+// over TCP or HTTP: one limiter and one table of known instances.
+func (s *Server) serveConfig() ServeConfig {
+	return ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim, known: s.known}
 }
 
 // addListener registers ln for Close; false means the server is
@@ -232,7 +240,7 @@ func (s *Server) Handler() http.Handler {
 		})
 		defer stop()
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = ServeLines(ctx, s.svc, req.Body, w, ServeConfig{Probes: s.cfg.Probes, Limiter: s.lim})
+		_ = ServeLines(ctx, s.svc, req.Body, w, s.serveConfig())
 	})
 	return mux
 }

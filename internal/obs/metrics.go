@@ -67,4 +67,7 @@ var (
 	WireInflight       = Default.Gauge("wire_inflight", "requests currently holding an admission slot")
 	WireTenantInflight = Default.GaugeVec("wire_tenant_inflight", "tenant", "admission slots currently held, by tenant")
 	WireConns          = Default.Gauge("wire_conns", "open TCP connections on the serving listener")
+
+	// Resubmissions whose decode and probes were skipped (DESIGN.md §5).
+	WireInstancesReused = Default.Counter("wire_instances_reused_total", "submitted instances taken from the server's table of known instances instead of decoded and probed")
 )

@@ -49,14 +49,15 @@ func (s *Scanner) End() bool {
 	return !s.bad && s.pos == len(s.data)
 }
 
+// whitespace has bit c set for each JSON whitespace byte c.
+const whitespace uint64 = 1<<' ' | 1<<'\t' | 1<<'\n' | 1<<'\r'
+
+// space skips whitespace. The protocol's own encoders write none
+// between tokens, so the usual case ends at the first compare: no byte
+// above ' ' is whitespace.
 func (s *Scanner) space() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
+	for s.pos < len(s.data) && s.data[s.pos] <= ' ' && whitespace>>s.data[s.pos]&1 != 0 {
+		s.pos++
 	}
 }
 
@@ -81,6 +82,24 @@ func (s *Scanner) expect(c byte) bool {
 	}
 	s.pos++
 	return true
+}
+
+// Pos returns the offset in the input of the next token, past any
+// whitespace, or -1 after a decline.
+func (s *Scanner) Pos() int {
+	if s.peek(); s.bad {
+		return -1
+	}
+	return s.pos
+}
+
+// Seek moves the scanner to offset pos, skipping what lies before it
+// unread. The caller vouches for the skipped bytes: pos must be an
+// offset where the scan could have arrived by reading them.
+func (s *Scanner) Seek(pos int) {
+	if !s.bad {
+		s.pos = pos
+	}
 }
 
 // Open consumes the '{' or '[' (c) that starts an object or array.
