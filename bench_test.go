@@ -367,54 +367,42 @@ func BenchmarkEstimator(b *testing.B) {
 	}
 }
 
-// --- Serving path: batch throughput with and without oracle
-// memoization (DESIGN.md §5) ---
+// --- Serving path: batch throughput (DESIGN.md §5) ---
 
-// batchInstance builds the repeated-oracle workload: n table-backed
-// jobs whose oracle re-scans its raw measurements on every probe
-// (moldable.EnvelopeTable, the non-compact encoding), so an uncached
-// t_j(p) costs O(p). This is the regime the service's memoization
-// targets; the cold runs measure the same workload with memoization
-// disabled.
+// batchInstance builds the table-backed workload: n jobs given by raw
+// measurements over 1..m processors, folded once into their running
+// minima (moldable.Envelope, the wire type "envelope"), so each probe
+// is one table lookup.
 func batchInstance(n, m int) *moldable.Instance {
 	rng := rand.New(rand.NewPCG(17, 0))
 	in := &moldable.Instance{M: m}
 	for i := 0; i < n; i++ {
-		in.Jobs = append(in.Jobs, moldable.EnvelopeTable{Raw: moldable.SmallTable(rng, m, 1000).T})
+		in.Jobs = append(in.Jobs, moldable.Envelope(moldable.SmallTable(rng, m, 1000).T))
 	}
 	return in
 }
 
 // BenchmarkBatch_Throughput schedules the same table-backed instance
-// repeatedly through the service with a fresh ε per submission (so the
-// result cache never answers and every iteration runs the full
-// estimator + dual search), memoized vs cold. The memoized runs share
-// one oracle cache across all iterations; instances/sec is reported as
-// the serving-path headline metric.
+// repeatedly through the service with a fresh ε per submission and the
+// result cache off, so every iteration runs the full estimator + dual
+// search; instances/sec is reported as the serving-path headline
+// metric. "cold" names the configuration for the recorded baselines.
 func BenchmarkBatch_Throughput(b *testing.B) {
 	in := batchInstance(256, 4096)
-	for _, mode := range []struct {
-		name string
-		cfg  service.Config
-	}{
-		{"cold", service.Config{NoMemoize: true, NoResultCache: true}},
-		{"memoized", service.Config{NoResultCache: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			svc := service.New(mode.cfg)
-			defer svc.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eps := 0.2 + 0.1*float64(i%16)/16 // defeat any result reuse
-				r := svc.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: eps})
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
+	b.Run("cold", func(b *testing.B) {
+		svc := service.New(service.Config{NoResultCache: true})
+		defer svc.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eps := 0.2 + 0.1*float64(i%16)/16 // defeat any result reuse
+			r := svc.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: eps})
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instances/sec")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instances/sec")
+	})
 }
 
 func log2(m int) int {

@@ -113,23 +113,6 @@ func WithResultCache(capacity int) Option {
 	return func(c *config) { c.svc.ResultCacheCap = capacity }
 }
 
-// WithMemoBudget bounds the oracle-memoization registry: at most
-// instances memoized twins, at most megabytes MB of estimated table
-// footprint (≤ 0 selects the defaults, 256 and 256). Construction-time
-// only.
-func WithMemoBudget(instances, megabytes int) Option {
-	return func(c *config) {
-		c.svc.MemoCap = instances
-		c.svc.MemoBudgetMB = megabytes
-	}
-}
-
-// WithoutMemoization disables oracle memoization (useful as a
-// benchmark baseline). Construction-time only.
-func WithoutMemoization() Option {
-	return func(c *config) { c.svc.NoMemoize = true }
-}
-
 // WithoutResultCache disables the result cache, so structurally equal
 // submissions recompute. Construction-time only.
 func WithoutResultCache() Option {
@@ -208,9 +191,9 @@ func WithEpochRule(min moldable.Time, grow float64) Option {
 }
 
 // Client is the context-first entry point of the library: a handle over
-// the serving stack (sharded worker pool, bounded result cache, oracle
-// memoization — see DESIGN.md §5) with cancellation threaded through
-// every method down to the dual-search probe loops.
+// the serving stack (per-worker queues and a bounded result cache — see
+// DESIGN.md §5) with cancellation threaded through every method down to
+// the dual-search probe loops.
 //
 // Create with New, release with Close. All methods are safe for
 // concurrent use. For one-shot use the zero-config client is cheap:
@@ -219,7 +202,7 @@ func WithEpochRule(min moldable.Time, grow float64) Option {
 //	defer c.Close()
 //	s, rep, err := c.Schedule(ctx, in)
 type Client struct {
-	svc    *service.Scheduler
+	svc    *service.Scheduler // nil on a WithDial client, which schedules remotely
 	def    core.Options
 	onl    online.Config
 	probes int
@@ -237,16 +220,22 @@ type Client struct {
 }
 
 // New creates a Client. Options set the pool and cache sizes and the
-// per-call defaults (algorithm, ε, validation, probe budget).
+// per-call defaults (algorithm, ε, validation, probe budget). A
+// WithDial client starts no local workers: the pool and cache options
+// then size nothing.
 func New(opts ...Option) *Client {
 	cfg := config{probes: 256}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Client{
-		svc: service.New(cfg.svc), def: cfg.opt, onl: cfg.online,
+	c := &Client{
+		def: cfg.opt, onl: cfg.online,
 		probes: cfg.probes, dial: cfg.dial, tenant: cfg.tenant,
 	}
+	if c.dial == "" {
+		c.svc = service.New(cfg.svc)
+	}
+	return c
 }
 
 // Close drains in-flight work, stops the workers, and closes the remote
@@ -260,7 +249,9 @@ func (c *Client) Close() {
 	}
 	c.rmu.Unlock()
 	c.streams.Wait()
-	c.svc.Close()
+	if c.svc != nil {
+		c.svc.Close()
+	}
 }
 
 // wire returns the client's remote connection, dialing it (and sending
@@ -302,8 +293,8 @@ func (c *Client) mergecall(opts []Option) config {
 // Schedule solves one instance under ctx: cancellation and deadlines
 // are observed between dual-search probes, and a canceled run returns
 // an error matching ErrCanceled. Structurally identical submissions are
-// answered from the result cache; repeated instances reuse memoized
-// oracles. The instance must not be mutated afterwards.
+// answered from the result cache. The instance must not be mutated
+// afterwards.
 func (c *Client) Schedule(ctx context.Context, in *moldable.Instance, opts ...Option) (*ScheduleResult, *Report, error) {
 	opt, _ := c.call(opts)
 	if c.dial != "" {
@@ -572,10 +563,9 @@ func (c *Client) ValidateSchedule(ctx context.Context, in *moldable.Instance, s 
 	return schedule.Validate(in, s, schedule.Options{})
 }
 
-// Stats snapshots the serving counters (submissions, cache hits,
-// memoized oracle hit rate; see service.Stats) of whichever stack this
-// client actually uses: the remote server's aggregate (WithDial) or the
-// local service's.
+// Stats snapshots the serving counters (submissions, cache hits; see
+// service.Stats) of whichever stack this client actually uses: the
+// remote server's aggregate (WithDial) or the local service's.
 func (c *Client) Stats(ctx context.Context) (service.Stats, error) {
 	if c.dial != "" {
 		wc, err := c.wire(ctx)

@@ -349,3 +349,16 @@ func TestRemoteDialFailure(t *testing.T) {
 		t.Fatal("schedule against a dead address succeeded")
 	}
 }
+
+// TestRemoteClientStartsNoWorkers: a WithDial client schedules on the
+// server, so New starts no local worker goroutines (the pool options
+// then size nothing), and Close works before any call.
+func TestRemoteClientStartsNoWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := repro.New(repro.WithDial("127.0.0.1:1"), repro.WithWorkers(8)) // never dialed
+	after := runtime.NumGoroutine()
+	c.Close()
+	if after > before {
+		t.Fatalf("New(WithDial) started %d goroutines", after-before)
+	}
+}

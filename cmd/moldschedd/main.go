@@ -107,9 +107,6 @@ func main() {
 	var (
 		workers  = flag.Int("workers", 0, "pool workers (0: GOMAXPROCS)")
 		cacheCap = flag.Int("cache", 1024, "result-cache capacity (0: default)")
-		memoCap  = flag.Int("memo", 256, "memoized-instance capacity (0: default)")
-		memoMB   = flag.Int("memo-mb", 256, "memoized-instance byte budget in MB (0: default)")
-		noMemo   = flag.Bool("no-memo", false, "disable oracle memoization")
 		noCache  = flag.Bool("no-cache", false, "disable the result cache")
 		probes   = flag.Int("probes", 256, "monotonicity probes per submitted job (0: exhaustive)")
 
@@ -128,9 +125,6 @@ func main() {
 	svcCfg := service.Config{
 		Workers:        *workers,
 		ResultCacheCap: *cacheCap,
-		MemoCap:        *memoCap,
-		MemoBudgetMB:   *memoMB,
-		NoMemoize:      *noMemo,
 		NoResultCache:  *noCache,
 	}
 	ctx := context.Background()

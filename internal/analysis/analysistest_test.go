@@ -259,3 +259,32 @@ func TestCorpusDirsCovered(t *testing.T) {
 		}
 	}
 }
+
+// ignoreDirectives pins how many //schedlint:ignore directives the
+// non-test code of repro/... carries. Each one is an exception to an
+// invariant the suite enforces, so adding or removing one must be a
+// visible, reviewed change to this constant rather than a silent drift.
+// Mentions of the directive in doc comments and help text do not count;
+// only comments the runner would parse as directives do.
+const ignoreDirectives = 21
+
+func TestIgnoreDirectiveCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole repository")
+	}
+	n := 0
+	for _, p := range loadRepo(t) {
+		for _, f := range p.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if strings.HasPrefix(c.Text, ignorePrefix) {
+						n++
+					}
+				}
+			}
+		}
+	}
+	if n != ignoreDirectives {
+		t.Errorf("non-test code carries %d //schedlint:ignore directives, want %d: justify the change and update ignoreDirectives", n, ignoreDirectives)
+	}
+}

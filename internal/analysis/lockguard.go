@@ -16,8 +16,8 @@ import (
 // (doc comment or trailing comment) may only be read while mu — a
 // sync.Mutex or sync.RWMutex field of the same struct — is held, and
 // only written while it is write-held. The serving path's shared state
-// (result-cache shards, online sessions, the memo registry, the
-// server's connection set, the daemon's response writer) is guarded
+// (result-cache shards, online sessions, the known-instance table,
+// the server's connection set, the daemon's response writer) is guarded
 // by convention today; -race only catches the schedules the tests
 // happen to race.
 //

@@ -3,11 +3,9 @@ package moldable
 // Closed-form job families. The paper's compact encoding assumes an
 // O(1) oracle, and the closed-form speedup models (Amdahl, power law,
 // perfect speedup, sequential, communication overhead, and Capped or
-// Scaled around any of them) are monotone by their parameters alone.
-// Two serving-path costs follow: CheckMonotone proves them monotone
-// from their parameters instead of probing, and MemoizeInstance leaves
-// them (and the other O(1) oracles) unwrapped, since a cache in front
-// of a few flops costs more than it saves.
+// Scaled around any of them) are monotone by their parameters alone, so
+// CheckMonotone proves them monotone from their parameters instead of
+// probing.
 //
 // Proven-monotone parameter domain (DESIGN.md §3):
 //
@@ -21,8 +19,7 @@ package moldable
 //
 // with at most provenDepth Capped/Scaled wrappers. Anything else — a
 // parameter outside its domain (NaN included), deeper nesting, Table,
-// Piecewise, EnvelopeTable, Memo, user-defined jobs — is probed as
-// before.
+// Piecewise, user-defined jobs — is probed as before.
 
 import "math"
 
@@ -160,21 +157,4 @@ func positiveInverse(w, t Time) float64 {
 		return w / t
 	}
 	return math.Inf(1)
-}
-
-// NeedsMemo reports whether memoizing j can pay off. It is false for
-// oracles that answer in O(1) — the closed forms, Table, Piecewise
-// (a binary search over its few configurations) and Capped/Scaled
-// around them — and true for EnvelopeTable (O(p) per call), for an
-// existing Memo, and for every job type this package cannot see into.
-func NeedsMemo(j Job) bool {
-	switch j := j.(type) {
-	case Amdahl, Power, PerfectSpeedup, Sequential, Comm, Table, Piecewise:
-		return false
-	case Capped:
-		return NeedsMemo(j.J)
-	case Scaled:
-		return NeedsMemo(j.J)
-	}
-	return true
 }

@@ -46,7 +46,8 @@ func mixedInstance(t *testing.T) *Instance {
 		Comm{W: 1.7976931348623157e308, C: 2.2250738585072014e-308},
 		Table{T: []Time{9, 5, 4, math.Copysign(0, -1), 1e-7, 1e21, 123456789.125}},
 		Table{T: []Time{}},
-		EnvelopeTable{Raw: []Time{100, 52, 36, 27.5}},
+		Envelope([]Time{100, 52, 36, 27.5}),
+		Envelope([]Time{9, 12, math.Copysign(0, -1), 0, 4}),
 		pw,
 		Piecewise{},
 		Capped{J: PerfectSpeedup{W: 64}, Max: 8},
@@ -58,7 +59,6 @@ func mixedInstance(t *testing.T) *Instance {
 		Capped{J: Scaled{J: Capped{J: PerfectSpeedup{W: 64}, Max: 4}, Factor: 2}, Max: 10},
 		Scaled{J: Sequential{T: 2}, Factor: 0},
 		&CountingJob{J: Sequential{T: 2}},
-		Memoize(Comm{W: 8, C: 1}, 16),
 	}}
 }
 
@@ -207,6 +207,7 @@ var decodeSeeds = []string{
 	`{"m":4,"jobs":[{"type":"table","times":[1,2,-.5]}]}`,
 	`{"type":"power","w":5,"alpha":0.5}`,
 	`{"type":"envelope","times":[100,52,36,27.5],"max":3}`,
+	`{"m":4,"jobs":[{"type":"envelope","times":[3,5,-0,0,1]},{"type":"envelope","times":[]}]}`,
 	`{"type":"piecewise","procs":[1,4.0],"times":[8,2]}`,
 	`{"type":"sequential","t":true}`,
 	"{\"type\":\"s\u00e9q\",\"t\":1}",

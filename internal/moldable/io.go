@@ -40,8 +40,9 @@ type instanceJSON struct {
 
 // MarshalInstance encodes the instance as compact JSON, byte for byte
 // what json.Marshal writes for the instance schema. Wrapped jobs
-// (Scaled, Capped, CountingJob, Memo) are flattened where possible;
-// unknown job types are rejected.
+// (Scaled, Capped, CountingJob) are flattened where possible; unknown
+// job types are rejected. An "envelope" job was folded into a Table
+// when it was decoded, so it encodes as "table".
 func MarshalInstance(in *Instance) ([]byte, error) {
 	// A closed-form job encodes in about 60 bytes.
 	return AppendInstance(make([]byte, 0, 64*(1+len(in.Jobs))), in)
@@ -150,8 +151,6 @@ func encodeJob(j Job) (jobJSON, error) {
 		return jobJSON{Type: "comm", W: v.W, C: v.C}, nil
 	case Table:
 		return jobJSON{Type: "table", Times: v.T}, nil
-	case EnvelopeTable:
-		return jobJSON{Type: "envelope", Times: v.Raw}, nil
 	case Piecewise:
 		return jobJSON{Type: "piecewise", Procs: v.Procs, Times: v.Times}, nil
 	case Capped:
@@ -177,8 +176,6 @@ func encodeJob(j Job) (jobJSON, error) {
 		inner.Factor *= v.Factor
 		return inner, nil
 	case *CountingJob:
-		return encodeJob(v.J)
-	case *Memo:
 		return encodeJob(v.J)
 	default:
 		return jobJSON{}, fmt.Errorf("moldable: cannot serialize job type %T", j)
@@ -388,7 +385,7 @@ func decodeJob(jj jobJSON) (Job, error) {
 		if len(jj.Times) == 0 {
 			return nil, fmt.Errorf("moldable: envelope job with no times")
 		}
-		j = EnvelopeTable{Raw: jj.Times}
+		j = Envelope(jj.Times)
 	case "piecewise":
 		pw, err := NewPiecewise(jj.Procs, jj.Times)
 		if err != nil {

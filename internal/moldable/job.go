@@ -143,6 +143,28 @@ func MonotoneTable(raw []Time) Table {
 	return Table{T: t}
 }
 
+// Envelope builds the Table of raw per-configuration measurements that
+// are not guaranteed monotone (timings scraped from a performance
+// model, a trace store, or benchmark runs): the usable processing time
+// with at most p processors is the running minimum
+//
+//	t(p) = min_{1 ≤ q ≤ min(p, len(raw))} raw[q-1],
+//
+// folded once here, so each query is O(1) as the paper's oracle model
+// assumes. This is the wire type "envelope". The running minimum makes
+// t non-increasing, but work p·t(p) can still decrease if raw drops
+// faster than 1/p; Validate checks that as for any table.
+func Envelope(raw []Time) Table {
+	t := make([]Time, len(raw))
+	copy(t, raw)
+	for k := 1; k < len(t); k++ {
+		if !(t[k] < t[k-1]) {
+			t[k] = t[k-1]
+		}
+	}
+	return Table{T: t}
+}
+
 // Scaled wraps a job and multiplies all its times by Factor. Scaling
 // preserves monotonicity.
 type Scaled struct {

@@ -19,7 +19,7 @@ type ServerConfig struct {
 	//
 	// Deprecated: leave it unset.
 	Shards int
-	// Service configures the scheduler (workers, caches, memo budget).
+	// Service configures the scheduler (workers, caches).
 	Service service.Config
 	// Limits is the admission-control and quota policy, shared by all
 	// connections. The zero value admits everything.

@@ -50,11 +50,8 @@ var (
 	ServiceSubmitted      = Default.Counter("service_submitted_total", "batch instances admitted by schedulers")
 	ServiceCompleted      = Default.Counter("service_completed_total", "batch instances finished (result available)")
 	ServiceErrors         = Default.Counter("service_errors_total", "batch instances finished with an error")
-	ServiceResultHits     = Default.Counter("service_result_hits_total", "submissions served from the memoized result cache")
+	ServiceResultHits     = Default.Counter("service_result_hits_total", "submissions served from the result cache")
 	ServicePending        = Default.Gauge("service_pending", "admitted but unfinished batch instances (scrape-time snapshot)")
-	ServiceOracleHits     = Default.Gauge("service_oracle_hits", "memoized work-function oracle hits; memoized oracles only, 0 for closed-form traffic (scrape-time snapshot)")
-	ServiceOracleMisses   = Default.Gauge("service_oracle_misses", "memoized work-function oracle misses; memoized oracles only, 0 for closed-form traffic (scrape-time snapshot)")
-	ServiceMemoized       = Default.Gauge("service_memoized_instances", "instances with a live memo entry; memoized oracles only, 0 for closed-form traffic (scrape-time snapshot)")
 	ServiceCachedResults  = Default.Gauge("service_cached_results", "retained result-cache entries (scrape-time snapshot)")
 	ServiceOnlineSessions = Default.Gauge("service_online_sessions", "open online sessions (scrape-time snapshot)")
 )

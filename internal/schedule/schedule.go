@@ -17,8 +17,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/moldable"
 )
@@ -137,11 +138,16 @@ func (s *Schedule) MaxUsage() int {
 	for _, p := range s.Placements {
 		events = append(events, event{p.Start, p.Procs}, event{p.End(), -p.Procs})
 	}
-	sort.Slice(events, func(i, k int) bool {
-		if events[i].t != events[k].t {
-			return events[i].t < events[k].t
+	// Times compare with <, not cmp.Compare: a NaN time then lands where
+	// plain comparisons put it instead of sorting first.
+	slices.SortFunc(events, func(a, b event) int {
+		if a.t != b.t {
+			if a.t < b.t {
+				return -1
+			}
+			return 1
 		}
-		return events[i].delta < events[k].delta // releases before acquisitions
+		return cmp.Compare(a.delta, b.delta) // releases before acquisitions
 	})
 	cur, best := 0, 0
 	for _, e := range events {

@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 
@@ -190,5 +192,51 @@ func TestSVGEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SVG(&buf, New(2), 100, 100); err == nil {
 		t.Error("empty schedule rendered")
+	}
+}
+
+// maxUsageSortSlice is MaxUsage as it was written with sort.Slice, the
+// reference for the slices.SortFunc version.
+func maxUsageSortSlice(s *Schedule) int {
+	type event struct {
+		t     moldable.Time
+		delta int
+	}
+	events := make([]event, 0, 2*len(s.Placements))
+	for _, p := range s.Placements {
+		events = append(events, event{p.Start, p.Procs}, event{p.End(), -p.Procs})
+	}
+	sort.Slice(events, func(i, k int) bool {
+		if events[i].t != events[k].t {
+			return events[i].t < events[k].t
+		}
+		return events[i].delta < events[k].delta
+	})
+	cur, best := 0, 0
+	for _, e := range events {
+		cur += e.delta
+		if cur > best {
+			best = cur
+		}
+	}
+	return best
+}
+
+// TestMaxUsageMatchesSortSlice compares MaxUsage with the sort.Slice
+// reference on random schedules whose times sit on a coarse grid, so
+// intervals touch (one ends where another starts) and zero-length
+// placements are common.
+func TestMaxUsageMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 0))
+	for trial := 0; trial < 2000; trial++ {
+		s := New(64)
+		for j := rng.IntN(40); j >= 0; j-- {
+			start := moldable.Time(rng.IntN(8))
+			dur := moldable.Time(rng.IntN(4)) // 0 is a zero-length placement
+			s.Add(j, 1+rng.IntN(8), start, dur)
+		}
+		if got, want := s.MaxUsage(), maxUsageSortSlice(s); got != want {
+			t.Fatalf("trial %d: MaxUsage = %d, sort.Slice version = %d\n%+v", trial, got, want, s.Placements)
+		}
 	}
 }

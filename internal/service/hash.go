@@ -12,16 +12,18 @@ import (
 // Canonical instance hashing. Two instances that are structurally equal
 // (same m, same job parameters in the same order) hash to the same
 // 64-bit key, which drives all the sharing in this package: the result
-// cache, the memoized-instance registry, and worker-queue affinity.
+// cache and worker-queue affinity.
 // The hash streams job parameters directly into a maphash (seeded per
 // Scheduler) — no intermediate serialization, so hashing a table-backed
 // instance costs one pass over its entries, negligible next to a single
-// oracle-driven Schedule call. Wrappers that don't change oracle values
-// (CountingJob, Memo) are hashed as their inner job; job types without a
-// canonical encoding report ok=false and bypass all caches.
+// oracle-driven Schedule call. A wrapper that doesn't change oracle
+// values (CountingJob) is hashed as its inner job; job types without a
+// canonical encoding report ok=false and bypass all caches. A wire
+// "envelope" job is a Table by the time it is hashed, so it shares its
+// key with the "table" job of its running minima.
 //
 // Collisions: keys are 64-bit, so two distinct live instances colliding
-// takes ~2³² cached instances (the registry holds a few hundred); the
+// takes ~2³² cached instances (the cache holds about a thousand); the
 // worst case is serving a result for the colliding twin, the same
 // accepted risk as any content-addressed cache.
 
@@ -59,7 +61,7 @@ func (h hasher) instanceKey(in *moldable.Instance) (key uint64, ok bool) {
 
 // resultKey extends an instance key with the scheduling options, keying
 // the result cache (same instance, different ε or algorithm → different
-// schedule, but still one shared oracle memo).
+// schedule).
 func (h hasher) resultKey(instKey uint64, opt core.Options) uint64 {
 	var mh maphash.Hash
 	mh.SetSeed(h.seed)
@@ -113,12 +115,6 @@ func writeJob(mh *maphash.Hash, j moldable.Job) bool {
 		for _, t := range v.T {
 			writeFloat(mh, t)
 		}
-	case moldable.EnvelopeTable:
-		writeUint(mh, 7)
-		writeUint(mh, uint64(len(v.Raw)))
-		for _, t := range v.Raw {
-			writeFloat(mh, t)
-		}
 	case moldable.Piecewise:
 		writeUint(mh, 8)
 		writeUint(mh, uint64(len(v.Procs)))
@@ -135,8 +131,6 @@ func writeJob(mh *maphash.Hash, j moldable.Job) bool {
 		writeFloat(mh, v.Factor)
 		return writeJob(mh, v.J)
 	case *moldable.CountingJob:
-		return writeJob(mh, v.J)
-	case *moldable.Memo:
 		return writeJob(mh, v.J)
 	default:
 		return false

@@ -1,15 +1,8 @@
 // Package service is the serving layer over core.ScheduleScratchCtx: a
 // long-running, high-throughput batch scheduling subsystem (see
-// DESIGN.md §5). It composes three mechanisms, all keyed by the same
+// DESIGN.md §5). It composes two mechanisms, both keyed by the same
 // canonical instance hash:
 //
-//   - oracle memoization (moldable.Memo): an instance with any
-//     non-O(1) oracle (moldable.NeedsMemo) is scheduled through a
-//     memoized twin, so the O(log m) binary searches of the estimator
-//     and the dual calls stop re-evaluating the same t_j(p) points —
-//     within one scheduling call and, via a bounded registry of memoized
-//     instances, across repeated submissions of the same instance
-//     under any options; closed-form jobs run bare;
 //   - a bounded, sharded result cache: structurally identical
 //     (instance, options) submissions are answered without scheduling
 //     at all;
@@ -36,7 +29,6 @@ package service
 import (
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,10 +43,7 @@ import (
 type Config struct {
 	Workers        int  // worker goroutines; ≤ 0 selects GOMAXPROCS
 	ResultCacheCap int  // max cached results; ≤ 0 selects 1024
-	MemoCap        int  // max memoized instances retained; ≤ 0 selects 256
-	MemoBudgetMB   int  // max estimated MB of retained memo tables; ≤ 0 selects 256
 	TicketCap      int  // max completed-but-uncollected tickets retained; ≤ 0 selects 4096
-	NoMemoize      bool // disable oracle memoization (benchmark baseline)
 	NoResultCache  bool // disable the result cache
 }
 
@@ -64,12 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheCap <= 0 {
 		c.ResultCacheCap = 1024
-	}
-	if c.MemoCap <= 0 {
-		c.MemoCap = 256
-	}
-	if c.MemoBudgetMB <= 0 {
-		c.MemoBudgetMB = 256
 	}
 	if c.TicketCap <= 0 {
 		c.TicketCap = 4096
@@ -97,11 +80,18 @@ type Stats struct {
 	Errors     int64 `json:"errors"`      // submissions that finished with an error
 	ResultHits int64 `json:"result_hits"` // submissions answered from the result cache
 
-	OracleHits   int64 `json:"oracle_hits"`   // memoized oracle evaluations served from cache
-	OracleMisses int64 `json:"oracle_misses"` // memoized oracle evaluations that hit the wrapped job
+	// OracleHits, OracleMisses and MemoizedInstances are always 0: the
+	// service memoizes no oracle. They stay so that the stats frame of
+	// the wire protocol keeps its members.
+	//
+	// Deprecated: always 0.
+	OracleHits int64 `json:"oracle_hits"`
+	// Deprecated: always 0; see OracleHits.
+	OracleMisses int64 `json:"oracle_misses"`
+	// Deprecated: always 0; see OracleHits.
+	MemoizedInstances int `json:"memoized_instances"`
 
-	MemoizedInstances int `json:"memoized_instances"` // instances currently retained in the memo registry
-	CachedResults     int `json:"cached_results"`     // results currently retained in the result cache
+	CachedResults int `json:"cached_results"` // results currently retained in the result cache
 
 	OnlineSessions int   `json:"online_sessions"` // online sessions currently open
 	OnlineOpened   int64 `json:"online_opened"`   // online sessions ever opened
@@ -117,14 +107,12 @@ type Scheduler struct {
 	workers sync.WaitGroup
 	closing sync.Once
 	results *resultCache
-	memos   *memoRegistry
 	tasks   sync.Map    // ticket → *task
 	onlines sync.Map    // ticket → *onlineSession (see online.go)
 	retired chan uint64 // FIFO of completed tickets, bounding uncollected retention
 	nextID  atomic.Uint64
 
 	submitted, completed, failures, resultHits atomic.Int64
-	looseHits, looseMisses                     atomic.Int64 // memo stats of uncacheable instances
 	onlineOpened, onlineArrivals               atomic.Int64
 }
 
@@ -158,7 +146,6 @@ func New(cfg Config) *Scheduler {
 		h:       newHasher(),
 		queues:  make([]chan job, cfg.Workers),
 		results: newResultCache(cfg.ResultCacheCap),
-		memos:   newMemoRegistry(cfg.MemoCap, int64(cfg.MemoBudgetMB)<<20),
 		retired: make(chan uint64, cfg.TicketCap),
 	}
 	for i := range s.queues {
@@ -277,26 +264,9 @@ func (s *Scheduler) run(j job, sc *core.Scratch) {
 			return
 		}
 	}
-	// Memoize only when some job's oracle costs more than O(1) (see
-	// moldable.NeedsMemo): an all-closed-form instance runs bare and
-	// never enters the memo registry.
-	exec := j.in
-	var looseStats func() (int64, int64)
-	if !s.cfg.NoMemoize && slices.ContainsFunc(j.in.Jobs, moldable.NeedsMemo) {
-		if j.canon {
-			exec = s.memos.get(j.key, j.in)
-		} else {
-			exec, looseStats = moldable.MemoizeInstance(j.in)
-		}
-	}
 	// The worker's scratch owns the produced schedule, so clone it
 	// before the result escapes into the cache or to callers.
-	sched, rep, err := core.ScheduleScratchCtx(j.ctx, exec, j.opt, sc)
-	if looseStats != nil {
-		h, m := looseStats()
-		s.looseHits.Add(h)
-		s.looseMisses.Add(m)
-	}
+	sched, rep, err := core.ScheduleScratchCtx(j.ctx, j.in, j.opt, sc)
 	// Like core.ScheduleCtx, the report is attached unconditionally:
 	// zero-valued for precondition failures, populated as far as the
 	// call got otherwise. Success is signalled by Err alone.
@@ -409,8 +379,8 @@ func (s *Scheduler) Poll(id uint64) (res Result, done, known bool) {
 	}
 }
 
-// DoCtx schedules synchronously through the service (cache, memo, and
-// queue affinity included) under a per-submission context: the work
+// DoCtx schedules synchronously through the service (cache and queue
+// affinity included) under a per-submission context: the work
 // itself carries ctx (deadline included) and the wait is bounded by it
 // too — when ctx
 // ends while the submission is still queued behind other work, DoCtx
@@ -429,8 +399,8 @@ func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.O
 }
 
 // DoBatchCtx submits every instance under one shared context and
-// waits for all results, in order: a fan-out over the workers plus dedup, result
-// caching, and shared oracle memos. A cancel or deadline mid-batch completes the remaining submissions with ErrCanceled
+// waits for all results, in order: a fan-out over the workers plus dedup
+// and result caching. A cancel or deadline mid-batch completes the remaining submissions with ErrCanceled
 // results (already-finished ones keep their results), never a short
 // slice. The waits are ctx-bounded, so the call returns promptly after
 // a cancel instead of trailing the queue.
@@ -463,16 +433,12 @@ func (s *Scheduler) Stats() Stats {
 	var st Stats
 	for attempt := 0; ; attempt++ {
 		subBefore, compBefore := s.submitted.Load(), s.completed.Load()
-		hits, misses := s.memos.stats()
 		st = Stats{
-			Errors:            s.failures.Load(),
-			ResultHits:        s.resultHits.Load(),
-			OracleHits:        hits + s.looseHits.Load(),
-			OracleMisses:      misses + s.looseMisses.Load(),
-			MemoizedInstances: s.memos.len(),
-			CachedResults:     s.results.len(),
-			OnlineOpened:      s.onlineOpened.Load(),
-			OnlineArrivals:    s.onlineArrivals.Load(),
+			Errors:         s.failures.Load(),
+			ResultHits:     s.resultHits.Load(),
+			CachedResults:  s.results.len(),
+			OnlineOpened:   s.onlineOpened.Load(),
+			OnlineArrivals: s.onlineArrivals.Load(),
 		}
 		st.Completed = s.completed.Load()
 		st.Submitted = s.submitted.Load()
@@ -492,9 +458,6 @@ func (s *Scheduler) Stats() Stats {
 // GET /metrics handlers with whatever aggregate they route over.
 func PublishStats(st Stats) {
 	obs.ServicePending.Set(st.Pending)
-	obs.ServiceOracleHits.Set(st.OracleHits)
-	obs.ServiceOracleMisses.Set(st.OracleMisses)
-	obs.ServiceMemoized.Set(int64(st.MemoizedInstances))
 	obs.ServiceCachedResults.Set(int64(st.CachedResults))
 	obs.ServiceOnlineSessions.Set(int64(st.OnlineSessions))
 }

@@ -19,10 +19,8 @@ func testInstance(seed uint64) *moldable.Instance {
 	return moldable.Random(moldable.GenConfig{N: 24, M: 512, Seed: seed})
 }
 
-// envelopeInstance is testInstance(seed) re-encoded as EnvelopeTable
-// jobs sampled over 1..M: the same oracle values behind the O(p)
-// oracle the memo exists for. Closed-form instances bypass the memo
-// (moldable.NeedsMemo), so tests of memo behaviour use these.
+// envelopeInstance is testInstance(seed) re-encoded as envelope jobs
+// sampled over 1..M: the same oracle values behind table lookups.
 func envelopeInstance(seed uint64) *moldable.Instance {
 	in := testInstance(seed)
 	for i, j := range in.Jobs {
@@ -30,7 +28,7 @@ func envelopeInstance(seed uint64) *moldable.Instance {
 		for p := range raw {
 			raw[p] = j.Time(p + 1)
 		}
-		in.Jobs[i] = moldable.EnvelopeTable{Raw: raw}
+		in.Jobs[i] = moldable.Envelope(raw)
 	}
 	return in
 }
@@ -75,35 +73,13 @@ func TestResultCacheHit(t *testing.T) {
 	if r1.Schedule.Makespan() != r2.Schedule.Makespan() {
 		t.Error("cached result differs from computed result")
 	}
-	st := s.Stats()
-	if st.ResultHits != 1 || st.Submitted != 2 || st.Completed != 2 {
-		t.Errorf("stats = %+v, want 1 hit over 2 submissions", st)
-	}
-}
-
-// TestMemoSharedAcrossOptions re-schedules one instance under different
-// ε: result keys differ (no cache hit) but the oracle memo is shared,
-// so the second run must produce hits.
-func TestMemoSharedAcrossOptions(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	in := envelopeInstance(3)
-	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5}); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	before := s.Stats()
-	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
-		t.Fatal(r.Err)
+	// Other options are another result, even for the same instance.
+	if r3 := s.DoCtx(context.Background(), testInstance(2), core.Options{Algorithm: core.Linear, Eps: 0.5}); r3.Err != nil || r3.Cached {
+		t.Errorf("same instance under another ε: err %v, cached %v; want a fresh result", r3.Err, r3.Cached)
 	}
 	st := s.Stats()
-	if st.ResultHits != 0 {
-		t.Errorf("different options must not share results (hits=%d)", st.ResultHits)
-	}
-	if st.MemoizedInstances != 1 {
-		t.Errorf("MemoizedInstances = %d, want 1", st.MemoizedInstances)
-	}
-	if st.OracleHits <= before.OracleHits {
-		t.Errorf("second run added no oracle hits (%d → %d)", before.OracleHits, st.OracleHits)
+	if st.ResultHits != 1 || st.Submitted != 3 || st.Completed != 3 {
+		t.Errorf("stats = %+v, want 1 hit over 3 submissions", st)
 	}
 }
 
@@ -154,7 +130,7 @@ func TestErrorNotCached(t *testing.T) {
 }
 
 func TestDisabledCaches(t *testing.T) {
-	s := New(Config{NoMemoize: true, NoResultCache: true})
+	s := New(Config{NoResultCache: true})
 	defer s.Close()
 	in := testInstance(6)
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
@@ -165,9 +141,8 @@ func TestDisabledCaches(t *testing.T) {
 	if r2.Cached {
 		t.Error("NoResultCache still served a cached result")
 	}
-	st := s.Stats()
-	if st.OracleHits != 0 || st.OracleMisses != 0 || st.MemoizedInstances != 0 {
-		t.Errorf("NoMemoize still memoized: %+v", st)
+	if st := s.Stats(); st.ResultHits != 0 || st.CachedResults != 0 {
+		t.Errorf("NoResultCache still cached: %+v", st)
 	}
 }
 
@@ -189,12 +164,8 @@ func TestUncacheableInstance(t *testing.T) {
 	if r2.Cached {
 		t.Error("uncacheable instance got a cache hit")
 	}
-	st := s.Stats()
-	if st.CachedResults != 0 || st.MemoizedInstances != 0 {
+	if st := s.Stats(); st.CachedResults != 0 {
 		t.Errorf("uncacheable instance left cache residue: %+v", st)
-	}
-	if st.OracleMisses == 0 {
-		t.Error("per-submission memo stats were not folded into Stats")
 	}
 }
 
@@ -277,33 +248,6 @@ func TestDoBatchDefaultWorkers(t *testing.T) {
 	}
 }
 
-// TestMemoEvictionKeepsStatsMonotone overflows a tiny memo registry and
-// checks that (a) retention respects both the entry cap and the byte
-// budget and (b) the cumulative oracle counters never decrease when
-// entries are evicted (the moldschedd stats contract).
-func TestMemoEvictionKeepsStatsMonotone(t *testing.T) {
-	s := New(Config{MemoCap: 2, MemoBudgetMB: 1})
-	defer s.Close()
-	opt := core.Options{Algorithm: core.Linear, Eps: 0.5}
-	var lastMisses int64
-	for i := 0; i < 6; i++ {
-		if r := s.DoCtx(context.Background(), envelopeInstance(uint64(40+i)), opt); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		st := s.Stats()
-		if st.OracleMisses < lastMisses {
-			t.Fatalf("OracleMisses decreased after eviction: %d → %d", lastMisses, st.OracleMisses)
-		}
-		if st.OracleMisses <= lastMisses {
-			t.Fatalf("fresh instance %d produced no new misses", i)
-		}
-		lastMisses = st.OracleMisses
-		if st.MemoizedInstances > 2 {
-			t.Fatalf("registry holds %d entries, cap is 2", st.MemoizedInstances)
-		}
-	}
-}
-
 // TestTicketCapBoundsUncollected fire-and-forget submits past the
 // ticket cap: the oldest uncollected tickets must be dropped (reported
 // unknown) while the newest remain collectable. One worker makes
@@ -370,92 +314,68 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if st.Completed != 240 || st.Pending != 0 {
 		t.Fatalf("stats = %+v, want 240 completed", st)
 	}
-	if st.ResultHits == 0 || st.OracleHits == 0 {
+	if st.ResultHits == 0 {
 		t.Errorf("concurrent duplicates produced no sharing: %+v", st)
 	}
 }
 
-// TestClosedFormBypassesMemo: an all-closed-form instance never enters
-// the memo registry and touches no oracle counter, and its schedule is
-// placement-for-placement the one NoMemoize produces — and the one the
-// memoized path produces for the same oracle values behind
-// EnvelopeTable jobs.
-func TestClosedFormBypassesMemo(t *testing.T) {
-	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
-	run := func(cfg Config, in *moldable.Instance) (*schedule.Schedule, Stats) {
-		t.Helper()
-		s := New(cfg)
-		defer s.Close()
-		r := s.DoCtx(context.Background(), in, opt)
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		return r.Schedule, s.Stats()
-	}
-	got, st := run(Config{}, testInstance(7))
-	if st.MemoizedInstances != 0 || st.OracleHits != 0 || st.OracleMisses != 0 {
-		t.Errorf("closed-form instance was memoized: %+v", st)
-	}
-	bare, _ := run(Config{NoMemoize: true}, testInstance(7))
-	memoized, st := run(Config{}, envelopeInstance(7))
-	if st.MemoizedInstances != 1 || st.OracleMisses == 0 {
-		t.Errorf("envelope instance was not memoized: %+v", st)
-	}
-	for name, want := range map[string]*schedule.Schedule{"NoMemoize": bare, "memoized envelope": memoized} {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("closed-form schedule differs from the %s schedule:\n got %+v\nwant %+v", name, got, want)
-		}
-	}
-}
-
-// TestMemoCostCountsWrappedJobs: the registry charges one memo table
-// per job MemoizeInstance actually wrapped, so the MemoBudgetMB
-// accounting ignores the closed-form jobs of a mixed instance.
-func TestMemoCostCountsWrappedJobs(t *testing.T) {
+// TestEnvelopeMatchesClosedForm: an instance of closed-form jobs and
+// its envelope re-encoding (the same oracle values as table lookups)
+// get placement-for-placement the same schedule.
+func TestEnvelopeMatchesClosedForm(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	in := testInstance(8)
-	env := envelopeInstance(8)
-	for i := 0; i < len(in.Jobs); i += 3 {
-		in.Jobs[i] = env.Jobs[i]
+	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
+	closed := s.DoCtx(context.Background(), testInstance(7), opt)
+	env := s.DoCtx(context.Background(), envelopeInstance(7), opt)
+	if closed.Err != nil || env.Err != nil {
+		t.Fatal(closed.Err, env.Err)
 	}
-	if r := s.DoCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	s.memos.mu.Lock()
-	got := s.memos.bytes
-	s.memos.mu.Unlock()
-	wrapped := (len(in.Jobs) + 2) / 3
-	if want := moldable.MemoFootprint(in.M) * int64(wrapped); got != want {
-		t.Errorf("registry charged %d bytes, want %d for %d memoized jobs", got, want, wrapped)
+	if !reflect.DeepEqual(closed.Schedule, env.Schedule) {
+		t.Errorf("closed-form schedule differs from the envelope schedule:\n got %+v\nwant %+v", closed.Schedule, env.Schedule)
 	}
 }
 
-// TestMemoRegistryConcurrentGet: racing first sights of one key build
-// their twins outside the lock, and exactly one twin is retained and
-// handed to every caller.
-func TestMemoRegistryConcurrentGet(t *testing.T) {
-	r := newMemoRegistry(4, 1<<30)
-	in := envelopeInstance(9)
-	twins := make([]*moldable.Instance, 8)
-	var wg sync.WaitGroup
-	for g := range twins {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			twins[g] = r.get(42, in)
-		}()
+// TestEnvelopeSharesTableKey: a wire "envelope" instance and the
+// "table" instance of its running minima are one instance to the
+// service. Both get the same makespan, and the second submission is a
+// result-cache hit.
+func TestEnvelopeSharesTableKey(t *testing.T) {
+	envelope, err := moldable.UnmarshalInstance([]byte(`{"m":8,"jobs":[` +
+		`{"type":"envelope","times":[12,6,7,3,3.5,2.5,9,2.25]},` +
+		`{"type":"envelope","times":[20,11,10.5,12,5]},{"type":"amdahl","seq":1,"par":9}]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for g, tw := range twins {
-		if tw != twins[0] {
-			t.Fatalf("caller %d got a different twin than caller 0", g)
-		}
+	table, err := moldable.UnmarshalInstance([]byte(`{"m":8,"jobs":[` +
+		`{"type":"table","times":[12,6,6,3,3,2.5,2.5,2.25]},` +
+		`{"type":"table","times":[20,11,10.5,10.5,5]},{"type":"amdahl","seq":1,"par":9}]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.mu.Lock()
-	n, bytes := len(r.m), r.bytes
-	r.mu.Unlock()
-	if want := memoCost(twins[0]); n != 1 || bytes != want {
-		t.Errorf("registry holds %d entries / %d bytes, want 1 / %d", n, bytes, want)
+	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
+	want, _, err := core.ScheduleCtx(context.Background(), table, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := core.ScheduleCtx(context.Background(), envelope, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan() != want.Makespan() {
+		t.Fatalf("envelope makespan %v, table makespan %v", got.Makespan(), want.Makespan())
+	}
+	s := New(Config{})
+	defer s.Close()
+	r1 := s.DoCtx(context.Background(), envelope, opt)
+	r2 := s.DoCtx(context.Background(), table, opt)
+	if r1.Err != nil || r2.Err != nil {
+		t.Fatal(r1.Err, r2.Err)
+	}
+	if r1.Schedule.Makespan() != want.Makespan() || r2.Schedule.Makespan() != want.Makespan() {
+		t.Errorf("served makespans %v and %v, want %v", r1.Schedule.Makespan(), r2.Schedule.Makespan(), want.Makespan())
+	}
+	if !r2.Cached {
+		t.Error("the table twin of an envelope instance missed the result cache")
 	}
 }

@@ -15,7 +15,7 @@
 // # Entry point: the Client
 //
 // All scheduling goes through a context-first Client, a handle over
-// the serving stack (worker pool, result cache, oracle memoization):
+// the serving stack (worker pool, result cache):
 //
 //	c := repro.New(repro.WithEps(0.1))
 //	defer c.Close()

@@ -42,7 +42,7 @@ func TestScheduleStreamPooledScratchIdentical(t *testing.T) {
 	// The result cache is disabled so every submission really computes
 	// on a worker's scratch; three passes make every worker reuse its
 	// buffers many times.
-	c := repro.New(repro.WithEps(0.25), repro.WithoutResultCache(), repro.WithoutMemoization())
+	c := repro.New(repro.WithEps(0.25), repro.WithoutResultCache())
 	defer c.Close()
 	for pass := 0; pass < 3; pass++ {
 		seen := 0
@@ -89,7 +89,7 @@ func TestScheduleStreamConvPooledScratchIdentical(t *testing.T) {
 	}
 
 	c := repro.New(repro.WithEps(0.25), repro.WithAlgorithm(repro.Conv),
-		repro.WithoutResultCache(), repro.WithoutMemoization())
+		repro.WithoutResultCache())
 	defer c.Close()
 	for pass := 0; pass < 3; pass++ {
 		seen := 0
