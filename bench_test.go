@@ -26,12 +26,10 @@ import (
 	"repro/internal/dual"
 	"repro/internal/fast"
 	"repro/internal/fourpart"
-	"repro/internal/fptas"
 	"repro/internal/knapsack"
 	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/mrt"
-	"repro/internal/schedule"
 	"repro/internal/service"
 	"repro/internal/shelves"
 )
@@ -48,7 +46,8 @@ func mkDual(name string, in *moldable.Instance, eps float64) dual.Algorithm {
 	case "linear":
 		return &fast.Alg3{In: in, Eps: eps, Buckets: true}
 	case "conv":
-		return &fast.Conv{In: in, Eps: eps}
+		conv := fast.NewConv(in, eps, nil)
+		return &conv
 	}
 	panic(name)
 }
@@ -116,7 +115,7 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 			in := moldable.Random(moldable.GenConfig{N: 64, M: m, Seed: 7})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fptas.Schedule(context.Background(), in, 0.2, nil); err != nil {
+				if _, _, err := core.ScheduleCtx(context.Background(), in, core.Options{Algorithm: core.FPTAS, Eps: 0.2}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,27 +127,24 @@ func BenchmarkTheorem2_FPTAS(b *testing.B) {
 // custom metric (must stay ≤ 1.5+ε = 1.75) ---
 
 func BenchmarkTheorem3_FullRun(b *testing.B) {
-	type scheduleFn = func(context.Context, *moldable.Instance, float64, *fast.Scratch) (*schedule.Schedule, dual.Report, error)
-	mrtRun := func(ctx context.Context, in *moldable.Instance, eps float64, _ *fast.Scratch) (*schedule.Schedule, dual.Report, error) {
-		return mrt.Schedule(ctx, in, eps, nil)
-	}
-	runners := []struct {
+	algos := []struct {
 		name string
-		run  scheduleFn
+		algo core.Algorithm
 	}{
-		{"mrt", mrtRun},
-		{"alg1", fast.ScheduleAlg1},
-		{"alg3", fast.ScheduleAlg3},
-		{"linear", fast.ScheduleLinear},
-		{"conv", fast.ScheduleConv},
+		{"mrt", core.MRT},
+		{"alg1", core.Alg1},
+		{"alg3", core.Alg3},
+		{"linear", core.Linear},
+		{"conv", core.Conv},
 	}
-	for _, r := range runners {
-		b.Run(r.name, func(b *testing.B) {
+	for _, a := range algos {
+		b.Run(a.name, func(b *testing.B) {
 			pl := moldable.Planted(moldable.PlantedConfig{M: 64, D: 100, Seed: 5, MaxJobs: 40})
+			opt := core.Options{Algorithm: a.algo, Eps: 0.25}
 			worst := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, _, err := r.run(context.Background(), pl.Instance, 0.25, nil)
+				s, _, err := core.ScheduleCtx(context.Background(), pl.Instance, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

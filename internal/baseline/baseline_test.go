@@ -5,7 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/fast"
+	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 )
@@ -42,7 +42,7 @@ func TestBaselinesCanBeArbitrarilyBad(t *testing.T) {
 	if mk := AllSequential(giant).Makespan(); mk < 600 {
 		t.Errorf("all-sequential makespan %v — construction broken", mk)
 	}
-	sg, _, err := fast.ScheduleLinear(context.Background(), giant, 0.5, nil)
+	sg, _, err := core.ScheduleCtx(context.Background(), giant, core.Options{Algorithm: core.Linear, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestBaselinesCanBeArbitrarilyBad(t *testing.T) {
 	if mk := AllParallel(farm).Makespan(); mk != 32 {
 		t.Errorf("all-parallel makespan %v, want 32", mk)
 	}
-	sf, _, err := fast.ScheduleLinear(context.Background(), farm, 0.5, nil)
+	sf, _, err := core.ScheduleCtx(context.Background(), farm, core.Options{Algorithm: core.Linear, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

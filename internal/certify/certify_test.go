@@ -5,7 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/fast"
+	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 )
@@ -18,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	for it := 0; it < 40; it++ {
 		in := moldable.Random(moldable.GenConfig{N: 1 + rng.IntN(25), M: 1 + rng.IntN(40),
 			Seed: rng.Uint64()})
-		s, _, err := fast.ScheduleLinear(context.Background(), in, 0.5, nil)
+		s, _, err := core.ScheduleCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}

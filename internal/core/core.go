@@ -127,16 +127,28 @@ type Report struct {
 
 // Scratch aggregates the reusable buffers of every algorithm a
 // ScheduleScratchCtx call can route to (the scratch-reuse discipline of
-// internal/arena): the fast (3/2+ε) schedulers, the FPTAS, and MRT. A
-// warm Scratch makes ScheduleScratchCtx allocation-free in the steady
-// state for the FPTAS/Linear regimes — the property guarded by
+// internal/arena): one estimator scratch, the buffers of the fast
+// (3/2+ε) duals and of MRT, the FPTAS dual's schedule double buffer,
+// and the dual values handed to dual.Search. A warm Scratch makes
+// ScheduleScratchCtx allocation-free in the steady state for the
+// FPTAS/Linear regimes — the property guarded by
 // TestScheduleScratchZeroAlloc and tracked in BENCH_PR3.json. The zero
 // value is ready; a Scratch must not be shared between concurrent
 // calls (internal/service keys one per pool worker).
 type Scratch struct {
+	LT   lt.Scratch
 	Fast fast.Scratch
-	FP   fptas.Scratch
 	MRT  mrt.Scratch
+	// FP backs the FPTAS dual, which also serves the fast algorithms
+	// at m ≥ 16n.
+	FP fptas.Scratch
+
+	// Reusable dual values: handing &sc.alg1 (etc.) to dual.Search
+	// converts a pointer to the interface, so no call allocates one.
+	alg1 fast.Alg1
+	alg3 fast.Alg3
+	fp   fptas.Dual
+	mrt  mrt.Dual
 
 	// trace is the per-scratch decision ring (docs/OBSERVABILITY.md),
 	// created lazily at the first recorded decision — a warm-up
@@ -270,24 +282,12 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 		s, est = lt.TwoApprox(in)
 		dr.Omega = est.Omega
 		rep.Guarantee = 2
-	case MRT:
-		s, dr, err = mrt.Schedule(ctx, in, opt.Eps, &sc.MRT)
-		rep.Guarantee = 1.5 + opt.Eps
-	case Alg1:
-		s, dr, err = fast.ScheduleAlg1(ctx, in, opt.Eps, &sc.Fast)
-		rep.Guarantee = 1.5 + opt.Eps
-	case Alg3:
-		s, dr, err = fast.ScheduleAlg3(ctx, in, opt.Eps, &sc.Fast)
-		rep.Guarantee = 1.5 + opt.Eps
-	case Linear:
-		s, dr, err = fast.ScheduleLinear(ctx, in, opt.Eps, &sc.Fast)
-		rep.Guarantee = 1.5 + opt.Eps
-	case Conv:
-		s, dr, err = fast.ScheduleConv(ctx, in, opt.Eps, &sc.Fast)
-		rep.Guarantee = 1.5 + opt.Eps
 	case FPTAS:
-		s, dr, err = fptas.Schedule(ctx, in, opt.Eps, &sc.FP)
+		s, dr, err = sc.theorem3(ctx, in, algo, opt.Eps)
 		rep.Guarantee = 1 + opt.Eps
+	case MRT, Alg1, Alg3, Linear, Conv:
+		s, dr, err = sc.theorem3(ctx, in, algo, opt.Eps)
+		rep.Guarantee = 1.5 + opt.Eps
 	default:
 		if obs.On() {
 			obs.SchedCalls.Inc()
@@ -319,6 +319,64 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 	}
 	sc.obsRecord(ctx, in, &rep, dr, rep.Elapsed, nil)
 	return s, rep, nil
+}
+
+// theorem3 is the pipeline of Theorem 3 and of the FPTAS, shared by
+// every dual-based algorithm: install algo's dual for in, run the
+// Ludwig–Tiwari estimator once (ω ≤ OPT ≤ 2ω), and binary-search
+// [ω, 2ω] with the dual. The returned schedule is owned by sc.
+//
+//sched:owns-result
+func (sc *Scratch) theorem3(ctx context.Context, in *moldable.Instance, algo Algorithm, eps float64) (*schedule.Schedule, dual.Report, error) {
+	d, slack, err := sc.dualFor(in, algo, eps)
+	if err != nil {
+		return nil, dual.Report{}, err
+	}
+	est := lt.EstimateScratch(in, &sc.LT)
+	return dual.Search(ctx, d, est.Omega, 2*est.Omega, slack)
+}
+
+// dualFor installs algo's c-dual for in in the scratch and returns it
+// with the search slack, or the typed refusal when in is outside the
+// algorithm's regime. MRT's 3/2-dual searches at slack eps. The FPTAS
+// and the fast algorithms split eps evenly between the dual factor and
+// the slack. For m ≥ 16n the fast algorithms run the FPTAS dual with
+// ε = 1/2 (a 3/2-dual), exactly as §4.2.5 prescribes: the knapsack
+// parameter bounds (βmax = m = O(n)) need m = O(n), and for larger m
+// the simple FPTAS is both valid and faster.
+//
+//sched:owns-result
+func (sc *Scratch) dualFor(in *moldable.Instance, algo Algorithm, eps float64) (dual.Algorithm, float64, error) {
+	n, m, half := in.N(), in.M, eps/2
+	switch algo {
+	case MRT:
+		sc.mrt = mrt.Dual{In: in, Scratch: &sc.MRT}
+		return &sc.mrt, eps, nil
+	case FPTAS:
+		if !fptas.Applicable(n, m, half) {
+			return nil, 0, scherr.Regime("fptas", n, m, eps, fptas.MinM(n, eps))
+		}
+		sc.fp = fptas.Dual{In: in, Eps: half, Scratch: &sc.FP}
+		return &sc.fp, half, nil
+	case Conv:
+		if m < fast.ConvMinM {
+			return nil, 0, scherr.Regime("conv", n, m, eps, fast.ConvMinM)
+		}
+	}
+	if m >= 16*n {
+		sc.fp = fptas.Dual{In: in, Eps: 0.5, Scratch: &sc.FP}
+		return &sc.fp, half, nil
+	}
+	switch algo {
+	case Alg3, Linear:
+		sc.alg3 = fast.Alg3{In: in, Eps: half, Buckets: algo == Linear, Scratch: &sc.Fast}
+		return &sc.alg3, half, nil
+	case Conv:
+		sc.alg1 = fast.NewConv(in, half, &sc.Fast)
+	default: // Alg1
+		sc.alg1 = fast.Alg1{In: in, Eps: half, Scratch: &sc.Fast}
+	}
+	return &sc.alg1, half, nil
 }
 
 // ErrPTASRegime signals that a true (1+ε) guarantee is not certifiable

@@ -143,6 +143,74 @@ func TestFPTASRegimeTyped(t *testing.T) {
 	}
 }
 
+// TestRefusalsPinned pins every refusal of the Theorem-3 pipeline: the
+// FPTAS forced below m ≥ 16n/ε, Conv below fast.ConvMinM (also for
+// n ≤ 2, where m ≥ 16n would otherwise pick the FPTAS dual), and ε
+// outside (0, 1] for every algorithm. The texts are the wire-visible
+// error strings and must not drift.
+func TestRefusalsPinned(t *testing.T) {
+	const regime = "instance outside the algorithm's proven regime"
+	cases := []struct {
+		algo Algorithm
+		n, m int
+		eps  float64
+		// minM is the RegimeError bound; 0 marks a bad-ε refusal.
+		minM int
+		text string
+	}{
+		{FPTAS, 100, 50, 0.5, 3200, "fptas: " + regime + ": requires m ≥ 3200 (n=100, ε=0.5), have m=50"},
+		{FPTAS, 10, 319, 0.5, 320, "fptas: " + regime + ": requires m ≥ 320 (n=10, ε=0.5), have m=319"},
+		{FPTAS, 64, 5119, 0.2, 5120, "fptas: " + regime + ": requires m ≥ 5120 (n=64, ε=0.2), have m=5119"},
+		{FPTAS, 4, 159, 0.1, 640, "fptas: " + regime + ": requires m ≥ 640 (n=4, ε=0.1), have m=159"},
+		{Conv, 4, 39, 0.25, 40, "conv: " + regime + ": requires m ≥ 40 (n=4, ε=0.25), have m=39"},
+		{Conv, 2, 39, 0.25, 40, "conv: " + regime + ": requires m ≥ 40 (n=2, ε=0.25), have m=39"},
+		{Conv, 1, 32, 0.1, 40, "conv: " + regime + ": requires m ≥ 40 (n=1, ε=0.1), have m=32"},
+		{Conv, 1, 39, 1, 40, "conv: " + regime + ": requires m ≥ 40 (n=1, ε=1), have m=39"},
+		{Linear, 4, 8, -0.5, 0, "core: eps=-0.5: eps must be in (0,1]"},
+		{MRT, 4, 8, 1.5, 0, "core: eps=1.5: eps must be in (0,1]"},
+		{FPTAS, 4, 8, 2, 0, "core: eps=2: eps must be in (0,1]"},
+		{Conv, 4, 8, 1.0000001, 0, "core: eps=1.0000001: eps must be in (0,1]"},
+		{LT2, 4, 8, -1, 0, "core: eps=-1: eps must be in (0,1]"},
+	}
+	for _, c := range cases {
+		in := moldable.Random(moldable.GenConfig{N: c.n, M: c.m, Seed: 5})
+		for _, sc := range []*Scratch{nil, NewScratch()} {
+			s, rep, err := ScheduleScratchCtx(context.Background(), in, Options{Algorithm: c.algo, Eps: c.eps}, sc)
+			if s != nil || rep != (Report{}) {
+				t.Errorf("%s n=%d m=%d ε=%v: refusal returned a schedule or report %+v", c.algo, c.n, c.m, c.eps, rep)
+			}
+			if err == nil || err.Error() != c.text {
+				t.Fatalf("%s n=%d m=%d ε=%v: err = %v, want %q", c.algo, c.n, c.m, c.eps, err, c.text)
+			}
+			if c.minM == 0 {
+				if !errors.Is(err, scherr.ErrBadEps) || errors.Is(err, scherr.ErrRegime) {
+					t.Errorf("%s ε=%v: %v does not match ErrBadEps alone", c.algo, c.eps, err)
+				}
+				continue
+			}
+			var re *scherr.RegimeError
+			if !errors.Is(err, scherr.ErrRegime) || !errors.As(err, &re) {
+				t.Fatalf("%s n=%d m=%d: %v is not a *RegimeError", c.algo, c.n, c.m, err)
+			}
+			want := scherr.RegimeError{Algorithm: c.algo.String(), N: c.n, M: c.m, Eps: c.eps, MinM: c.minM}
+			if *re != want {
+				t.Errorf("RegimeError %+v, want %+v", *re, want)
+			}
+		}
+	}
+	// The bounds themselves are inside the regime.
+	for _, c := range []struct {
+		algo Algorithm
+		n, m int
+		eps  float64
+	}{{FPTAS, 10, 320, 0.5}, {Conv, 4, 40, 0.25}, {Conv, 1, 40, 0.1}} {
+		in := moldable.Random(moldable.GenConfig{N: c.n, M: c.m, Seed: 5})
+		if _, _, err := ScheduleCtx(context.Background(), in, Options{Algorithm: c.algo, Eps: c.eps}); err != nil {
+			t.Errorf("%s n=%d m=%d ε=%v at the bound: %v", c.algo, c.n, c.m, c.eps, err)
+		}
+	}
+}
+
 // TestValidateOption: a validating schedule round-trips; the validator is
 // wired in (mutating the schedule would fail, covered elsewhere).
 func TestValidateOption(t *testing.T) {

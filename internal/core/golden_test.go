@@ -119,7 +119,7 @@ func TestGoldenOutputs(t *testing.T) {
 
 // goldenWideCorpus covers m ≥ 16n up to m = 2^20, which goldenCorpus
 // reaches with two instances: there Alg1, Alg3, Linear and Conv all
-// run the FPTAS dual of §4.2.5 (fast.Scratch.dualFor).
+// run the FPTAS dual of §4.2.5 (chosen by Scratch.dualFor).
 var goldenWideCorpus = []goldenCase{
 	{moldable.GenConfig{N: 8, M: 256, Seed: 21}, 0.25},
 	{moldable.GenConfig{N: 40, M: 1 << 12, Seed: 22}, 0.1},

@@ -25,12 +25,13 @@ import (
 // Scratch contract (DESIGN.md §6): Search retains at most ONE accepted
 // schedule at any time — the latest successful Try — and never reads a
 // schedule from a probe it rejected. Implementations that reuse
-// buffers across probes (fptas.Dual, fast.Alg1/Alg3, mrt.Dual with
-// their Scratch fields) rely on exactly this: they build each attempt
-// in a spare buffer and swap it in only on success
-// (schedule.DoubleBuffer), so the schedule returned by Search may be
-// owned by the algorithm's scratch and is valid until that scratch's
-// next use.
+// buffers across probes (fptas.Dual, fast.Alg1/Alg3 and mrt.Dual with
+// their Scratch fields, all held in one core.Scratch by internal/core,
+// the one caller outside tests)
+// rely on exactly this: they build each attempt in a spare buffer and
+// swap it in only on success (schedule.DoubleBuffer), so the schedule
+// returned by Search may be owned by the algorithm's scratch and is
+// valid until that scratch's next use.
 type Algorithm interface {
 	// Try attempts target makespan d. On success it returns a feasible
 	// schedule with makespan at most Guarantee()·d. On failure it returns

@@ -51,7 +51,7 @@ func Theorem2(ctx context.Context, w io.Writer, cfg Theorem2Config) {
 			in, calls := moldable.Instrument(base)
 			var mk, ratio float64
 			med := medianTime(cfg.Reps, func() {
-				s, _, err := fptas.Schedule(ctx, in, eps, nil)
+				s, _, err := core.ScheduleCtx(ctx, in, core.Options{Algorithm: core.FPTAS, Eps: eps})
 				if err != nil {
 					panic(err)
 				}

@@ -6,10 +6,14 @@
 //     O(n/ε²·log m(log m/ε + log³ εm) + n log n) per dual call.
 //   - Linear (§4.3.3): Alg3 with bucketed transformation rules, removing
 //     the n log n term — running time linear in n.
+//   - Conv (arXiv:2303.01414): Alg1 with the shelf-1 knapsack solved by
+//     the convolution engine (NewConv).
 //
-// All three accept a target makespan d and either produce a feasible
-// schedule of makespan ≤ (3/2+ε)d or certify d < OPT; combined with the
-// Ludwig–Tiwari estimator and the dual search they realize Theorem 3.
+// Each accepts a target makespan d and either produces a feasible
+// schedule of makespan ≤ (3/2+ε)d or certifies d < OPT. The package
+// exports only these duals: internal/core combines them with the
+// Ludwig–Tiwari estimator and the dual search to realize Theorem 3, and
+// switches to the FPTAS dual for m ≥ 16n as §4.2.5 prescribes.
 package fast
 
 import (
@@ -17,7 +21,6 @@ import (
 	"repro/internal/knapsack"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
-	"repro/internal/scherr"
 	"repro/internal/shelves"
 )
 
@@ -33,6 +36,33 @@ type Alg1 struct {
 	// owned by the scratch (see shelves.Scratch). Nil allocates per
 	// Try.
 	Scratch *Scratch
+	// conv selects the convolution engine for the shelf-1 knapsack
+	// (the Conv algorithm; see NewConv).
+	conv bool
+}
+
+// ConvMinM is the least machine count the Conv algorithm accepts. A
+// shelf-1 item is compressible only when γ_j(d) ≥ 1/ρ = 12/ε (ρ = ε/12
+// of the outer ε), at least 40 processors for every ε ≤ 0.3; below 40
+// machines the class grid is empty or nearly so, and the algorithm
+// would silently degenerate to Alg1's plain pair-list DP — out of its
+// regime. internal/core then answers with a scherr.RegimeError
+// (MinM = ConvMinM), which the online runtime's pinned-algorithm path
+// turns into the MRT → LT2 fallback.
+const ConvMinM = 40
+
+// NewConv returns the Conv dual, after Grage, Jansen & Ohnesorge,
+// "Improved Algorithms for Monotone Moldable Job Scheduling using
+// Compression and Convolution" (arXiv:2303.01414): Alg1's dual round
+// with the shelf-1 knapsack solved by knapsack.SolveConv — wide jobs
+// are rounded onto the geometric class grid of the Lemma-16
+// compression classes and the selection is assembled from per-class
+// concave profiles by iterated (max,+)-convolution instead of the
+// Lawler pair-list DP. The engine honours the identical Theorem-15
+// contract, so the guarantee is Alg1's. It is returned by value so a
+// caller can keep it in its own scratch.
+func NewConv(in *moldable.Instance, eps float64, sc *Scratch) Alg1 {
+	return Alg1{In: in, Eps: eps, Scratch: sc, conv: true}
 }
 
 // Alg1Stats aggregates per-call diagnostics.
@@ -55,13 +85,17 @@ func (a *Alg1) Guarantee() float64 { return 1.5 * (1 + 4*a.Eps/6) }
 //sched:owns-result
 func (a *Alg1) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	a.Stats.Tries++
-	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, knapsack.Solve)
+	solve := knapsack.Solve
+	if a.conv {
+		solve = knapsack.SolveConv
+	}
+	return tryCompressibleShelf1(a.In, d, a.Eps/6, a.Scratch, &a.Stats, solve)
 }
 
-// tryCompressibleShelf1 is the dual round shared by Alg1 and Conv —
-// they differ only in the engine that solves the shelf-1 knapsack with
-// compressible items (Algorithm 2's pair lists vs the convolution
-// engine; both honour the Theorem-15 contract): partition at target d,
+// tryCompressibleShelf1 is Alg1's dual round, parameterized by the
+// engine that solves the shelf-1 knapsack with compressible items
+// (Algorithm 2's pair lists, or the convolution engine for Conv; both
+// honour the Theorem-15 contract): partition at target d,
 // optional jobs become knapsack items (compressible ⇔ γ_j(d) ≥ 1/ρ),
 // solve, build the three-shelf schedule at d′ = (1+4ρ)d. SolveConv
 // ignores Problem.NBar, so passing Alg1's bound is harmless there.
@@ -125,11 +159,4 @@ func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
-}
-
-func checkEps(eps float64) error {
-	if eps <= 0 || eps > 1 {
-		return scherr.BadEps("fast", eps)
-	}
-	return nil
 }

@@ -83,7 +83,8 @@ func TestFPTASOracleBudget(t *testing.T) {
 	n, m := 32, 1<<28
 	base := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: 6})
 	in, calls := moldable.Instrument(base)
-	if _, _, err := fptas.Schedule(context.Background(), in, 0.25, nil); err != nil {
+	est := lt.Estimate(in)
+	if _, _, err := dual.Search(context.Background(), &fptas.Dual{In: in, Eps: 0.125}, est.Omega, 2*est.Omega, 0.125); err != nil {
 		t.Fatal(err)
 	}
 	logm := math.Log2(float64(m))

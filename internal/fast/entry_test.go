@@ -1,14 +1,39 @@
-package fast
+package fast_test
+
+// The fast algorithms run end to end through core.ScheduleCtx and
+// core.ScheduleScratchCtx, their one entry point, which also owns the
+// m ≥ 16n switch to the FPTAS dual and Conv's m ≥ ConvMinM regime;
+// these tests pin both through it.
 
 import (
 	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/fast"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 	"repro/internal/scherr"
 )
+
+// TestLargeMRegimeUsesFPTAS: for m ≥ 16n the fast algorithms must still
+// deliver (3/2+ε) — via the FPTAS dual — and fast.
+func TestLargeMRegimeUsesFPTAS(t *testing.T) {
+	pl := moldable.Planted(moldable.PlantedConfig{M: 4096, D: 50, Seed: 2, MaxJobs: 12})
+	for _, a := range []core.Algorithm{core.Alg1, core.Alg3, core.Linear} {
+		s, _, err := core.ScheduleCtx(context.Background(), pl.Instance, core.Options{Algorithm: a, Eps: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := schedule.Validate(pl.Instance, s, schedule.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if mk := s.Makespan(); mk > 1.7*pl.OPT*(1+1e-9) {
+			t.Errorf("%s large-m: ratio %.4f > 1.7", a, mk/pl.OPT)
+		}
+	}
+}
 
 // TestScheduleConvEndToEnd: the full Conv run stays within (3/2+ε)·OPT
 // on planted instances in both regimes (the convolution knapsack at
@@ -27,7 +52,7 @@ func TestScheduleConvEndToEnd(t *testing.T) {
 			for seed := uint64(0); seed < 6; seed++ {
 				pl := moldable.Planted(moldable.PlantedConfig{M: tc.m, D: 100, Seed: seed, MaxJobs: tc.jobs})
 				eps := 0.25
-				s, rep, err := ScheduleConv(context.Background(), pl.Instance, eps, nil)
+				s, rep, err := core.ScheduleCtx(context.Background(), pl.Instance, core.Options{Algorithm: core.Conv, Eps: eps})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -49,22 +74,23 @@ func TestScheduleConvEndToEnd(t *testing.T) {
 // is out of regime and must say so with the typed error carrying the
 // violated bound — the signal the online runtime's fallback keys on.
 func TestScheduleConvRegimeError(t *testing.T) {
-	in := moldable.Random(moldable.GenConfig{N: 4, M: ConvMinM - 1, Seed: 5})
-	_, _, err := ScheduleConv(context.Background(), in, 0.25, nil)
+	conv := core.Options{Algorithm: core.Conv, Eps: 0.25}
+	in := moldable.Random(moldable.GenConfig{N: 4, M: fast.ConvMinM - 1, Seed: 5})
+	_, _, err := core.ScheduleCtx(context.Background(), in, conv)
 	if !errors.Is(err, scherr.ErrRegime) {
-		t.Fatalf("m=%d: err = %v, want ErrRegime", ConvMinM-1, err)
+		t.Fatalf("m=%d: err = %v, want ErrRegime", fast.ConvMinM-1, err)
 	}
 	var re *scherr.RegimeError
 	if !errors.As(err, &re) {
 		t.Fatalf("err %v does not unwrap to *RegimeError", err)
 	}
-	if re.MinM != ConvMinM || re.Algorithm != "conv" {
-		t.Fatalf("RegimeError %+v, want MinM=%d algo=conv", re, ConvMinM)
+	if re.MinM != fast.ConvMinM || re.Algorithm != "conv" {
+		t.Fatalf("RegimeError %+v, want MinM=%d algo=conv", re, fast.ConvMinM)
 	}
 	// At the bound itself the algorithm must run.
-	in2 := moldable.Random(moldable.GenConfig{N: 4, M: ConvMinM, Seed: 5})
-	if _, _, err := ScheduleConv(context.Background(), in2, 0.25, nil); err != nil {
-		t.Fatalf("m=%d: %v, want success", ConvMinM, err)
+	in2 := moldable.Random(moldable.GenConfig{N: 4, M: fast.ConvMinM, Seed: 5})
+	if _, _, err := core.ScheduleCtx(context.Background(), in2, conv); err != nil {
+		t.Fatalf("m=%d: %v, want success", fast.ConvMinM, err)
 	}
 }
 
@@ -72,13 +98,14 @@ func TestScheduleConvRegimeError(t *testing.T) {
 // placement-for-placement across interleaved shapes and regimes.
 func TestScheduleConvScratchReuse(t *testing.T) {
 	ctx := context.Background()
-	sc := &Scratch{}
+	conv := core.Options{Algorithm: core.Conv, Eps: 0.25}
+	sc := core.NewScratch()
 	shapes := []struct{ n, m int }{{40, 64}, {13, 200}, {8, 4096}, {25, 1280}}
 	for rep := 0; rep < 3; rep++ {
 		for i, sh := range shapes {
 			in := moldable.Random(moldable.GenConfig{N: sh.n, M: sh.m, Seed: uint64(10 + i)})
-			want, wantRep, err1 := ScheduleConv(context.Background(), in, 0.25, nil)
-			got, gotRep, err2 := ScheduleConv(ctx, in, 0.25, sc)
+			want, wantRep, err1 := core.ScheduleScratchCtx(ctx, in, conv, nil)
+			got, gotRep, err2 := core.ScheduleScratchCtx(ctx, in, conv, sc)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("#%d: err mismatch %v vs %v", i, err1, err2)
 			}

@@ -7,9 +7,19 @@ import (
 
 	"repro/internal/dual"
 	"repro/internal/exact"
+	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
 )
+
+// search is the pipeline internal/core runs around one dual: the
+// Ludwig–Tiwari estimate ω, then the dual search over [ω, 2ω] at the
+// given slack — ε/2 for a fast dual built at ε/2 (core's choice for
+// m < 16n), ε for MRT.
+func search(in *moldable.Instance, algo dual.Algorithm, slack float64) (*schedule.Schedule, dual.Report, error) {
+	est := lt.Estimate(in)
+	return dual.Search(context.Background(), algo, est.Omega, 2*est.Omega, slack)
+}
 
 // duals returns the three improved dual algorithms for an instance.
 func duals(in *moldable.Instance, eps float64) map[string]dual.Algorithm {
@@ -66,21 +76,6 @@ func TestGuaranteesWithinTheorem3(t *testing.T) {
 func TestApproximationVsExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 0))
 	eps := 0.3
-	type runner struct {
-		name string
-		run  func(*moldable.Instance) (*schedule.Schedule, dual.Report, error)
-	}
-	runners := []runner{
-		{"alg1", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleAlg1(context.Background(), in, eps, nil)
-		}},
-		{"alg3", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleAlg3(context.Background(), in, eps, nil)
-		}},
-		{"linear", func(in *moldable.Instance) (*schedule.Schedule, dual.Report, error) {
-			return ScheduleLinear(context.Background(), in, eps, nil)
-		}},
-	}
 	for it := 0; it < 20; it++ {
 		n, m := 2+rng.IntN(4), 2+rng.IntN(4)
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64(), MaxWork: 40})
@@ -88,42 +83,22 @@ func TestApproximationVsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("it %d: %v", it, err)
 		}
-		for _, r := range runners {
-			s, _, err := r.run(in)
+		for name, algo := range duals(in, eps/2) {
+			s, _, err := search(in, algo, eps/2)
 			if err != nil {
-				t.Fatalf("it %d %s: %v", it, r.name, err)
+				t.Fatalf("it %d %s: %v", it, name, err)
 			}
 			if err := schedule.Validate(in, s, schedule.Options{}); err != nil {
-				t.Fatalf("it %d %s: %v", it, r.name, err)
+				t.Fatalf("it %d %s: %v", it, name, err)
 			}
 			if mk := s.Makespan(); mk > (1.5+eps)*opt*(1+1e-9) {
-				t.Errorf("it %d %s: makespan %v vs OPT %v — ratio %.4f", it, r.name, mk, opt, mk/opt)
+				t.Errorf("it %d %s: makespan %v vs OPT %v — ratio %.4f", it, name, mk, opt, mk/opt)
 			}
 		}
 	}
 }
 
-// TestLargeMRegimeUsesFPTAS: for m ≥ 16n the wrappers must still deliver
-// (3/2+ε) — via the FPTAS dual — and fast.
-func TestLargeMRegimeUsesFPTAS(t *testing.T) {
-	pl := moldable.Planted(moldable.PlantedConfig{M: 4096, D: 50, Seed: 2, MaxJobs: 12})
-	for _, run := range []func(context.Context, *moldable.Instance, float64, *Scratch) (*schedule.Schedule, dual.Report, error){
-		ScheduleAlg1, ScheduleAlg3, ScheduleLinear,
-	} {
-		s, _, err := run(context.Background(), pl.Instance, 0.2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := schedule.Validate(pl.Instance, s, schedule.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if mk := s.Makespan(); mk > 1.7*pl.OPT*(1+1e-9) {
-			t.Errorf("large-m: ratio %.4f > 1.7", mk/pl.OPT)
-		}
-	}
-}
-
-// TestRandomizedEndToEnd hammers the three schedulers across workloads
+// TestRandomizedEndToEnd hammers the three duals across workloads
 // and sizes; all outputs validated, ratio vs lower bound sanity-checked.
 func TestRandomizedEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 0))
@@ -133,10 +108,8 @@ func TestRandomizedEndToEnd(t *testing.T) {
 		in := moldable.Random(moldable.GenConfig{N: n, M: m, Seed: rng.Uint64()})
 		eps := []float64{1, 0.5, 0.25}[rng.IntN(3)]
 		lb := in.LowerBound()
-		for name, run := range map[string]func(context.Context, *moldable.Instance, float64, *Scratch) (*schedule.Schedule, dual.Report, error){
-			"alg1": ScheduleAlg1, "alg3": ScheduleAlg3, "linear": ScheduleLinear,
-		} {
-			s, rep, err := run(context.Background(), in, eps, nil)
+		for name, algo := range duals(in, eps/2) {
+			s, rep, err := search(in, algo, eps/2)
 			if err != nil {
 				t.Fatalf("it %d %s (n=%d m=%d eps=%v): %v", it, name, n, m, eps, err)
 			}

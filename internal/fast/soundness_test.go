@@ -29,7 +29,7 @@ func TestRejectionSoundness(t *testing.T) {
 			"alg1":   &Alg1{In: in, Eps: 0.4},
 			"alg3":   &Alg3{In: in, Eps: 0.4},
 			"linear": &Alg3{In: in, Eps: 0.4, Buckets: true},
-			"conv":   &Conv{In: in, Eps: 0.4},
+			"conv":   &Alg1{In: in, Eps: 0.4, conv: true},
 		}
 		for name, algo := range algos {
 			for _, f := range []float64{1.0, 1.0001, 1.2, 1.9, 3} {

@@ -6,19 +6,15 @@
 // fits whenever a schedule of makespan d exists, so the algorithm is
 // (1+ε)-dual approximate. One call costs O(n log m) oracle time, and the
 // full binary search O(n log m (log m + log 1/ε)) — fully polynomial in
-// the compact encoding.
+// the compact encoding. The package exports the dual only; internal/core
+// runs it inside the Theorem-3 pipeline (estimator, then dual search).
 package fptas
 
 import (
-	"context"
-
 	"repro/internal/compress"
-	"repro/internal/dual"
 	"repro/internal/gamma"
-	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
-	"repro/internal/scherr"
 )
 
 // Dual is the (1+ε)-dual algorithm of §3. Its rejection guarantee
@@ -34,17 +30,10 @@ type Dual struct {
 	Scratch *Scratch
 }
 
-// Scratch holds the reusable state of one FPTAS schedule call chain
-// (see internal/arena): the estimator's buffers and the dual's
-// schedule double buffer. Zero value ready; not safe for concurrent
-// use.
+// Scratch holds the dual's schedule double buffer (see internal/arena).
+// Zero value ready; not safe for concurrent use.
 type Scratch struct {
-	LT    lt.Scratch
 	Sched schedule.DoubleBuffer
-	// d is the reusable Dual handed to dual.Search, kept here so
-	// the interface conversion does not heap-allocate a fresh struct
-	// per call.
-	d Dual
 }
 
 // Applicable reports whether the large-machine condition m ≥ 8n/ε holds,
@@ -90,45 +79,14 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	return s, true
 }
 
-// MinM returns the least m for which Schedule can certify a (1+eps)
-// guarantee on n jobs: the dual uses ε/2 and needs m ≥ 8n/(ε/2). The
-// quotient is epsilon-guarded: for eps values like 0.1 the float64
+// MinM returns the least m for which the full FPTAS can certify a
+// (1+eps) guarantee on n jobs: the dual uses ε/2 and needs
+// m ≥ 8n/(ε/2). The quotient is epsilon-guarded: for eps values like 0.1 the float64
 // result of 16n/ε lands a few ulps above the exact integer, and an
 // unguarded Ceil would demand one machine too many — misclassifying
 // exact-boundary fleets into the (3/2+ε) regime.
 func MinM(n int, eps float64) int {
 	return compress.CeilInt(16 * float64(n) / eps)
-}
-
-// Schedule runs the full FPTAS: Ludwig–Tiwari estimation followed by the
-// dual binary search, splitting eps evenly between the dual factor and
-// the search slack, for a true (1+eps)-approximation. It returns an
-// error matching scherr.ErrRegime when m < 16n/eps (use the (3/2+ε)
-// algorithms in that regime; see §3.2 and DESIGN.md §3 on the
-// Jansen–Thöle substitution).
-//
-// Cancellation is checked between dual probes; a canceled context
-// yields an error matching scherr.ErrCanceled. Every buffer comes from
-// sc: a warm Scratch makes the whole run (estimation + every dual
-// probe) allocation-free, and the returned schedule is then owned by
-// the scratch — valid until its next use; Clone to keep it. A nil
-// scratch uses fresh buffers, making the result caller-owned.
-//
-//sched:owns-result
-func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if eps <= 0 || eps > 1 {
-		return nil, dual.Report{}, scherr.BadEps("fptas", eps)
-	}
-	half := eps / 2
-	if !Applicable(in.N(), in.M, half) {
-		return nil, dual.Report{}, scherr.Regime("fptas", in.N(), in.M, eps, MinM(in.N(), eps))
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.d = Dual{In: in, Eps: half, Scratch: sc}
-	return dual.Search(ctx, &sc.d, est.Omega, 2*est.Omega, half)
 }
 
 // AllotmentRule2 is the second allotment rule of §3.1, used in the

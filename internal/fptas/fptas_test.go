@@ -1,39 +1,11 @@
 package fptas
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/gamma"
 	"repro/internal/moldable"
-	"repro/internal/schedule"
 )
-
-// plantedLargeM builds a planted-optimum instance satisfying m ≥ 16n/ε.
-func plantedLargeM(seed uint64, n int, eps float64) *moldable.PlantedResult {
-	m := MinM(n, eps) + 7
-	return moldable.Planted(moldable.PlantedConfig{M: m, D: 100, Seed: seed, MaxJobs: n})
-}
-
-func TestFPTASApproximation(t *testing.T) {
-	for _, eps := range []float64{1, 0.5, 0.2} {
-		for _, seed := range []uint64{1, 2, 3} {
-			pl := plantedLargeM(seed, 24, eps)
-			in := pl.Instance
-			s, rep, err := Schedule(context.Background(), in, eps, nil)
-			if err != nil {
-				t.Fatalf("eps=%v seed=%d: %v", eps, seed, err)
-			}
-			if verr := schedule.Validate(in, s, schedule.Options{}); verr != nil {
-				t.Fatalf("eps=%v seed=%d: %v", eps, seed, verr)
-			}
-			if mk := s.Makespan(); mk > (1+eps)*pl.OPT*(1+1e-9) {
-				t.Errorf("eps=%v seed=%d: makespan %v > (1+ε)OPT = %v (report %+v)",
-					eps, seed, mk, (1+eps)*pl.OPT, rep)
-			}
-		}
-	}
-}
 
 // TestDualAcceptsAtOPT: the (1+ε)-dual must accept every d ≥ OPT when
 // m ≥ 8n/ε — the heart of Theorem 2's analysis (Lemmas 4 and 5).
@@ -82,22 +54,6 @@ func TestDualRejectionIsSound(t *testing.T) {
 			if !undef && total <= in.M {
 				t.Fatalf("dual rejected d=%v but allotment fits (Σγ=%d ≤ m=%d)", d, total, in.M)
 			}
-		}
-	}
-}
-
-func TestScheduleRequiresLargeM(t *testing.T) {
-	in := moldable.Random(moldable.GenConfig{N: 100, M: 50, Seed: 1})
-	if _, _, err := Schedule(context.Background(), in, 0.5, nil); err == nil {
-		t.Error("FPTAS accepted m < 16n/ε")
-	}
-}
-
-func TestScheduleRejectsBadEps(t *testing.T) {
-	in := moldable.Random(moldable.GenConfig{N: 4, M: 4096, Seed: 1})
-	for _, eps := range []float64{0, -1, 1.5} {
-		if _, _, err := Schedule(context.Background(), in, eps, nil); err == nil {
-			t.Errorf("eps=%v accepted", eps)
 		}
 	}
 }

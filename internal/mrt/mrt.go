@@ -5,18 +5,14 @@
 // three-shelf schedule (Lemma 7), and re-add the small jobs (Lemma 9).
 // Its running time is O(nm) — polynomial in m, NOT in log m — which is
 // exactly the baseline the compressible-knapsack algorithms of §4.2–4.3
-// improve upon.
+// improve upon. The package exports the dual only; internal/core runs
+// it inside the Theorem-3 pipeline (estimator, then dual search).
 package mrt
 
 import (
-	"context"
-
-	"repro/internal/dual"
 	"repro/internal/knapsack"
-	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
-	"repro/internal/scherr"
 	"repro/internal/shelves"
 )
 
@@ -36,11 +32,9 @@ type Dual struct {
 // scratch-reuse discipline of internal/arena). Zero value ready; not
 // safe for concurrent use.
 type Scratch struct {
-	LT      lt.Scratch
 	Shelves shelves.Scratch
 	Knap    knapsack.Scratch
 
-	d        Dual // reusable dual handed to dual.Search
 	items    []knapsack.Item
 	shelf1   []int
 	buildRes shelves.Result
@@ -90,23 +84,4 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 		return nil, false
 	}
 	return sc.buildRes.Schedule, true
-}
-
-// Schedule runs the full (3/2+eps)-approximation: Ludwig–Tiwari
-// estimation plus the dual binary search with slack eps, canceled
-// between dual probes. Every buffer comes from sc; the returned
-// schedule is then owned by the scratch (valid until its next use). A
-// nil scratch uses fresh buffers.
-//
-//sched:owns-result
-func Schedule(ctx context.Context, in *moldable.Instance, eps float64, sc *Scratch) (*schedule.Schedule, dual.Report, error) {
-	if eps <= 0 || eps > 1 {
-		return nil, dual.Report{}, scherr.BadEps("mrt", eps)
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	est := lt.EstimateScratch(in, &sc.LT)
-	sc.d = Dual{In: in, Scratch: sc}
-	return dual.Search(ctx, &sc.d, est.Omega, 2*est.Omega, eps)
 }

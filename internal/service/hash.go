@@ -86,6 +86,29 @@ func writeFloat(mh *maphash.Hash, f float64) {
 	writeUint(mh, math.Float64bits(f))
 }
 
+// chunkWriter batches the 8-byte words of a table or piecewise job
+// into one maphash.Write per len(buf)/8 words, instead of one per
+// word. maphash's result depends only on the byte stream, so the key
+// is the one per-word writes give.
+type chunkWriter struct {
+	mh  *maphash.Hash
+	n   int
+	buf [512]byte
+}
+
+func (w *chunkWriter) word(v uint64) {
+	if w.n == len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+func (w *chunkWriter) flush() {
+	w.mh.Write(w.buf[:w.n])
+	w.n = 0
+}
+
 // writeJob streams a type tag plus the job's parameters; false means
 // the type has no canonical encoding (mirrors the job set of
 // moldable's JSON wire format).
@@ -110,18 +133,22 @@ func writeJob(mh *maphash.Hash, j moldable.Job) bool {
 		writeFloat(mh, v.W)
 		writeFloat(mh, v.C)
 	case moldable.Table:
-		writeUint(mh, 6)
-		writeUint(mh, uint64(len(v.T)))
+		w := chunkWriter{mh: mh}
+		w.word(6)
+		w.word(uint64(len(v.T)))
 		for _, t := range v.T {
-			writeFloat(mh, t)
+			w.word(math.Float64bits(t))
 		}
+		w.flush()
 	case moldable.Piecewise:
-		writeUint(mh, 8)
-		writeUint(mh, uint64(len(v.Procs)))
+		w := chunkWriter{mh: mh}
+		w.word(8)
+		w.word(uint64(len(v.Procs)))
 		for i := range v.Procs {
-			writeUint(mh, uint64(v.Procs[i]))
-			writeFloat(mh, v.Times[i])
+			w.word(uint64(v.Procs[i]))
+			w.word(math.Float64bits(v.Times[i]))
 		}
+		w.flush()
 	case moldable.Capped:
 		writeUint(mh, 9)
 		writeUint(mh, uint64(v.Max))

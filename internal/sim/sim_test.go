@@ -5,7 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/fast"
+	"repro/internal/core"
 	"repro/internal/lt"
 	"repro/internal/moldable"
 	"repro/internal/schedule"
@@ -14,7 +14,7 @@ import (
 func planOf(t *testing.T, seed uint64) (*moldable.Instance, *schedule.Schedule) {
 	t.Helper()
 	in := moldable.Random(moldable.GenConfig{N: 20, M: 32, Seed: seed})
-	s, _, err := fast.ScheduleLinear(context.Background(), in, 0.5, nil)
+	s, _, err := core.ScheduleCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
