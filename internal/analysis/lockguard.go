@@ -398,7 +398,11 @@ func (r *lockReader) lockCall(call *ast.CallExpr, deferred bool) bool {
 
 // access records a read or write of a guarded field.
 func (r *lockReader) access(sel *ast.SelectorExpr, write bool) {
-	guard, ok := r.guards[r.info.ObjectOf(sel.Sel)]
+	obj := r.info.ObjectOf(sel.Sel)
+	if v, ok := obj.(*types.Var); ok {
+		obj = v.Origin() // a field of a generic struct, seen through an instance
+	}
+	guard, ok := r.guards[obj]
 	if !ok {
 		return
 	}

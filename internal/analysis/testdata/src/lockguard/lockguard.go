@@ -1,8 +1,8 @@
 // Package lockguard is the golden corpus for the lockguard analyzer:
 // reads and writes of //sched:guardedby fields in and out of their
 // mutex's critical section, RWMutex read/write modes, the fresh-local
-// constructor exemption, closures as separate scopes, and directive
-// validation.
+// constructor exemption, closures as separate scopes, fields of
+// generic structs, and directive validation.
 package lockguard
 
 import "sync"
@@ -158,6 +158,28 @@ func (c *counter) loopLocal(rounds int) int {
 	}
 	total += c.n // want "read of c.n without holding c.mu"
 	return total
+}
+
+// --- generic structs: a field reached through an instance is the
+// declared field ---
+
+type gtable[V any] struct {
+	mu sync.Mutex
+	m  map[int]V //sched:guardedby mu
+}
+
+func (t *gtable[V]) get(k int) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[k]
+}
+
+func (t *gtable[V]) size() int {
+	return len(t.m) // want "read of t.m without holding t.mu"
+}
+
+func sizeOf(t *gtable[string]) int {
+	return len(t.m) // want "read of t.m without holding t.mu"
 }
 
 // --- directive validation ---

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dual"
@@ -211,6 +212,15 @@ func (sc *Scratch) obsRecord(ctx context.Context, in *moldable.Instance, rep *Re
 	})
 }
 
+// sharedTrace is the decision ring of every nil-scratch call, so that
+// such calls (PTAS, cmd/moldsched, the experiments) register one ring
+// between them instead of one each, which would rotate the service
+// workers' rings out of the registry. Concurrent calls may write it at
+// once: Record's TryLock keeps the writes exclusive, and a sample that
+// meets another writer is dropped and counted like one that meets a
+// reader.
+var sharedTrace = sync.OnceValue(func() *obs.TraceRing { return obs.NewTraceRing("sched") })
+
 // NewScratch returns an empty Scratch (provided for symmetry; the zero
 // value works too).
 func NewScratch() *Scratch { return &Scratch{} }
@@ -261,6 +271,7 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 	}
 	if sc == nil {
 		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc.trace = sharedTrace()
 	}
 	start := time.Now()
 	rep := Report{Algorithm: opt.Algorithm, Eps: opt.Eps}

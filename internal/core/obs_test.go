@@ -68,3 +68,27 @@ func TestObsDecisionTrace(t *testing.T) {
 		t.Errorf("error decision not recorded with a code: %+v", evs[len(evs)-1])
 	}
 }
+
+// TestNilScratchSharesOneRing: nil-scratch calls record into one shared
+// ring, so 600 of them (more than the registry's 512 rings) leave a
+// worker scratch's ring, and the trace_id in it, readable.
+func TestNilScratchSharesOneRing(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	in := moldable.Random(moldable.GenConfig{N: 4, M: 8, Seed: 2})
+	ctx := context.Background()
+	worker := NewScratch()
+	if _, _, err := ScheduleScratchCtx(obs.WithTraceID(ctx, "t-worker-ring"), in, Options{Algorithm: Linear, Eps: 0.5}, worker); err != nil {
+		t.Fatal(err)
+	}
+	for range 600 {
+		if _, _, err := ScheduleCtx(ctx, in, Options{Algorithm: Linear, Eps: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range obs.SnapshotTraces(0) {
+		if e.TID == "t-worker-ring" {
+			return
+		}
+	}
+	t.Error("the worker ring's trace_id is gone from the registry after 600 nil-scratch calls")
+}

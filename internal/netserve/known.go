@@ -15,58 +15,71 @@ import (
 // knownInstances remembers the instances a server has already decoded
 // and validated, keyed by a fingerprint of their exact wire bytes, so
 // that a resubmission of the same bytes (every result-cache hit) skips
-// the decode and the monotonicity probes (DESIGN.md §5). It holds at
-// most knownCap instances and evicts an arbitrary one when full, like
-// the service's caches. The instances it hands out are shared between
-// requests and must not be mutated.
+// the decode and the monotonicity probes (DESIGN.md §5). The instances
+// it hands out are shared between requests and must not be mutated.
 type knownInstances struct {
-	seeds [2]maphash.Seed
-	mu    sync.Mutex
-	m     map[fingerprint]*moldable.Instance //sched:guardedby mu
+	fpTable[*moldable.Instance]
 }
 
-// fingerprint is 128 bits of hash over an instance's bytes: two
-// maphash values under independent seeds.
+// fingerprint is 128 bits of hash: two maphash values under
+// independent seeds.
 type fingerprint [2]uint64
 
 const (
-	// knownCap bounds the instances one table retains.
+	// knownCap bounds the entries one fpTable retains.
 	knownCap = 256
 	// maxKnownBytes bounds the encoding of a recorded instance (a
 	// 256-job instance takes about 15 KB), so that a full table pins a
 	// bounded amount of memory whatever clients send; a larger instance
-	// is decoded and probed on every submission.
+	// is decoded and probed on every submission, and encoded on every
+	// WireClient.Submit.
 	maxKnownBytes = 64 << 10
 )
 
-func newKnownInstances() *knownInstances {
-	return &knownInstances{
+// fpTable is a bounded map from fingerprints, with the seeds its
+// owner computes them under: the server's table of decoded instances
+// and the client's table of encoded ones. It holds at most knownCap
+// entries and evicts an arbitrary one when full, like the service's
+// caches.
+type fpTable[V any] struct {
+	seeds [2]maphash.Seed
+	mu    sync.Mutex
+	m     map[fingerprint]V //sched:guardedby mu
+}
+
+func newFPTable[V any]() fpTable[V] {
+	return fpTable[V]{
 		seeds: [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
-		m:     make(map[fingerprint]*moldable.Instance),
+		m:     make(map[fingerprint]V),
 	}
+}
+
+func newKnownInstances() *knownInstances {
+	return &knownInstances{newFPTable[*moldable.Instance]()}
 }
 
 func (k *knownInstances) sum(b []byte) fingerprint {
 	return fingerprint{maphash.Bytes(k.seeds[0], b), maphash.Bytes(k.seeds[1], b)}
 }
 
-func (k *knownInstances) get(fp fingerprint) *moldable.Instance {
-	k.mu.Lock()
-	in := k.m[fp]
-	k.mu.Unlock()
-	return in
+// get returns the value recorded under fp, or V's zero value.
+func (t *fpTable[V]) get(fp fingerprint) V {
+	t.mu.Lock()
+	v := t.m[fp]
+	t.mu.Unlock()
+	return v
 }
 
-func (k *knownInstances) put(fp fingerprint, in *moldable.Instance) {
-	k.mu.Lock()
-	if _, ok := k.m[fp]; !ok && len(k.m) >= knownCap {
-		for old := range k.m { // evict an arbitrary entry
-			delete(k.m, old)
+func (t *fpTable[V]) put(fp fingerprint, v V) {
+	t.mu.Lock()
+	if _, ok := t.m[fp]; !ok && len(t.m) >= knownCap {
+		for old := range t.m { // evict an arbitrary entry
+			delete(t.m, old)
 			break
 		}
 	}
-	k.m[fp] = in
-	k.mu.Unlock()
+	t.m[fp] = v
+	t.mu.Unlock()
 }
 
 // validate checks in, the instance that submit frame r carries, and

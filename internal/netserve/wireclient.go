@@ -2,8 +2,10 @@ package netserve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"net"
 	"strconv"
 	"sync"
@@ -36,6 +38,46 @@ type WireClient struct {
 	broken  error                    //sched:guardedby mu — terminal transport error
 	seq     atomic.Uint64
 	readerd chan struct{} // closed when the reader goroutine exits
+
+	enc encodedInstances // this connection's instances, as Submit encoded them
+}
+
+// encodedInstances is a WireClient's table from an instance's content
+// fingerprint to the bytes moldable.AppendInstance wrote for it, so
+// that resubmitting an instance copies its encoding instead of
+// formatting every job's numbers again (DESIGN.md §5). The fingerprint
+// is 128 bits of the canonical job stream (moldable.WriteCanonical)
+// under two seeds, and it is computed afresh on every submit. The
+// table is content-addressed, not keyed by *Instance: it pins no
+// caller's instance, an instance edited between submits fingerprints
+// differently and is encoded again, and since the stream compares
+// parameters by their bits, +0 and −0 stay apart. Only encodings up to
+// maxKnownBytes are kept, and an instance that fails to encode (a NaN,
+// an unknown job type) is never recorded, so it fails on every submit.
+type encodedInstances struct {
+	fpTable[[]byte]
+}
+
+// appendInstance appends AppendInstance's encoding of in to dst,
+// copying it from the table when in's fingerprint is known and
+// recording it otherwise.
+func (e *encodedInstances) appendInstance(dst []byte, in *moldable.Instance) ([]byte, error) {
+	var h0, h1 maphash.Hash
+	h0.SetSeed(e.seeds[0])
+	h1.SetSeed(e.seeds[1])
+	if !moldable.WriteCanonical(in, &h0, &h1) {
+		return moldable.AppendInstance(dst, in)
+	}
+	fp := fingerprint{h0.Sum64(), h1.Sum64()}
+	if b := e.get(fp); b != nil {
+		return append(dst, b...), nil
+	}
+	start := len(dst)
+	dst, err := moldable.AppendInstance(dst, in)
+	if err == nil && len(dst)-start <= maxKnownBytes {
+		e.put(fp, bytes.Clone(dst[start:]))
+	}
+	return dst, err
 }
 
 // Dial connects a WireClient to a moldschedd TCP listener.
@@ -50,6 +92,7 @@ func Dial(ctx context.Context, addr string) (*WireClient, error) {
 		tags:    make(map[string]chan Response),
 		ids:     make(map[uint64]chan Response),
 		readerd: make(chan struct{}),
+		enc:     encodedInstances{newFPTable[[]byte]()},
 	}
 	go func() {
 		defer close(c.readerd)
@@ -210,16 +253,7 @@ func (c *WireClient) Hello(ctx context.Context, tenant string) error {
 // is forwarded as timeout_ms so the server sheds and cancels
 // server-side too, not only at the client.
 func (c *WireClient) Submit(ctx context.Context, in *moldable.Instance, opt core.Options, wantSchedule bool) (uint64, error) {
-	req := Request{
-		Op: "submit", Tag: c.nextTag(), Algo: opt.Algorithm.String(), Eps: opt.Eps,
-		Validate: opt.Validate, Schedule: wantSchedule,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Seconds() * 1000; ms > 0 {
-			req.TimeoutMS = ms
-		}
-	}
-	frame, err := encodeFrame(req, "instance", func(b []byte) ([]byte, error) { return moldable.AppendInstance(b, in) })
+	req, frame, err := c.submitFrame(ctx, in, opt, wantSchedule)
 	if err != nil {
 		return 0, err
 	}
@@ -231,6 +265,23 @@ func (c *WireClient) Submit(ctx context.Context, in *moldable.Instance, opt core
 		return 0, codeToErr(r.Code, r.Error)
 	}
 	return r.ID, nil
+}
+
+// submitFrame builds Submit's request and its frame: the bytes
+// encodeFrame and AppendInstance write for it, the instance taken from
+// c.enc when this connection encoded it before.
+func (c *WireClient) submitFrame(ctx context.Context, in *moldable.Instance, opt core.Options, wantSchedule bool) (Request, *[]byte, error) {
+	req := Request{
+		Op: "submit", Tag: c.nextTag(), Algo: opt.Algorithm.String(), Eps: opt.Eps,
+		Validate: opt.Validate, Schedule: wantSchedule,
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		if ms := time.Until(dl).Seconds() * 1000; ms > 0 {
+			req.TimeoutMS = ms
+		}
+	}
+	frame, err := encodeFrame(req, "instance", func(b []byte) ([]byte, error) { return c.enc.appendInstance(b, in) })
+	return req, frame, err
 }
 
 // Result collects a ticket (wait=true blocks server-side). m is the

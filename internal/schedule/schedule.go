@@ -17,7 +17,6 @@
 package schedule
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -127,36 +126,47 @@ func (s *Schedule) TotalWork() moldable.Time {
 	return w
 }
 
-// MaxUsage returns the maximum cumulative processor usage over time,
-// computed by an event sweep.
+// MaxUsage returns the maximum cumulative processor usage over time.
+// It sorts the starts and the ends apart and sweeps them in merge
+// order, releasing every job that ends at or before the next start
+// first, so a job ending when another starts does not overlap it. The
+// times must be finite (Validate rejects any other first); the order
+// of a NaN is undefined.
 func (s *Schedule) MaxUsage() int {
-	type event struct {
-		t     moldable.Time
-		delta int
+	n := len(s.Placements)
+	events := make([]usage, 2*n)
+	starts, ends := events[:n], events[n:]
+	for i, p := range s.Placements {
+		starts[i] = usage{p.Start, p.Procs}
+		ends[i] = usage{p.End(), p.Procs}
 	}
-	events := make([]event, 0, 2*len(s.Placements))
-	for _, p := range s.Placements {
-		events = append(events, event{p.Start, p.Procs}, event{p.End(), -p.Procs})
-	}
-	// Times compare with <, not cmp.Compare: a NaN time then lands where
-	// plain comparisons put it instead of sorting first.
-	slices.SortFunc(events, func(a, b event) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
+	slices.SortFunc(starts, usage.cmp)
+	slices.SortFunc(ends, usage.cmp)
+	cur, best, k := 0, 0, 0
+	for _, st := range starts {
+		for ; k < n && ends[k].t <= st.t; k++ {
+			cur -= ends[k].procs
 		}
-		return cmp.Compare(a.delta, b.delta) // releases before acquisitions
-	})
-	cur, best := 0, 0
-	for _, e := range events {
-		cur += e.delta
-		if cur > best {
-			best = cur
-		}
+		cur += st.procs
+		best = max(best, cur)
 	}
 	return best
+}
+
+// usage is one start or end of a placement in MaxUsage's sweep.
+type usage struct {
+	t     moldable.Time
+	procs int
+}
+
+func (a usage) cmp(b usage) int {
+	if a.t < b.t {
+		return -1
+	}
+	if a.t > b.t {
+		return 1
+	}
+	return 0
 }
 
 // Allotment returns the processor counts per job index. Jobs missing from

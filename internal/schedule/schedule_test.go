@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"strings"
@@ -223,20 +225,55 @@ func maxUsageSortSlice(s *Schedule) int {
 }
 
 // TestMaxUsageMatchesSortSlice compares MaxUsage with the sort.Slice
-// reference on random schedules whose times sit on a coarse grid, so
-// intervals touch (one ends where another starts) and zero-length
-// placements are common.
+// reference on random schedules. Half the trials put times on a coarse
+// grid, so intervals touch (one ends where another starts) and
+// zero-length placements are common; the other half draw non-integer
+// times, where an end meets a start only through the float sum.
 func TestMaxUsageMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 0))
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 4000; trial++ {
 		s := New(64)
+		grid := trial%2 == 0
 		for j := rng.IntN(40); j >= 0; j-- {
 			start := moldable.Time(rng.IntN(8))
 			dur := moldable.Time(rng.IntN(4)) // 0 is a zero-length placement
+			if !grid {
+				start = 8 * rng.Float64()
+				dur = 4 * rng.Float64()
+				if rng.IntN(4) == 0 && len(s.Placements) > 0 {
+					start = s.Placements[rng.IntN(len(s.Placements))].End()
+				}
+			}
 			s.Add(j, 1+rng.IntN(8), start, dur)
 		}
 		if got, want := s.MaxUsage(), maxUsageSortSlice(s); got != want {
 			t.Fatalf("trial %d: MaxUsage = %d, sort.Slice version = %d\n%+v", trial, got, want, s.Placements)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite start or duration is
+// an error, though a NaN start fails the negative-start check and the
+// duration check passes it.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	in := twoJobInstance()
+	ok := New(4)
+	ok.Add(0, 2, 0, 4)
+	ok.Add(1, 1, 0, 3)
+	if err := Validate(in, ok, Options{}); err != nil {
+		t.Fatalf("the finite schedule: %v", err)
+	}
+	for _, bad := range []moldable.Time{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, field := range []string{"start", "duration"} {
+			s := ok.Clone()
+			if field == "start" {
+				s.Placements[1].Start = bad
+			} else {
+				s.Placements[1].Duration = bad
+			}
+			if err := Validate(in, s, Options{}); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s %v: Validate = %v, want ErrNonFinite", field, bad, err)
+			}
 		}
 	}
 }

@@ -16,6 +16,7 @@ var (
 	ErrBadDuration    = errors.New("schedule: duration does not match oracle")
 	ErrOverSubscribed = errors.New("schedule: more than m processors busy")
 	ErrNegativeStart  = errors.New("schedule: negative start time")
+	ErrNonFinite      = errors.New("schedule: start or duration not finite")
 	ErrProcOverlap    = errors.New("schedule: overlapping concrete processor assignment")
 )
 
@@ -31,7 +32,7 @@ type Options struct {
 
 // Validate checks that s is a feasible schedule for in:
 //   - every job appears exactly once,
-//   - 1 ≤ Procs ≤ m and Start ≥ 0,
+//   - 1 ≤ Procs ≤ m, Start and Duration are finite, and Start ≥ 0,
 //   - Duration = t_j(Procs) (within tolerance),
 //   - at most m processors are busy at any time (event sweep),
 //   - with RequireConcrete, the concrete processor blocks are disjoint.
@@ -50,6 +51,10 @@ func Validate(in *moldable.Instance, s *Schedule, opt Options) error {
 		seen[p.Job]++
 		if p.Procs < 1 || p.Procs > in.M {
 			return fmt.Errorf("%w: job %d has %d procs (m=%d)", ErrBadProcs, p.Job, p.Procs, in.M)
+		}
+		// A NaN fails every comparison below, and +Inf passes them.
+		if math.IsNaN(p.Start) || math.IsInf(p.Start, 0) || math.IsNaN(p.Duration) || math.IsInf(p.Duration, 0) {
+			return fmt.Errorf("%w: job %d starts at %v for %v", ErrNonFinite, p.Job, p.Start, p.Duration)
 		}
 		if p.Start < 0 {
 			return fmt.Errorf("%w: job %d starts at %v", ErrNegativeStart, p.Job, p.Start)

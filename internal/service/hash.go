@@ -13,14 +13,15 @@ import (
 // (same m, same job parameters in the same order) hash to the same
 // 64-bit key, which drives all the sharing in this package: the result
 // cache and worker-queue affinity.
-// The hash streams job parameters directly into a maphash (seeded per
-// Scheduler) — no intermediate serialization, so hashing a table-backed
-// instance costs one pass over its entries, negligible next to a single
-// oracle-driven Schedule call. A wrapper that doesn't change oracle
-// values (CountingJob) is hashed as its inner job; job types without a
-// canonical encoding report ok=false and bypass all caches. A wire
-// "envelope" job is a Table by the time it is hashed, so it shares its
-// key with the "table" job of its running minima.
+// The key is a maphash (seeded per Scheduler) of the instance's
+// canonical job stream, moldable.WriteCanonical: no intermediate
+// serialization, so hashing a table-backed instance costs one pass over
+// its entries, negligible next to a single oracle-driven Schedule call.
+// A wrapper that doesn't change oracle values (CountingJob) is hashed
+// as its inner job; job types without a canonical encoding report
+// ok=false and bypass all caches. A wire "envelope" job is a Table by
+// the time it is hashed, so it shares its key with the "table" job of
+// its running minima.
 //
 // Collisions: keys are 64-bit, so two distinct live instances colliding
 // takes ~2³² cached instances (the cache holds about a thousand); the
@@ -49,12 +50,8 @@ func HashInstance(seed maphash.Seed, in *moldable.Instance) (key uint64, ok bool
 func (h hasher) instanceKey(in *moldable.Instance) (key uint64, ok bool) {
 	var mh maphash.Hash
 	mh.SetSeed(h.seed)
-	writeUint(&mh, uint64(in.M))
-	writeUint(&mh, uint64(in.N()))
-	for _, j := range in.Jobs {
-		if !writeJob(&mh, j) {
-			return 0, false
-		}
+	if !moldable.WriteCanonical(in, &mh) {
+		return 0, false
 	}
 	return mh.Sum64(), true
 }
@@ -84,83 +81,4 @@ func writeUint(mh *maphash.Hash, v uint64) {
 
 func writeFloat(mh *maphash.Hash, f float64) {
 	writeUint(mh, math.Float64bits(f))
-}
-
-// chunkWriter batches the 8-byte words of a table or piecewise job
-// into one maphash.Write per len(buf)/8 words, instead of one per
-// word. maphash's result depends only on the byte stream, so the key
-// is the one per-word writes give.
-type chunkWriter struct {
-	mh  *maphash.Hash
-	n   int
-	buf [512]byte
-}
-
-func (w *chunkWriter) word(v uint64) {
-	if w.n == len(w.buf) {
-		w.flush()
-	}
-	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
-	w.n += 8
-}
-
-func (w *chunkWriter) flush() {
-	w.mh.Write(w.buf[:w.n])
-	w.n = 0
-}
-
-// writeJob streams a type tag plus the job's parameters; false means
-// the type has no canonical encoding (mirrors the job set of
-// moldable's JSON wire format).
-func writeJob(mh *maphash.Hash, j moldable.Job) bool {
-	switch v := j.(type) {
-	case moldable.Amdahl:
-		writeUint(mh, 1)
-		writeFloat(mh, v.Seq)
-		writeFloat(mh, v.Par)
-	case moldable.Power:
-		writeUint(mh, 2)
-		writeFloat(mh, v.W)
-		writeFloat(mh, v.Alpha)
-	case moldable.PerfectSpeedup:
-		writeUint(mh, 3)
-		writeFloat(mh, v.W)
-	case moldable.Sequential:
-		writeUint(mh, 4)
-		writeFloat(mh, v.T)
-	case moldable.Comm:
-		writeUint(mh, 5)
-		writeFloat(mh, v.W)
-		writeFloat(mh, v.C)
-	case moldable.Table:
-		w := chunkWriter{mh: mh}
-		w.word(6)
-		w.word(uint64(len(v.T)))
-		for _, t := range v.T {
-			w.word(math.Float64bits(t))
-		}
-		w.flush()
-	case moldable.Piecewise:
-		w := chunkWriter{mh: mh}
-		w.word(8)
-		w.word(uint64(len(v.Procs)))
-		for i := range v.Procs {
-			w.word(uint64(v.Procs[i]))
-			w.word(math.Float64bits(v.Times[i]))
-		}
-		w.flush()
-	case moldable.Capped:
-		writeUint(mh, 9)
-		writeUint(mh, uint64(v.Max))
-		return writeJob(mh, v.J)
-	case moldable.Scaled:
-		writeUint(mh, 10)
-		writeFloat(mh, v.Factor)
-		return writeJob(mh, v.J)
-	case *moldable.CountingJob:
-		return writeJob(mh, v.J)
-	default:
-		return false
-	}
-	return true
 }
