@@ -38,7 +38,7 @@ func main() {
 		cert    = flag.Bool("cert", false, "emit and re-verify the §2 certificate (allotment + order)")
 		simFlag = flag.Bool("sim", false, "execute the schedule on the discrete-event simulator")
 		svgPath = flag.String("svg", "", "write the schedule as SVG to this path")
-		trace   = flag.Bool("trace", false, "print the sampled scheduling decision traces after the run (docs/OBSERVABILITY.md)")
+		trace   = flag.Bool("trace", false, "print the process's recent scheduling decision traces after the run (docs/OBSERVABILITY.md)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -136,11 +136,11 @@ func main() {
 	}
 }
 
-// printTraces renders the sampled decision traces of this process —
-// every ScheduleCtx above records into the obs ring — oldest first.
+// printTraces renders this process's last 32 decision traces, oldest
+// first: every ScheduleCtx above records into the process's obs ring.
 func printTraces() {
 	evs := obs.SnapshotTraces(32)
-	fmt.Printf("\ndecision traces (%d sampled, oldest first):\n", len(evs))
+	fmt.Printf("\ndecision traces (%d recorded, oldest first):\n", len(evs))
 	for _, e := range evs {
 		line := fmt.Sprintf("  [%s/%s] algo=%s n=%d m=%d eps=%g probes=%d elapsed=%v makespan=%.6g omega=%.6g",
 			e.Source, e.TID, e.Algo, e.N, e.M, e.Eps, e.Probes, time.Duration(e.Elapsed), e.Makespan, e.Omega)

@@ -71,7 +71,7 @@
 //
 // Every response carries a "trace_id" echoing the request's (or a
 // server-assigned "t-<n>" when the request carried none); a stats
-// request with "trace":true additionally returns the sampled
+// request with "trace":true additionally returns the process's recent
 // scheduling decision traces (docs/OBSERVABILITY.md). -debug-addr
 // serves GET /metrics (Prometheus text format) and net/http/pprof on a
 // separate address in every mode, pipe mode included; it is off by

@@ -120,29 +120,27 @@ func TestMutationWireClientLockOrder(t *testing.T) {
 	}
 }
 
-// TestMutationObsAtomicMix downgrades the lock-free TraceRing.Recorded
-// from atomic.LoadUint64 to a plain read of n — a torn read on 32-bit
-// targets and a data race everywhere, invisible to tests that never
-// race the writer. atomicmix must flag the plain read and point at the
-// surviving atomic site.
-func TestMutationObsAtomicMix(t *testing.T) {
+// TestMutationObsRingLockGuard reads the trace ring's event count
+// before Snapshot takes the ring's mutex, a data race with every
+// concurrent writer. lockguard must flag the read of the guarded n in
+// trace.go.
+func TestMutationObsRingLockGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks internal/obs")
 	}
 	dir := copyPkgNonTest(t, filepath.Join("..", "obs"))
-	if diags := runOnDir(t, dir, "mutation/obs", AtomicMix); len(diags) != 0 {
-		t.Fatalf("unmutated obs copy not atomicmix-clean: %v", diags)
+	if diags := runOnDir(t, dir, "mutation/obs", LockGuard); len(diags) != 0 {
+		t.Fatalf("unmutated obs copy not lockguard-clean: %v", diags)
 	}
 
 	mutateFile(t, dir, "trace.go",
-		"func (r *TraceRing) Recorded() uint64 {\n\treturn atomic.LoadUint64(&r.n)\n}",
-		"func (r *TraceRing) Recorded() uint64 {\n\treturn r.n\n}")
+		"\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tk := min(r.n, RingCap)",
+		"\tk := min(r.n, RingCap)\n\tr.mu.Lock()\n\tdefer r.mu.Unlock()")
 
-	diags := runOnDir(t, dir, "mutation/obs", AtomicMix)
+	diags := runOnDir(t, dir, "mutation/obs", LockGuard)
 	found := false
 	for _, d := range diags {
-		if strings.Contains(d.Message, "plain read of obs.TraceRing.n") &&
-			strings.Contains(d.Message, "atomic") {
+		if strings.Contains(d.Message, "read of r.n without holding r.mu") {
 			found = true
 			if filepath.Base(d.Pos.Filename) != "trace.go" {
 				t.Errorf("diagnostic anchored outside trace.go: %v", d)
@@ -150,7 +148,7 @@ func TestMutationObsAtomicMix(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("plain read of TraceRing.n produced no atomicmix diagnostic; got: %v", diags)
+		t.Errorf("unlocked read of TraceRing.n produced no lockguard diagnostic; got: %v", diags)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dual"
@@ -151,33 +150,17 @@ type Scratch struct {
 	fp   fptas.Dual
 	mrt  mrt.Dual
 
-	// trace is the per-scratch decision ring (docs/OBSERVABILITY.md),
-	// created lazily at the first recorded decision — a warm-up
-	// allocation, like the buffer growth above, so the steady state
-	// stays at 0 allocs/op. Single-writer by the scratch-ownership
-	// rule; registry readers snapshot it through obs.
-	trace *obs.TraceRing
-}
-
-// ObsRing returns the scratch's decision-trace ring, creating and
-// registering it on first use. The ring is deliberately shared with
-// obs registry readers (stats trace dimension, moldsched -trace); the
-// accessor exists so owning layers — the online runtime — can retag
-// the ring's source before feeding it.
-//
-//sched:owns-result
-func (sc *Scratch) ObsRing() *obs.TraceRing {
-	if sc.trace == nil {
-		sc.trace = obs.NewTraceRing("sched")
-	}
-	return sc.trace
+	// TraceSource tags this scratch's decisions in the process's
+	// trace ring (docs/OBSERVABILITY.md); "" records as "sched". The
+	// online runtime sets "online".
+	TraceSource string
 }
 
 // obsRecord leaves one decision's telemetry: the call/error/algorithm
-// counters, the end-to-end latency histogram, and a sampled ring event
-// carrying the wire trace_id if the context bears one (obs.WithTraceID).
-// All of it is atomics plus a TryLock ring write — allocation-free
-// after the ring exists.
+// counters, the end-to-end latency histogram, and an event in the
+// process's trace ring carrying the wire trace_id if the context bears
+// one (obs.WithTraceID). All of it is atomics plus a TryLock ring
+// write, so it allocates nothing.
 //
 //sched:hotpath
 func (sc *Scratch) obsRecord(ctx context.Context, in *moldable.Instance, rep *Report, dr dual.Report, elapsed time.Duration, err error) {
@@ -194,12 +177,14 @@ func (sc *Scratch) obsRecord(ctx context.Context, in *moldable.Instance, rep *Re
 		obs.SchedErrors.Inc()
 		code = scherr.Code(err)
 	}
-	if sc.trace == nil {
-		sc.trace = obs.NewTraceRing("sched") // warm-up only; steady state reuses it
+	src := sc.TraceSource
+	if src == "" {
+		src = "sched"
 	}
-	sc.trace.Record(obs.TraceEvent{
+	obs.RecordTrace(obs.TraceEvent{
 		TID:      obs.CtxTraceID(ctx),
 		At:       time.Now().UnixNano(),
+		Source:   src,
 		Algo:     rep.Algorithm.String(),
 		N:        in.N(),
 		M:        in.M,
@@ -211,15 +196,6 @@ func (sc *Scratch) obsRecord(ctx context.Context, in *moldable.Instance, rep *Re
 		Code:     code,
 	})
 }
-
-// sharedTrace is the decision ring of every nil-scratch call, so that
-// such calls (PTAS, cmd/moldsched, the experiments) register one ring
-// between them instead of one each, which would rotate the service
-// workers' rings out of the registry. Concurrent calls may write it at
-// once: Record's TryLock keeps the writes exclusive, and a sample that
-// meets another writer is dropped and counted like one that meets a
-// reader.
-var sharedTrace = sync.OnceValue(func() *obs.TraceRing { return obs.NewTraceRing("sched") })
 
 // NewScratch returns an empty Scratch (provided for symmetry; the zero
 // value works too).
@@ -271,7 +247,6 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 	}
 	if sc == nil {
 		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
-		sc.trace = sharedTrace()
 	}
 	start := time.Now()
 	rep := Report{Algorithm: opt.Algorithm, Eps: opt.Eps}

@@ -25,9 +25,24 @@ func TestObsAlgoLabelsMatch(t *testing.T) {
 	}
 }
 
+// lastTrace returns the most recent decision in the process's trace
+// ring tagged tid.
+func lastTrace(t *testing.T, tid string) obs.TraceEvent {
+	t.Helper()
+	evs := obs.SnapshotTraces(0)
+	for i := len(evs) - 1; i >= 0; i-- {
+		if evs[i].TID == tid {
+			return evs[i]
+		}
+	}
+	t.Fatalf("no decision tagged %s in the trace ring", tid)
+	return obs.TraceEvent{}
+}
+
 // TestObsDecisionTrace drives a scratch-backed schedule under a tagged
-// context and checks that the decision landed in the scratch's ring
-// with the trace_id, the resolved algorithm, and the probe count.
+// context and checks that the decision landed in the process's ring
+// with the trace_id, the source, the resolved algorithm, and the probe
+// count.
 func TestObsDecisionTrace(t *testing.T) {
 	in := moldable.Random(moldable.GenConfig{N: 16, M: 512, Seed: 3})
 	sc := NewScratch()
@@ -36,14 +51,7 @@ func TestObsDecisionTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := sc.ObsRing().Snapshot(nil)
-	if len(evs) == 0 {
-		t.Fatal("no decision recorded in the scratch ring")
-	}
-	e := evs[len(evs)-1]
-	if e.TID != "t-obs-test" {
-		t.Errorf("TID = %q, want t-obs-test", e.TID)
-	}
+	e := lastTrace(t, "t-obs-test")
 	if e.Algo != "linear" || e.Source != "sched" {
 		t.Errorf("algo/source = %q/%q, want linear/sched", e.Algo, e.Source)
 	}
@@ -57,38 +65,15 @@ func TestObsDecisionTrace(t *testing.T) {
 		t.Errorf("makespan = %v, want %v", e.Makespan, rep.Makespan)
 	}
 
-	// An erroring decision records its stable code.
-	before := sc.ObsRing().Recorded()
+	// An erroring decision records its stable code, and the scratch's
+	// TraceSource tags it.
+	sc.TraceSource = "online"
+	ctx = obs.WithTraceID(context.Background(), "t-obs-test-err")
 	_, _, err = ScheduleScratchCtx(ctx, in, Options{Algorithm: FPTAS, Eps: 0.001}, sc)
 	if err == nil {
 		t.Fatal("expected regime error for FPTAS at tiny eps")
 	}
-	evs = sc.ObsRing().Snapshot(nil)
-	if sc.ObsRing().Recorded() == before || evs[len(evs)-1].Code == "" {
-		t.Errorf("error decision not recorded with a code: %+v", evs[len(evs)-1])
+	if e := lastTrace(t, "t-obs-test-err"); e.Code != "regime" || e.Source != "online" {
+		t.Errorf("error decision code/source = %q/%q, want regime/online", e.Code, e.Source)
 	}
-}
-
-// TestNilScratchSharesOneRing: nil-scratch calls record into one shared
-// ring, so 600 of them (more than the registry's 512 rings) leave a
-// worker scratch's ring, and the trace_id in it, readable.
-func TestNilScratchSharesOneRing(t *testing.T) {
-	defer obs.SetEnabled(obs.SetEnabled(true))
-	in := moldable.Random(moldable.GenConfig{N: 4, M: 8, Seed: 2})
-	ctx := context.Background()
-	worker := NewScratch()
-	if _, _, err := ScheduleScratchCtx(obs.WithTraceID(ctx, "t-worker-ring"), in, Options{Algorithm: Linear, Eps: 0.5}, worker); err != nil {
-		t.Fatal(err)
-	}
-	for range 600 {
-		if _, _, err := ScheduleCtx(ctx, in, Options{Algorithm: Linear, Eps: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range obs.SnapshotTraces(0) {
-		if e.TID == "t-worker-ring" {
-			return
-		}
-	}
-	t.Error("the worker ring's trace_id is gone from the registry after 600 nil-scratch calls")
 }

@@ -23,10 +23,25 @@ func frameClient() *WireClient {
 	return &WireClient{enc: encodedInstances{newFPTable[[]byte]()}}
 }
 
+// len returns how many fingerprints the table holds.
 func (e *encodedInstances) len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.m)
+}
+
+// encodings returns how many encodings the table holds and their
+// total size in bytes.
+func (e *encodedInstances) encodings() (n, size int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, b := range e.m {
+		if b != nil {
+			n++
+			size += len(b)
+		}
+	}
+	return n, size
 }
 
 // checkSubmitFrame builds c's submit frame for in and compares it with
@@ -138,51 +153,76 @@ func lastTable(in *moldable.Instance) moldable.Table {
 	return tb
 }
 
-// TestSubmitEncodeCache applies each edit twice between submits (the
-// sign flip first zeroes an entry, then flips it): every frame is the
-// fresh encoding of the instance as it stands, an unchanged
-// resubmission is served from the table, and an instance that cannot
-// be encoded is never recorded.
+// TestSubmitEncodeCache applies each edit twice, each followed by
+// three submits (the sign flip first zeroes an entry, then flips it):
+// every frame is the fresh encoding of the instance as it stands, the
+// second submit of an instance records its encoding and the third is
+// served from the table, and an instance that cannot be encoded is
+// never recorded.
 func TestSubmitEncodeCache(t *testing.T) {
 	for _, tc := range encodeEdits {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(28, 0))
 			c := frameClient()
 			in := mixedInstance(rng)
-			checkSubmitFrame(t, c, in)
-			checkSubmitFrame(t, c, in)
-			if n := c.enc.len(); n != 1 {
-				t.Fatalf("after two submits of one instance the table holds %d encodings", n)
+			for k, want := range []int{0, 1, 1} {
+				checkSubmitFrame(t, c, in)
+				if n, _ := c.enc.encodings(); n != want {
+					t.Fatalf("after submit %d of one instance the table holds %d encodings, want %d", k+1, n, want)
+				}
 			}
 			for range 2 {
 				tc.edit(rng, in)
-				checkSubmitFrame(t, c, in)
-				checkSubmitFrame(t, c, in)
+				for range 3 {
+					checkSubmitFrame(t, c, in)
+				}
 			}
 			want := 3
 			if _, err := moldable.MarshalInstance(in); tc.name == "unchanged" || err != nil {
 				want = 1
 			}
-			if n := c.enc.len(); n != want {
+			if n, _ := c.enc.encodings(); n != want {
 				t.Errorf("table holds %d encodings, want %d", n, want)
 			}
 		})
 	}
 }
 
+// TestSubmitOnceHoldsNoEncodings: a connection that submits 300
+// distinct instances once each, as a client that never resubmits does,
+// records their fingerprints (at most knownCap) and no encoded bytes.
+func TestSubmitOnceHoldsNoEncodings(t *testing.T) {
+	c := frameClient()
+	rng := rand.New(rand.NewPCG(29, 0))
+	for range 300 {
+		checkSubmitFrame(t, c, mixedInstance(rng))
+	}
+	if n, size := c.enc.encodings(); n != 0 || size != 0 {
+		t.Errorf("table holds %d encodings (%d bytes) after 300 first submits, want none", n, size)
+	}
+	if n := c.enc.len(); n != knownCap {
+		t.Errorf("table holds %d fingerprints, want the cap %d", n, knownCap)
+	}
+}
+
 // TestSubmitEncodeCacheBounds: an encoding over maxKnownBytes is not
-// recorded, and the table never holds more than knownCap encodings.
+// recorded, not even its fingerprint, and the table never holds more
+// than knownCap encodings.
 func TestSubmitEncodeCacheBounds(t *testing.T) {
 	c := frameClient()
 	big := &moldable.Instance{M: 1 << 16, Jobs: []moldable.Job{moldable.SmallTable(rand.New(rand.NewPCG(1, 0)), 1<<14, 1e6)}}
-	checkSubmitFrame(t, c, big)
+	for range 3 {
+		checkSubmitFrame(t, c, big)
+	}
 	if n := c.enc.len(); n != 0 {
 		t.Errorf("a %d-entry table was recorded", 1<<14)
 	}
 	for k := range knownCap + 40 {
-		checkSubmitFrame(t, c, &moldable.Instance{M: 1 + k, Jobs: []moldable.Job{moldable.Sequential{T: 1}}})
+		in := &moldable.Instance{M: 1 + k, Jobs: []moldable.Job{moldable.Sequential{T: 1}}}
+		checkSubmitFrame(t, c, in)
+		checkSubmitFrame(t, c, in)
 	}
-	if n := c.enc.len(); n != knownCap {
+	if n, _ := c.enc.encodings(); n != knownCap {
 		t.Errorf("table holds %d encodings, want the cap %d", n, knownCap)
 	}
 }
@@ -296,13 +336,13 @@ func TestWireClientConcurrentSubmits(t *testing.T) {
 		}
 	}
 	if n := wc.enc.len(); n != len(pool) {
-		t.Errorf("table holds %d encodings, want %d", n, len(pool))
+		t.Errorf("table holds %d fingerprints, want %d", n, len(pool))
 	}
 }
 
 // BenchmarkWireSubmit times building a 256-job submit frame: first
 // sight, which encodes the instance, and a resubmission, which copies
-// the encoding recorded the first time.
+// the encoding recorded the second time.
 func BenchmarkWireSubmit(b *testing.B) {
 	in := moldable.Random(moldable.GenConfig{N: 256, M: 4096, Seed: 3})
 	ctx := context.Background()
@@ -322,6 +362,7 @@ func BenchmarkWireSubmit(b *testing.B) {
 	})
 	b.Run("resubmit", func(b *testing.B) {
 		c := frameClient()
+		submit(b, c)
 		submit(b, c)
 		b.ReportAllocs()
 		for b.Loop() {

@@ -62,12 +62,12 @@ func (k *knownInstances) sum(b []byte) fingerprint {
 	return fingerprint{maphash.Bytes(k.seeds[0], b), maphash.Bytes(k.seeds[1], b)}
 }
 
-// get returns the value recorded under fp, or V's zero value.
-func (t *fpTable[V]) get(fp fingerprint) V {
+// get returns the value recorded under fp and whether fp is recorded.
+func (t *fpTable[V]) get(fp fingerprint) (V, bool) {
 	t.mu.Lock()
-	v := t.m[fp]
+	v, ok := t.m[fp]
 	t.mu.Unlock()
-	return v
+	return v, ok
 }
 
 func (t *fpTable[V]) put(fp fingerprint, v V) {
@@ -122,7 +122,7 @@ func (r *Request) scanInstance(s *wirejson.Scanner, line []byte, k *knownInstanc
 		return
 	}
 	fp := k.sum(line[start:end])
-	if in := k.get(fp); in != nil {
+	if in, ok := k.get(fp); ok {
 		r.inst, r.instKnown = in, true
 		s.Seek(end)
 		return

@@ -46,7 +46,7 @@ type Request struct {
 	// one"; either way the response echoes the id.
 	TraceID string `json:"trace_id,omitempty"`
 
-	// Trace asks the "stats" op to include the sampled decision traces
+	// Trace asks the "stats" op to include the recent decision traces
 	// alongside the counters.
 	Trace bool `json:"trace,omitempty"`
 
@@ -98,7 +98,7 @@ type Response struct {
 	// server-assigned); every response carries one.
 	TraceID string `json:"trace_id,omitempty"`
 
-	// Traces carries the sampled decision traces when a "stats" request
+	// Traces carries the recent decision traces when a "stats" request
 	// set Trace.
 	Traces []WireTrace `json:"traces,omitempty"`
 
@@ -120,7 +120,7 @@ type Response struct {
 	withStarts bool
 }
 
-// WireTrace is the JSON shape of one sampled scheduling decision
+// WireTrace is the JSON shape of one recorded scheduling decision
 // (obs.TraceEvent): which request triggered it, which algorithm
 // resolved, how many oracle probes it cost, and what came out.
 type WireTrace struct {

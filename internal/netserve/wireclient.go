@@ -45,7 +45,10 @@ type WireClient struct {
 // encodedInstances is a WireClient's table from an instance's content
 // fingerprint to the bytes moldable.AppendInstance wrote for it, so
 // that resubmitting an instance copies its encoding instead of
-// formatting every job's numbers again (DESIGN.md §5). The fingerprint
+// formatting every job's numbers again (DESIGN.md §5). The first
+// submission records only the fingerprint, the second records the
+// bytes, and later ones copy them: a client that never resubmits holds
+// no encodings. The fingerprint
 // is 128 bits of the canonical job stream (moldable.WriteCanonical)
 // under two seeds, and it is computed afresh on every submit. The
 // table is content-addressed, not keyed by *Instance: it pins no
@@ -59,8 +62,11 @@ type encodedInstances struct {
 }
 
 // appendInstance appends AppendInstance's encoding of in to dst,
-// copying it from the table when in's fingerprint is known and
-// recording it otherwise.
+// copying it from the table when its bytes are recorded. Otherwise it
+// encodes in and records its fingerprint, or its bytes when the
+// fingerprint was already recorded. Two racing submits of an instance
+// may record the fingerprint after the bytes; the next submit then
+// encodes and records them again.
 func (e *encodedInstances) appendInstance(dst []byte, in *moldable.Instance) ([]byte, error) {
 	var h0, h1 maphash.Hash
 	h0.SetSeed(e.seeds[0])
@@ -69,13 +75,17 @@ func (e *encodedInstances) appendInstance(dst []byte, in *moldable.Instance) ([]
 		return moldable.AppendInstance(dst, in)
 	}
 	fp := fingerprint{h0.Sum64(), h1.Sum64()}
-	if b := e.get(fp); b != nil {
+	b, seen := e.get(fp)
+	if b != nil {
 		return append(dst, b...), nil
 	}
 	start := len(dst)
 	dst, err := moldable.AppendInstance(dst, in)
 	if err == nil && len(dst)-start <= maxKnownBytes {
-		e.put(fp, bytes.Clone(dst[start:]))
+		if seen {
+			b = bytes.Clone(dst[start:])
+		}
+		e.put(fp, b)
 	}
 	return dst, err
 }

@@ -30,7 +30,7 @@ var (
 	SchedAlgo         = Default.CounterVec("sched_algo_total", "algo", "scheduling decisions by resolved algorithm/regime", AlgoLabels)
 	SchedProbes       = Default.Counter("sched_probes_total", "dual-approximation oracle probes (Try calls) across all searches")
 	SchedProbeLatency = Default.Histogram("sched_probe_latency_ns", "latency of one dual-search oracle probe, nanoseconds")
-	TraceDropped      = Default.Counter("sched_trace_dropped_total", "decision-trace samples dropped because a reader held the ring")
+	TraceDropped      = Default.Counter("sched_trace_dropped_total", "decision-trace samples dropped because a reader or another writer held the ring")
 )
 
 // Online runtime (internal/online).

@@ -1,6 +1,6 @@
 // Package obs is the zero-allocation observability core: a stdlib-only
 // metrics registry (atomic counters, gauges, and power-of-two-bucket
-// histograms), a sampled decision-trace ring buffer, and a Prometheus
+// histograms), one decision-trace ring buffer, and a Prometheus
 // text exposition of both (docs/OBSERVABILITY.md).
 //
 // The design constraint that shapes everything here is the hot-path
@@ -63,7 +63,7 @@ type Metric interface {
 	promWrite(b []byte) []byte // append exposition lines
 }
 
-// Registry holds the preregistered metrics and the live trace rings.
+// Registry holds the preregistered metrics.
 // Registration happens at package init (metrics.go) and panics on a
 // duplicate or malformed name — misregistration is a programming
 // error, and the obsreg analyzer catches it before the process does.
@@ -71,7 +71,6 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []Metric          //sched:guardedby mu
 	byName  map[string]Metric //sched:guardedby mu
-	rings   []*TraceRing      //sched:guardedby mu — bounded at maxRings, oldest evicted
 }
 
 // Default is the process registry; metrics.go declares the catalog on

@@ -2,20 +2,16 @@ package obs
 
 import (
 	"context"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Decision tracing: every scheduling decision (batch submit, online
-// replan, one-shot CLI run) can leave one flat TraceEvent in a
-// preallocated per-worker ring buffer. The rings are single-writer by
-// construction — each lives inside one core.Scratch, and a Scratch is
-// owned by exactly one worker goroutine (DESIGN.md §6) — and readers
-// (the stats wire op's trace dimension, moldsched -trace) snapshot
-// rings through the registry. The writer never blocks and never
-// allocates: it TryLocks, and if a reader holds the ring it drops the
-// sample and bumps sched_trace_dropped_total instead of waiting.
+// replan, one-shot CLI run) leaves one flat TraceEvent in the process's
+// one preallocated ring. Any goroutine may record into it, and readers
+// (the stats wire op's trace dimension, moldsched -trace) snapshot it.
+// The writer never blocks and never allocates: it TryLocks, and if a
+// reader or another writer holds the ring it drops the sample and bumps
+// sched_trace_dropped_total instead of waiting.
 
 // TraceEvent is one recorded scheduling decision. Fields are flat
 // (fixed-size plus strings that are always compile-time or wire-owned
@@ -23,7 +19,7 @@ import (
 type TraceEvent struct {
 	TID      string  // wire trace_id ("" for untagged callers)
 	At       int64   // wall clock, Unix nanoseconds
-	Source   string  // ring tag: which layer decided ("sched", "online", …)
+	Source   string  // which layer decided ("sched", "online")
 	Algo     string  // resolved algorithm (core.Algorithm.String)
 	N        int     // jobs in the instance
 	M        int     // machines
@@ -35,159 +31,62 @@ type TraceEvent struct {
 	Code     string  // stable error code (scherr/PROTOCOL.md), "" on success
 }
 
-// RingCap is the fixed event capacity of one trace ring. Rings are
-// preallocated at this size so steady-state recording never grows
-// anything.
+// RingCap is the fixed event capacity of the trace ring: the process
+// retains its last RingCap decisions.
 const RingCap = 256
 
-// maxRings bounds how many rings the registry tracks; the oldest is
-// evicted when a new one registers. Long-lived processes create one
-// ring per worker scratch, far below the bound — the bound exists so
-// test suites that churn schedulers cannot grow the registry forever.
-const maxRings = 512
-
-// sampleEvery is the global trace sampling stride: every k-th decision
-// is recorded. 1 records everything (default); 0 disables tracing.
-var sampleEvery atomic.Int64
-
-func init() { sampleEvery.Store(1) }
-
-// SetTraceSampling sets the sampling stride (record every k-th
-// decision; k ≤ 0 disables tracing) and returns the previous stride.
-func SetTraceSampling(k int64) int64 { return sampleEvery.Swap(k) }
-
-// TraceRing is a fixed-capacity decision-trace ring buffer with one
-// writer (the scratch-owning worker) and any number of snapshotting
-// readers. buf is guarded by mu, but the writer uses TryLock — see
-// Record — so the lock is never a hot-path wait. The lifetime count n
-// is read with sync/atomic functions so Recorded never touches mu at
-// all: a stats poller calling Recorded in a loop must not widen the
-// writer's TryLock-failure window. Every access to n is atomic —
-// mixing one plain fast-path read in would be a torn read on 32-bit
-// targets and a data race everywhere; schedlint's atomicmix analyzer
-// enforces the all-or-nothing rule.
+// TraceRing is a fixed-capacity ring of decision events. Writers
+// TryLock (see Record), so the lock is never a hot-path wait; readers
+// Lock.
 type TraceRing struct {
-	mu     sync.Mutex
-	source string              // layer tag stamped on events; SetSource before first Record
-	buf    [RingCap]TraceEvent //sched:guardedby mu
-	n      uint64              // total events written (atomic); buf[i%RingCap] holds event i
-
-	seq     atomic.Uint64 // sampling counter (pre-admission)
-	dropped atomic.Int64  // samples lost to TryLock contention
+	mu  sync.Mutex
+	buf [RingCap]TraceEvent //sched:guardedby mu
+	n   uint64              //sched:guardedby mu — events written; buf[i%RingCap] holds event i
 }
 
-// NewTraceRing allocates a ring tagged with a source layer and
-// registers it with the Default registry for snapshotting. Callers on
-// zero-alloc paths create the ring during warm-up (first call), never
-// steady-state.
-func NewTraceRing(source string) *TraceRing {
-	r := &TraceRing{source: source}
-	Default.addRing(r)
-	return r
-}
+// traces is the process's decision ring.
+var traces TraceRing
 
-func (reg *Registry) addRing(r *TraceRing) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if len(reg.rings) >= maxRings {
-		copy(reg.rings, reg.rings[1:])
-		reg.rings[len(reg.rings)-1] = r
-		return
-	}
-	reg.rings = append(reg.rings, r)
-}
+// RecordTrace stores one decision in the process's ring; see
+// TraceRing.Record.
+//
+//sched:hotpath
+func RecordTrace(e TraceEvent) { traces.Record(e) }
 
-// SetSource retags the ring (e.g. the online runtime retags the ring
-// inside its pooled scratch from "sched" to "online").
-func (r *TraceRing) SetSource(source string) {
-	r.mu.Lock()
-	r.source = source
-	r.mu.Unlock()
-}
-
-// Record stores one event, subject to the global sampling stride. The
-// write path never blocks and never allocates: if a snapshotting
-// reader holds the ring, the sample is dropped and counted in
-// sched_trace_dropped_total. A nil ring records nothing, so callers
-// can pass through before warm-up.
+// Record stores one event. The write path never blocks and never
+// allocates: if a reader or another writer holds the ring, the sample
+// is dropped and counted in sched_trace_dropped_total.
 //
 //sched:hotpath
 func (r *TraceRing) Record(e TraceEvent) {
-	if r == nil {
-		return
-	}
-	every := sampleEvery.Load()
-	if every <= 0 {
-		return
-	}
-	if every > 1 && r.seq.Add(1)%uint64(every) != 0 {
-		return
-	}
 	if !r.mu.TryLock() {
-		r.dropped.Add(1)
 		TraceDropped.Inc()
 		return
 	}
-	e.Source = r.source
-	n := atomic.LoadUint64(&r.n)
-	r.buf[n%RingCap] = e
-	// mu is held, so the writer is exclusive: load+store (rather than
-	// a CAS loop) is enough. The atomic store publishes the new count
-	// to lock-free Recorded readers.
-	atomic.StoreUint64(&r.n, n+1)
+	r.buf[r.n%RingCap] = e
+	r.n++
 	r.mu.Unlock()
 }
 
-// Recorded returns how many events have been written over the ring's
-// lifetime (wraparound included). Lock-free: polling Recorded must not
-// steal the writer's TryLock window.
-func (r *TraceRing) Recorded() uint64 {
-	return atomic.LoadUint64(&r.n)
-}
-
-// Dropped returns how many samples this ring lost to reader
-// contention.
-func (r *TraceRing) Dropped() int64 { return r.dropped.Load() }
-
-// Snapshot appends the ring's retained events to dst, oldest first,
-// and returns the extended slice. Reader side: allocates as needed.
-func (r *TraceRing) Snapshot(dst []TraceEvent) []TraceEvent {
+// Snapshot returns the ring's last max events, oldest first; max ≤ 0
+// means every retained event. Reader side: allocates the result.
+func (r *TraceRing) Snapshot(max int) []TraceEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := atomic.LoadUint64(&r.n)
-	start := uint64(0)
-	if n > RingCap {
-		start = n - RingCap
+	k := min(r.n, RingCap)
+	if max > 0 && uint64(max) < k {
+		k = uint64(max)
 	}
-	for i := start; i < n; i++ {
-		dst = append(dst, r.buf[i%RingCap])
-	}
-	return dst
-}
-
-// SnapshotTraces merges the retained events of every ring in the
-// registry, ordered by wall-clock time, returning at most max events
-// (the most recent ones; max ≤ 0 means no limit).
-func (reg *Registry) SnapshotTraces(max int) []TraceEvent {
-	reg.mu.Lock()
-	rings := make([]*TraceRing, len(reg.rings))
-	copy(rings, reg.rings)
-	reg.mu.Unlock()
-
-	var out []TraceEvent
-	for _, r := range rings {
-		out = r.Snapshot(out)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
+	out := make([]TraceEvent, 0, k)
+	for i := r.n - k; i < r.n; i++ {
+		out = append(out, r.buf[i%RingCap])
 	}
 	return out
 }
 
-// SnapshotTraces merges retained events from the Default registry; see
-// Registry.SnapshotTraces.
-func SnapshotTraces(max int) []TraceEvent { return Default.SnapshotTraces(max) }
+// SnapshotTraces returns the process's last max decisions, oldest
+// first (max ≤ 0 means every retained one); see TraceRing.Snapshot.
+func SnapshotTraces(max int) []TraceEvent { return traces.Snapshot(max) }
 
 // traceIDKeyType is unexported so only WithTraceID can build the key.
 type traceIDKeyType struct{}

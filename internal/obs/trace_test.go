@@ -9,15 +9,12 @@ import (
 )
 
 func TestTraceRingWraparound(t *testing.T) {
-	r := &TraceRing{source: "test"} // unregistered: keep Default clean
+	var r TraceRing // not the process ring: keep it clean
 	n := RingCap*2 + 17
 	for i := 0; i < n; i++ {
-		r.Record(TraceEvent{At: int64(i)})
+		r.Record(TraceEvent{At: int64(i), Source: "test"})
 	}
-	if got := r.Recorded(); got != uint64(n) {
-		t.Fatalf("recorded %d, want %d", got, n)
-	}
-	evs := r.Snapshot(nil)
+	evs := r.Snapshot(0)
 	if len(evs) != RingCap {
 		t.Fatalf("snapshot kept %d events, want %d", len(evs), RingCap)
 	}
@@ -31,73 +28,85 @@ func TestTraceRingWraparound(t *testing.T) {
 			t.Fatalf("evs[%d].Source = %q, want test", i, e.Source)
 		}
 	}
-}
-
-func TestTraceRingSampling(t *testing.T) {
-	old := SetTraceSampling(4)
-	defer SetTraceSampling(old)
-	r := &TraceRing{source: "test"}
-	for i := 0; i < 100; i++ {
-		r.Record(TraceEvent{At: int64(i)})
+	// max keeps the most recent events, oldest first; a max beyond
+	// what the ring retains keeps everything.
+	tail := r.Snapshot(5)
+	if len(tail) != 5 || tail[0].At != int64(n-5) || tail[4].At != int64(n-1) {
+		t.Fatalf("max=5 kept %d events starting at %d; want 5 starting at %d", len(tail), tail[0].At, n-5)
 	}
-	if got := r.Recorded(); got != 25 {
-		t.Errorf("stride 4 over 100 events recorded %d, want 25", got)
+	if got := len(r.Snapshot(RingCap + 1)); got != RingCap {
+		t.Fatalf("max=%d kept %d events, want %d", RingCap+1, got, RingCap)
 	}
-	SetTraceSampling(0)
-	r.Record(TraceEvent{})
-	if got := r.Recorded(); got != 25 {
-		t.Errorf("stride 0 must disable recording; got %d", got)
+	var fresh TraceRing
+	fresh.Record(TraceEvent{At: 1})
+	fresh.Record(TraceEvent{At: 2})
+	if got := fresh.Snapshot(0); len(got) != 2 || got[0].At != 1 || got[1].At != 2 {
+		t.Fatalf("partly filled ring snapshot = %+v, want At 1 then 2", got)
 	}
 }
 
-// TestTraceRingConcurrentReaders drives one writer against many
-// snapshotting readers under -race. The writer must never block and
-// every snapshot must be internally consistent (oldest-first, strictly
-// increasing stamps); drops are allowed and counted. The goroutine
-// count must return to baseline afterwards. Readers pause between
-// snapshots, as stats readers do in real use. Four unpaced readers on a
-// loaded machine queue on the mutex, which then hands the lock from
-// reader to reader (starvation mode) and fails every one of the
-// writer's TryLocks; yielding alone still did so about once in a
-// thousand runs.
+// TestTraceRingConcurrentReaders drives four writers against four
+// snapshotting readers under -race. No writer may block, and every
+// snapshot must be internally consistent: each writer's events appear
+// oldest-first. A sample that meets a reader or another writer is
+// dropped and counted, so the events recorded plus the drops counted
+// must equal the writes. The goroutine count must return to baseline
+// afterwards. Readers pause between snapshots, as stats readers do in
+// real use. Four unpaced readers on a loaded machine queue on the
+// mutex, which then hands the lock from reader to reader (starvation
+// mode) and fails every one of the writers' TryLocks; yielding alone
+// still did so about once in a thousand runs.
 func TestTraceRingConcurrentReaders(t *testing.T) {
 	base := runtime.NumGoroutine()
-	r := NewTraceRing("race")
-	const writes = 20000
+	dropped := TraceDropped.Value()
+	var r TraceRing
+	const perWriter = 5000
+	const writers = 4
 	const readers = 4
 
-	var wg sync.WaitGroup
+	var rd, wr sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < readers; i++ {
-		wg.Add(1)
+		rd.Add(1)
 		go func() {
-			defer wg.Done()
-			var buf []TraceEvent
+			defer rd.Done()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				buf = r.Snapshot(buf[:0])
-				for j := 1; j < len(buf); j++ {
-					if buf[j].At < buf[j-1].At {
+				var last [writers]int64
+				for _, e := range r.Snapshot(0) {
+					if e.At < last[e.N] {
 						t.Error("snapshot out of order")
 						return
 					}
+					last[e.N] = e.At
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
 		}()
 	}
-	for i := 0; i < writes; i++ {
-		r.Record(TraceEvent{At: int64(i)})
+	for w := 0; w < writers; w++ {
+		wr.Add(1)
+		go func() {
+			defer wr.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Record(TraceEvent{N: w, At: int64(i)})
+			}
+		}()
 	}
+	wr.Wait()
 	close(stop)
-	wg.Wait()
+	rd.Wait()
 
-	if rec, dr := r.Recorded(), r.Dropped(); rec+uint64(dr) != writes {
-		t.Errorf("recorded %d + dropped %d != %d writes", rec, dr, writes)
+	r.mu.Lock()
+	rec := r.n
+	r.mu.Unlock()
+	dr := TraceDropped.Value() - dropped
+	if rec+uint64(dr) != writers*perWriter {
+		t.Errorf("recorded %d + dropped %d != %d writes", rec, dr, writers*perWriter)
 	} else if rec == 0 {
 		t.Error("every write dropped; TryLock contention should not be total")
 	}
@@ -108,50 +117,6 @@ func TestTraceRingConcurrentReaders(t *testing.T) {
 			t.Fatalf("goroutine leak: %d now vs %d at baseline", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestSnapshotTracesMergesAndBounds(t *testing.T) {
-	reg := &Registry{}
-	a := &TraceRing{source: "a"}
-	b := &TraceRing{source: "b"}
-	reg.addRing(a)
-	reg.addRing(b)
-	for i := 0; i < 10; i++ {
-		a.Record(TraceEvent{At: int64(2 * i)})
-		b.Record(TraceEvent{At: int64(2*i + 1)})
-	}
-	all := reg.SnapshotTraces(0)
-	if len(all) != 20 {
-		t.Fatalf("merged %d events, want 20", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].At < all[i-1].At {
-			t.Fatal("merge not time-ordered")
-		}
-	}
-	tail := reg.SnapshotTraces(5)
-	if len(tail) != 5 || tail[0].At != 15 {
-		t.Fatalf("max=5 kept %d events starting at %d; want 5 starting at 15", len(tail), tail[0].At)
-	}
-}
-
-func TestRegistryRingBound(t *testing.T) {
-	reg := &Registry{}
-	first := &TraceRing{source: "first"}
-	reg.addRing(first)
-	for i := 0; i < maxRings; i++ {
-		reg.addRing(&TraceRing{source: "filler"})
-	}
-	reg.mu.Lock()
-	n := len(reg.rings)
-	evicted := reg.rings[0] != first
-	reg.mu.Unlock()
-	if n != maxRings {
-		t.Errorf("ring list grew to %d, want bound %d", n, maxRings)
-	}
-	if !evicted {
-		t.Error("oldest ring not evicted at bound")
 	}
 }
 
@@ -173,9 +138,8 @@ func TestCtxTraceID(t *testing.T) {
 }
 
 func TestRecordZeroAlloc(t *testing.T) {
-	r := NewTraceRing("zeroalloc")
-	e := TraceEvent{TID: "t-1", Algo: "linear", N: 8, M: 64}
-	if n := testing.AllocsPerRun(200, func() { r.Record(e) }); n != 0 {
+	e := TraceEvent{TID: "t-1", Source: "sched", Algo: "linear", N: 8, M: 64}
+	if n := testing.AllocsPerRun(200, func() { RecordTrace(e) }); n != 0 {
 		t.Errorf("Record allocates %.0f/op", n)
 	}
 }

@@ -53,7 +53,7 @@ func Replay(ctx context.Context, cfg Config, trace []Arrival) ([]Event, Metrics,
 
 // ReplayOn replays the trace on an existing (fresh or Reset) runtime,
 // accumulating every event. The returned slice is caller-owned.
-func ReplayOn(ctx context.Context, rt Runtime, trace []Arrival) ([]Event, Metrics, error) {
+func ReplayOn(ctx context.Context, rt *Runtime, trace []Arrival) ([]Event, Metrics, error) {
 	var log []Event
 	for i, a := range trace {
 		evs, err := rt.Arrive(ctx, a)

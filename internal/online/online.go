@@ -10,7 +10,7 @@
 // sim.Machine event core): a planned job starts as soon as its
 // processors are free, in planned start order.
 //
-// Three policies, all behind the Runtime interface:
+// Three policies, all run by the one Runtime:
 //
 //   - ReplanOnEpoch (default): batch accumulation. Arrivals wait while
 //     the current batch executes; when the machine drains (and a

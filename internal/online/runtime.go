@@ -50,39 +50,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Runtime is the online scheduler: feed timestamped arrivals in order,
-// then drain. Implementations are single-goroutine state (like every
-// Scratch in the repo); callers needing concurrency serialize access —
-// internal/service wraps one runtime per session behind a mutex.
-type Runtime interface {
-	// Arrive admits one job. It processes every machine event (job
-	// completions, epoch closures) up to a.T first, so the returned
-	// events are in non-decreasing time order. The returned slice is
-	// owned by the runtime and valid only until the next call.
-	//
-	// A canceled context interrupts without failing the runtime. The
-	// job may already have been admitted when the cancellation landed
-	// (an EvArrive event in the returned slice says so); an admitted
-	// job stays pending and is planned at the next opportunity — do
-	// not re-send it.
-	Arrive(ctx context.Context, a Arrival) ([]Event, error)
-	// Drain runs the machine to completion: every admitted job is
-	// planned (closing open epochs) and executed. The returned slice is
-	// owned by the runtime and valid only until the next call. A
-	// canceled ctx interrupts the drain without failing the runtime; a
-	// later Drain with a live context resumes.
-	Drain(ctx context.Context) ([]Event, error)
-	// Metrics snapshots the realized metrics so far (complete after a
-	// successful Drain).
-	Metrics() Metrics
-	// Reset returns the runtime to its initial empty state, keeping
-	// every internal buffer — the warm path for replaying many traces
-	// without allocation.
-	Reset()
-}
-
 // New validates cfg and returns an idle Runtime.
-func New(cfg Config) (Runtime, error) {
+func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	if cfg.M < 1 {
 		return nil, fmt.Errorf("online: m=%d must be ≥ 1", cfg.M)
@@ -101,14 +70,12 @@ func New(cfg Config) (Runtime, error) {
 	default:
 		return nil, fmt.Errorf("online: unknown policy %d", int(cfg.Policy))
 	}
-	rt := &runtime{cfg: cfg}
+	rt := &Runtime{cfg: cfg}
 	// Bind the completion callback once: a per-AdvanceTo method value
 	// would allocate a closure on every event (DESIGN.md §6).
 	rt.onFinishFn = rt.onFinish
-	// Create and retag the pooled scratch's decision ring now, at
-	// construction: epoch decisions then snapshot as source "online"
-	// rather than "sched", and replans never pay the warm-up allocation.
-	rt.sc.ObsRing().SetSource("online")
+	// Epoch decisions show in the trace ring as source "online".
+	rt.sc.TraceSource = "online"
 	rt.Reset()
 	return rt, nil
 }
@@ -132,10 +99,13 @@ func (p planned) Less(o planned) bool {
 	return p.job < o.job
 }
 
-// runtime is the single Runtime implementation; the policies share its
-// event loop and differ only in when replan runs and which planner it
-// calls.
-type runtime struct {
+// Runtime is the online scheduler: feed timestamped arrivals in order,
+// then drain. The policies share its event loop and differ only in when
+// replan runs and which planner it calls. A Runtime is
+// single-goroutine state (like every Scratch in the repo); callers
+// needing concurrency serialize access — internal/service wraps one
+// runtime per session behind a mutex.
+type Runtime struct {
 	cfg  Config
 	mach sim.Machine
 	sc   core.Scratch // pooled planner scratch, reused across epochs
@@ -174,7 +144,10 @@ type runtime struct {
 	err     error // sticky planner/stream failure
 }
 
-func (rt *runtime) Reset() {
+// Reset returns the runtime to its initial empty state, keeping every
+// internal buffer — the warm path for replaying many traces without
+// allocation.
+func (rt *Runtime) Reset() {
 	rt.mach.Reset(rt.cfg.M)
 	rt.jobs = rt.jobs[:0]
 	rt.arriveT = rt.arriveT[:0]
@@ -197,7 +170,7 @@ func (rt *runtime) Reset() {
 	rt.err = nil
 }
 
-func (rt *runtime) fail(err error) error {
+func (rt *Runtime) fail(err error) error {
 	rt.err = err
 	return err
 }
@@ -207,7 +180,7 @@ func (rt *runtime) fail(err error) error {
 // (the pending set still holds every unplanned job), so it is NOT
 // sticky and a retry under a live context resumes. Anything else is a
 // genuine stream failure and poisons the runtime.
-func (rt *runtime) planFail(err error) error {
+func (rt *Runtime) planFail(err error) error {
 	if errors.Is(err, scherr.ErrCanceled) {
 		return err
 	}
@@ -215,13 +188,13 @@ func (rt *runtime) planFail(err error) error {
 }
 
 //sched:hotpath
-func (rt *runtime) emit(e Event) { rt.events = append(rt.events, e) }
+func (rt *Runtime) emit(e Event) { rt.events = append(rt.events, e) }
 
 // onFinish records a completion (capacity already released by the
 // machine) and emits its event.
 //
 //sched:hotpath
-func (rt *runtime) onFinish(r sim.Running) {
+func (rt *Runtime) onFinish(r sim.Running) {
 	rt.finishT[r.Job] = r.Finish
 	rt.finished++
 	flow := r.Finish - rt.arriveT[r.Job]
@@ -240,7 +213,7 @@ func (rt *runtime) onFinish(r sim.Running) {
 // past a wider job — the discipline of sim's WorkConserving replay).
 //
 //sched:hotpath
-func (rt *runtime) dispatch() {
+func (rt *Runtime) dispatch() {
 	for rt.plan.Len() > 0 {
 		p := rt.plan.Min()
 		if p.procs > rt.mach.Free() {
@@ -268,7 +241,7 @@ func (rt *runtime) dispatch() {
 // opened (the doubling rule).
 //
 //sched:hotpath
-func (rt *runtime) epochClose() (moldable.Time, bool) {
+func (rt *Runtime) epochClose() (moldable.Time, bool) {
 	if rt.cfg.Policy != ReplanOnEpoch || len(rt.pending) == 0 ||
 		rt.mach.Busy() > 0 || rt.plan.Len() > 0 {
 		return 0, false
@@ -284,7 +257,7 @@ func (rt *runtime) epochClose() (moldable.Time, bool) {
 // epoch closures, interleaved in time order — then moves the clock to t.
 //
 //sched:hotpath
-func (rt *runtime) advance(t moldable.Time) error {
+func (rt *Runtime) advance(t moldable.Time) error {
 	// The two inner event sources are mutually exclusive: epochClose
 	// requires an idle machine, NextFinish a busy one. So each pass
 	// fires whichever is due, never has to order them against each
@@ -314,7 +287,7 @@ func (rt *runtime) advance(t moldable.Time) error {
 // is rebuilt in planned start order. Moldable policies plan with
 // core.ScheduleScratchCtx on the pooled scratch (allocation-free once
 // warm); Greedy list-schedules the rigid allotments fixed at arrival.
-func (rt *runtime) replan(t moldable.Time) error {
+func (rt *Runtime) replan(t moldable.Time) error {
 	for i := 0; i < rt.plan.Len(); i++ {
 		rt.pending = append(rt.pending, rt.plan.At(i).job)
 	}
@@ -392,7 +365,16 @@ func (rt *runtime) replan(t moldable.Time) error {
 	return nil
 }
 
-func (rt *runtime) Arrive(ctx context.Context, a Arrival) ([]Event, error) {
+// Arrive admits one job. It processes every machine event (job
+// completions, epoch closures) up to a.T first, so the returned events
+// are in non-decreasing time order. The returned slice is owned by the
+// runtime and valid only until the next call.
+//
+// A canceled context interrupts without failing the runtime. The job
+// may already have been admitted when the cancellation landed (an
+// EvArrive event in the returned slice says so); an admitted job stays
+// pending and is planned at the next opportunity — do not re-send it.
+func (rt *Runtime) Arrive(ctx context.Context, a Arrival) ([]Event, error) {
 	if rt.err != nil {
 		return nil, rt.err
 	}
@@ -446,7 +428,12 @@ func (rt *runtime) Arrive(ctx context.Context, a Arrival) ([]Event, error) {
 	return rt.events, nil
 }
 
-func (rt *runtime) Drain(ctx context.Context) ([]Event, error) {
+// Drain runs the machine to completion: every admitted job is planned
+// (closing open epochs) and executed. The returned slice is owned by
+// the runtime and valid only until the next call. A canceled ctx
+// interrupts the drain without failing the runtime; a later Drain with
+// a live context resumes.
+func (rt *Runtime) Drain(ctx context.Context) ([]Event, error) {
 	if rt.err != nil {
 		return nil, rt.err
 	}
@@ -478,7 +465,9 @@ func (rt *runtime) Drain(ctx context.Context) ([]Event, error) {
 	return rt.events, nil
 }
 
-func (rt *runtime) Metrics() Metrics {
+// Metrics snapshots the realized metrics so far (complete after a
+// successful Drain).
+func (rt *Runtime) Metrics() Metrics {
 	m := rt.met
 	m.M = rt.cfg.M
 	m.Jobs = len(rt.jobs)

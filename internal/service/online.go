@@ -31,9 +31,9 @@ var ErrUnknownSession = errors.New("service: unknown or closed online session")
 
 type onlineSession struct {
 	mu  sync.Mutex
-	m   int            // machine size, for admission-time job validation
-	rt  online.Runtime //sched:guardedby mu
-	log []online.Event //sched:guardedby mu
+	m   int             // machine size, for admission-time job validation
+	rt  *online.Runtime //sched:guardedby mu
+	log []online.Event  //sched:guardedby mu
 	// lastUsed is the wall-clock nanosecond timestamp of the last
 	// session op, for idle reaping (ReapOnlineIdle). Atomic, not
 	// mu-guarded: the reaper must read it without taking every

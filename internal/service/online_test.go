@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/moldable"
+	"repro/internal/obs"
 	"repro/internal/online"
 )
 
@@ -131,4 +134,57 @@ func TestOnlineSessionsConcurrent(t *testing.T) {
 	if st := s.Stats(); st.OnlineSessions != 0 || st.OnlineOpened != 8 || st.OnlineArrivals != 160 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// TestOnlineSessionsKeepBatchTraces: online sessions register nothing
+// with the observability layer. After 600 sessions, each fed one
+// arrival and drained, a batch decision made under a fresh trace_id is
+// in the process's trace ring, and the live heap has not grown by the
+// sessions' trace state.
+func TestOnlineSessionsKeepBatchTraces(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	in := moldable.Random(moldable.GenConfig{N: 8, M: 64, Seed: 5})
+	// The worker has decided before the sessions open, as a serving
+	// process's workers have.
+	if r := s.DoCtx(ctx, in, core.Options{Algorithm: core.Linear, Eps: 0.5}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range 600 {
+		id, err := s.OpenOnline(online.Config{M: 4, Eps: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.OnlineArrive(ctx, id, online.Arrival{T: 0, Job: moldable.Sequential{T: 1}}); err != nil {
+			t.Fatalf("session %d: arrive: %v", i, err)
+		}
+		if _, _, err := s.OnlineDrain(ctx, id); err != nil {
+			t.Fatalf("session %d: drain: %v", i, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 4<<20 {
+		t.Errorf("live heap grew %d KB across 600 drained sessions, want < 4096 KB", grew>>10)
+	}
+
+	const tid = "t-after-online-sessions"
+	if r := s.DoCtx(obs.WithTraceID(ctx, tid), in, core.Options{Algorithm: core.Linear, Eps: 0.25}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for _, e := range obs.SnapshotTraces(0) {
+		if e.TID == tid {
+			if e.Source != "sched" || e.Algo != "linear" {
+				t.Errorf("decision source/algo = %q/%q, want sched/linear", e.Source, e.Algo)
+			}
+			return
+		}
+	}
+	t.Errorf("the batch decision tagged %s is missing from the trace ring after 600 online sessions", tid)
 }
