@@ -6,9 +6,9 @@
 // context propagation, wire-protocol/doc coherence, Reset completeness,
 // package documentation, scratch-buffer ownership (scratchown), mutex
 // discipline on //sched:guardedby fields (lockguard), goroutine join
-// paths (goroleak), whole-module lock-ordering cycles (lockorder),
-// sync/atomic access consistency (atomicmix), and channel ownership
-// (chanrule).
+// paths (goroleak), whole-module lock-ordering cycles (lockorder), no
+// untyped sync/atomic API (atomicmix; typed-atomic copies are left to
+// `go vet`'s copylocks), and channel ownership (chanrule).
 //
 // Usage:
 //

@@ -31,6 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,8 +49,7 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// RunModule, when non-nil, applies the analyzer once per
 	// invocation to every loaded package together — the hook for
-	// whole-repo properties (the lockorder graph, atomicmix's
-	// "atomic anywhere means atomic everywhere") that no single
+	// whole-repo properties (the lockorder graph) that no single
 	// package can decide.
 	RunModule func(*ModulePass) error
 }
@@ -122,6 +122,19 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 		return o
 	}
 	return p.TypesInfo.Defs[id]
+}
+
+// isNamed reports whether t, or the type t points to, is the named
+// type pkgPath.name for one of names.
+func isNamed(t types.Type, pkgPath string, names ...string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != pkgPath {
+		return false
+	}
+	return slices.Contains(names, named.Obj().Name())
 }
 
 // directive is the prefix of the hot-path marker comment. The comment

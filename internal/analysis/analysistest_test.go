@@ -10,6 +10,7 @@ package analysis
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -155,6 +156,46 @@ func TestLockOrderCorpus(t *testing.T) {
 
 func TestAtomicMixCorpus(t *testing.T) {
 	runCorpus(t, []*Analyzer{AtomicMix}, "atomicmix", "corpus/internal/atomicmix")
+}
+
+// TestVetCopylocksCoversTypedAtomics pins the delegation behind
+// atomicmix's narrow rule: a by-value copy of a typed atomic (assignment,
+// range value, by-value argument) is caught by `go vet`'s copylocks,
+// which CI runs, because each typed atomic embeds a noCopy. If a
+// toolchain ever drops that, this fails instead of the guarantee
+// disappearing silently.
+func TestVetCopylocksCoversTypedAtomics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet")
+	}
+	dir := filepath.Join("testdata", "vetcopy")
+	src, err := os.ReadFile(filepath.Join(dir, "copies.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", ".")
+	cmd.Dir = dir
+	out, _ := cmd.CombinedOutput()
+	flagged := map[int]bool{}
+	for _, m := range regexp.MustCompile(`copies\.go:(\d+):\d+: .*lock`).FindAllStringSubmatch(string(out), -1) {
+		line, _ := strconv.Atoi(m[1])
+		flagged[line] = true
+	}
+	marked := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.HasSuffix(line, "// copylocks") {
+			marked++
+			if !flagged[i+1] {
+				t.Errorf("copies.go:%d: go vet reported no copylocks finding for %q", i+1, strings.TrimSpace(line))
+			}
+		}
+	}
+	if marked == 0 {
+		t.Fatal("no line of copies.go is marked // copylocks")
+	}
+	if t.Failed() {
+		t.Logf("go vet output:\n%s", out)
+	}
 }
 
 func TestChanRuleCorpus(t *testing.T) {

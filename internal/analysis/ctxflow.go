@@ -105,7 +105,7 @@ func markNilDefaults(pass *Pass, body *ast.BlockStmt, exempt map[*ast.CallExpr]b
 		case isNilIdent(bin.X):
 			guarded, _ = ast.Unparen(bin.Y).(*ast.Ident)
 		}
-		if guarded == nil || !isContextType(pass.TypeOf(guarded)) {
+		if guarded == nil || !isNamed(pass.TypeOf(guarded), "context", "Context") {
 			return true
 		}
 		obj := pass.ObjectOf(guarded)
@@ -159,20 +159,11 @@ func funcTakesCtx(pass *Pass, fn *ast.FuncDecl) bool {
 
 func signatureTakesCtx(sig *types.Signature) bool {
 	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
+		if isNamed(sig.Params().At(i).Type(), "context", "Context") {
 			return true
 		}
 	}
 	return false
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // checkCtxCall flags a call to a non-ctx function when a ctx-taking

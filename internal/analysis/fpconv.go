@@ -74,12 +74,8 @@ func runFPConv(pass *Pass) error {
 // floorCeilName returns "Floor"/"Ceil" when call invokes math.Floor or
 // math.Ceil, else "".
 func floorCeilName(pass *Pass, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "math" {
+	fn := calleeFunc(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "math" {
 		return ""
 	}
 	if fn.Name() == "Floor" || fn.Name() == "Ceil" {

@@ -81,7 +81,7 @@ func hasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {
 					found = true
 				}
 			case *ast.SelectorExpr:
-				if fun.Sel.Name == "Done" && isWaitGroupType(pass.TypeOf(fun.X)) {
+				if fun.Sel.Name == "Done" && isNamed(pass.TypeOf(fun.X), "sync", "WaitGroup") {
 					found = true
 				}
 			}
@@ -89,13 +89,4 @@ func hasJoinSignal(pass *Pass, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-func isWaitGroupType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }

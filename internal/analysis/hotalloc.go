@@ -384,17 +384,8 @@ func scratchBacked(pass *Pass, expr ast.Expr, allowed map[types.Object]bool) boo
 // arena.Grow, arena.Zeroed, and knapsack.GeomAppend (qualified or
 // package-local).
 func isArenaCall(pass *Pass, call *ast.CallExpr) bool {
-	var fnObj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		fnObj = pass.ObjectOf(fun.Sel)
-	case *ast.Ident:
-		fnObj = pass.ObjectOf(fun)
-	default:
-		return false
-	}
-	fn, ok := fnObj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := calleeFunc(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
 	switch fn.Pkg().Name() {

@@ -126,26 +126,11 @@ func validGuardField(pass *Pass, st *ast.StructType, name string) bool {
 	for _, field := range st.Fields.List {
 		for _, id := range field.Names {
 			if id.Name == name {
-				return isMutexType(pass.TypeOf(field.Type))
+				return isNamed(pass.TypeOf(field.Type), "sync", "Mutex", "RWMutex")
 			}
 		}
 	}
 	return false
-}
-
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // checkLockScopes runs the held-lock dataflow on the CFG of every
@@ -385,7 +370,7 @@ func (r *lockReader) lockCall(call *ast.CallExpr, deferred bool) bool {
 		return false
 	}
 	m, ok := lockMethods[sel.Sel.Name]
-	if !ok || !isMutexType(r.info.TypeOf(sel.X)) {
+	if !ok || !isNamed(r.info.TypeOf(sel.X), "sync", "Mutex", "RWMutex") {
 		return false
 	}
 	if key := r.key(sel.X); key != "" {

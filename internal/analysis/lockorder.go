@@ -108,7 +108,7 @@ func (st *lockOrderState) collectKeys(pkg *Package) {
 							return true
 						}
 						for _, field := range stype.Fields.List {
-							if !isMutexType(pkg.Info.TypeOf(field.Type)) {
+							if !isNamed(pkg.Info.TypeOf(field.Type), "sync", "Mutex", "RWMutex") {
 								continue
 							}
 							for _, id := range field.Names {
@@ -122,7 +122,7 @@ func (st *lockOrderState) collectKeys(pkg *Package) {
 				case *ast.ValueSpec:
 					for _, id := range sp.Names {
 						obj := pkg.Info.Defs[id]
-						if obj != nil && isMutexType(obj.Type()) {
+						if obj != nil && isNamed(obj.Type(), "sync", "Mutex", "RWMutex") {
 							st.keys[obj] = pkg.Name + "." + id.Name
 						}
 					}
@@ -276,7 +276,7 @@ func hasDirectAcquire(pkg *Package, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if m, isLock := lockMethods[sel.Sel.Name]; isLock && m.kind == lockAcquire && isMutexType(pkg.Info.TypeOf(sel.X)) {
+		if m, isLock := lockMethods[sel.Sel.Name]; isLock && m.kind == lockAcquire && isNamed(pkg.Info.TypeOf(sel.X), "sync", "Mutex", "RWMutex") {
 			found = true
 			return false
 		}

@@ -182,3 +182,34 @@ func TestMutationServiceCloneScratchOwn(t *testing.T) {
 		t.Errorf("unCloned schedule: want exactly the put and finish escapes, got: %v", diags)
 	}
 }
+
+// TestMutationUntypedAtomic turns the service's failure counter back
+// into a plain int64 bumped with atomic.AddInt64 and read plainly by
+// Stats: the mixed atomic/plain access the typed atomics rule out.
+// atomicmix must flag the untyped call at its line.
+func TestMutationUntypedAtomic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks internal/service")
+	}
+	dir := copyPkgNonTest(t, filepath.Join("..", "service"))
+	if diags := runOnDir(t, dir, "mutation/service", AtomicMix); len(diags) != 0 {
+		t.Fatalf("unmutated service copy not atomicmix-clean: %v", diags)
+	}
+
+	mutateFile(t, dir, "service.go",
+		"submitted, completed, failures, resultHits atomic.Int64",
+		"submitted, completed, resultHits atomic.Int64\n\tfailures int64")
+	mutateFile(t, dir, "service.go", "s.failures.Add(1)", "atomic.AddInt64(&s.failures, 1)")
+	mutateFile(t, dir, "service.go", "s.failures.Load()", "s.failures")
+
+	diags := runOnDir(t, dir, "mutation/service", AtomicMix)
+	src, err := os.ReadFile(filepath.Join(dir, "service.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 + strings.Count(string(src[:strings.Index(string(src), "atomic.AddInt64(")]), "\n")
+	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "service.go" || diags[0].Pos.Line != want ||
+		!strings.Contains(diags[0].Message, "sync/atomic.AddInt64") || !strings.Contains(diags[0].Message, "atomic.Int64") {
+		t.Errorf("untyped failure counter: want one atomicmix diagnostic naming AddInt64 and atomic.Int64 at service.go:%d, got: %v", want, diags)
+	}
+}

@@ -1,101 +1,38 @@
 // Package atomicmix is the golden corpus for the atomicmix analyzer:
-// mixed atomic/plain access to the same field or package variable, the
-// fresh-local constructor exemption, atomic.Value store-type
-// consistency, and by-value copies of typed atomics.
+// every use of a sync/atomic package function, called or taken as a
+// value, and every use of atomic.Value is flagged; the typed atomics
+// are clean.
 package atomicmix
 
-import "sync/atomic"
-
-// --- mixed access on a struct field ---
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 type hits struct {
 	n     uint64
-	other int
+	typed atomic.Int64
 }
 
 func (h *hits) inc() {
-	atomic.AddUint64(&h.n, 1)
+	atomic.AddUint64(&h.n, 1) // want "untyped sync/atomic\\.AddUint64: .*; use atomic\\.Uint64"
+	h.typed.Add(1)
 }
 
-func (h *hits) load() uint64 {
-	return atomic.LoadUint64(&h.n)
-}
-
-func (h *hits) plainRead() uint64 {
-	return h.n // want "plain read of atomicmix\\.hits\\.n, which is accessed via atomic\\.AddUint64"
-}
-
-func (h *hits) plainWrite() {
-	h.n = 0 // want "plain write of atomicmix\\.hits\\.n"
-}
-
-// newHits touches the field through a provably fresh local: storage
-// not yet shared cannot race.
-func newHits() *hits {
-	h := &hits{}
-	h.n = 1
-	return h
-}
-
-// other is never accessed atomically; plain access is fine.
-func (h *hits) touchOther() {
-	h.other++
-}
-
-// --- mixed access on a package variable ---
-
-var total uint64
-
-func addTotal() {
-	atomic.AddUint64(&total, 1)
-}
-
-func readTotal() uint64 {
-	return total // want "plain read of atomicmix\\.total"
-}
-
-// --- atomic.Value store-type consistency ---
+// A function value is as untyped as a call.
+var load = atomic.LoadInt32 // want "untyped sync/atomic\\.LoadInt32: .*; use atomic\\.Int32"
 
 type box struct {
-	v atomic.Value
+	v atomic.Value // want "atomic\\.Value panics when a second concrete type is stored; use atomic\\.Pointer\\[T\\]"
+	p atomic.Pointer[string]
 }
 
-func (b *box) putString(s string) {
-	b.v.Store(s)
-}
+func (b *box) put(s string) { b.p.Store(&s) }
 
-func (b *box) putInt(i int) {
-	b.v.Store(i) // want "stores int here but string at .*; atomic\\.Value requires one consistent concrete type"
-}
+var current *atomic.Value // want "atomic\\.Value panics"
 
-type consistent struct {
-	v atomic.Value
-}
+var raw unsafe.Pointer
 
-func (c *consistent) put(s string)  { c.v.Store(s) }
-func (c *consistent) swap(s string) { c.v.Swap(s) }
-
-// --- by-value copies of typed atomics ---
-
-type gauge struct {
-	val atomic.Int64
-}
-
-func sinkGauge(v atomic.Int64) int64 { return v.Load() }
-
-func copyGauge(g *gauge) {
-	c := g.val // want "assignment copies sync/atomic\\.Int64 value"
-	_ = c.Load()
-	_ = sinkGauge(g.val) // want "passing sync/atomic\\.Int64 by value copies it"
-}
-
-func sumGauges(gs []atomic.Int64) int64 {
-	var t int64
-	for _, g := range gs { // want "range copies sync/atomic\\.Int64 values"
-		t += g.Load()
-	}
-	for i := range gs {
-		t += gs[i].Load()
-	}
-	return t
+func swapRaw(p unsafe.Pointer) unsafe.Pointer {
+	return atomic.SwapPointer(&raw, p) // want "untyped sync/atomic\\.SwapPointer: .*; use atomic\\.Pointer\\[T\\]"
 }
