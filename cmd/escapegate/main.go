@@ -76,22 +76,9 @@ func main() {
 		fatalf("-out and -check are mutually exclusive")
 	}
 
-	spans, pkgs, modRoot, err := discoverHotpath(*patterns)
+	rep, err := scan(*patterns)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if len(spans) == 0 {
-		fatalf("no //sched:hotpath functions found under %s", *patterns)
-	}
-	transcript, err := runEscapeAnalysis(modRoot, pkgs)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep := Report{
-		Version:   1,
-		Go:        runtime.Version(),
-		Packages:  pkgs,
-		Functions: attribute(spans, parseEscapeOutput(transcript)),
 	}
 
 	if *check != "" {
@@ -130,6 +117,28 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Printf("escapegate: wrote %s (%d functions, %d packages)\n", *out, len(rep.Functions), len(rep.Packages))
+}
+
+// scan records the compiler's escape and inlining facts for every
+// //sched:hotpath function in the packages matching patterns.
+func scan(patterns string) (Report, error) {
+	spans, pkgs, modRoot, err := discoverHotpath(patterns)
+	if err != nil {
+		return Report{}, err
+	}
+	if len(spans) == 0 {
+		return Report{}, fmt.Errorf("no //sched:hotpath functions found under %s", patterns)
+	}
+	transcript, err := runEscapeAnalysis(modRoot, pkgs)
+	if err != nil {
+		return Report{}, err
+	}
+	return Report{
+		Version:   1,
+		Go:        runtime.Version(),
+		Packages:  pkgs,
+		Functions: attribute(spans, parseEscapeOutput(transcript)),
+	}, nil
 }
 
 // span is one //sched:hotpath function's source extent.

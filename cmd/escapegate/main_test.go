@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -168,5 +170,31 @@ func TestQualNameAndSpans(t *testing.T) {
 			t.Errorf("duplicate span key %s", s.key())
 		}
 		seen[s.key()] = true
+	}
+}
+
+// TestTreeMatchesSnapshot is the escape gate under `go test ./...`: the
+// comparison `go run ./cmd/escapegate -check ESCAPE_PR9.json` makes,
+// run on the repository itself, as TestTreeClean does for schedlint.
+// Heap escapes in //sched:hotpath functions are gated here and nowhere
+// else statically (hotalloc covers only what escape analysis cannot
+// see), so this keeps `go test ./...` equivalent to the CI gate.
+func TestTreeMatchesSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds every hot-path package with -gcflags=-m=2")
+	}
+	base, err := loadReport(filepath.Join("..", "..", "ESCAPE_PR9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Go != runtime.Version() {
+		t.Skipf("snapshot was made with %s but this is %s; escape analysis differs across releases", base.Go, runtime.Version())
+	}
+	rep, err := scan("repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range compare(base, rep) {
+		t.Error(f)
 	}
 }

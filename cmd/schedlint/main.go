@@ -23,7 +23,7 @@
 // annotate the diff. Suppress an individual finding with an inline
 // directive carrying a justification:
 //
-//	//schedlint:ignore hotalloc cold fallback path, caller passed nil scratch
+//	//schedlint:ignore hotalloc one-time warm-up growth, guarded so steady-state reuse never re-allocates
 //
 // Unused or malformed directives are themselves diagnostics, so stale
 // suppressions cannot accumulate.

@@ -139,8 +139,8 @@ func isNamed(t types.Type, pkgPath string, names ...string) bool {
 
 // directive is the prefix of the hot-path marker comment. The comment
 // form //sched:hotpath (no space — a Go directive comment) on a
-// function's doc group marks it for the hotalloc analyzer and the
-// reachability meta-test.
+// function's doc group marks it for the hotalloc analyzer,
+// cmd/escapegate and the reachability meta-test.
 const hotpathDirective = "//sched:hotpath"
 
 // ownsResultDirective marks a function that intentionally hands out

@@ -2,13 +2,13 @@ package analysis
 
 // The hotpath meta-test: a //sched:hotpath directive is a claim that
 // the function runs on the scheduling hot path, which is what justifies
-// the hotalloc analyzer's strictness there. This test keeps the claims
-// honest — every marked function must be reachable from the hot
-// entry points (core.ScheduleScratchCtx and the online runtime's
-// New/Arrive/Drain) in an over-approximated call graph. A directive on
-// genuinely cold code would silently impose hot-path rules where they
-// don't belong; this test turns it into a failure with the orphaned
-// function named.
+// gating it with the hotalloc analyzer and the escapegate snapshot.
+// This test keeps the claims honest — every marked function must be
+// reachable from the hot entry points (core.ScheduleScratchCtx and the
+// online runtime's New/Arrive/Drain) in an over-approximated call
+// graph. A directive on genuinely cold code would silently impose
+// hot-path rules where they don't belong; this test turns it into a
+// failure with the orphaned function named.
 //
 // The call graph is name-keyed (types.Func.FullName) because each
 // package typechecks against export data, so object identity does not

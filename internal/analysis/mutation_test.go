@@ -213,3 +213,33 @@ func TestMutationUntypedAtomic(t *testing.T) {
 		t.Errorf("untyped failure counter: want one atomicmix diagnostic naming AddInt64 and atomic.Int64 at service.go:%d, got: %v", want, diags)
 	}
 }
+
+// TestMutationHotAllocAppend makes the estimator's per-probe
+// evaluation collect every γ into a fresh local slice. Nothing
+// escapes, so the compiler's escape analysis (cmd/escapegate) stays
+// silent, yet the slice grows from nothing on every dual probe.
+// hotalloc must flag the append at its line in lt.go.
+func TestMutationHotAllocAppend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks internal/lt")
+	}
+	dir := copyPkgNonTest(t, filepath.Join("..", "lt"))
+	if diags := runOnDir(t, dir, "mutation/lt", HotAlloc); len(diags) != 0 {
+		t.Fatalf("unmutated lt copy not hotalloc-clean: %v", diags)
+	}
+
+	mutateFile(t, dir, "lt.go",
+		"\tres := evalResult{feasible: true}\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n",
+		"\tres := evalResult{feasible: true}\n\tvar gs []int\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n\t\tgs = append(gs, g)\n")
+
+	diags := runOnDir(t, dir, "mutation/lt", HotAlloc)
+	src, err := os.ReadFile(filepath.Join(dir, "lt.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1 + strings.Count(string(src[:strings.Index(string(src), "gs = append(gs, g)")]), "\n")
+	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "lt.go" || diags[0].Pos.Line != want ||
+		!strings.Contains(diags[0].Message, "append grows a non-scratch slice") {
+		t.Errorf("append to a fresh local in evaluate: want one hotalloc diagnostic at lt.go:%d, got: %v", want, diags)
+	}
+}

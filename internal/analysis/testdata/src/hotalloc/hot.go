@@ -1,7 +1,8 @@
 // Package hotalloc is the golden corpus for the hotalloc analyzer:
-// every allocation-inducing construct it must flag inside a
-// //sched:hotpath function, and the scratch-backed patterns it must
-// accept.
+// every run-time allocation escape analysis cannot report that it must
+// flag inside a //sched:hotpath function, and the constructs it must
+// accept — scratch-backed appends, and the heap escapes that
+// cmd/escapegate gates with the compiler's own verdict.
 package hotalloc
 
 type scratch struct {
@@ -16,13 +17,8 @@ func (tool) work() int { return 0 }
 func sink(v any) { _ = v }
 
 //sched:hotpath
-func hotMake(n int) []int {
-	return make([]int, n) // want "make in hot path allocates"
-}
-
-//sched:hotpath
-func hotNew() *scratch {
-	return new(scratch) // want "new in hot path allocates"
+func hotMakeMap(n int) map[int]int {
+	return make(map[int]int, n) // want "make\\(map\\) in hot path allocates"
 }
 
 //sched:hotpath
@@ -31,33 +27,13 @@ func hotMapLit() map[int]int {
 }
 
 //sched:hotpath
-func hotSliceLit() []int {
-	return []int{1, 2} // want "slice literal in hot path allocates"
-}
-
-//sched:hotpath
-func hotAddrLit() *scratch {
-	return &scratch{} // want "composite literal in hot path escapes"
-}
-
-//sched:hotpath
-func hotClosure(n int) func() int {
-	return func() int { return n } // want "closure capturing \"n\" in hot path"
-}
-
-//sched:hotpath
-func hotMethodValue(t tool) func() int {
-	return t.work // want "method value work binds a closure"
-}
-
-//sched:hotpath
 func hotGo() {
-	go hotNew() // want "go statement in hot path"
+	go hotDefer() // want "go statement in hot path"
 }
 
 //sched:hotpath
 func hotDefer() {
-	defer hotNew() // want "defer in hot path"
+	defer hotGo() // want "defer in hot path"
 }
 
 //sched:hotpath
@@ -75,34 +51,11 @@ func hotStringConv(s string) []byte {
 }
 
 //sched:hotpath
-func hotBoxConv(n int) any {
-	return any(n) // want "conversion to interface boxes a non-pointer int"
+func hotRuneConv(r []rune) string {
+	return string(r) // want "string/slice conversion in hot path allocates"
 }
 
-//sched:hotpath
-func hotBoxArg(n int) {
-	sink(n) // want "argument boxes a non-pointer int"
-}
-
-//sched:hotpath
-func hotBoxAssign(n int) any {
-	var v any
-	v = n // want "assignment boxes a non-pointer int"
-	return v
-}
-
-//sched:hotpath
-func hotBoxDecl(n int) any {
-	var v any = n // want "declaration boxes a non-pointer int"
-	return v
-}
-
-//sched:hotpath
-func hotBoxReturn(n int) any {
-	return n // want "return boxes a non-pointer int"
-}
-
-// Accepted patterns: scratch-backed appends and pointer interfaces.
+// Accepted patterns: scratch-backed appends.
 
 //sched:hotpath
 func (sc *scratch) okFieldAppend(n int) {
@@ -124,24 +77,77 @@ func okDerivedAppend(dst []int) []int {
 	return tmp
 }
 
+// Heap escapes are cmd/escapegate's: each construct below allocates
+// only if the compiler moves it to the heap, which the escape snapshot
+// gates by reason string. hotalloc accepts them all.
+
 //sched:hotpath
-func okPointerInterface(sc *scratch) any {
-	return sc // pointers fit the interface word; no boxing
+func okMakeSlice(n int) []int {
+	return make([]int, n)
 }
 
 //sched:hotpath
-func okNilInterface() any {
-	return nil
+func okMakeChan() chan int {
+	return make(chan int, 1)
 }
 
 //sched:hotpath
-func okCalledMethod(t tool) int {
-	return t.work() // call position, not a method value
+func okNew() *scratch {
+	return new(scratch)
 }
 
-// Unmarked: the same constructs are fine in cold code.
+//sched:hotpath
+func okSliceLit() []int {
+	return []int{1, 2}
+}
+
+//sched:hotpath
+func okAddrLit() *scratch {
+	return &scratch{}
+}
+
+//sched:hotpath
+func okClosure(n int) func() int {
+	return func() int { return n }
+}
+
+//sched:hotpath
+func okMethodValue(t tool) func() int {
+	return t.work
+}
+
+//sched:hotpath
+func okBoxConv(n int) any {
+	return any(n)
+}
+
+//sched:hotpath
+func okBoxArg(n int) {
+	sink(n)
+}
+
+//sched:hotpath
+func okBoxAssign(n int) any {
+	var v any
+	v = n
+	return v
+}
+
+//sched:hotpath
+func okBoxDecl(n int) any {
+	var v any = n
+	return v
+}
+
+//sched:hotpath
+func okBoxReturn(n int) any {
+	return n
+}
+
+// Unmarked: the flagged constructs are fine in cold code.
 func coldEverything(n int) []int {
-	s := make([]int, n)
-	s = append(s, n)
+	m := map[int]int{n: n}
+	s := []int{}
+	s = append(s, m[n])
 	return s
 }

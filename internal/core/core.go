@@ -246,7 +246,7 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 		return nil, Report{}, scherr.Canceled(err)
 	}
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	start := time.Now()
 	rep := Report{Algorithm: opt.Algorithm, Eps: opt.Eps}
@@ -279,7 +279,7 @@ func ScheduleScratchCtx(ctx context.Context, in *moldable.Instance, opt Options,
 			obs.SchedCalls.Inc()
 			obs.SchedErrors.Inc()
 		}
-		return nil, Report{}, fmt.Errorf("core: unknown algorithm %v", algo) //schedlint:ignore hotalloc error path: boxing the bad algorithm tag is fine, the call never schedules
+		return nil, Report{}, fmt.Errorf("core: unknown algorithm %v", algo)
 	}
 	if err != nil {
 		sc.obsRecord(ctx, in, &rep, dr, time.Since(start), err)

@@ -106,7 +106,7 @@ func tryCompressibleShelf1(in *moldable.Instance, d moldable.Time, rho float64,
 	sc *Scratch, stats *Alg1Stats,
 	solve func(knapsack.Problem, *knapsack.Scratch) (knapsack.Solution, error)) (*schedule.Schedule, bool) {
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	dprime := (1 + 4*rho) * d
 	part := &sc.Shelves.Part

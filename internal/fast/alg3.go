@@ -86,7 +86,7 @@ func (a *Alg3) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	a.Stats.Tries++
 	sc := a.Scratch
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	in := a.In
 	delta := a.Eps / 5

@@ -25,7 +25,7 @@ type Item struct {
 //sched:owns-result
 func SolveDense(items []Item, C int, sc *Scratch) ([]int, float64) {
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	if C < 0 {
 		return nil, 0

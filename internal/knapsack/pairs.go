@@ -62,7 +62,7 @@ func (l *PairList) Add(item int, size, profit, cap float64, norm func(float64) f
 	// order, keeping only pairs that strictly improve profit.
 	oi := 0 // index into old (unshifted)
 	bestProfit := -1.0
-	push := func(idx int32) { //schedlint:ignore hotalloc non-escaping closure: captures only l and locals, stays on the stack (proven by the zero-alloc DP benchmarks)
+	push := func(idx int32) {
 		n := l.arena[idx]
 		if n.profit > bestProfit {
 			merged = append(merged, idx)

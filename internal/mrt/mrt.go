@@ -57,7 +57,7 @@ func (a *Dual) Try(d moldable.Time) (*schedule.Schedule, bool) {
 	a.Stats.Tries++
 	sc := a.Scratch
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	in := a.In
 	part := &sc.Shelves.Part

@@ -62,9 +62,10 @@ type ServeConfig struct {
 //
 // ctx is the session's base context: every per-request context
 // (timeout_ms deadlines included) derives from it, so canceling ctx —
-// a closed connection, a stopping server — stops in-flight work at its
-// next probe. ServeLines waits for its async handlers before
-// returning; it never writes to w afterwards.
+// a stopping server — stops in-flight work at its next probe. A closed
+// input does not: ServeLines waits for its async handlers, and so for
+// every ticket it submitted, before returning; it never writes to w
+// afterwards.
 //
 // This one function is the protocol implementation for every
 // transport: cmd/moldschedd runs it on stdin/stdout, Server runs it

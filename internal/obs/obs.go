@@ -7,8 +7,9 @@
 // discipline of DESIGN.md §6/§10: recording a sample from inside a
 // //sched:hotpath function must be a few atomic operations with zero
 // heap allocations steady-state, so the instrumented scheduler still
-// pins 0 allocs/op in TestScheduleScratchZeroAlloc and stays clean
-// under schedlint hotalloc and the escapegate. That rules out the
+// pins 0 allocs/op in TestScheduleScratchZeroAlloc, adds no heap
+// escape to the escapegate snapshot and nothing schedlint's hotalloc
+// flags (no map, append growth or string copy). That rules out the
 // usual label-map-per-observation client library shape:
 //
 //   - Every metric is preregistered once, centrally, in metrics.go

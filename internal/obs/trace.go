@@ -93,7 +93,8 @@ type traceIDKeyType struct{}
 
 // TraceIDKey carries a wire trace_id through a context. It is
 // pointer-typed so the hot-path ctx.Value lookup passes a pointer into
-// the interface parameter and does not box (hotalloc-clean).
+// the interface parameter and does not box (no heap escape for
+// escapegate to record).
 var TraceIDKey = &traceIDKeyType{}
 
 // WithTraceID tags a context with a wire trace_id for downstream

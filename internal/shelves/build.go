@@ -234,7 +234,7 @@ func (b *builder) classify(j, procs int, dur moldable.Time) {
 //sched:owns-result
 func Build(res *Result, in *moldable.Instance, tau moldable.Time, shelf1 []int, opt Options, sc *Scratch) bool {
 	if sc == nil {
-		sc = &Scratch{} //schedlint:ignore hotalloc cold fallback: only taken when the caller passed nil scratch; the warm path (TestScheduleScratchZeroAlloc) never reaches it
+		sc = &Scratch{}
 	}
 	m := in.M
 	*res = Result{}
@@ -275,7 +275,7 @@ func Build(res *Result, in *moldable.Instance, tau moldable.Time, shelf1 []int, 
 		}
 		sc.grid = knapsack.GeomAppend(sc.grid[:0], tau/2, tau, ratio)
 		if cap(sc.buckets) < len(sc.grid) {
-			sc.buckets = make([][]catCEntry, len(sc.grid)) //schedlint:ignore hotalloc one-time warm-up growth: guarded so steady-state reuse never re-allocates
+			sc.buckets = make([][]catCEntry, len(sc.grid))
 		}
 		sc.buckets = sc.buckets[:len(sc.grid)]
 		for i := range sc.buckets {
