@@ -3,12 +3,14 @@
 // exits non-zero if any diagnostic survives suppression. It is the
 // compile-time enforcement arm of the invariant catalog in DESIGN.md
 // §9: zero-allocation hot paths, epsilon-guarded float→int rounding,
-// context propagation, wire-protocol/doc coherence, Reset completeness,
-// package documentation, scratch-buffer ownership (scratchown), mutex
-// discipline on //sched:guardedby fields (lockguard), goroutine join
-// paths (goroleak), whole-module lock-ordering cycles (lockorder), no
-// untyped sync/atomic API (atomicmix; typed-atomic copies are left to
-// `go vet`'s copylocks), and channel ownership (chanrule).
+// context propagation with no root context outside package main
+// (ctxflow), wire-protocol/doc coherence, Reset completeness, package
+// documentation, scratch-buffer ownership (scratchown), sync.Mutex
+// discipline on //sched:guardedby fields with sync.RWMutex banned
+// (lockguard), goroutine join paths (goroleak), whole-module
+// lock-ordering cycles (lockorder), no untyped sync/atomic API
+// (atomicmix; typed-atomic copies are left to `go vet`'s copylocks),
+// and channel ownership with no send while a mutex is held (chanrule).
 //
 // Usage:
 //

@@ -7,13 +7,11 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // ChanRule enforces the channel ownership discipline the serving path
 // depends on: channels are closed by their sender, never after a
-// close, and never sent on (unbuffered) inside a guarded critical
-// section.
+// close, and never sent on inside a critical section.
 //
 // Three rules, all per package:
 //
@@ -25,25 +23,24 @@ import (
 //     channels possibly closed on some path to each point (union
 //     join); a send or second close of a possibly-closed channel is a
 //     run-time panic. Re-making the channel reopens it.
-//  3. Unbuffered send under a guard mutex: a send on a provably
-//     unbuffered channel (every make site in the package is
-//     capacity-less) while a //sched:guardedby mutex is held blocks
-//     every critical section of that mutex until a receiver arrives —
-//     a latency cliff at best, a deadlock if the receiver needs the
-//     same lock. Buffer the channel or send after Unlock.
+//  3. Send under a mutex: a channel send, as a statement or a select
+//     case, while any sync.Mutex is held in the scope. A send that
+//     blocks stalls every critical section of that mutex until a
+//     receiver arrives — a latency cliff at best, a deadlock if the
+//     receiver needs the same lock — and whether it can block depends
+//     on a capacity and a receiver the sending scope cannot see. Send
+//     after Unlock.
 var ChanRule = &Analyzer{
 	Name: "chanrule",
-	Doc:  "close only by sender, no send/close after close on any path, no unbuffered send under a //sched:guardedby mutex",
+	Doc:  "close only by sender, no send/close after close on any path, no channel send while a mutex is held",
 	Run:  runChanRule,
 }
 
 // chanUse aggregates a channel object's package-wide sites.
 type chanUse struct {
-	sendFns  map[*ast.FuncDecl]bool
-	recvFns  map[*ast.FuncDecl]bool
-	closes   []chanSite
-	makes    int // make sites seen
-	buffered bool
+	sendFns map[*ast.FuncDecl]bool
+	recvFns map[*ast.FuncDecl]bool
+	closes  []chanSite
 }
 
 type chanSite struct {
@@ -55,7 +52,7 @@ type chanSite struct {
 func runChanRule(pass *Pass) error {
 	uses := map[types.Object]*chanUse{}
 	closeFns := map[*ast.FuncDecl]bool{}  // funcs with ≥1 resolvable close
-	sendFnSet := map[*ast.FuncDecl]bool{} // funcs with ≥1 resolvable send
+	sendFnSet := map[*ast.FuncDecl]bool{} // funcs with ≥1 send
 	use := func(obj types.Object) *chanUse {
 		u := uses[obj]
 		if u == nil {
@@ -64,96 +61,48 @@ func runChanRule(pass *Pass) error {
 		}
 		return u
 	}
-	recordMake := func(obj types.Object, call *ast.CallExpr) {
-		u := use(obj)
-		u.makes++
-		if len(call.Args) > 1 {
-			u.buffered = true
-		}
-	}
 
-	// Package-wide sweep: who sends, receives, closes, makes each
-	// channel object.
+	// Package-wide sweep: who sends, receives, closes each channel
+	// object.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SendStmt:
+					sendFnSet[fn] = true
+					if obj := chanObj(pass, n.Chan); obj != nil {
+						use(obj).sendFns[fn] = true
 					}
-					for i, id := range vs.Names {
-						if i >= len(vs.Values) {
-							break
-						}
-						if mk, isMake := makeChanCall(pass, vs.Values[i]); isMake {
-							if obj := pass.TypesInfo.Defs[id]; obj != nil {
-								recordMake(obj, mk)
-							}
+				case *ast.UnaryExpr:
+					if n.Op == token.ARROW {
+						if obj := chanObj(pass, n.X); obj != nil {
+							use(obj).recvFns[fn] = true
 						}
 					}
-				}
-			case *ast.FuncDecl:
-				if decl.Body == nil {
-					continue
-				}
-				fn := decl
-				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SendStmt:
-						if obj := chanObj(pass, n.Chan); obj != nil {
-							use(obj).sendFns[fn] = true
-							sendFnSet[fn] = true
-						}
-					case *ast.UnaryExpr:
-						if n.Op == token.ARROW {
+				case *ast.RangeStmt:
+					if t := pass.TypeOf(n.X); t != nil {
+						if _, isChan := t.Underlying().(*types.Chan); isChan {
 							if obj := chanObj(pass, n.X); obj != nil {
 								use(obj).recvFns[fn] = true
 							}
 						}
-					case *ast.RangeStmt:
-						if t := pass.TypeOf(n.X); t != nil {
-							if _, isChan := t.Underlying().(*types.Chan); isChan {
-								if obj := chanObj(pass, n.X); obj != nil {
-									use(obj).recvFns[fn] = true
-								}
-							}
-						}
-					case *ast.CallExpr:
-						if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
-							if obj := chanObj(pass, n.Args[0]); obj != nil {
-								use(obj).closes = append(use(obj).closes, chanSite{
-									fn: fn, pos: n.Pos(), expr: types.ExprString(ast.Unparen(n.Args[0])),
-								})
-								closeFns[fn] = true
-							}
-						}
-					case *ast.AssignStmt:
-						for i, lhs := range n.Lhs {
-							if i >= len(n.Rhs) {
-								break
-							}
-							mk, isMake := makeChanCall(pass, n.Rhs[i])
-							if !isMake {
-								continue
-							}
-							if obj := chanObj(pass, lhs); obj != nil {
-								recordMake(obj, mk)
-							}
-						}
-					case *ast.KeyValueExpr:
-						if mk, isMake := makeChanCall(pass, n.Value); isMake {
-							if key, ok := n.Key.(*ast.Ident); ok {
-								if obj := pass.ObjectOf(key); obj != nil && fieldObject(obj) {
-									recordMake(obj, mk)
-								}
-							}
+					}
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
+						if obj := chanObj(pass, n.Args[0]); obj != nil {
+							use(obj).closes = append(use(obj).closes, chanSite{
+								fn: fn, pos: n.Pos(), expr: types.ExprString(ast.Unparen(n.Args[0])),
+							})
+							closeFns[fn] = true
 						}
 					}
-					return true
-				})
-			}
+				}
+				return true
+			})
 		}
 	}
 
@@ -173,15 +122,6 @@ func runChanRule(pass *Pass) error {
 	}
 
 	// Rules 2 and 3: per-scope CFG dataflows.
-	guardNames := guardMutexNames(pass)
-	unbuffered := func(e ast.Expr) bool {
-		obj := chanObj(pass, e)
-		if obj == nil {
-			return false
-		}
-		u := uses[obj]
-		return u != nil && u.makes > 0 && !u.buffered
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -192,17 +132,16 @@ func runChanRule(pass *Pass) error {
 			// at all; running a fixpoint over the (vast majority of)
 			// functions with no close or send would converge on the
 			// empty state and report nothing — skip them.
-			runClosed := closeFns[fd]
-			runGuarded := len(guardNames) > 0 && sendFnSet[fd]
-			if !runClosed && !runGuarded {
+			runClosed, runSends := closeFns[fd], sendFnSet[fd]
+			if !runClosed && !runSends {
 				continue
 			}
 			for _, scope := range funcScopes(fd.Body) {
 				if runClosed {
 					flowClosed(pass, scope)
 				}
-				if runGuarded {
-					flowGuardedSends(pass, scope, guardNames, unbuffered)
+				if runSends {
+					flowLockedSends(pass, scope)
 				}
 			}
 		}
@@ -219,33 +158,6 @@ func chanObj(pass *Pass, e ast.Expr) types.Object {
 		return pass.ObjectOf(e)
 	}
 	return nil
-}
-
-// fieldObject reports whether obj is a struct field.
-func fieldObject(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	return ok && v.IsField()
-}
-
-// makeChanCall recognizes make(chan T[, n]).
-func makeChanCall(pass *Pass, e ast.Expr) (*ast.CallExpr, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil, false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return nil, false
-	}
-	if b, isBuiltin := pass.ObjectOf(id).(*types.Builtin); !isBuiltin || b.Name() != "make" {
-		return nil, false
-	}
-	t := pass.TypeOf(call.Args[0])
-	if t == nil {
-		return nil, false
-	}
-	_, isChan := t.Underlying().(*types.Chan)
-	return call, isChan
 }
 
 // chanEvent is one close/send/remake in a CFG node, position-ordered.
@@ -356,53 +268,19 @@ func flowClosed(pass *Pass, scope *ast.BlockStmt) {
 	replay(g, f, forward(g, f, facts[types.Object, token.Pos]{}))
 }
 
-// guardMutexNames collects the mutex field names referenced by any
-// //sched:guardedby directive in the package (without re-reporting
-// directive validation — lockguard owns that).
-func guardMutexNames(pass *Pass) map[string]bool {
-	names := map[string]bool{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				if name, _, ok := guardDirective(field); ok && validGuardField(pass, st, name) {
-					names[name] = true
-				}
-			}
-			return true
-		})
-	}
-	return names
-}
-
-// flowGuardedSends runs the held-lock dataflow (shared with lockguard)
-// and reports unbuffered sends executed while a guard mutex is held.
-func flowGuardedSends(pass *Pass, scope *ast.BlockStmt, guardNames map[string]bool, unbuffered func(ast.Expr) bool) {
+// flowLockedSends runs the held-lock dataflow (shared with lockguard)
+// and reports sends, select cases included, executed while a mutex is
+// held.
+func flowLockedSends(pass *Pass, scope *ast.BlockStmt) {
 	f := lockFlow(newLockReader(pass.TypesInfo, exprKey), nil)
 	apply := f.node
 	f.node = func(n ast.Node, held heldLocks, report bool) {
-		if send, ok := n.(*ast.SendStmt); ok && report && unbuffered(send.Chan) {
-			if key, ok := heldGuard(held, guardNames); ok {
-				pass.Report(send.Arrow, "unbuffered send on %s while holding %s (a //sched:guardedby mutex); the critical section blocks until a receiver is ready — buffer the channel or send after Unlock",
-					types.ExprString(ast.Unparen(send.Chan)), key)
-			}
+		if send, ok := n.(*ast.SendStmt); ok && report && len(held) > 0 {
+			pass.Report(send.Arrow, "send on %s while holding %s; a send that blocks stalls the critical section until a receiver is ready — send after Unlock",
+				types.ExprString(ast.Unparen(send.Chan)), slices.Min(slices.Collect(maps.Keys(held))))
 		}
 		apply(n, held, report)
 	}
 	g := cfgOf(pass.owner, scope)
 	replay(g, f, forward(g, f, heldLocks{}))
-}
-
-// heldGuard returns the first held mutex (in key order) whose last
-// selector names a guard mutex.
-func heldGuard(held heldLocks, guardNames map[string]bool) (string, bool) {
-	for _, k := range slices.Sorted(maps.Keys(held)) {
-		if dot := strings.LastIndexByte(k, '.'); dot >= 0 && guardNames[k[dot+1:]] {
-			return k, true
-		}
-	}
-	return "", false
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -22,10 +21,8 @@ import (
 //  2. context.Background() / context.TODO() are forbidden outside
 //     package main and test files: a library function that conjures
 //     its own root context detaches its callees from cancellation.
-//     One flow-aware exemption: a nil default, `ctx =
-//     context.Background()` dominated by an `if ctx == nil` check of
-//     the same ctx parameter — the documented nil-means-no-cancellation
-//     contract, not a dropped caller context.
+//     There is no exemption: a library function that wants a default
+//     context takes one from its caller.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "context must propagate: no dropped ctx when a Ctx variant exists, no context.Background/TODO in library code",
@@ -35,16 +32,14 @@ var CtxFlow = &Analyzer{
 func runCtxFlow(pass *Pass) error {
 	isMain := pass.Pkg.Name() == "main"
 	for _, f := range pass.Files {
-		// Rule 2: Background/TODO anywhere in a library file, minus the
-		// nil-default pattern.
+		// Rule 2: Background/TODO anywhere in a library file.
 		if !isMain {
-			exempt := ctxRootExemptions(pass, f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				if name := ctxRootName(pass, call); name != "" && !exempt[call] {
+				if name := ctxRootName(pass, call); name != "" {
 					pass.Report(call.Pos(), "context.%s() in library code detaches callees from cancellation; accept and propagate a ctx instead", name)
 				}
 				return true
@@ -70,68 +65,6 @@ func runCtxFlow(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// ctxRootExemptions collects the Background/TODO calls in f that are
-// legitimate under rule 2's nil-default exemption.
-func ctxRootExemptions(pass *Pass, f *ast.File) map[*ast.CallExpr]bool {
-	exempt := map[*ast.CallExpr]bool{}
-	for _, decl := range f.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-			markNilDefaults(pass, fn.Body, exempt)
-		}
-	}
-	return exempt
-}
-
-// markNilDefaults exempts `ctx = context.Background()` (or TODO)
-// assignments dominated by an `if ctx == nil` check of the same
-// context-typed variable: the documented nil-means-no-cancellation
-// default, not a dropped context.
-func markNilDefaults(pass *Pass, body *ast.BlockStmt, exempt map[*ast.CallExpr]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		bin, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok || bin.Op != token.EQL {
-			return true
-		}
-		var guarded *ast.Ident
-		switch {
-		case isNilIdent(bin.Y):
-			guarded, _ = ast.Unparen(bin.X).(*ast.Ident)
-		case isNilIdent(bin.X):
-			guarded, _ = ast.Unparen(bin.Y).(*ast.Ident)
-		}
-		if guarded == nil || !isNamed(pass.TypeOf(guarded), "context", "Context") {
-			return true
-		}
-		obj := pass.ObjectOf(guarded)
-		if obj == nil {
-			return true
-		}
-		for _, s := range ifs.Body.List {
-			as, ok := s.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				continue
-			}
-			lhs, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-			if !ok || pass.ObjectOf(lhs) != obj {
-				continue
-			}
-			if root, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && ctxRootName(pass, root) != "" {
-				exempt[root] = true
-			}
-		}
-		return true
-	})
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // ctxRootName returns "Background"/"TODO" for calls to the context

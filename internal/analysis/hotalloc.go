@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -16,9 +17,11 @@ import (
 // growth and copying at run time, so this analyzer flags:
 //
 //   - append growing a non-scratch slice (one whose backing does not
-//     derive from a struct field, a parameter, or arena.Grow/Zeroed —
-//     growth from nothing always allocates; appends into Reset-
-//     truncated scratch buffers amortize to zero and are allowed)
+//     derive from a parameter, receiver or result — through any chain
+//     of fields and indexes — or from arena.Grow/Zeroed: growth from
+//     nothing always allocates, a field of a fresh local or package
+//     variable included; appends into Reset-truncated scratch buffers
+//     amortize to zero and are allowed)
 //   - map creation, by make(map…) or a map literal (a map that does
 //     not escape still allocates buckets as it grows)
 //   - string ↔ []byte / []rune conversions (a copy, on the heap once
@@ -96,7 +99,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, scratch map[types.Object]bool)
 		}
 	case "append":
 		if len(call.Args) > 0 && !scratchBacked(pass, call.Args[0], scratch) {
-			pass.Report(call.Pos(), "append grows a non-scratch slice in hot path (base is not derived from a field, parameter, or arena buffer)")
+			pass.Report(call.Pos(), "append grows a non-scratch slice in hot path (base is not derived from a parameter, receiver, or arena buffer)")
 		}
 	}
 }
@@ -174,13 +177,14 @@ func scratchDerived(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 	return allowed
 }
 
-// scratchBacked reports whether expr's backing storage derives from a
-// struct field, an allowed variable, or an arena helper call.
+// scratchBacked reports whether expr's backing storage derives from an
+// allowed variable (through any chain of fields, indexes, slices and
+// address-of) or an arena helper call. A field of a fresh local or a package-level
+// variable is not scratch: it grows from nothing like the variable.
 func scratchBacked(pass *Pass, expr ast.Expr, allowed map[types.Object]bool) bool {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
-		// Any field access: scratch buffers live in structs.
-		return true
+		return scratchBacked(pass, e.X, allowed)
 	case *ast.Ident:
 		if obj := pass.ObjectOf(e); obj != nil {
 			return allowed[obj]
@@ -192,6 +196,8 @@ func scratchBacked(pass *Pass, expr ast.Expr, allowed map[types.Object]bool) boo
 		return scratchBacked(pass, e.X, allowed)
 	case *ast.StarExpr:
 		return scratchBacked(pass, e.X, allowed)
+	case *ast.UnaryExpr:
+		return e.Op == token.AND && scratchBacked(pass, e.X, allowed)
 	case *ast.CallExpr:
 		if isArenaCall(pass, e) {
 			return true

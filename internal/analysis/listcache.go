@@ -16,10 +16,13 @@ import (
 // The go-list cache: schedlint and escapegate both start by shelling
 // `go list -deps -export -json`, which costs about half of either
 // tool's warm wall time (docs/PERFORMANCE.md). The listing is a pure
-// function of the toolchain, the module files, and the arguments, so
-// it is cached on disk keyed by a hash of exactly those inputs: Go
-// version + GOOS/GOARCH, the argument vector, go.mod/go.sum, and the
-// path + content of every non-testdata .go file under the module root.
+// function of the toolchain, the module's location and files, and the
+// arguments, so it is cached on disk keyed by a hash of exactly those
+// inputs: Go version + GOOS/GOARCH, the module root's absolute path
+// (the listing records absolute Dirs, so two checkouts with identical
+// sources must not share one), the argument vector, go.mod/go.sum, and
+// the path + content of every non-testdata .go file under the module
+// root.
 // Any source edit changes the key, which also keeps the cached Export
 // paths honest — `go list -export` refreshes export data as sources
 // change, so a stale cache entry could otherwise point at outdated
@@ -60,6 +63,7 @@ func listCachePath(dir string, args []string) (string, bool) {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "go=%s os=%s arch=%s\n", runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	fmt.Fprintf(h, "root=%s\n", filepath.Clean(modRoot))
 	fmt.Fprintf(h, "args=%q\n", args)
 	var files []string
 	filepath.WalkDir(modRoot, func(path string, d fs.DirEntry, err error) error {

@@ -13,13 +13,12 @@ import (
 //
 //	//sched:guardedby mu
 //
-// (doc comment or trailing comment) may only be read while mu — a
-// sync.Mutex or sync.RWMutex field of the same struct — is held, and
-// only written while it is write-held. The serving path's shared state
-// (result-cache shards, online sessions, the known-instance table,
-// the server's connection set, the daemon's response writer) is guarded
-// by convention today; -race only catches the schedules the tests
-// happen to race.
+// (doc comment or trailing comment) may only be read or written while
+// mu — a sync.Mutex field of the same struct — is held. The serving
+// path's shared state (result-cache shards, online sessions, the
+// known-instance table, the server's connection set, the daemon's
+// response writer) is guarded by convention today; -race only catches
+// the schedules the tests happen to race.
 //
 // The check is a per-scope CFG dataflow (cfg.go): within one function
 // body (each function literal is its own scope — a closure that
@@ -27,27 +26,39 @@ import (
 // propagated over basic blocks to a fixpoint, joining by intersection
 // at merges, so branch-dependent unlocks (`if err != nil { mu.Unlock();
 // return }`) and loops are modeled precisely instead of by source
-// position. A branch on mu.TryLock()/TryRLock() holds the lock exactly
-// on the success edge. A deferred Unlock leaves the lock held to the
-// end of the scope, including defers registered inside loops. An
-// access whose base expression does not have the matching
-// "<base>.<guard>" held on every path reaching it is a diagnostic;
-// writes additionally require write-hold (RLock does not license
-// mutation). Accesses through a provably fresh local — one only ever
-// assigned from a composite literal, new, or their address — are
-// exempt: storage not yet shared needs no lock (constructors).
+// position. A branch on mu.TryLock() holds the lock exactly on the
+// success edge. A deferred Unlock leaves the lock held to the end of
+// the scope, including defers registered inside loops. An access whose
+// base expression does not have the matching "<base>.<guard>" held on
+// every path reaching it is a diagnostic. Accesses through a provably
+// fresh local — one only ever assigned from a composite literal, new,
+// or their address — are exempt: storage not yet shared needs no lock
+// (constructors).
 //
-// The annotation itself is validated: naming a field that does not
-// exist in the struct, or one that is not a mutex, is a diagnostic.
+// The lock analyzers model sync.Mutex only, so any use of the type
+// sync.RWMutex is a diagnostic naming sync.Mutex instead: the module
+// has no RWMutex, and read/write lock modes would guard nothing. The
+// annotation itself is validated: naming a field that does not exist
+// in the struct, or one that is not a sync.Mutex, is a diagnostic.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
-	Doc:  "reads/writes of //sched:guardedby fields require the named mutex to be held in the accessing scope",
+	Doc:  "accesses to //sched:guardedby fields require the named sync.Mutex to be held in the accessing scope; sync.RWMutex is banned",
 	Run:  runLockGuard,
 }
 
 const guardedByDirective = "//sched:guardedby"
 
 func runLockGuard(pass *Pass) error {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if tn, ok := pass.TypesInfo.Uses[id].(*types.TypeName); ok && isNamed(tn.Type(), "sync", "RWMutex") {
+					pass.Report(id.Pos(), "sync.RWMutex: the lock analyzers model sync.Mutex only; use sync.Mutex")
+				}
+			}
+			return true
+		})
+	}
 	guards := collectGuards(pass)
 	if len(guards) == 0 {
 		return nil
@@ -81,7 +92,7 @@ func collectGuards(pass *Pass) map[types.Object]string {
 					continue
 				}
 				if !validGuardField(pass, st, name) {
-					pass.Report(pos, "//sched:guardedby names %q, which is not a sync.Mutex or sync.RWMutex field of this struct", name)
+					pass.Report(pos, "//sched:guardedby names %q, which is not a sync.Mutex field of this struct", name)
 					continue
 				}
 				for _, id := range field.Names {
@@ -121,12 +132,12 @@ func guardDirective(field *ast.Field) (name string, pos token.Pos, ok bool) {
 }
 
 // validGuardField reports whether the struct declares a field called
-// name whose type is sync.Mutex or sync.RWMutex.
+// name whose type is sync.Mutex.
 func validGuardField(pass *Pass, st *ast.StructType, name string) bool {
 	for _, field := range st.Fields.List {
 		for _, id := range field.Names {
 			if id.Name == name {
-				return isNamed(pass.TypeOf(field.Type), "sync", "Mutex", "RWMutex")
+				return isNamed(pass.TypeOf(field.Type), "sync", "Mutex")
 			}
 		}
 	}
@@ -141,29 +152,14 @@ func checkLockScopes(pass *Pass, body *ast.BlockStmt, guards map[types.Object]st
 		r := newLockReader(pass.TypesInfo, exprKey)
 		r.guards, r.fresh = guards, freshLocals(pass, scope)
 		f := lockFlow(r, func(ev lockEvent, held heldLocks) {
-			if ev.kind != lockAccess {
-				return
-			}
-			h, ok := held[ev.key]
-			switch {
-			case !ok:
-				pass.Report(ev.pos, "%s %s without holding %s (//sched:guardedby %s)",
-					accessWord(ev.mode), types.ExprString(ev.sel), ev.key, ev.guard)
-			case ev.mode == 'w' && h.mode == 'r':
-				pass.Report(ev.pos, "write to %s while %s is only read-held (RLock); writes need Lock",
-					types.ExprString(ev.sel), ev.key)
+			if _, ok := held[ev.key]; ev.kind == lockAccess && !ok {
+				pass.Report(ev.pos, "access to %s without holding %s (//sched:guardedby %s)",
+					types.ExprString(ev.sel), ev.key, ev.guard)
 			}
 		})
 		g := cfgOf(pass.owner, scope)
 		replay(g, f, forward(g, f, heldLocks{}))
 	}
-}
-
-func accessWord(mode byte) string {
-	if mode == 'w' {
-		return "write to"
-	}
-	return "read of"
 }
 
 // freshLocals returns the scope's locals whose every assignment is
@@ -226,21 +222,17 @@ func freshExpr(e ast.Expr) bool {
 // the held set unchanged.
 var lockMethods = map[string]struct {
 	kind int
-	mode byte
 	try  bool
 }{
-	"Lock":     {lockAcquire, 'w', false},
-	"RLock":    {lockAcquire, 'r', false},
-	"TryLock":  {lockAcquire, 'w', true},
-	"TryRLock": {lockAcquire, 'r', true},
-	"Unlock":   {lockRelease, 'w', false},
-	"RUnlock":  {lockRelease, 'r', false},
+	"Lock":    {lockAcquire, false},
+	"TryLock": {lockAcquire, true},
+	"Unlock":  {lockRelease, false},
 }
 
 const (
 	lockAcquire = iota
 	lockRelease
-	lockAccess // a read or write of a //sched:guardedby field
+	lockAccess // a use of a //sched:guardedby field
 	lockCall   // a call to a declared function
 )
 
@@ -250,9 +242,7 @@ type lockEvent struct {
 	kind int
 	// key names the mutex (acquire/release) or the guard an access
 	// needs ("<base>.<guard>").
-	key string
-	// mode is 'w' for Lock and writes, 'r' for RLock and reads.
-	mode     byte
+	key      string
 	try      bool
 	deferred bool              // runs at scope exit, not here
 	sel      *ast.SelectorExpr // access: the guarded field
@@ -289,38 +279,24 @@ func (r *lockReader) events(n ast.Node) []lockEvent {
 	}
 	r.evs = nil
 	if h, ok := n.(rangeHeader); ok {
-		r.walk(h.Key, true, false)
-		r.walk(h.Value, true, false)
-		r.walk(h.X, false, false)
+		r.walk(h.Key, false)
+		r.walk(h.Value, false)
+		r.walk(h.X, false)
 	} else {
-		r.walk(n, false, false)
+		r.walk(n, false)
 	}
 	sort.SliceStable(r.evs, func(i, j int) bool { return r.evs[i].pos < r.evs[j].pos })
 	r.cache[n] = r.evs
 	return r.evs
 }
 
-// walk visits n in source order, skipping nested function literals
-// (their bodies are separate scopes). write marks the assignment-target
-// context; deferred marks the call under a defer.
-func (r *lockReader) walk(n ast.Node, write, deferred bool) {
+// walk visits n, skipping nested function literals (their bodies are
+// separate scopes). deferred marks the call under a defer.
+func (r *lockReader) walk(n ast.Node, deferred bool) {
 	switch n := n.(type) {
 	case nil:
-	case *ast.BlockStmt:
-		for _, s := range n.List {
-			r.walk(s, false, false)
-		}
-	case *ast.AssignStmt:
-		for _, l := range n.Lhs {
-			r.walk(l, true, false)
-		}
-		for _, rhs := range n.Rhs {
-			r.walk(rhs, false, false)
-		}
-	case *ast.IncDecStmt:
-		r.walk(n.X, true, false)
 	case *ast.DeferStmt:
-		r.walk(n.Call, false, true)
+		r.walk(n.Call, true)
 	case *ast.CallExpr:
 		if r.lockCall(n, deferred) {
 			return
@@ -328,20 +304,13 @@ func (r *lockReader) walk(n ast.Node, write, deferred bool) {
 		if fn := calleeFunc(r.info, n); fn != nil {
 			r.evs = append(r.evs, lockEvent{pos: n.Pos(), kind: lockCall, fn: fn, deferred: deferred})
 		}
-		r.walk(n.Fun, false, false)
+		r.walk(n.Fun, false)
 		for _, a := range n.Args {
-			r.walk(a, false, false)
+			r.walk(a, false)
 		}
 	case *ast.SelectorExpr:
-		r.access(n, write)
-		r.walk(n.X, false, false)
-	case *ast.IndexExpr:
-		r.walk(n.X, write, false) // s.m[k] = v writes through s.m
-		r.walk(n.Index, false, false)
-	case *ast.StarExpr:
-		r.walk(n.X, write, false)
-	case *ast.UnaryExpr:
-		r.walk(n.X, n.Op == token.AND || write, false)
+		r.access(n)
+		r.walk(n.X, false)
 	case *ast.FuncLit:
 		// separate scope
 	default:
@@ -353,7 +322,7 @@ func (r *lockReader) walk(n ast.Node, write, deferred bool) {
 			}
 			switch m.(type) {
 			case ast.Stmt, ast.Expr:
-				r.walk(m, write, deferred)
+				r.walk(m, false)
 				return false
 			}
 			return true
@@ -370,19 +339,19 @@ func (r *lockReader) lockCall(call *ast.CallExpr, deferred bool) bool {
 		return false
 	}
 	m, ok := lockMethods[sel.Sel.Name]
-	if !ok || !isNamed(r.info.TypeOf(sel.X), "sync", "Mutex", "RWMutex") {
+	if !ok || !isNamed(r.info.TypeOf(sel.X), "sync", "Mutex") {
 		return false
 	}
 	if key := r.key(sel.X); key != "" {
 		r.evs = append(r.evs, lockEvent{pos: call.Pos(), kind: m.kind, key: key,
-			mode: m.mode, try: m.try, deferred: deferred})
+			try: m.try, deferred: deferred})
 	}
-	r.walk(sel.X, false, false)
+	r.walk(sel.X, false)
 	return true
 }
 
-// access records a read or write of a guarded field.
-func (r *lockReader) access(sel *ast.SelectorExpr, write bool) {
+// access records a use of a guarded field.
+func (r *lockReader) access(sel *ast.SelectorExpr) {
 	obj := r.info.ObjectOf(sel.Sel)
 	if v, ok := obj.(*types.Var); ok {
 		obj = v.Origin() // a field of a generic struct, seen through an instance
@@ -394,41 +363,23 @@ func (r *lockReader) access(sel *ast.SelectorExpr, write bool) {
 	if root := rootObject(r.info, sel.X); root != nil && r.fresh[root] {
 		return // not yet shared
 	}
-	mode := byte('r')
-	if write {
-		mode = 'w'
-	}
-	// Plain-Mutex guards have no read mode: any hold licenses access,
-	// which falls out of Lock registering 'w'.
 	r.evs = append(r.evs, lockEvent{pos: sel.Pos(), kind: lockAccess,
-		key: r.key(sel.X) + "." + guard, mode: mode, sel: sel, guard: guard})
+		key: r.key(sel.X) + "." + guard, sel: sel, guard: guard})
 }
 
-// hold is how a mutex is held: its mode and acquisition site.
-type hold struct {
-	mode byte // 'w' (Lock) or 'r' (RLock)
-	at   token.Pos
-}
-
-// heldLocks is the lock analyzers' state: held mutex key → hold.
-type heldLocks = facts[string, hold]
+// heldLocks is the lock analyzers' state: held mutex key → acquisition
+// site.
+type heldLocks = facts[string, token.Pos]
 
 // lockFlow is the held-lock dataflow shared by lockguard, lockorder and
-// chanrule. The join is intersection, weakening 'w' to 'r' on mode
-// disagreement (a lock is write-held after a merge only if write-held
-// on every path). A deferred release leaves the lock held to the end
-// of the scope, including defers registered inside loops, and a branch
-// on TryLock/TryRLock holds the mutex exactly on its success edge.
+// chanrule. The join is intersection: a lock is held after a merge
+// only if held on every path. A deferred release leaves the lock held
+// to the end of the scope, including defers registered inside loops,
+// and a branch on TryLock holds the mutex exactly on its success edge.
 // onEvent, when set, sees every event with the state before it during
 // the replay.
-func lockFlow(r *lockReader, onEvent func(ev lockEvent, held heldLocks)) flow[string, hold] {
-	return flow[string, hold]{
-		meet: func(a, b hold) hold {
-			if a.mode != b.mode {
-				a.mode = 'r'
-			}
-			return a
-		},
+func lockFlow(r *lockReader, onEvent func(ev lockEvent, held heldLocks)) flow[string, token.Pos] {
+	return flow[string, token.Pos]{
 		node: func(n ast.Node, held heldLocks, report bool) {
 			for _, ev := range r.events(n) {
 				if report && onEvent != nil {
@@ -436,7 +387,7 @@ func lockFlow(r *lockReader, onEvent func(ev lockEvent, held heldLocks)) flow[st
 				}
 				switch {
 				case ev.kind == lockAcquire && !ev.try:
-					held[ev.key] = hold{ev.mode, ev.pos}
+					held[ev.key] = ev.pos
 				case ev.kind == lockRelease && !ev.deferred:
 					delete(held, ev.key)
 				}
@@ -450,7 +401,7 @@ func lockFlow(r *lockReader, onEvent func(ev lockEvent, held heldLocks)) flow[st
 			}
 			for _, ev := range r.events(call) {
 				if ev.try && ev.pos == call.Pos() {
-					held[ev.key] = hold{ev.mode, ev.pos}
+					held[ev.key] = ev.pos
 				}
 			}
 		},

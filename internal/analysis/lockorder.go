@@ -18,8 +18,8 @@ import (
 // functions — or different packages — composed only at run time. This
 // analyzer makes the ordering a build-time artifact:
 //
-//   - Every sync.Mutex/sync.RWMutex that is a struct field or a
-//     package-level variable gets a stable node key (pkg.Type.field),
+//   - Every sync.Mutex that is a struct field or a package-level
+//     variable gets a stable node key (pkg.Type.field),
 //     the same identity the //sched:guardedby annotations name.
 //   - Per function scope, the CFG lock-state dataflow (cfg.go) tracks
 //     what is held; acquiring B while holding A adds the edge A → B.
@@ -28,20 +28,20 @@ import (
 //     every function in the module, so holding A while calling a
 //     function that (transitively) acquires B also adds A → B, across
 //     package boundaries.
-//   - Re-acquiring a lock that is already held — including RLock
-//     inside Lock on the same mutex, and calls whose summary reaches
-//     the held lock — is reported directly as a self-deadlock.
+//   - Re-acquiring a lock that is already held — directly, or by a
+//     call whose summary reaches the held lock — is reported as a
+//     self-deadlock.
 //   - Any cycle in the resulting graph is reported once, naming every
 //     edge with the site where the nested acquisition happens.
 //
-// TryLock/TryRLock acquisitions never block, so they cannot be the
+// TryLock acquisitions never block, so they cannot be the
 // waiting side of a deadlock: they hold the mutex on their success
 // edge (and may be edge sources) but are never edge targets. Deferred
 // calls and function literals run under unknowable held sets and are
 // composed into summaries but not used as edge sites.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "whole-repo lock-ordering graph from guardedby mutexes and Lock/RLock sites must be acyclic; no same-mutex nested acquisition",
+	Doc:       "whole-repo lock-ordering graph of sync.Mutex Lock sites must be acyclic; no same-mutex nested acquisition",
 	RunModule: runLockOrder,
 }
 
@@ -108,7 +108,7 @@ func (st *lockOrderState) collectKeys(pkg *Package) {
 							return true
 						}
 						for _, field := range stype.Fields.List {
-							if !isNamed(pkg.Info.TypeOf(field.Type), "sync", "Mutex", "RWMutex") {
+							if !isNamed(pkg.Info.TypeOf(field.Type), "sync", "Mutex") {
 								continue
 							}
 							for _, id := range field.Names {
@@ -122,7 +122,7 @@ func (st *lockOrderState) collectKeys(pkg *Package) {
 				case *ast.ValueSpec:
 					for _, id := range sp.Names {
 						obj := pkg.Info.Defs[id]
-						if obj != nil && isNamed(obj.Type(), "sync", "Mutex", "RWMutex") {
+						if obj != nil && isNamed(obj.Type(), "sync", "Mutex") {
 							st.keys[obj] = pkg.Name + "." + id.Name
 						}
 					}
@@ -260,7 +260,7 @@ func (st *lockOrderState) flowPackage(pkg *Package) {
 }
 
 // hasDirectAcquire reports whether body contains any mutex acquisition
-// call (Lock/RLock/TryLock/TryRLock on a mutex-typed receiver),
+// call (Lock/TryLock on a sync.Mutex receiver),
 // including inside function literals.
 func hasDirectAcquire(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
@@ -276,7 +276,7 @@ func hasDirectAcquire(pkg *Package, body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if m, isLock := lockMethods[sel.Sel.Name]; isLock && m.kind == lockAcquire && isNamed(pkg.Info.TypeOf(sel.X), "sync", "Mutex", "RWMutex") {
+		if m, isLock := lockMethods[sel.Sel.Name]; isLock && m.kind == lockAcquire && isNamed(pkg.Info.TypeOf(sel.X), "sync", "Mutex") {
 			found = true
 			return false
 		}
@@ -308,8 +308,8 @@ func (st *lockOrderState) flowScope(r *lockReader, pkg *Package, scope *ast.Bloc
 func (st *lockOrderState) recordAcquire(pkg *Package, held heldLocks, ev lockEvent) {
 	pos := pkg.Fset.Position(ev.pos)
 	if prev, ok := held[ev.key]; ok {
-		st.mp.Report(pos, "acquires %s while already holding it (acquired at %s): same-mutex nesting — including RLock inside Lock — self-deadlocks",
-			ev.key, shortPos(pkg.Fset.Position(prev.at)))
+		st.mp.Report(pos, "acquires %s while already holding it (acquired at %s): same-mutex nesting self-deadlocks",
+			ev.key, shortPos(pkg.Fset.Position(prev)))
 		return
 	}
 	if ev.try {

@@ -1,13 +1,13 @@
 package analysis
 
-// Mutation checks: the analyzers exist to catch concurrency regressions
-// in THIS repository, so each flagship rule is proven against the real
-// code it guards, not only against the golden corpora. Each test copies
-// a production package into a temp dir, verifies the unmutated copy is
-// clean, applies the exact single-site regression the analyzer was
-// built for, and asserts the diagnostic fires and names the offending
-// site. If an analyzer rots into a no-op, these fail before the bug
-// class it guards can land.
+// Mutation checks: the analyzers exist to catch regressions in THIS
+// repository, so each rule is proven against the real code it guards,
+// not only against the golden corpora. Each test copies a production
+// package into a temp dir, verifies the unmutated copy is clean,
+// applies the exact single-site regression the analyzer was built for,
+// and asserts the diagnostic fires and names the offending site. If an
+// analyzer rots into a no-op, these fail before the bug class it
+// guards can land.
 
 import (
 	"os"
@@ -63,6 +63,34 @@ func mutateFile(t *testing.T, dir, file, anchor, replacement string) {
 	}
 }
 
+// lineOf returns the 1-based line of the unique occurrence of needle in
+// dir/file.
+func lineOf(t *testing.T, dir, file, needle string) int {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(src), needle)
+	if i < 0 || strings.Count(string(src), needle) != 1 {
+		t.Fatalf("%q does not appear exactly once in %s", needle, file)
+	}
+	return 1 + strings.Count(string(src[:i]), "\n")
+}
+
+// wantOneAt asserts that diags is exactly one diagnostic, at file:line,
+// whose message contains every one of msgs.
+func wantOneAt(t *testing.T, diags []Diagnostic, file string, line int, msgs ...string) {
+	t.Helper()
+	ok := len(diags) == 1 && filepath.Base(diags[0].Pos.Filename) == file && diags[0].Pos.Line == line
+	for _, m := range msgs {
+		ok = ok && strings.Contains(diags[0].Message, m)
+	}
+	if !ok {
+		t.Errorf("want one diagnostic at %s:%d containing %q, got: %v", file, line, msgs, diags)
+	}
+}
+
 // runOnDir loads the package copy and runs one analyzer over it.
 func runOnDir(t *testing.T, dir, importPath string, a *Analyzer) []Diagnostic {
 	t.Helper()
@@ -77,6 +105,20 @@ func runOnDir(t *testing.T, dir, importPath string, a *Analyzer) []Diagnostic {
 	return diags
 }
 
+// copyClean copies a production package and fails unless the copy is
+// clean under a.
+func copyClean(t *testing.T, pkg string, a *Analyzer) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("typechecks internal/" + pkg)
+	}
+	dir := copyPkgNonTest(t, filepath.Join("..", pkg))
+	if diags := runOnDir(t, dir, "mutation/"+pkg, a); len(diags) != 0 {
+		t.Fatalf("unmutated %s copy not %s-clean: %v", pkg, a.Name, diags)
+	}
+	return dir
+}
+
 // TestMutationWireClientLockOrder nests WireClient's two mutexes both
 // ways. First the reader's failure path takes wmu before mu, to fence
 // writers out while it fails the waiters: one consistent order, which
@@ -85,13 +127,7 @@ func runOnDir(t *testing.T, dir, importPath string, a *Analyzer) []Diagnostic {
 // two orders together are a textbook deadlock between the reader and
 // a writer, and lockorder must report the cycle naming both mutexes.
 func TestMutationWireClientLockOrder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks internal/netserve")
-	}
-	dir := copyPkgNonTest(t, filepath.Join("..", "netserve"))
-	if diags := runOnDir(t, dir, "mutation/netserve", LockOrder); len(diags) != 0 {
-		t.Fatalf("unmutated netserve copy not lockorder-clean: %v", diags)
-	}
+	dir := copyClean(t, "netserve", LockOrder)
 
 	mutateFile(t, dir, "wireclient.go",
 		"\tc.mu.Lock()\n\tc.broken = err\n",
@@ -125,13 +161,7 @@ func TestMutationWireClientLockOrder(t *testing.T) {
 // concurrent writer. lockguard must flag the read of the guarded n in
 // trace.go.
 func TestMutationObsRingLockGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks internal/obs")
-	}
-	dir := copyPkgNonTest(t, filepath.Join("..", "obs"))
-	if diags := runOnDir(t, dir, "mutation/obs", LockGuard); len(diags) != 0 {
-		t.Fatalf("unmutated obs copy not lockguard-clean: %v", diags)
-	}
+	dir := copyClean(t, "obs", LockGuard)
 
 	mutateFile(t, dir, "trace.go",
 		"\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tk := min(r.n, RingCap)",
@@ -140,7 +170,7 @@ func TestMutationObsRingLockGuard(t *testing.T) {
 	diags := runOnDir(t, dir, "mutation/obs", LockGuard)
 	found := false
 	for _, d := range diags {
-		if strings.Contains(d.Message, "read of r.n without holding r.mu") {
+		if strings.Contains(d.Message, "access to r.n without holding r.mu") {
 			found = true
 			if filepath.Base(d.Pos.Filename) != "trace.go" {
 				t.Errorf("diagnostic anchored outside trace.go: %v", d)
@@ -159,13 +189,7 @@ func TestMutationObsRingLockGuard(t *testing.T) {
 // into the cache's shard map, finish into the ticket) and flag both
 // arguments.
 func TestMutationServiceCloneScratchOwn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks internal/service")
-	}
-	dir := copyPkgNonTest(t, filepath.Join("..", "service"))
-	if diags := runOnDir(t, dir, "mutation/service", ScratchOwn); len(diags) != 0 {
-		t.Fatalf("unmutated service copy not scratchown-clean: %v", diags)
-	}
+	dir := copyClean(t, "service", ScratchOwn)
 
 	mutateFile(t, dir, "service.go", "sched = sched.Clone()", "_ = sched")
 
@@ -188,13 +212,7 @@ func TestMutationServiceCloneScratchOwn(t *testing.T) {
 // Stats: the mixed atomic/plain access the typed atomics rule out.
 // atomicmix must flag the untyped call at its line.
 func TestMutationUntypedAtomic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks internal/service")
-	}
-	dir := copyPkgNonTest(t, filepath.Join("..", "service"))
-	if diags := runOnDir(t, dir, "mutation/service", AtomicMix); len(diags) != 0 {
-		t.Fatalf("unmutated service copy not atomicmix-clean: %v", diags)
-	}
+	dir := copyClean(t, "service", AtomicMix)
 
 	mutateFile(t, dir, "service.go",
 		"submitted, completed, failures, resultHits atomic.Int64",
@@ -202,16 +220,8 @@ func TestMutationUntypedAtomic(t *testing.T) {
 	mutateFile(t, dir, "service.go", "s.failures.Add(1)", "atomic.AddInt64(&s.failures, 1)")
 	mutateFile(t, dir, "service.go", "s.failures.Load()", "s.failures")
 
-	diags := runOnDir(t, dir, "mutation/service", AtomicMix)
-	src, err := os.ReadFile(filepath.Join(dir, "service.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 + strings.Count(string(src[:strings.Index(string(src), "atomic.AddInt64(")]), "\n")
-	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "service.go" || diags[0].Pos.Line != want ||
-		!strings.Contains(diags[0].Message, "sync/atomic.AddInt64") || !strings.Contains(diags[0].Message, "atomic.Int64") {
-		t.Errorf("untyped failure counter: want one atomicmix diagnostic naming AddInt64 and atomic.Int64 at service.go:%d, got: %v", want, diags)
-	}
+	wantOneAt(t, runOnDir(t, dir, "mutation/service", AtomicMix), "service.go",
+		lineOf(t, dir, "service.go", "atomic.AddInt64("), "sync/atomic.AddInt64", "atomic.Int64")
 }
 
 // TestMutationHotAllocAppend makes the estimator's per-probe
@@ -220,26 +230,123 @@ func TestMutationUntypedAtomic(t *testing.T) {
 // silent, yet the slice grows from nothing on every dual probe.
 // hotalloc must flag the append at its line in lt.go.
 func TestMutationHotAllocAppend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks internal/lt")
-	}
-	dir := copyPkgNonTest(t, filepath.Join("..", "lt"))
-	if diags := runOnDir(t, dir, "mutation/lt", HotAlloc); len(diags) != 0 {
-		t.Fatalf("unmutated lt copy not hotalloc-clean: %v", diags)
-	}
+	dir := copyClean(t, "lt", HotAlloc)
 
 	mutateFile(t, dir, "lt.go",
 		"\tres := evalResult{feasible: true}\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n",
 		"\tres := evalResult{feasible: true}\n\tvar gs []int\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n\t\tgs = append(gs, g)\n")
 
-	diags := runOnDir(t, dir, "mutation/lt", HotAlloc)
-	src, err := os.ReadFile(filepath.Join(dir, "lt.go"))
-	if err != nil {
-		t.Fatal(err)
+	wantOneAt(t, runOnDir(t, dir, "mutation/lt", HotAlloc), "lt.go",
+		lineOf(t, dir, "lt.go", "gs = append(gs, g)"), "append grows a non-scratch slice")
+}
+
+// TestMutationLimiterRWMutex turns the rate limiter's mutex into a
+// sync.RWMutex, a lock mode the lock analyzers do not model. lockguard
+// must ban the type at the field.
+func TestMutationLimiterRWMutex(t *testing.T) {
+	dir := copyClean(t, "netserve", LockGuard)
+	mutateFile(t, dir, "limits.go", "\tmu      sync.Mutex\n\tbuckets", "\tmu      sync.RWMutex\n\tbuckets")
+
+	line := lineOf(t, dir, "limits.go", "sync.RWMutex")
+	var ban bool
+	for _, d := range runOnDir(t, dir, "mutation/netserve", LockGuard) {
+		ban = ban || d.Pos.Line == line && strings.Contains(d.Message, "sync.RWMutex: the lock analyzers model sync.Mutex only")
+		if filepath.Base(d.Pos.Filename) != "limits.go" {
+			t.Errorf("diagnostic outside limits.go: %v", d)
+		}
 	}
-	want := 1 + strings.Count(string(src[:strings.Index(string(src), "gs = append(gs, g)")]), "\n")
-	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "lt.go" || diags[0].Pos.Line != want ||
-		!strings.Contains(diags[0].Message, "append grows a non-scratch slice") {
-		t.Errorf("append to a fresh local in evaluate: want one hotalloc diagnostic at lt.go:%d, got: %v", want, diags)
+	if !ban {
+		t.Errorf("Limiter.mu as a sync.RWMutex: want the ban at limits.go:%d", line)
 	}
+}
+
+// TestMutationWireClientSendUnderLock moves the response hand-off in
+// WireClient.readLoop inside the waiter-map critical section. The
+// channel comes out of a map, so no make site says whether it is
+// buffered; chanrule must flag the send because a mutex is held.
+func TestMutationWireClientSendUnderLock(t *testing.T) {
+	dir := copyClean(t, "netserve", ChanRule)
+	mutateFile(t, dir, "wireclient.go",
+		"\t\tc.mu.Unlock()\n\t\tif ch != nil {\n\t\t\tch <- r // buffered 1; never blocks\n\t\t}\n",
+		"\t\tif ch != nil {\n\t\t\tch <- r // buffered 1; never blocks\n\t\t}\n\t\tc.mu.Unlock()\n")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/netserve", ChanRule), "wireclient.go",
+		lineOf(t, dir, "wireclient.go", "ch <- r"), "send on ch while holding c.mu")
+}
+
+// TestMutationServiceNilContextDefault gives Scheduler.DoCtx a nil
+// default for its context. ctxflow has no exemption for it: the
+// Background call is flagged at its line.
+func TestMutationServiceNilContextDefault(t *testing.T) {
+	dir := copyClean(t, "service", CtxFlow)
+	mutateFile(t, dir, "service.go",
+		"\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n",
+		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/service", CtxFlow), "service.go",
+		lineOf(t, dir, "service.go", "context.Background()"), "context.Background() in library code")
+}
+
+// TestMutationPairListReset drops the scratch buffer from PairList's
+// Reset, so a recycled list carries the previous call's candidates.
+// resetcheck must flag the Reset.
+func TestMutationPairListReset(t *testing.T) {
+	dir := copyClean(t, "knapsack", ResetCheck)
+	mutateFile(t, dir, "pairs.go", "\tl.scratch = l.scratch[:0]\n", "")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/knapsack", ResetCheck), "pairs.go",
+		lineOf(t, dir, "pairs.go", "func (l *PairList) Reset()"), `does not touch field "scratch"`)
+}
+
+// TestMutationMinMTruncates replaces the epsilon-guarded ceiling in
+// fptas.MinM, whose quotient lands a few ulps above an integer for
+// eps like 0.1, with a bare int conversion. fpconv must flag the
+// conversion.
+func TestMutationMinMTruncates(t *testing.T) {
+	dir := copyClean(t, "fptas", FPConv)
+	mutateFile(t, dir, "fptas.go",
+		"return compress.CeilInt(16 * float64(n) / eps)",
+		"return int(16 * float64(n) / eps)")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/fptas", FPConv), "fptas.go",
+		lineOf(t, dir, "fptas.go", "int(16 * float64(n) / eps)"), "int conversion truncates a float arithmetic expression")
+}
+
+// TestMutationServiceWorkerLeak deletes the WaitGroup Done of the
+// service's worker spawn, its only join signal: Close could then
+// return while workers still run. goroleak must flag the go statement.
+func TestMutationServiceWorkerLeak(t *testing.T) {
+	dir := copyClean(t, "service", GoroLeak)
+	mutateFile(t, dir, "service.go", "\t\t\tdefer s.workers.Done()\n\t\t\ts.work(q)\n", "\t\t\ts.work(q)\n")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/service", GoroLeak), "service.go",
+		lineOf(t, dir, "service.go", "go func() {\n\t\t\ts.work(q)"), "goroutine has no statically visible join path")
+}
+
+// TestMutationScherrUndocumentedCode adds a sentinel and its wire code
+// to scherr, wired through Code, but no row in docs/PROTOCOL.md.
+// wirecode must flag the undocumented code at Code.
+func TestMutationScherrUndocumentedCode(t *testing.T) {
+	ProtocolDocOverride = filepath.Join("..", "..", "docs", "PROTOCOL.md") // the copy has no module root
+	defer func() { ProtocolDocOverride = "" }()
+	dir := copyClean(t, "scherr", WireCode)
+	mutateFile(t, dir, "scherr.go", "\tCodeInternal    = \"internal\"\n",
+		"\tCodeInternal    = \"internal\"\n\tCodeOverloaded  = \"overloaded\"\n)\n\nvar ErrOverloaded = errors.New(\"overloaded\")\n\nconst (\n")
+	mutateFile(t, dir, "scherr.go", "\tcase errors.Is(err, ErrBadEps):\n\t\treturn CodeBadEps\n",
+		"\tcase errors.Is(err, ErrBadEps):\n\t\treturn CodeBadEps\n\tcase errors.Is(err, ErrOverloaded):\n\t\treturn CodeOverloaded\n")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/scherr", WireCode), "scherr.go",
+		lineOf(t, dir, "scherr.go", "func Code(err error) string"), `scherr code "overloaded" is not in the scherr table`)
+}
+
+// TestMutationServiceOwnMetric registers a metric from the service
+// package instead of the obs catalog, out of reach of the doc diff
+// and the exactly-once guarantee. obsreg must flag the registration.
+func TestMutationServiceOwnMetric(t *testing.T) {
+	dir := copyClean(t, "service", ObsReg)
+	mutateFile(t, dir, "service.go", "func PublishStats(st Stats) {",
+		"var serviceDropped = obs.Default.Counter(\"service_dropped_total\", \"submissions dropped\")\n\nfunc PublishStats(st Stats) {")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/service", ObsReg), "service.go",
+		lineOf(t, dir, "service.go", "service_dropped_total"), `metric "service_dropped_total" registered outside the obs package`)
 }

@@ -1,7 +1,6 @@
 // Package chanrule is the golden corpus for the chanrule analyzer:
 // close-by-receiver, send/close after a close on some path, channel
-// re-make reopening, and unbuffered sends inside a //sched:guardedby
-// critical section.
+// re-make reopening, and sends while a mutex is held.
 package chanrule
 
 import "sync"
@@ -83,19 +82,21 @@ func sendThenClose(ch chan int) {
 	close(ch)
 }
 
-// --- unbuffered send under a guard mutex ---
+// --- no send while a mutex is held ---
 
 type notifier struct {
 	mu    sync.Mutex
 	state int //sched:guardedby mu
 	wake  chan struct{}
 	buf   chan struct{}
+	subs  map[int]chan int
 }
 
 func newNotifier() *notifier {
 	return &notifier{
 		wake: make(chan struct{}),
 		buf:  make(chan struct{}, 1),
+		subs: map[int]chan int{},
 	}
 }
 
@@ -104,25 +105,82 @@ func newNotifier() *notifier {
 func (n *notifier) bump() {
 	n.mu.Lock()
 	n.state++
-	n.wake <- struct{}{} // want "unbuffered send on n\\.wake while holding n\\.mu"
+	n.wake <- struct{}{} // want "send on n\\.wake while holding n\\.mu"
 	n.mu.Unlock()
 }
 
-// bumpBuffered: capacity-1 channel absorbs the send without blocking.
+// bumpBuffered: a capacity does not license the send; whether it can
+// block depends on how full the buffer is.
 func (n *notifier) bumpBuffered() {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.state++
-	n.mu.Unlock()
+	n.buf <- struct{}{} // want "send on n\\.buf while holding n\\.mu"
+}
+
+// bumpSelect: a select case is a send too, default or not.
+func (n *notifier) bumpSelect() {
+	n.mu.Lock()
+	n.state++
 	select {
-	case n.buf <- struct{}{}:
+	case n.buf <- struct{}{}: // want "send on n\\.buf while holding n\\.mu"
 	default:
+	}
+	n.mu.Unlock()
+}
+
+// publish: the channel comes out of a map under the lock, and no make
+// site says anything about its capacity.
+func (n *notifier) publish(id, v int) {
+	n.mu.Lock()
+	ch := n.subs[id]
+	delete(n.subs, id)
+	if ch != nil {
+		ch <- v // want "send on ch while holding n\\.mu"
+	}
+	n.mu.Unlock()
+}
+
+// localMutex: any held mutex counts, annotated or not.
+func localMutex(ch chan int) {
+	var mu sync.Mutex
+	mu.Lock()
+	ch <- 1 // want "send on ch while holding mu"
+	mu.Unlock()
+}
+
+// tryLocked holds the mutex on the TryLock success edge only.
+func (n *notifier) tryLocked() {
+	if n.mu.TryLock() {
+		n.buf <- struct{}{} // want "send on n\\.buf while holding n\\.mu"
+		n.mu.Unlock()
+	}
+	n.buf <- struct{}{}
+}
+
+// publishAfterUnlock is the fix: look up under the lock, send after it.
+func (n *notifier) publishAfterUnlock(id, v int) {
+	n.mu.Lock()
+	ch := n.subs[id]
+	delete(n.subs, id)
+	n.mu.Unlock()
+	if ch != nil {
+		ch <- v
 	}
 }
 
-// bumpAfterUnlock: unbuffered send outside the critical section.
+// bumpAfterUnlock: the send is outside the critical section.
 func (n *notifier) bumpAfterUnlock() {
 	n.mu.Lock()
 	n.state++
 	n.mu.Unlock()
 	n.wake <- struct{}{}
+}
+
+// spawnUnderLock: a closure is its own scope, and its send runs
+// without the lock held.
+func (n *notifier) spawnUnderLock() {
+	n.mu.Lock()
+	go func() { n.wake <- struct{}{} }()
+	n.mu.Unlock()
 }

@@ -45,7 +45,7 @@ func okNoCtxParam() int {
 	return work() // caller has no ctx to drop
 }
 
-// --- rule 2 and its nil-default exemption ---
+// --- rule 2 has no exemption ---
 
 func solve(ctx context.Context, n int) int { _ = ctx; return n }
 
@@ -59,18 +59,18 @@ func badShim(n int) int {
 
 func badShimCtx(ctx context.Context, n int) int { _ = ctx; return n }
 
-// okNilDefault: the documented nil-means-no-cancellation contract.
-func okNilDefault(ctx context.Context, n int) int {
+// badNilDefault: a nil-guarded default is a root context like any
+// other; callers pass context.Background() themselves.
+func badNilDefault(ctx context.Context, n int) int {
 	if ctx == nil {
-		ctx = context.Background()
+		ctx = context.Background() // want "context.Background\\(\\) in library code"
 	}
 	return solve(ctx, n)
 }
 
-// okNilDefaultFlipped: nil on the left works too.
-func okNilDefaultFlipped(ctx context.Context, n int) int {
+func badNilDefaultFlipped(ctx context.Context, n int) int {
 	if nil == ctx {
-		ctx = context.TODO()
+		ctx = context.TODO() // want "context.TODO\\(\\) in library code"
 	}
 	return solve(ctx, n)
 }

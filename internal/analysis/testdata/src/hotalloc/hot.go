@@ -46,6 +46,27 @@ func hotAppendFresh(n int) []int {
 }
 
 //sched:hotpath
+func hotAppendFreshField(n int) int {
+	var tmp struct{ s []int }
+	for i := 0; i < n; i++ {
+		tmp.s = append(tmp.s, i) // want "append grows a non-scratch slice"
+	}
+	return len(tmp.s)
+}
+
+var pkgSlice []int
+
+var pkgScratch scratch
+
+//sched:hotpath
+func hotAppendPackage(n int) {
+	for i := 0; i < n; i++ {
+		pkgSlice = append(pkgSlice, i)             // want "append grows a non-scratch slice"
+		pkgScratch.buf = append(pkgScratch.buf, i) // want "append grows a non-scratch slice"
+	}
+}
+
+//sched:hotpath
 func hotStringConv(s string) []byte {
 	return []byte(s) // want "string/slice conversion in hot path allocates"
 }
@@ -68,6 +89,14 @@ func (sc *scratch) okFieldAppend(n int) {
 //sched:hotpath
 func okParamAppend(dst []int, v int) []int {
 	return append(dst, v)
+}
+
+//sched:hotpath
+func (sc *scratch) okFieldChainAppend(n int) {
+	p := &sc.buf
+	*p = append(*p, n)
+	s := sc
+	s.buf = append(s.buf, n)
 }
 
 //sched:hotpath

@@ -1,6 +1,6 @@
 // Package lockguard is the golden corpus for the lockguard analyzer:
 // reads and writes of //sched:guardedby fields in and out of their
-// mutex's critical section, RWMutex read/write modes, the fresh-local
+// mutex's critical section, the sync.RWMutex ban, the fresh-local
 // constructor exemption, closures as separate scopes, fields of
 // generic structs, and directive validation.
 package lockguard
@@ -26,18 +26,18 @@ func (c *counter) pairLocked() int {
 }
 
 func (c *counter) unlockedRead() int {
-	return c.n // want "read of c.n without holding c.mu"
+	return c.n // want "access to c.n without holding c.mu"
 }
 
 func (c *counter) unlockedWrite() {
-	c.n++ // want "write to c.n without holding c.mu"
+	c.n++ // want "access to c.n without holding c.mu"
 }
 
 func (c *counter) afterUnlock() int {
 	c.mu.Lock()
 	c.n = 1
 	c.mu.Unlock()
-	return c.n // want "read of c.n without holding c.mu"
+	return c.n // want "access to c.n without holding c.mu"
 }
 
 // newCounter touches the field through a provably fresh local: storage
@@ -53,7 +53,7 @@ func newCounter() *counter {
 func (c *counter) closureEscapes() func() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return func() int { return c.n } // want "read of c.n without holding c.mu"
+	return func() int { return c.n } // want "access to c.n without holding c.mu"
 }
 
 func (c *counter) closureLocksItself() func() int {
@@ -65,15 +65,8 @@ func (c *counter) closureLocksItself() func() int {
 }
 
 type table struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[int]int //sched:guardedby mu
-}
-
-func (t *table) read(k int) int {
-	t.mu.RLock()
-	v := t.m[k]
-	t.mu.RUnlock()
-	return v
 }
 
 func (t *table) write(k, v int) {
@@ -82,10 +75,22 @@ func (t *table) write(k, v int) {
 	t.mu.Unlock()
 }
 
-func (t *table) writeUnderRLock(k int) {
-	t.mu.RLock()
-	t.m[k] = 1 // want "only read-held"
-	t.mu.RUnlock()
+// writeThroughIndex mutates the guarded map without the lock.
+func (t *table) writeThroughIndex(k int) {
+	t.m[k] = 1 // want "access to t.m without holding t.mu"
+}
+
+// --- the sync.RWMutex ban: every use of the type, field or variable ---
+
+type rwTable struct {
+	mu sync.RWMutex // want "sync.RWMutex: the lock analyzers model sync.Mutex only; use sync.Mutex"
+	m  map[int]int  //sched:guardedby mu // want "not a sync.Mutex field"
+}
+
+var rwGlobal sync.RWMutex // want "sync.RWMutex: the lock analyzers model sync.Mutex only"
+
+func newRW() *sync.RWMutex { // want "sync.RWMutex: the lock analyzers model sync.Mutex only"
+	return &sync.RWMutex{} // want "sync.RWMutex: the lock analyzers model sync.Mutex only"
 }
 
 // --- CFG precision: branch-dependent unlocks, TryLock, defer-in-loop ---
@@ -111,7 +116,7 @@ func (c *counter) mergeUnlocked(fail bool) int {
 	if fail {
 		c.mu.Unlock()
 	}
-	v := c.n // want "read of c.n without holding c.mu"
+	v := c.n // want "access to c.n without holding c.mu"
 	if !fail {
 		c.mu.Unlock()
 	}
@@ -132,7 +137,7 @@ func (c *counter) tryLockFailurePath() int {
 	if c.mu.TryLock() {
 		c.mu.Unlock()
 	}
-	return c.n // want "read of c.n without holding c.mu"
+	return c.n // want "access to c.n without holding c.mu"
 }
 
 // deferInLoop: a defer registered inside a loop still runs at function
@@ -156,7 +161,7 @@ func (c *counter) loopLocal(rounds int) int {
 		total += c.n
 		c.mu.Unlock()
 	}
-	total += c.n // want "read of c.n without holding c.mu"
+	total += c.n // want "access to c.n without holding c.mu"
 	return total
 }
 
@@ -175,22 +180,22 @@ func (t *gtable[V]) get(k int) V {
 }
 
 func (t *gtable[V]) size() int {
-	return len(t.m) // want "read of t.m without holding t.mu"
+	return len(t.m) // want "access to t.m without holding t.mu"
 }
 
 func sizeOf(t *gtable[string]) int {
-	return len(t.m) // want "read of t.m without holding t.mu"
+	return len(t.m) // want "access to t.m without holding t.mu"
 }
 
 // --- directive validation ---
 
 type badGuard struct {
-	x int //sched:guardedby nope // want "not a sync.Mutex or sync.RWMutex field"
+	x int //sched:guardedby nope // want "not a sync.Mutex field"
 }
 
 type notAMutex struct {
 	guard int
-	y     int //sched:guardedby guard // want "not a sync.Mutex or sync.RWMutex field"
+	y     int //sched:guardedby guard // want "not a sync.Mutex field"
 }
 
 type embeddedGuarded struct {

@@ -1,6 +1,6 @@
 // Package lockorder is the golden corpus for the lockorder analyzer:
 // direct and call-composed lock-ordering cycles, same-mutex nested
-// acquisition (including RLock inside Lock), TryLock as a non-blocking
+// acquisition (direct and through a call), TryLock as a non-blocking
 // non-edge, and ignore mechanics for module-level diagnostics.
 package lockorder
 
@@ -81,22 +81,22 @@ func (g *gate) drain(r *registry) {
 // --- same-mutex nesting self-deadlocks ---
 
 type cache struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[int]int
 }
 
 func (c *cache) getLocked(k int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mu.RLock() // want "acquires lockorder\\.cache\\.mu while already holding it"
+	c.mu.Lock() // want "acquires lockorder\\.cache\\.mu while already holding it"
 	v := c.m[k]
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return v
 }
 
 func (c *cache) sizeLocked() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.m)
 }
 
