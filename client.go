@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"iter"
 	"sync"
 
@@ -150,10 +151,12 @@ func WithProbeBudget(n int) Option {
 // WithDial routes Schedule, ScheduleStream, RunOnline and Stats over
 // the wire protocol to a moldschedd TCP listener at addr (see
 // docs/PROTOCOL.md §Transport) instead of the in-process service. The
-// connection is dialed lazily on the first remote call and reused; a
-// lost connection surfaces as ErrUnavailable, shed requests as
-// ErrOverloaded. Estimate, Validate and ValidateSchedule stay local —
-// they need no serving stack. Construction-time only.
+// connection is dialed once, lazily, on the first remote call and
+// reused; concurrent first calls wait for that dial, each only as long
+// as its own context allows. A failed dial or a lost connection
+// surfaces as ErrUnavailable, shed requests as ErrOverloaded.
+// Estimate, Validate and ValidateSchedule stay local — they need no
+// serving stack. Construction-time only.
 func WithDial(addr string) Option {
 	return func(c *config) { c.dial = addr }
 }
@@ -212,11 +215,15 @@ type Client struct {
 	streams sync.WaitGroup
 
 	// Remote transport (WithDial): the connection is dialed lazily on
-	// the first remote call and reused for the client's lifetime.
-	dial   string
-	tenant string
-	rmu    sync.Mutex
-	remote *netserve.WireClient //sched:guardedby rmu
+	// the first remote call and reused for the client's lifetime. The
+	// one-slot dialSem makes that dial single-flight; rmu is never held
+	// across it, so a waiter gives up on its own ctx.
+	dial    string
+	tenant  string
+	dialSem chan struct{}
+	rmu     sync.Mutex
+	remote  *netserve.WireClient //sched:guardedby rmu
+	closed  bool                 //sched:guardedby rmu
 }
 
 // New creates a Client. Options set the pool and cache sizes and the
@@ -231,6 +238,7 @@ func New(opts ...Option) *Client {
 	c := &Client{
 		def: cfg.opt, onl: cfg.online,
 		probes: cfg.probes, dial: cfg.dial, tenant: cfg.tenant,
+		dialSem: make(chan struct{}, 1),
 	}
 	if c.dial == "" {
 		c.svc = service.New(cfg.svc)
@@ -239,14 +247,17 @@ func New(opts ...Option) *Client {
 }
 
 // Close drains in-flight work, stops the workers, and closes the remote
-// connection (if WithDial was used and a call dialed it). Methods must
-// not be called after Close.
+// connection (if WithDial was used and a call dialed it). Close does
+// not wait for a first dial still in flight: that call closes its own
+// connection when the dial finishes, which its ctx bounds, and fails
+// with ErrUnavailable. Methods must not be called after Close.
 func (c *Client) Close() {
 	c.rmu.Lock()
 	if c.remote != nil {
 		c.remote.Close() // fails in-flight remote calls promptly
 		c.remote = nil
 	}
+	c.closed = true // a dial still in flight closes its own connection
 	c.rmu.Unlock()
 	c.streams.Wait()
 	if c.svc != nil {
@@ -255,12 +266,23 @@ func (c *Client) Close() {
 }
 
 // wire returns the client's remote connection, dialing it (and sending
-// the tenant hello) on first use.
+// the tenant hello) on first use. One call at a time dials, holding
+// dialSem under its own ctx; the others wait for the slot or their own
+// ctx, whichever ends first. rmu guards only the reads and the install,
+// so it is never held across the dial. A dial that finishes after
+// Close closes its connection.
 func (c *Client) wire(ctx context.Context) (*netserve.WireClient, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if c.remote != nil {
-		return c.remote, nil
+	if wc, err := c.installed(); wc != nil || err != nil {
+		return wc, err
+	}
+	select {
+	case c.dialSem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, scherr.Canceled(ctx.Err())
+	}
+	defer func() { <-c.dialSem }()
+	if wc, err := c.installed(); wc != nil || err != nil {
+		return wc, err // dialed by the previous slot holder, or closed
 	}
 	wc, err := netserve.Dial(ctx, c.dial)
 	if err != nil {
@@ -272,9 +294,31 @@ func (c *Client) wire(ctx context.Context) (*netserve.WireClient, error) {
 			return nil, err
 		}
 	}
-	c.remote = wc
+	c.rmu.Lock()
+	closed := c.closed
+	if !closed {
+		c.remote = wc
+	}
+	c.rmu.Unlock()
+	if closed {
+		wc.Close()
+		return nil, errClientClosed
+	}
 	return wc, nil
 }
+
+// installed returns the installed connection, or errClientClosed after
+// Close, or neither when no connection has been dialed yet.
+func (c *Client) installed() (*netserve.WireClient, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.closed {
+		return nil, errClientClosed
+	}
+	return c.remote, nil
+}
+
+var errClientClosed = fmt.Errorf("%w: client closed", ErrUnavailable)
 
 // call merges the client defaults with per-call options.
 func (c *Client) call(opts []Option) (core.Options, int) {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,9 +346,232 @@ func TestRemoteDialFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	in := &moldable.Instance{M: 8, Jobs: []moldable.Job{moldable.PerfectSpeedup{W: 8}}}
-	if _, _, err := c.Schedule(ctx, in); err == nil {
-		t.Fatal("schedule against a dead address succeeded")
+	if _, _, err := c.Schedule(ctx, in); !errors.Is(err, repro.ErrUnavailable) {
+		t.Fatalf("schedule against a dead address: %v, want ErrUnavailable", err)
 	}
+}
+
+// holdProxy relays TCP connections to an upstream address, but holds
+// each accepted connection unrelayed until release is closed, so a
+// client's tenant hello stays unanswered until then. accepted gets one
+// value per accepted connection; closed counts the connections whose
+// client side has closed.
+type holdProxy struct {
+	addr     string
+	release  chan struct{}
+	accepted chan struct{}
+	closed   atomic.Int32
+}
+
+func startHoldProxy(t *testing.T, upstream string) *holdProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("proxy listen: %v", err)
+	}
+	p := &holdProxy{addr: ln.Addr().String(), release: make(chan struct{}), accepted: make(chan struct{}, 64)}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.accepted <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				<-p.release
+				u, err := net.Dial("tcp", upstream)
+				if err != nil {
+					return
+				}
+				defer u.Close()
+				go func() { io.Copy(c, u); c.Close() }()
+				io.Copy(u, c)
+				p.closed.Add(1)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		select {
+		case <-p.release:
+		default:
+			close(p.release)
+		}
+		wg.Wait()
+	})
+	return p
+}
+
+// waitAccepted waits until n more connections have been accepted.
+func (p *holdProxy) waitAccepted(t *testing.T, n int) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+	for i := range n {
+		select {
+		case <-p.accepted:
+		case <-timeout:
+			t.Fatalf("proxy accepted %d connections, want %d", i, n)
+		}
+	}
+}
+
+// waitNoMoreAccepted fails if another connection is accepted within d.
+func (p *holdProxy) waitNoMoreAccepted(t *testing.T, d time.Duration) {
+	t.Helper()
+	select {
+	case <-p.accepted:
+		t.Fatalf("proxy accepted a second connection while the first dial was in flight")
+	case <-time.After(d):
+	}
+}
+
+// waitClosed waits until n proxied connections have been closed by the
+// client side.
+func (p *holdProxy) waitClosed(t *testing.T, n int32) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.closed.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("proxy saw %d connections closed, want %d", p.closed.Load(), n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRemoteDialHonorsEachDeadline: call A's first dial stalls in its
+// tenant hello, which the server never answers. Call B, with a 100 ms
+// deadline, must not queue behind A's dial: it fails with ErrCanceled
+// on its own deadline.
+func TestRemoteDialHonorsEachDeadline(t *testing.T) {
+	_, addr := startRemoteServer(t, 1)
+	p := startHoldProxy(t, addr)
+	c := repro.New(repro.WithDial(p.addr), repro.WithTenant("t"))
+	defer c.Close()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	doneA := make(chan error, 1)
+	go func() { _, err := c.Stats(ctxA); doneA <- err }()
+	p.waitAccepted(t, 1)
+	defer func() { cancelA(); <-doneA }()
+
+	ctxB, cancelB := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancelB()
+	doneB := make(chan error, 1)
+	go func() { _, err := c.Stats(ctxB); doneB <- err }()
+	select {
+	case err := <-doneB:
+		if !errors.Is(err, repro.ErrCanceled) {
+			t.Fatalf("call B: %v, want ErrCanceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		cancelA()
+		t.Fatalf("call B still waiting 2 s past its 100 ms deadline, behind call A's dial (then: %v)", <-doneB)
+	}
+}
+
+// TestRemoteDialConcurrentFirstCalls: concurrent first calls share
+// one dial. While the first call's hello is held, no other call opens
+// a connection; every call then succeeds on the one connection.
+func TestRemoteDialConcurrentFirstCalls(t *testing.T) {
+	_, addr := startRemoteServer(t, 1)
+	p := startHoldProxy(t, addr)
+	c := repro.New(repro.WithDial(p.addr), repro.WithTenant("t"))
+	defer c.Close() // on failure too: the proxy's cleanup waits for the client side
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	const n = 8
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Stats(ctx); err != nil {
+				t.Errorf("stats: %v", err)
+			}
+		}()
+	}
+	p.waitAccepted(t, 1)
+	p.waitNoMoreAccepted(t, 100*time.Millisecond)
+	close(p.release)
+	wg.Wait()
+	if _, err := c.Stats(ctx); err != nil {
+		t.Fatalf("stats on the kept connection: %v", err)
+	}
+	if len(p.accepted) != 0 || p.closed.Load() != 0 {
+		t.Fatalf("%d more connections accepted, %d closed; want one connection, kept", len(p.accepted), p.closed.Load())
+	}
+	c.Close()
+	p.waitClosed(t, 1)
+}
+
+// TestRemoteDialStreamFirstCall: a ScheduleStream that is the first
+// call on a fresh client fans out one call per instance, and all of
+// them share one dial.
+func TestRemoteDialStreamFirstCall(t *testing.T) {
+	_, addr := startRemoteServer(t, 1)
+	p := startHoldProxy(t, addr)
+	c := repro.New(repro.WithDial(p.addr), repro.WithTenant("t"))
+	defer c.Close() // on failure too: the proxy's cleanup waits for the client side
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	const n = 16
+	ins := make([]*moldable.Instance, n)
+	for i := range ins {
+		ins[i] = &moldable.Instance{M: 8, Jobs: []moldable.Job{moldable.PerfectSpeedup{W: float64(8 + i)}}}
+	}
+	done := make(chan int, 1)
+	go func() {
+		ok := 0
+		for _, r := range c.ScheduleStream(ctx, ins) {
+			if r.Err != nil {
+				t.Errorf("stream item: %v", r.Err)
+				continue
+			}
+			ok++
+		}
+		done <- ok
+	}()
+	p.waitAccepted(t, 1)
+	p.waitNoMoreAccepted(t, 100*time.Millisecond)
+	close(p.release)
+	if ok := <-done; ok != n {
+		t.Fatalf("stream yielded %d successes, want %d", ok, n)
+	}
+	if len(p.accepted) != 0 {
+		t.Fatalf("stream opened %d more connections, want one in all", len(p.accepted))
+	}
+}
+
+// TestRemoteDialCloseDuringFirstDial: Close returns while a first dial
+// waits for its hello. When the hello is answered, the dial closes its
+// connection and the call fails with ErrUnavailable; nothing leaks.
+func TestRemoteDialCloseDuringFirstDial(t *testing.T) {
+	_, addr := startRemoteServer(t, 1)
+	p := startHoldProxy(t, addr)
+	base := runtime.NumGoroutine()
+	c := repro.New(repro.WithDial(p.addr), repro.WithTenant("t"))
+	defer c.Close() // on failure too: the proxy's cleanup waits for the client side
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	done := make(chan error, 1)
+	go func() { _, err := c.Stats(ctx); done <- err }()
+	p.waitAccepted(t, 1)
+	c.Close()
+	close(p.release)
+	if err := <-done; !errors.Is(err, repro.ErrUnavailable) {
+		t.Fatalf("dial finished after Close: %v, want ErrUnavailable", err)
+	}
+	p.waitClosed(t, 1)
+	waitNoGoroutineLeak(t, base)
 }
 
 // TestRemoteClientStartsNoWorkers: a WithDial client schedules on the

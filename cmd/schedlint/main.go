@@ -7,10 +7,11 @@
 // (ctxflow), wire-protocol/doc coherence, Reset completeness, package
 // documentation, scratch-buffer ownership (scratchown), sync.Mutex
 // discipline on //sched:guardedby fields with sync.RWMutex banned
-// (lockguard), goroutine join paths (goroleak), whole-module
-// lock-ordering cycles (lockorder), no untyped sync/atomic API
-// (atomicmix; typed-atomic copies are left to `go vet`'s copylocks),
-// and channel ownership with no send while a mutex is held (chanrule).
+// (lockguard), goroutine join paths (goroleak), no nested locking,
+// directly or through a call in any package (lockorder), no untyped
+// sync/atomic API (atomicmix; typed-atomic copies are left to `go
+// vet`'s copylocks), and channel ownership with no send while a mutex
+// is held (chanrule).
 //
 // Usage:
 //

@@ -49,8 +49,8 @@ type Analyzer struct {
 	Run func(*Pass) error
 	// RunModule, when non-nil, applies the analyzer once per
 	// invocation to every loaded package together — the hook for
-	// whole-repo properties (the lockorder graph) that no single
-	// package can decide.
+	// whole-repo properties (lockorder's may-acquire summaries, which
+	// cross packages) that no single package can decide.
 	RunModule func(*ModulePass) error
 }
 

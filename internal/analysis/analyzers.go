@@ -5,8 +5,8 @@ package analysis
 // metric catalog), then the semantic ones (context, FP safety,
 // hot-path allocations, scratch reuse), then the ownership and
 // concurrency family added in PR 7 (scratch escape, lock discipline,
-// goroutine joins), then lock ordering, the untyped sync/atomic ban
-// and channel discipline.
+// goroutine joins), then the nested-locking ban, the untyped
+// sync/atomic ban and channel discipline.
 func All() []*Analyzer {
 	return []*Analyzer{
 		PkgDoc,

@@ -29,7 +29,7 @@ import (
 // convergence, by replay(), which walks each reachable block once
 // against its converged in-state, so the fixpoint iteration itself
 // never reports. Interprocedural summaries (scratchown's escapes,
-// lockorder's may-acquire sets) grow under fixpoint() until stable.
+// lockorder's may-acquire flags) grow under fixpoint() until stable.
 
 // A cfgBlock is one basic block: nodes in execution order, then edges.
 type cfgBlock struct {

@@ -272,7 +272,7 @@ func flowClosed(pass *Pass, scope *ast.BlockStmt) {
 // and reports sends, select cases included, executed while a mutex is
 // held.
 func flowLockedSends(pass *Pass, scope *ast.BlockStmt) {
-	f := lockFlow(newLockReader(pass.TypesInfo, exprKey), nil)
+	f := lockFlow(newLockReader(pass.TypesInfo), nil)
 	apply := f.node
 	f.node = func(n ast.Node, held heldLocks, report bool) {
 		if send, ok := n.(*ast.SendStmt); ok && report && len(held) > 0 {

@@ -149,7 +149,7 @@ func validGuardField(pass *Pass, st *ast.StructType, name string) bool {
 // reports unguarded accesses.
 func checkLockScopes(pass *Pass, body *ast.BlockStmt, guards map[types.Object]string) {
 	for _, scope := range funcScopes(body) {
-		r := newLockReader(pass.TypesInfo, exprKey)
+		r := newLockReader(pass.TypesInfo)
 		r.guards, r.fresh = guards, freshLocals(pass, scope)
 		f := lockFlow(r, func(ev lockEvent, held heldLocks) {
 			if _, ok := held[ev.key]; ev.kind == lockAccess && !ok {
@@ -251,25 +251,23 @@ type lockEvent struct {
 }
 
 // A lockReader extracts the position-ordered lock events of CFG nodes
-// (and, for lockorder's summaries, of whole bodies). key names a mutex
-// expression, "" leaving it untracked: lockguard and chanrule key by
-// the expression text, lockorder by the module-wide mutex identity.
-// guards, when set, adds access events for guarded fields, except
-// through the fresh (not yet shared) locals.
+// (and, for lockorder's summaries, of whole bodies). A mutex is keyed
+// by its expression text (exprKey). guards, when set, adds access
+// events for guarded fields, except through the fresh (not yet shared)
+// locals.
 type lockReader struct {
 	info   *types.Info
-	key    func(mutex ast.Expr) string
 	guards map[types.Object]string
 	fresh  map[types.Object]bool
 	cache  map[ast.Node][]lockEvent
 	evs    []lockEvent
 }
 
-func newLockReader(info *types.Info, key func(ast.Expr) string) *lockReader {
-	return &lockReader{info: info, key: key, cache: map[ast.Node][]lockEvent{}}
+func newLockReader(info *types.Info) *lockReader {
+	return &lockReader{info: info, cache: map[ast.Node][]lockEvent{}}
 }
 
-// exprKey is the lockguard/chanrule mutex key: the expression text.
+// exprKey is the lock analyzers' mutex key: the expression text.
 func exprKey(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
 
 // events returns the lock events of n in source order.
@@ -342,10 +340,8 @@ func (r *lockReader) lockCall(call *ast.CallExpr, deferred bool) bool {
 	if !ok || !isNamed(r.info.TypeOf(sel.X), "sync", "Mutex") {
 		return false
 	}
-	if key := r.key(sel.X); key != "" {
-		r.evs = append(r.evs, lockEvent{pos: call.Pos(), kind: m.kind, key: key,
-			try: m.try, deferred: deferred})
-	}
+	r.evs = append(r.evs, lockEvent{pos: call.Pos(), kind: m.kind, key: exprKey(sel.X),
+		try: m.try, deferred: deferred})
 	r.walk(sel.X, false)
 	return true
 }
@@ -364,7 +360,7 @@ func (r *lockReader) access(sel *ast.SelectorExpr) {
 		return // not yet shared
 	}
 	r.evs = append(r.evs, lockEvent{pos: sel.Pos(), kind: lockAccess,
-		key: r.key(sel.X) + "." + guard, sel: sel, guard: guard})
+		key: exprKey(sel.X) + "." + guard, sel: sel, guard: guard})
 }
 
 // heldLocks is the lock analyzers' state: held mutex key → acquisition

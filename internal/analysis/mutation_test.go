@@ -113,47 +113,33 @@ func copyClean(t *testing.T, pkg string, a *Analyzer) string {
 		t.Skip("typechecks internal/" + pkg)
 	}
 	dir := copyPkgNonTest(t, filepath.Join("..", pkg))
-	if diags := runOnDir(t, dir, "mutation/"+pkg, a); len(diags) != 0 {
+	if diags := runOnDir(t, dir, "mutation/internal/"+pkg, a); len(diags) != 0 {
 		t.Fatalf("unmutated %s copy not %s-clean: %v", pkg, a.Name, diags)
 	}
 	return dir
 }
 
-// TestMutationWireClientLockOrder nests WireClient's two mutexes both
-// ways. First the reader's failure path takes wmu before mu, to fence
-// writers out while it fails the waiters: one consistent order, which
-// lockorder must accept. Then send holds mu across the frame write,
-// so the reader cannot fail a waiter mid-write: mu before wmu. The
-// two orders together are a textbook deadlock between the reader and
-// a writer, and lockorder must report the cycle naming both mutexes.
-func TestMutationWireClientLockOrder(t *testing.T) {
+// TestMutationWireClientNestedLock nests WireClient's locks in the two
+// shapes lockorder bans, each on its own copy. First the reader's
+// failure path takes wmu before mu, to fence writers out while it
+// fails the waiters: one order alone, which an ordering graph accepts
+// until some writer nests them the other way. Then Hello holds wmu
+// around its call, which takes wmu again in send: a self-deadlock that
+// only the callee's may-acquire summary shows.
+func TestMutationWireClientNestedLock(t *testing.T) {
 	dir := copyClean(t, "netserve", LockOrder)
-
 	mutateFile(t, dir, "wireclient.go",
 		"\tc.mu.Lock()\n\tc.broken = err\n",
 		"\tc.wmu.Lock()\n\tdefer c.wmu.Unlock()\n\tc.mu.Lock()\n\tc.broken = err\n")
-	if diags := runOnDir(t, dir, "mutation/netserve", LockOrder); len(diags) != 0 {
-		t.Fatalf("one consistent wmu → mu nesting reported: %v", diags)
-	}
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/netserve", LockOrder), "wireclient.go",
+		lineOf(t, dir, "wireclient.go", "\tc.mu.Lock()\n\tc.broken = err"), "Lock of c.mu while holding c.wmu")
 
+	dir = copyClean(t, "netserve", LockOrder)
 	mutateFile(t, dir, "wireclient.go",
-		"\tc.wmu.Lock()\n\t_, err := c.conn.Write(*frame)\n\tc.wmu.Unlock()\n",
-		"\tc.mu.Lock()\n\tc.wmu.Lock()\n\t_, err := c.conn.Write(*frame)\n\tc.wmu.Unlock()\n\tc.mu.Unlock()\n")
-	diags := runOnDir(t, dir, "mutation/netserve", LockOrder)
-	var cycle bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "lock-order cycle") &&
-			strings.Contains(d.Message, "netserve.WireClient.wmu") &&
-			strings.Contains(d.Message, "netserve.WireClient.mu") {
-			cycle = true
-		}
-		if filepath.Base(d.Pos.Filename) != "wireclient.go" {
-			t.Errorf("diagnostic outside wireclient.go: %v", d)
-		}
-	}
-	if !cycle {
-		t.Errorf("wmu → mu in readLoop plus mu → wmu in send produced no lock-order cycle diagnostic; got: %v", diags)
-	}
+		"\t_, err := c.call(ctx, Request{Op: \"hello\"",
+		"\tc.wmu.Lock()\n\tdefer c.wmu.Unlock()\n\t_, err := c.call(ctx, Request{Op: \"hello\"")
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/netserve", LockOrder), "wireclient.go",
+		lineOf(t, dir, "wireclient.go", "c.call(ctx, Request{Op: \"hello\""), "call to mutation/internal/netserve.(WireClient).call may acquire a mutex", "while holding c.wmu")
 }
 
 // TestMutationObsRingLockGuard reads the trace ring's event count
@@ -167,7 +153,7 @@ func TestMutationObsRingLockGuard(t *testing.T) {
 		"\tr.mu.Lock()\n\tdefer r.mu.Unlock()\n\tk := min(r.n, RingCap)",
 		"\tk := min(r.n, RingCap)\n\tr.mu.Lock()\n\tdefer r.mu.Unlock()")
 
-	diags := runOnDir(t, dir, "mutation/obs", LockGuard)
+	diags := runOnDir(t, dir, "mutation/internal/obs", LockGuard)
 	found := false
 	for _, d := range diags {
 		if strings.Contains(d.Message, "access to r.n without holding r.mu") {
@@ -193,7 +179,7 @@ func TestMutationServiceCloneScratchOwn(t *testing.T) {
 
 	mutateFile(t, dir, "service.go", "sched = sched.Clone()", "_ = sched")
 
-	diags := runOnDir(t, dir, "mutation/service", ScratchOwn)
+	diags := runOnDir(t, dir, "mutation/internal/service", ScratchOwn)
 	var put, finish bool
 	for _, d := range diags {
 		put = put || strings.Contains(d.Message, "escapes through put")
@@ -220,7 +206,7 @@ func TestMutationUntypedAtomic(t *testing.T) {
 	mutateFile(t, dir, "service.go", "s.failures.Add(1)", "atomic.AddInt64(&s.failures, 1)")
 	mutateFile(t, dir, "service.go", "s.failures.Load()", "s.failures")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/service", AtomicMix), "service.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", AtomicMix), "service.go",
 		lineOf(t, dir, "service.go", "atomic.AddInt64("), "sync/atomic.AddInt64", "atomic.Int64")
 }
 
@@ -236,7 +222,7 @@ func TestMutationHotAllocAppend(t *testing.T) {
 		"\tres := evalResult{feasible: true}\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n",
 		"\tres := evalResult{feasible: true}\n\tvar gs []int\n\tfor i, j := range in.Jobs {\n\t\tg, tg := br[i].gamma(j, in.M, v, false)\n\t\tgs = append(gs, g)\n")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/lt", HotAlloc), "lt.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/lt", HotAlloc), "lt.go",
 		lineOf(t, dir, "lt.go", "gs = append(gs, g)"), "append grows a non-scratch slice")
 }
 
@@ -249,7 +235,7 @@ func TestMutationLimiterRWMutex(t *testing.T) {
 
 	line := lineOf(t, dir, "limits.go", "sync.RWMutex")
 	var ban bool
-	for _, d := range runOnDir(t, dir, "mutation/netserve", LockGuard) {
+	for _, d := range runOnDir(t, dir, "mutation/internal/netserve", LockGuard) {
 		ban = ban || d.Pos.Line == line && strings.Contains(d.Message, "sync.RWMutex: the lock analyzers model sync.Mutex only")
 		if filepath.Base(d.Pos.Filename) != "limits.go" {
 			t.Errorf("diagnostic outside limits.go: %v", d)
@@ -270,7 +256,7 @@ func TestMutationWireClientSendUnderLock(t *testing.T) {
 		"\t\tc.mu.Unlock()\n\t\tif ch != nil {\n\t\t\tch <- r // buffered 1; never blocks\n\t\t}\n",
 		"\t\tif ch != nil {\n\t\t\tch <- r // buffered 1; never blocks\n\t\t}\n\t\tc.mu.Unlock()\n")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/netserve", ChanRule), "wireclient.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/netserve", ChanRule), "wireclient.go",
 		lineOf(t, dir, "wireclient.go", "ch <- r"), "send on ch while holding c.mu")
 }
 
@@ -283,7 +269,7 @@ func TestMutationServiceNilContextDefault(t *testing.T) {
 		"\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n",
 		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/service", CtxFlow), "service.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", CtxFlow), "service.go",
 		lineOf(t, dir, "service.go", "context.Background()"), "context.Background() in library code")
 }
 
@@ -294,7 +280,7 @@ func TestMutationPairListReset(t *testing.T) {
 	dir := copyClean(t, "knapsack", ResetCheck)
 	mutateFile(t, dir, "pairs.go", "\tl.scratch = l.scratch[:0]\n", "")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/knapsack", ResetCheck), "pairs.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/knapsack", ResetCheck), "pairs.go",
 		lineOf(t, dir, "pairs.go", "func (l *PairList) Reset()"), `does not touch field "scratch"`)
 }
 
@@ -308,7 +294,7 @@ func TestMutationMinMTruncates(t *testing.T) {
 		"return compress.CeilInt(16 * float64(n) / eps)",
 		"return int(16 * float64(n) / eps)")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/fptas", FPConv), "fptas.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/fptas", FPConv), "fptas.go",
 		lineOf(t, dir, "fptas.go", "int(16 * float64(n) / eps)"), "int conversion truncates a float arithmetic expression")
 }
 
@@ -319,7 +305,7 @@ func TestMutationServiceWorkerLeak(t *testing.T) {
 	dir := copyClean(t, "service", GoroLeak)
 	mutateFile(t, dir, "service.go", "\t\t\tdefer s.workers.Done()\n\t\t\ts.work(q)\n", "\t\t\ts.work(q)\n")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/service", GoroLeak), "service.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", GoroLeak), "service.go",
 		lineOf(t, dir, "service.go", "go func() {\n\t\t\ts.work(q)"), "goroutine has no statically visible join path")
 }
 
@@ -335,7 +321,7 @@ func TestMutationScherrUndocumentedCode(t *testing.T) {
 	mutateFile(t, dir, "scherr.go", "\tcase errors.Is(err, ErrBadEps):\n\t\treturn CodeBadEps\n",
 		"\tcase errors.Is(err, ErrBadEps):\n\t\treturn CodeBadEps\n\tcase errors.Is(err, ErrOverloaded):\n\t\treturn CodeOverloaded\n")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/scherr", WireCode), "scherr.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/scherr", WireCode), "scherr.go",
 		lineOf(t, dir, "scherr.go", "func Code(err error) string"), `scherr code "overloaded" is not in the scherr table`)
 }
 
@@ -347,6 +333,19 @@ func TestMutationServiceOwnMetric(t *testing.T) {
 	mutateFile(t, dir, "service.go", "func PublishStats(st Stats) {",
 		"var serviceDropped = obs.Default.Counter(\"service_dropped_total\", \"submissions dropped\")\n\nfunc PublishStats(st Stats) {")
 
-	wantOneAt(t, runOnDir(t, dir, "mutation/service", ObsReg), "service.go",
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", ObsReg), "service.go",
 		lineOf(t, dir, "service.go", "service_dropped_total"), `metric "service_dropped_total" registered outside the obs package`)
+}
+
+// TestMutationFPTASPackageDoc puts a blank line between fptas's doc
+// comment and its package clause. The comment stays in the file, but
+// it no longer documents the package, so go doc shows nothing; a grep
+// for the "// Package fptas" line would still pass. pkgdoc must flag
+// the package clause.
+func TestMutationFPTASPackageDoc(t *testing.T) {
+	dir := copyClean(t, "fptas", PkgDoc)
+	mutateFile(t, dir, "fptas.go", "dual search).\npackage fptas\n", "dual search).\n\npackage fptas\n")
+
+	wantOneAt(t, runOnDir(t, dir, "mutation/internal/fptas", PkgDoc), "fptas.go",
+		lineOf(t, dir, "fptas.go", "\npackage fptas")+1, `no doc comment starting "Package fptas ..."`)
 }

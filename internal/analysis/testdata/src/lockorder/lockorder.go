@@ -1,36 +1,29 @@
 // Package lockorder is the golden corpus for the lockorder analyzer:
-// direct and call-composed lock-ordering cycles, same-mutex nested
-// acquisition (direct and through a call), TryLock as a non-blocking
-// non-edge, and ignore mechanics for module-level diagnostics.
+// nested blocking acquisition (direct, through a call, of the same
+// mutex, of local mutexes, and under a TryLock's success edge), the
+// non-nesting shapes that stay clean, and ignore mechanics for
+// module-level diagnostics.
 package lockorder
 
 import "sync"
 
-// --- direct two-function cycle ---
+// --- direct nesting ---
 
 type pair struct {
 	a sync.Mutex
 	b sync.Mutex
 }
 
-// lockAB nests b inside a; lockBA nests a inside b. Each nesting is
-// fine alone — together they deadlock, and the cycle is reported once
-// at the first edge's witness site.
+// lockAB nests b inside a: one order alone is already a diagnostic,
+// because another path may nest them the other way.
 func (p *pair) lockAB() {
 	p.a.Lock()
-	p.b.Lock() // want "lock-order cycle among \\{lockorder\\.pair\\.a, lockorder\\.pair\\.b\\}"
+	p.b.Lock() // want "Lock of p\\.b while holding p\\.a \\(acquired at lockorder\\.go:20\\)"
 	p.b.Unlock()
 	p.a.Unlock()
 }
 
-func (p *pair) lockBA() {
-	p.b.Lock()
-	p.a.Lock()
-	p.a.Unlock()
-	p.b.Unlock()
-}
-
-// sequential acquisition is not nesting: no edge, no cycle.
+// sequential acquisition is not nesting.
 func (p *pair) sequential() {
 	p.a.Lock()
 	p.a.Unlock()
@@ -38,7 +31,7 @@ func (p *pair) sequential() {
 	p.b.Unlock()
 }
 
-// --- cycle composed across two functions through calls ---
+// --- nesting through a same-package call ---
 
 type gate struct {
 	mu sync.Mutex
@@ -56,29 +49,25 @@ func (g *gate) wait() {
 	g.mu.Unlock()
 }
 
-func (r *registry) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.gates)
-}
-
-// add acquires gate.mu through wait() while holding registry.mu;
-// drain acquires registry.mu through size() while holding gate.mu.
-// Neither function acquires both locks textually — the cycle only
-// exists through summary composition.
+// add acquires gate.mu through wait() while holding registry.mu: no
+// Lock is textually nested, the summary composes it.
 func (r *registry) add(g *gate) {
 	r.mu.Lock()
-	g.wait()
+	g.wait() // want "call to corpus/internal/lockorder\\.\\(gate\\)\\.wait may acquire a mutex \\(at lockorder\\.go:47\\) while holding r\\.mu"
 	r.mu.Unlock()
 }
 
-func (g *gate) drain(r *registry) {
-	g.mu.Lock()
-	_ = r.size() // want "lock-order cycle among \\{lockorder\\.gate\\.mu, lockorder\\.registry\\.mu\\}"
-	g.mu.Unlock()
+// drain calls wait only after releasing its own lock.
+func (r *registry) drain(g *gate) {
+	r.mu.Lock()
+	n := len(r.gates)
+	r.mu.Unlock()
+	if n > 0 {
+		g.wait()
+	}
 }
 
-// --- same-mutex nesting self-deadlocks ---
+// --- same-mutex re-acquisition self-deadlocks ---
 
 type cache struct {
 	mu sync.Mutex
@@ -88,13 +77,13 @@ type cache struct {
 func (c *cache) getLocked(k int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mu.Lock() // want "acquires lockorder\\.cache\\.mu while already holding it"
+	c.mu.Lock() // want "Lock of c\\.mu while holding c\\.mu"
 	v := c.m[k]
 	c.mu.Unlock()
 	return v
 }
 
-func (c *cache) sizeLocked() int {
+func (c *cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
@@ -103,7 +92,7 @@ func (c *cache) sizeLocked() int {
 func (c *cache) snapshot() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sizeLocked() // want "may acquire lockorder\\.cache\\.mu, which is already held"
+	return c.size() // want "call to corpus/internal/lockorder\\.\\(cache\\)\\.size may acquire a mutex \\(at lockorder\\.go:87\\) while holding c\\.mu"
 }
 
 // release-then-reacquire is not nesting.
@@ -114,16 +103,23 @@ func (c *cache) reacquire() {
 	c.mu.Unlock()
 }
 
-// --- TryLock never blocks, so it never closes a cycle ---
+// A deferred call runs at scope exit, here after the Unlock, so it is
+// no flag site.
+func (c *cache) flush() {
+	c.mu.Lock()
+	defer c.size()
+	c.mu.Unlock()
+}
+
+// --- TryLock never blocks ---
 
 type opt struct {
 	mu  sync.Mutex
 	aux sync.Mutex
 }
 
-// tryNested nests aux inside mu via TryLock: a try-acquire cannot be
-// the waiting side of a deadlock, so no mu→aux edge is recorded and
-// inverse's aux→mu nesting stays acyclic.
+// tryNested takes aux by TryLock under mu: a try-acquire cannot be the
+// waiting side of a deadlock.
 func (o *opt) tryNested() {
 	o.mu.Lock()
 	if o.aux.TryLock() {
@@ -132,11 +128,40 @@ func (o *opt) tryNested() {
 	o.mu.Unlock()
 }
 
-func (o *opt) inverse() {
-	o.aux.Lock()
-	o.mu.Lock()
+// tryThenLock holds aux on TryLock's success edge, so the Lock of mu
+// there nests.
+func (o *opt) tryThenLock() {
+	if !o.aux.TryLock() {
+		return
+	}
+	o.mu.Lock() // want "Lock of o\\.mu while holding o\\.aux"
 	o.mu.Unlock()
 	o.aux.Unlock()
+}
+
+// --- local mutexes nest like any other ---
+
+func locals() {
+	var x, y sync.Mutex
+	x.Lock()
+	y.Lock() // want "Lock of y while holding x"
+	y.Unlock()
+	x.Unlock()
+}
+
+// --- a summary with two acquiring callees names the least site ---
+
+// visit may acquire at lockorder.go:87 (size) and :47 (wait); its
+// summary names :47 whichever callee the fixpoint reaches first.
+func visit(c *cache, g *gate) {
+	_ = c.size()
+	g.wait()
+}
+
+func (r *registry) visitLocked(c *cache, g *gate) {
+	r.mu.Lock()
+	visit(c, g) // want "call to corpus/internal/lockorder\\.visit may acquire a mutex \\(at lockorder\\.go:47\\) while holding r\\.mu"
+	r.mu.Unlock()
 }
 
 // --- ignore mechanics: module diagnostics honor //schedlint:ignore ---
@@ -148,15 +173,8 @@ type suppressed struct {
 
 func (s *suppressed) xy() {
 	s.x.Lock()
-	//schedlint:ignore lockorder bootstrap-only path: both orders run before any goroutine starts
+	//schedlint:ignore lockorder bootstrap-only path: runs before any goroutine starts
 	s.y.Lock()
 	s.y.Unlock()
 	s.x.Unlock()
-}
-
-func (s *suppressed) yx() {
-	s.y.Lock()
-	s.x.Lock()
-	s.x.Unlock()
-	s.y.Unlock()
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/online"
+	"repro/internal/scherr"
 	"repro/internal/service"
 )
 
@@ -21,6 +22,27 @@ import (
 // a TYPED terminal error (ErrUnavailable; never a hang, never an
 // untyped string), other connections keep serving unaffected, and the
 // whole exercise leaks no goroutines (checked under -race in CI).
+
+// TestDialErrorsTyped: a dial that fails is typed like every other
+// transport failure. A closed port gives ErrUnavailable; a context that
+// already ended gives scherr.ErrCanceled, still matching its cause.
+func TestDialErrorsTyped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there now
+
+	if _, err := Dial(context.Background(), addr); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("dial to a closed port: %v, want ErrUnavailable", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Dial(ctx, addr); !errors.Is(err, scherr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("dial under a canceled context: %v, want ErrCanceled matching context.Canceled", err)
+	}
+}
 
 // startTestServer boots a Server on a loopback listener and returns it
 // with its address. The server is closed by the caller.

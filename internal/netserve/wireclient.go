@@ -90,12 +90,17 @@ func (e *encodedInstances) appendInstance(dst []byte, in *moldable.Instance) ([]
 	return dst, err
 }
 
-// Dial connects a WireClient to a moldschedd TCP listener.
+// Dial connects a WireClient to a moldschedd TCP listener. A dial cut
+// short by ctx fails with scherr.Canceled; any other failure wraps
+// ErrUnavailable.
 func Dial(ctx context.Context, addr string) (*WireClient, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		if ctx.Err() != nil {
+			return nil, scherr.Canceled(ctx.Err())
+		}
+		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	c := &WireClient{
 		conn:    conn,
