@@ -337,13 +337,18 @@ func (c *Client) mergecall(opts []Option) config {
 // Schedule solves one instance under ctx: cancellation and deadlines
 // are observed between dual-search probes, and a canceled run returns
 // an error matching ErrCanceled. Structurally identical submissions are
-// answered from the result cache. The instance must not be mutated
+// answered from the result cache. The instance is validated first,
+// as the server validates a remote submission, so a non-monotone job
+// fails with ErrNotMonotone. The instance must not be mutated
 // afterwards.
 func (c *Client) Schedule(ctx context.Context, in *moldable.Instance, opts ...Option) (*ScheduleResult, *Report, error) {
-	opt, _ := c.call(opts)
+	opt, probes := c.call(opts)
 	if c.dial != "" {
 		r := c.remoteOne(ctx, in, opt)
 		return r.Schedule, r.Report, r.Err
+	}
+	if err := in.ValidateCtx(ctx, probes); err != nil {
+		return nil, nil, err
 	}
 	r := c.svc.DoCtx(ctx, in, opt)
 	return r.Schedule, r.Report, r.Err
@@ -382,7 +387,7 @@ func (c *Client) remoteOne(ctx context.Context, in *moldable.Instance, opt core.
 // loop early does not leak goroutines: pending work is collected in the
 // background and released by Close.
 func (c *Client) ScheduleStream(ctx context.Context, ins []*moldable.Instance, opts ...Option) iter.Seq2[int, Result] {
-	opt, _ := c.call(opts)
+	opt, probes := c.call(opts)
 	if c.dial != "" {
 		return c.remoteStream(ctx, ins, opt)
 	}
@@ -404,6 +409,10 @@ func (c *Client) ScheduleStream(ctx context.Context, ins []*moldable.Instance, o
 		go func() {
 			defer c.streams.Done()
 			for i, in := range ins {
+				if err := in.ValidateCtx(ctx, probes); err != nil {
+					ch <- completion{i, Result{Err: err}}
+					continue
+				}
 				id := c.svc.SubmitCtx(ctx, in, opt)
 				// Tickets that completed during SubmitCtx itself (result-
 				// cache hits, pre-canceled contexts) are collected inline:
@@ -415,7 +424,7 @@ func (c *Client) ScheduleStream(ctx context.Context, ins []*moldable.Instance, o
 					continue
 				}
 				go func(i int, id uint64) {
-					r, ok := c.svc.Wait(id) //schedlint:ignore ctxflow deliberate: the stream must collect every ticket even after ctx ends (submission is already ctx-bound; a canceled ticket completes promptly)
+					r, ok := c.svc.Wait(id)
 					if !ok {
 						// Only possible if the ticket aged out of the
 						// retention window before we collected it.
@@ -482,7 +491,8 @@ func (c *Client) remoteStream(ctx context.Context, ins []*moldable.Instance, opt
 // (every admitted job planned and run to completion). Configuration
 // problems (missing machine size, bad ε) surface on the error return
 // before any arrival is consumed. Mid-stream failures — a canceled
-// ctx, out-of-order arrival timestamps, a planner error — terminate
+// ctx, out-of-order arrival timestamps, a non-monotone job (matching
+// ErrNotMonotone), a planner error — terminate
 // the sequence with one final event of kind EvError carrying the cause
 // (matching ErrCanceled when ctx ended first). Ranging the sequence
 // multiple times is not supported; breaking out early releases the
@@ -499,7 +509,17 @@ func (c *Client) RunOnline(ctx context.Context, arrivals iter.Seq[Arrival], opts
 	if err != nil {
 		return nil, err
 	}
-	return onlineEvents(ctx, arrivals, rt.Arrive, rt.Drain), nil
+	// Admit an arrival as the server does: a non-monotone job fails
+	// with ErrNotMonotone before it reaches the planner.
+	arrive := func(ctx context.Context, a Arrival) ([]OnlineEvent, error) {
+		if a.Job != nil {
+			if err := moldable.CheckMonotone(a.Job, ocfg.M, cfg.probes); err != nil {
+				return nil, err
+			}
+		}
+		return rt.Arrive(ctx, a)
+	}
+	return onlineEvents(ctx, arrivals, arrive, rt.Drain), nil
 }
 
 // onlineEvents is the event sequence both RunOnline paths return:

@@ -586,3 +586,48 @@ func TestRemoteClientStartsNoWorkers(t *testing.T) {
 		t.Fatalf("New(WithDial) started %d goroutines", after-before)
 	}
 }
+
+// TestNotMonotoneTyped sends an instance whose one job's time rises
+// from p = 1 to p = 2 through Schedule, ScheduleStream and RunOnline,
+// on a local client and on a WithDial client. Every path rejects it
+// with ErrNotMonotone: the local client validates with its probe
+// budget before scheduling, as the server does before admitting.
+func TestNotMonotoneTyped(t *testing.T) {
+	_, addr := startRemoteServer(t, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	bad := moldable.Table{T: []moldable.Time{1, 5, 0.1, 0.1}}
+	in := &moldable.Instance{M: 4, Jobs: []moldable.Job{bad}}
+	for _, tc := range []struct {
+		name string
+		opts []repro.Option
+	}{
+		{"local", nil},
+		{"remote", []repro.Option{repro.WithDial(addr)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := repro.New(tc.opts...)
+			defer c.Close()
+			if _, _, err := c.Schedule(ctx, in); !errors.Is(err, repro.ErrNotMonotone) {
+				t.Errorf("Schedule: %v, want ErrNotMonotone", err)
+			}
+			for i, r := range c.ScheduleStream(ctx, []*moldable.Instance{in}) {
+				if !errors.Is(r.Err, repro.ErrNotMonotone) {
+					t.Errorf("ScheduleStream item %d: %v, want ErrNotMonotone", i, r.Err)
+				}
+			}
+			arrivals := func(yield func(repro.Arrival) bool) { yield(repro.Arrival{T: 0, Job: bad}) }
+			seq, err := c.RunOnline(ctx, arrivals, repro.WithMachines(4))
+			if err != nil {
+				t.Fatalf("RunOnline: %v", err)
+			}
+			var last repro.OnlineEvent
+			for _, e := range seq {
+				last = e
+			}
+			if last.Kind != repro.EvError || !errors.Is(last.Err, repro.ErrNotMonotone) {
+				t.Errorf("RunOnline ended with %v (%v), want EvError matching ErrNotMonotone", last.Kind, last.Err)
+			}
+		})
+	}
+}

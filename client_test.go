@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,15 +12,21 @@ import (
 	"repro/internal/moldable"
 )
 
-// cancelJob wraps a job's oracle so its first probe cancels a context:
-// a deterministic mid-batch cancellation fuse.
+// cancelJob wraps a job's oracle so that every probe after its first
+// skip cancels a context: a deterministic mid-batch cancellation fuse.
+// With skip set to the probes that validation makes, the fuse fires
+// when a worker schedules the job, not when the client validates it.
 type cancelJob struct {
 	moldable.Job
 	cancel context.CancelFunc
+	skip   int64
+	calls  *atomic.Int64
 }
 
 func (c cancelJob) Time(p int) moldable.Time {
-	c.cancel()
+	if c.calls.Add(1) > c.skip {
+		c.cancel()
+	}
 	return c.Job.Time(p)
 }
 
@@ -235,15 +242,20 @@ func TestClientScheduleStreamCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// One worker serializes the batch in submission order; instance
-	// fuse's oracle cancels the context at its first probe, so
-	// instances beyond it are provably unstarted when the cancel lands.
+	// fuse's oracle cancels the context at its first probe after
+	// validation, so instances beyond it are provably unstarted when the
+	// cancel lands.
 	c := repro.New(repro.WithWorkers(1), repro.WithEps(0.25), repro.WithAlgorithm(repro.Linear))
 	const n = 96
 	const fuse = 5
 	ins := testInstances(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ins[fuse].Jobs[0] = cancelJob{Job: ins[fuse].Jobs[0], cancel: cancel}
+	probe := cancelJob{Job: ins[fuse].Jobs[0], cancel: func() {}, calls: new(atomic.Int64)}
+	if err := c.Validate(ctx, &moldable.Instance{M: ins[fuse].M, Jobs: []moldable.Job{probe}}); err != nil {
+		t.Fatal(err)
+	}
+	ins[fuse].Jobs[0] = cancelJob{Job: ins[fuse].Jobs[0], cancel: cancel, skip: probe.calls.Load(), calls: new(atomic.Int64)}
 
 	var done, canceled int
 	yielded := 0

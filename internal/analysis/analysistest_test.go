@@ -307,7 +307,7 @@ func TestCorpusDirsCovered(t *testing.T) {
 // visible, reviewed change to this constant rather than a silent drift.
 // Mentions of the directive in doc comments and help text do not count;
 // only comments the runner would parse as directives do.
-const ignoreDirectives = 12
+const ignoreDirectives = 11
 
 func TestIgnoreDirectiveCount(t *testing.T) {
 	if testing.Short() {

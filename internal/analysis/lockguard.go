@@ -15,7 +15,7 @@ import (
 //
 // (doc comment or trailing comment) may only be read or written while
 // mu — a sync.Mutex field of the same struct — is held. The serving
-// path's shared state (result-cache shards, online sessions, the
+// path's shared state (the result cache, online sessions, the
 // known-instance table, the server's connection set, the daemon's
 // response writer) is guarded by convention today; -race only catches
 // the schedules the tests happen to race.

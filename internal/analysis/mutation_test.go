@@ -172,7 +172,7 @@ func TestMutationObsRingLockGuard(t *testing.T) {
 // the worker's scratch-owned schedule out of the result cache and the
 // ticket. The schedule then reaches both only through same-package
 // calls, so scratchown must follow its escape summaries (put stores
-// into the cache's shard map, finish into the ticket) and flag both
+// into the cache's map, finish into the ticket) and flag both
 // arguments.
 func TestMutationServiceCloneScratchOwn(t *testing.T) {
 	dir := copyClean(t, "service", ScratchOwn)
@@ -266,8 +266,8 @@ func TestMutationWireClientSendUnderLock(t *testing.T) {
 func TestMutationServiceNilContextDefault(t *testing.T) {
 	dir := copyClean(t, "service", CtxFlow)
 	mutateFile(t, dir, "service.go",
-		"\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n",
-		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\tr, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))\n")
+		"\tid, t := s.submit(ctx, in, opt)\n",
+		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\tid, t := s.submit(ctx, in, opt)\n")
 
 	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", CtxFlow), "service.go",
 		lineOf(t, dir, "service.go", "context.Background()"), "context.Background() in library code")

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -52,29 +54,35 @@ func TestDoCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestWaitCtxDoesNotConsumeTicket: a WaitCtx bounded by a dead context
-// reports ErrCanceled but leaves the ticket collectable; a later Wait
-// gets the real result.
-func TestWaitCtxDoesNotConsumeTicket(t *testing.T) {
-	s := New(Config{Workers: 1})
+// TestDoCtxKeepsItsResult runs many concurrent cached DoCtx calls with
+// a retention FIFO of one ticket, so other calls evict each ticket
+// almost as soon as it completes. DoCtx waits on the task it submitted,
+// not on the ticket, so no live-context call loses its result.
+func TestDoCtxKeepsItsResult(t *testing.T) {
+	s := New(Config{Workers: 2, TicketCap: 1})
 	defer s.Close()
-	in := testInstance(9)
-	id := s.SubmitCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.25})
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, ok := s.WaitCtx(dead, id)
-	if !ok {
-		t.Fatal("ticket unknown")
+	opt := core.Options{Algorithm: core.LT2}
+	in := moldable.Random(moldable.GenConfig{N: 4, M: 16, Seed: 1})
+	if r := s.DoCtx(context.Background(), in, opt); r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	if !errors.Is(r.Err, scherr.ErrCanceled) {
-		t.Fatalf("WaitCtx on dead context = %v, want ErrCanceled", r.Err)
+	const goroutines, calls = 16, 2000
+	var lost atomic.Int64
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				if r := s.DoCtx(context.Background(), in, opt); r.Err != nil || r.Schedule == nil {
+					lost.Add(1)
+				}
+			}
+		}()
 	}
-	real, ok := s.WaitCtx(context.Background(), id)
-	if !ok {
-		t.Fatal("ticket was consumed by the canceled WaitCtx")
-	}
-	if real.Err != nil || real.Schedule == nil {
-		t.Fatalf("real result after canceled WaitCtx: %+v", real)
+	wg.Wait()
+	if n := lost.Load(); n != 0 {
+		t.Fatalf("%d of %d live-context DoCtx calls lost their result", n, goroutines*calls)
 	}
 }
 

@@ -123,3 +123,29 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestResultCacheHoldsCap fills the result cache with exactly its
+// capacity of distinct successes: all of them stay cached. Past the
+// capacity, eviction keeps the count at the capacity.
+func TestResultCacheHoldsCap(t *testing.T) {
+	const capacity = 64
+	s := New(Config{Workers: 2, ResultCacheCap: capacity})
+	defer s.Close()
+	ins := make([]*moldable.Instance, capacity+16)
+	for i := range ins {
+		ins[i] = moldable.Random(moldable.GenConfig{N: 4, M: 16, Seed: uint64(i + 1)})
+	}
+	opt := core.Options{Algorithm: core.LT2}
+	for i, r := range s.DoBatchCtx(context.Background(), ins[:capacity], opt) {
+		if r.Err != nil || r.Cached {
+			t.Fatalf("instance %d: err=%v cached=%v", i, r.Err, r.Cached)
+		}
+	}
+	if got := s.Stats().CachedResults; got != capacity {
+		t.Fatalf("%d distinct successes left %d cached, want %d", capacity, got, capacity)
+	}
+	s.DoBatchCtx(context.Background(), ins[capacity:], opt)
+	if got := s.Stats().CachedResults; got != capacity {
+		t.Fatalf("past the capacity %d results are cached, want %d", got, capacity)
+	}
+}

@@ -3,9 +3,8 @@
 // DESIGN.md §5). It composes two mechanisms, both keyed by the same
 // canonical instance hash:
 //
-//   - a bounded, sharded result cache: structurally identical
-//     (instance, options) submissions are answered without scheduling
-//     at all;
+//   - a bounded result cache: structurally identical (instance,
+//     options) submissions are answered without scheduling at all;
 //   - one bounded FIFO queue per worker goroutine, chosen by the
 //     instance hash: duplicate submissions land on one worker in order,
 //     so a burst of the same instance computes once and then hits the
@@ -17,7 +16,7 @@
 // before they escape into the cache or to callers.
 //
 // Submissions are asynchronous (SubmitCtx returns a ticket;
-// Wait/WaitCtx/Poll collect, Done observes) with synchronous
+// Wait/Poll collect, Done observes) with synchronous
 // conveniences (DoCtx, DoBatchCtx) on top. SubmitCtx carries a
 // per-submission context — deadline included — all the way into the
 // dual-search probe loops; interrupted submissions complete with
@@ -206,6 +205,14 @@ func (s *Scheduler) Close() {
 // Wait/Poll callers always see a result. Canceled results are never
 // cached. A result-cache hit still answers a live context immediately.
 func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64 {
+	id, _ := s.submit(ctx, in, opt)
+	return id
+}
+
+// submit is SubmitCtx that also returns the ticket's task, so that a
+// synchronous caller waits on the task itself: the ticket may age out
+// of the retention FIFO before the caller could look it up.
+func (s *Scheduler) submit(ctx context.Context, in *moldable.Instance, opt core.Options) (uint64, *task) {
 	id := s.nextID.Add(1)
 	t := &task{done: make(chan struct{})}
 	s.tasks.Store(id, t)
@@ -215,31 +222,42 @@ func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt co
 	}
 
 	key, canon := s.h.instanceKey(in)
-	rkey := uint64(0)
+	j := job{ctx: ctx, id: id, t: t, in: in, opt: opt, key: key, canon: canon}
 	if canon {
-		rkey = s.h.resultKey(key, opt)
-		if !s.cfg.NoResultCache {
-			if r, ok := s.results.get(rkey); ok {
-				r.Cached = true
-				s.resultHits.Add(1)
-				if obs.On() {
-					obs.ServiceResultHits.Inc()
-				}
-				s.finish(id, t, r)
-				return id
-			}
-		}
+		j.rkey = s.h.resultKey(key, opt)
 	} else {
 		// No canonical hash: spread by ticket so unhashable submissions
 		// don't all serialize onto one worker.
-		key = id
+		j.key = id
+	}
+	if s.cached(j) {
+		return id, t
 	}
 	if err := ctx.Err(); err != nil {
 		s.finish(id, t, Result{Err: scherr.Canceled(err)})
-		return id
+		return id, t
 	}
-	s.enqueue(job{ctx: ctx, id: id, t: t, in: in, opt: opt, key: key, rkey: rkey, canon: canon})
-	return id
+	s.enqueue(j)
+	return id, t
+}
+
+// cached completes j from the result cache if the cache holds its
+// result, reporting whether it did.
+func (s *Scheduler) cached(j job) bool {
+	if !j.canon || s.cfg.NoResultCache {
+		return false
+	}
+	r, ok := s.results.get(j.rkey)
+	if !ok {
+		return false
+	}
+	r.Cached = true
+	s.resultHits.Add(1)
+	if obs.On() {
+		obs.ServiceResultHits.Inc()
+	}
+	s.finish(j.id, j.t, r)
+	return true
 }
 
 // run executes one submission on the worker that owns sc.
@@ -253,16 +271,8 @@ func (s *Scheduler) run(j job, sc *core.Scratch) {
 	// Re-check the cache: a key-mate submitted moments earlier may have
 	// just computed this exact result (key affinity serialized us
 	// behind it).
-	if j.canon && !s.cfg.NoResultCache {
-		if r, ok := s.results.get(j.rkey); ok {
-			r.Cached = true
-			s.resultHits.Add(1)
-			if obs.On() {
-				obs.ServiceResultHits.Inc()
-			}
-			s.finish(j.id, j.t, r)
-			return
-		}
+	if s.cached(j) {
+		return
 	}
 	// The worker's scratch owns the produced schedule, so clone it
 	// before the result escapes into the cache or to callers.
@@ -327,27 +337,6 @@ func (s *Scheduler) Wait(id uint64) (Result, bool) {
 	return t.res, true
 }
 
-// WaitCtx is Wait bounded by the caller's context: it returns either
-// the completed result (releasing the ticket) or, when ctx ends first,
-// a Result whose Err matches scherr.ErrCanceled — in that case the
-// ticket is NOT released, so the submission keeps running and a later
-// Wait/Poll can still collect it. Note the submission's own context is
-// the one given to SubmitCtx; WaitCtx only bounds this wait.
-func (s *Scheduler) WaitCtx(ctx context.Context, id uint64) (Result, bool) {
-	v, ok := s.tasks.Load(id)
-	if !ok {
-		return Result{}, false
-	}
-	t := v.(*task)
-	select {
-	case <-t.done:
-		s.tasks.Delete(id)
-		return t.res, true
-	case <-ctx.Done():
-		return Result{Err: scherr.Canceled(ctx.Err())}, true
-	}
-}
-
 // Done returns a channel that is closed when the ticket completes,
 // without collecting or releasing it — the observer's sibling of
 // Wait/Poll, for callers that must react to completion (release a
@@ -380,22 +369,28 @@ func (s *Scheduler) Poll(id uint64) (res Result, done, known bool) {
 }
 
 // DoCtx schedules synchronously through the service (cache and queue
-// affinity included) under a per-submission context: the work
-// itself carries ctx (deadline included) and the wait is bounded by it
-// too — when ctx
+// affinity included) under a per-submission context: the work itself
+// carries ctx (deadline included) and the wait is bounded by it too —
+// when ctx
 // ends while the submission is still queued behind other work, DoCtx
 // returns an ErrCanceled result immediately instead of waiting for the
 // worker to reach (and then abandon) the task.
 func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.Options) Result {
-	r, ok := s.WaitCtx(ctx, s.SubmitCtx(ctx, in, opt))
-	if !ok {
-		// The ticket aged out of the retention FIFO before we loaded it
-		// (tiny TicketCap under concurrent submissions): the result is
-		// gone. Report it as lost rather than returning a zero Result
-		// that looks like success.
-		r = Result{Err: scherr.Canceled(nil)}
+	id, t := s.submit(ctx, in, opt)
+	return s.wait(ctx, id, t)
+}
+
+// wait returns t's result once it completes, releasing ticket id, or
+// an ErrCanceled result when ctx ends first; the ticket then stays
+// collectable and the submission runs on under its own context.
+func (s *Scheduler) wait(ctx context.Context, id uint64, t *task) Result {
+	select {
+	case <-t.done:
+		s.tasks.Delete(id)
+		return t.res
+	case <-ctx.Done():
+		return Result{Err: scherr.Canceled(ctx.Err())}
 	}
-	return r
 }
 
 // DoBatchCtx submits every instance under one shared context and
@@ -406,15 +401,13 @@ func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.O
 // a cancel instead of trailing the queue.
 func (s *Scheduler) DoBatchCtx(ctx context.Context, ins []*moldable.Instance, opt core.Options) []Result {
 	ids := make([]uint64, len(ins))
+	tasks := make([]*task, len(ins))
 	for i, in := range ins {
-		ids[i] = s.SubmitCtx(ctx, in, opt)
+		ids[i], tasks[i] = s.submit(ctx, in, opt)
 	}
 	out := make([]Result, len(ins))
 	for i, id := range ids {
-		var ok bool
-		if out[i], ok = s.WaitCtx(ctx, id); !ok {
-			out[i] = Result{Err: scherr.Canceled(nil)} // evicted ticket; see DoCtx
-		}
+		out[i] = s.wait(ctx, id, tasks[i])
 	}
 	return out
 }
