@@ -400,7 +400,7 @@ func (c *Client) ScheduleStream(ctx context.Context, ins []*moldable.Instance, o
 		// Buffered to n: collector goroutines never block, so an early
 		// break by the consumer cannot strand them.
 		ch := make(chan completion, n)
-		// Submit from a goroutine: a submission blocked on a full shard
+		// Submit from a goroutine: a submission blocked on a full worker
 		// queue must not delay the consumer, which should be receiving
 		// the first completions while the tail is still being enqueued.
 		// Close waits for this goroutine (c.streams), so breaking out of
@@ -413,25 +413,10 @@ func (c *Client) ScheduleStream(ctx context.Context, ins []*moldable.Instance, o
 					ch <- completion{i, Result{Err: err}}
 					continue
 				}
-				id := c.svc.SubmitCtx(ctx, in, opt)
-				// Tickets that completed during SubmitCtx itself (result-
-				// cache hits, pre-canceled contexts) are collected inline:
-				// left to a collector goroutine, a long cache-hot burst
-				// could out-run the service's uncollected-ticket retention
-				// and lose results.
-				if r, done, known := c.svc.Poll(id); done && known {
-					ch <- completion{i, r}
-					continue
-				}
-				go func(i int, id uint64) {
-					r, ok := c.svc.Wait(id)
-					if !ok {
-						// Only possible if the ticket aged out of the
-						// retention window before we collected it.
-						r = Result{Err: scherr.Canceled(nil)}
-					}
-					ch <- completion{i, r}
-				}(i, id)
+				t := c.svc.SubmitCtx(ctx, in, opt, false)
+				go func(i int, t *service.Ticket) {
+					ch <- completion{i, t.Result()}
+				}(i, t)
 			}
 		}()
 		for done := 0; done < n; done++ {

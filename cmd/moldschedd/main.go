@@ -42,7 +42,7 @@
 //	{"op":"stats","submitted":1,"completed":1,...}
 //
 // submit replies with a ticket id once the instance is validated; the
-// work runs on the service's sharded pool. timeout_ms > 0 sets a
+// work runs on the service's worker pool. timeout_ms > 0 sets a
 // per-submission deadline: when it expires before the work finishes,
 // the ticket completes with a canceled-error result instead of
 // blocking forever. result with wait=true answers when the ticket
@@ -114,7 +114,7 @@ func main() {
 		httpAddr    = flag.String("http", "", "serve /healthz, /stats and POST /rpc on this HTTP address")
 		maxInflight = flag.Int("max-inflight", 0, "admitted-request budget across all connections (0: unlimited; excess sheds with code \"overloaded\")")
 		quotaRate   = flag.Float64("quota-rate", 0, "per-tenant request quota in req/s (0: no quotas)")
-		quotaBurst  = flag.Float64("quota-burst", 0, "per-tenant quota burst capacity (0: defaults to max(1, quota-rate))")
+		quotaBurst  = flag.Float64("quota-burst", 0, "per-tenant quota burst capacity (0: defaults to quota-rate; at least 1)")
 		idleSession = flag.Duration("idle-session", 0, "reap online sessions idle longer than this (0: never)")
 		debugAddr   = flag.String("debug-addr", "", "serve GET /metrics (Prometheus text) and /debug/pprof on this HTTP address (off when empty)")
 	)

@@ -11,9 +11,12 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 )
 
 // Package is one loaded, typechecked package: the unit the analyzers
@@ -36,7 +39,6 @@ type Package struct {
 // consumes.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -73,7 +75,7 @@ func goList(dir string, args ...string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-const listFields = "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Module"
+const listFields = "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Module"
 
 // Load typechecks the packages matched by patterns (resolved relative
 // to dir, e.g. "./..."), excluding test files and packages outside the
@@ -81,7 +83,7 @@ const listFields = "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,DepOnly,Mo
 // export data, so it works offline against the build cache and needs
 // nothing beyond the standard toolchain.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := cachedGoList(dir, append([]string{"-deps", "-export", listFields}, patterns...)...)
+	listed, err := goList(dir, append([]string{"-deps", "-export", listFields}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +162,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, t listedPackage, modRoot
 	}
 	return &Package{
 		PkgPath: t.ImportPath,
-		Name:    t.Name,
+		Name:    tpkg.Name(),
 		Dir:     t.Dir,
 		ModRoot: modRoot,
 		Fset:    fset,
@@ -181,39 +183,29 @@ func LoadDir(moduleDir, pkgDir, importPath string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	sources := map[string][]byte{}
-	importSet := map[string]bool{}
+	t := listedPackage{ImportPath: importPath, Dir: pkgDir}
+	imports := map[string]bool{}
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
 			continue
 		}
-		name := filepath.Join(pkgDir, e.Name())
-		src, err := os.ReadFile(name)
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(pkgDir, e.Name()), nil, parser.ImportsOnly)
 		if err != nil {
 			return nil, err
 		}
-		f, err := parser.ParseFile(fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		sources[name] = src
+		t.GoFiles = append(t.GoFiles, e.Name())
 		for _, imp := range f.Imports {
-			p, _ := importPathOf(imp)
-			if p != "" {
-				importSet[p] = true
+			if path, err := strconv.Unquote(imp.Path.Value); err == nil {
+				imports[path] = true
 			}
 		}
 	}
-	if len(files) == 0 {
+	if len(t.GoFiles) == 0 {
 		return nil, fmt.Errorf("schedlint: no Go files in %s", pkgDir)
 	}
 	exports := map[string]string{}
-	if len(importSet) > 0 {
-		args := append([]string{"-deps", "-export", listFields}, mapKeys(importSet)...)
-		listed, err := cachedGoList(moduleDir, args...)
+	if len(imports) > 0 {
+		listed, err := goList(moduleDir, append([]string{"-deps", "-export", listFields}, slices.Collect(maps.Keys(imports))...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -223,47 +215,6 @@ func LoadDir(moduleDir, pkgDir, importPath string) (*Package, error) {
 			}
 		}
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{
-		Importer: exportImporter(fset, exports),
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-	}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("schedlint: typechecking %s: %v", pkgDir, err)
-	}
-	return &Package{
-		PkgPath: importPath,
-		Name:    tpkg.Name(),
-		Dir:     pkgDir,
-		Fset:    fset,
-		Files:   files,
-		Sources: sources,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
-}
-
-func importPathOf(spec *ast.ImportSpec) (string, error) {
-	s := spec.Path.Value
-	if len(s) >= 2 && s[0] == '"' {
-		return s[1 : len(s)-1], nil
-	}
-	return "", fmt.Errorf("bad import path %s", s)
-}
-
-func mapKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	fset := token.NewFileSet()
+	return typecheck(fset, exportImporter(fset, exports), t, "")
 }

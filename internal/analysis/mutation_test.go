@@ -266,8 +266,8 @@ func TestMutationWireClientSendUnderLock(t *testing.T) {
 func TestMutationServiceNilContextDefault(t *testing.T) {
 	dir := copyClean(t, "service", CtxFlow)
 	mutateFile(t, dir, "service.go",
-		"\tid, t := s.submit(ctx, in, opt)\n",
-		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\tid, t := s.submit(ctx, in, opt)\n")
+		"\treturn wait(ctx, s.SubmitCtx(ctx, in, opt, false))\n",
+		"\tif ctx == nil {\n\t\tctx = context.Background()\n\t}\n\treturn wait(ctx, s.SubmitCtx(ctx, in, opt, false))\n")
 
 	wantOneAt(t, runOnDir(t, dir, "mutation/internal/service", CtxFlow), "service.go",
 		lineOf(t, dir, "service.go", "context.Background()"), "context.Background() in library code")

@@ -211,13 +211,13 @@ type recorder struct {
 	arrivals []online.Arrival
 }
 
-func (r *recorder) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64 {
-	id := r.Scheduler.SubmitCtx(ctx, in, opt)
+func (r *recorder) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options, starts bool) *service.Ticket {
+	t := r.Scheduler.SubmitCtx(ctx, in, opt, starts)
 	h, _ := service.HashInstance(r.seed, in)
 	r.mu.Lock()
-	r.hashes[id] = h
+	r.hashes[t.ID] = h
 	r.mu.Unlock()
-	return id
+	return t
 }
 
 func (r *recorder) OnlineArrive(ctx context.Context, id uint64, a online.Arrival) ([]online.Event, error) {

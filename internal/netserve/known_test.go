@@ -201,11 +201,11 @@ type instances struct {
 	seen map[*moldable.Instance]int
 }
 
-func (b *instances) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64 {
+func (b *instances) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options, starts bool) *service.Ticket {
 	b.mu.Lock()
 	b.seen[in]++
 	b.mu.Unlock()
-	return b.Scheduler.SubmitCtx(ctx, in, opt)
+	return b.Scheduler.SubmitCtx(ctx, in, opt, starts)
 }
 
 // TestKnownInstanceDecodedOnce submits one 256-job instance 50 times

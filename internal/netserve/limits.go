@@ -26,7 +26,8 @@ type Limits struct {
 
 	// QuotaRate refills each declared tenant's token bucket at this
 	// many requests per second; QuotaBurst is the bucket capacity
-	// (defaults to max(1, QuotaRate) when 0). Rate 0 disables quotas.
+	// (defaults to QuotaRate when 0, and is raised to at least 1: a
+	// request takes a whole token). Rate 0 disables quotas.
 	// Connections that never declare a tenant (no "hello") share the
 	// "" bucket when quotas are on, so anonymous traffic cannot bypass
 	// the limiter.
@@ -62,10 +63,9 @@ func NewLimiter(l Limits) *Limiter {
 		lim.buckets = make(map[string]*bucket)
 		if lim.limits.QuotaBurst <= 0 {
 			lim.limits.QuotaBurst = l.QuotaRate
-			if lim.limits.QuotaBurst < 1 {
-				lim.limits.QuotaBurst = 1
-			}
 		}
+		// A bucket capped below one token would never admit a request.
+		lim.limits.QuotaBurst = max(lim.limits.QuotaBurst, 1)
 	}
 	return lim
 }

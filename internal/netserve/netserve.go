@@ -77,10 +77,9 @@ var (
 // Server both serve through one.
 type Backend interface {
 	// Batch tickets (docs/PROTOCOL.md: submit/result).
-	SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64
+	SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options, starts bool) *service.Ticket
 	Wait(id uint64) (service.Result, bool)
 	Poll(id uint64) (res service.Result, done, known bool)
-	Done(id uint64) (<-chan struct{}, bool)
 
 	// Online sessions (open_online/arrive/trace/drain).
 	OpenOnline(cfg online.Config) (uint64, error)

@@ -147,9 +147,8 @@ func (w *writer) send(r Response) {
 	w.err = w.enc.Encode(r)
 }
 
-// session is the per-connection protocol state: declared tenant, the
-// online sessions opened here (released on disconnect), and which
-// tickets asked for full schedules.
+// session is the per-connection protocol state: declared tenant and
+// the online sessions opened here (released on disconnect).
 type session struct {
 	b   Backend
 	out *writer
@@ -163,10 +162,6 @@ type session struct {
 	// is touched by the read loop only; the channels carry the
 	// cross-goroutine ordering (see the submit and result cases).
 	barrier chan struct{}
-	// wantSched marks tickets whose submit asked for the full
-	// placement (Request.Schedule). Written by submit handlers, read
-	// by result handlers — both off the read loop, hence a sync.Map.
-	wantSched sync.Map // ticket id → bool
 }
 
 // send stamps the request's trace id onto the response and emits it.
@@ -212,7 +207,10 @@ func (s *session) handle(ctx context.Context, req Request) bool {
 		// intake; handle off the read loop like result-wait. Clients
 		// correlate the reply by tag. Each submit extends the barrier
 		// chain: its link closes once its own handler AND every earlier
-		// submit's are done.
+		// submit's are done. An admitted submission then holds its
+		// admission slot (and deadline timer) until its ticket
+		// completes, whoever collects it: in-flight means
+		// submitted-but-unfinished, not merely enqueued.
 		async = true
 		prev := s.barrier
 		next := make(chan struct{})
@@ -220,10 +218,13 @@ func (s *session) handle(ctx context.Context, req Request) bool {
 		s.pending.Add(1)
 		go func(req Request, tenant string) {
 			defer s.pending.Done()
-			s.handleSubmit(ctx, req, tenant)
+			settle := s.handleSubmit(ctx, req, tenant)
 			s.observe(op, t0)
 			<-prev
 			close(next)
+			if settle != nil {
+				settle()
+			}
 		}(req, s.tenant)
 	case "result":
 		if req.Wait {
@@ -293,17 +294,19 @@ func (s *session) releaseSessions() {
 
 // handleSubmit runs off the read loop; tenant is captured at dispatch
 // because s.tenant is read-loop-only state (a concurrent "hello" could
-// otherwise race the re-bind).
-func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) {
+// otherwise race the re-bind). It replies to the submit and, when the
+// submission was admitted, returns settle: wait for the ticket to
+// complete, then release its admission slot and deadline timer.
+func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) (settle func()) {
 	algo, err := core.ParseAlgorithm(orDefault(req.Algo, "auto"))
 	if err != nil {
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: codeBadRequest, Error: err.Error()})
-		return
+		return nil
 	}
 	in, err := req.instance()
 	if err != nil {
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: codeBadRequest, Error: fmt.Sprintf("bad instance: %v", err)})
-		return
+		return nil
 	}
 	// Tag the request context so the scheduler's decision-trace ring
 	// records which wire request each decision served
@@ -313,8 +316,8 @@ func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) 
 	// bounds the monotonicity probing as well as the scheduling; the
 	// context then travels with the ticket, so an expired deadline
 	// abandons queued work and stops a running dual search at its next
-	// probe. The watcher releases the timer as soon as the ticket
-	// completes, whoever collects it.
+	// probe. settle releases the timer as soon as the ticket completes,
+	// whoever collects it.
 	var cancel context.CancelFunc
 	if req.TimeoutMS > 0 {
 		// Clamp before converting: a huge timeout_ms (client shorthand
@@ -336,7 +339,7 @@ func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) 
 			cancel()
 		}
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: wireCode(err), Error: err.Error()})
-		return
+		return nil
 	}
 	if err := s.cfg.known.validate(ctx, in, &req, s.cfg.Probes); err != nil {
 		if cancel != nil {
@@ -352,32 +355,17 @@ func (s *session) handleSubmit(ctx context.Context, req Request, tenant string) 
 			code = codeBadRequest
 		}
 		s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, Code: code, Error: fmt.Sprintf("invalid instance: %v", err)})
-		return
+		return nil
 	}
-	id := s.b.SubmitCtx(ctx, in, core.Options{Algorithm: algo, Eps: req.Eps, Validate: req.Validate})
-	if req.Schedule {
-		s.wantSched.Store(id, true)
-	}
-	// Hold the admission slot (and the deadline timer) until the
-	// ticket completes, whoever collects it — in-flight means
-	// submitted-but-unfinished, not merely enqueued.
-	if done, ok := s.b.Done(id); ok {
-		s.pending.Add(1)
-		go func() {
-			defer s.pending.Done()
-			<-done
-			s.cfg.Limiter.release(tenant)
-			if cancel != nil {
-				cancel()
-			}
-		}()
-	} else {
+	t := s.b.SubmitCtx(ctx, in, core.Options{Algorithm: algo, Eps: req.Eps, Validate: req.Validate}, req.Schedule)
+	s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, ID: t.ID})
+	return func() {
+		<-t.Done()
 		s.cfg.Limiter.release(tenant)
 		if cancel != nil {
 			cancel()
 		}
 	}
-	s.send(req.TraceID, Response{Op: "submit", Tag: req.Tag, ID: id})
 }
 
 // handleOpenOnline creates an online session. Runs on the read loop:
@@ -495,7 +483,6 @@ func (s *session) sendResult(tid string, id uint64, res service.Result, known, d
 		s.send(tid, resp)
 		return
 	}
-	_, wantSched := s.wantSched.LoadAndDelete(id)
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
 		resp.Code = wireCode(res.Err)
@@ -510,7 +497,7 @@ func (s *session) sendResult(tid string, id uint64, res service.Result, known, d
 	resp.Ratio = rep.Ratio
 	resp.Iterations = rep.Iterations
 	resp.ElapsedMS = float64(rep.Elapsed.Microseconds()) / 1000
-	resp.sched, resp.withStarts = res.Schedule, wantSched
+	resp.sched, resp.withStarts = res.Schedule, res.Starts
 	s.send(tid, resp)
 }
 

@@ -81,6 +81,14 @@ func TestLimiterQuota(t *testing.T) {
 	if err := l.takeToken(""); err != nil {
 		t.Fatalf("anonymous first: %v", err)
 	}
+	// A fractional burst still holds one request's token.
+	frac := NewLimiter(Limits{QuotaRate: 0.001, QuotaBurst: 0.5})
+	if err := frac.takeToken("acme"); err != nil {
+		t.Fatalf("burst 0.5, first token: %v", err)
+	}
+	if err := frac.takeToken("acme"); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("burst 0.5, second token: %v, want ErrOverloaded", err)
+	}
 	// Quotas disabled: unlimited.
 	open := NewLimiter(Limits{})
 	for i := 0; i < 100; i++ {
@@ -93,28 +101,34 @@ func TestLimiterQuota(t *testing.T) {
 // --- Wire-level shedding (deterministic via a stub backend) ---
 
 // stubBackend is a Backend whose tickets complete only when the test
-// closes done — the deterministic way to hold admission slots occupied.
-// Ops the test never exercises fall through to the embedded nil Backend
-// and would panic loudly.
+// closes done — the deterministic way to hold admission slots occupied:
+// whatever the wire submits, it schedules a heldJob on done instead.
 type stubBackend struct {
-	Backend
+	*service.Scheduler
 	done chan struct{}
-
-	mu   sync.Mutex
-	next uint64 //sched:guardedby mu
 }
 
-func (b *stubBackend) SubmitCtx(context.Context, *moldable.Instance, core.Options) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.next++
-	return b.next
+func (b *stubBackend) SubmitCtx(ctx context.Context, _ *moldable.Instance, opt core.Options, starts bool) *service.Ticket {
+	held := &moldable.Instance{M: 8, Jobs: []moldable.Job{heldJob{b.done}}}
+	return b.Scheduler.SubmitCtx(ctx, held, opt, starts)
 }
 
-func (b *stubBackend) Done(uint64) (<-chan struct{}, bool) { return b.done, true }
+// heldJob is a perfect-speedup job whose oracle blocks until release
+// closes, holding its worker busy until then.
+type heldJob struct{ release <-chan struct{} }
+
+func (j heldJob) Time(p int) moldable.Time {
+	<-j.release
+	return 8 / moldable.Time(p)
+}
 
 func TestServeLinesShedsWhenSaturated(t *testing.T) {
-	stub := &stubBackend{done: make(chan struct{})}
+	stub := &stubBackend{Scheduler: service.New(service.Config{Workers: 1}), done: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(stub.done) })
+	t.Cleanup(func() {
+		release()
+		stub.Close()
+	})
 	lim := NewLimiter(Limits{MaxInflight: 1})
 	inst := `{"m":8,"jobs":[{"type":"perfect","w":8}]}`
 
@@ -147,8 +161,8 @@ func TestServeLinesShedsWhenSaturated(t *testing.T) {
 		t.Fatalf("saturated submit: code %q, want %q (%+v)", shed.Code, codeOverloaded, shed)
 	}
 	// Completing the held ticket frees the slot — asynchronously, via
-	// the ticket watcher — so retry until the release lands.
-	close(stub.done)
+	// its submit handler — so retry until the release lands.
+	release()
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
 		tag := "again" + strconv.Itoa(i)
@@ -168,6 +182,26 @@ func TestServeLinesShedsWhenSaturated(t *testing.T) {
 	inW.Close()
 	if err := <-errc; err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestStartsFollowTheTicket submits with "schedule":true on one session
+// and collects the ticket on a second session of the same scheduler:
+// the flag travels with the ticket, so the result carries starts
+// whichever connection collects it.
+func TestStartsFollowTheTicket(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	t.Cleanup(svc.Close)
+	a := pipeSession(t, svc, ServeConfig{Probes: 8})
+	b := pipeSession(t, svc, ServeConfig{Probes: 8})
+	inst := `{"m":8,"jobs":[{"type":"perfect","w":8},{"type":"perfect","w":4}]}`
+	sub := a.roundTrip(`{"op":"submit","tag":"s","schedule":true,"instance":` + inst + `}`)
+	if sub.Code != "" || sub.ID == 0 {
+		t.Fatalf("submit: %+v", sub)
+	}
+	r := b.roundTrip(`{"op":"result","id":` + strconv.FormatUint(sub.ID, 10) + `,"wait":true}`)
+	if r.Code != "" || len(r.Allot) != 2 || len(r.Starts) != 2 {
+		t.Fatalf("result collected on another session: code %q allot %v starts %v", r.Code, r.Allot, r.Starts)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestSubmitCtxPreCanceled(t *testing.T) {
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, ok := s.Wait(s.SubmitCtx(ctx, in, opt))
+	r, ok := s.Wait(s.SubmitCtx(ctx, in, opt, false).ID)
 	if !ok {
 		t.Fatal("ticket unknown")
 	}
@@ -56,8 +56,8 @@ func TestDoCtxDeadline(t *testing.T) {
 
 // TestDoCtxKeepsItsResult runs many concurrent cached DoCtx calls with
 // a retention FIFO of one ticket, so other calls evict each ticket
-// almost as soon as it completes. DoCtx waits on the task it submitted,
-// not on the ticket, so no live-context call loses its result.
+// almost as soon as it completes. DoCtx waits on the ticket it holds,
+// not on its id, so no live-context call loses its result.
 func TestDoCtxKeepsItsResult(t *testing.T) {
 	s := New(Config{Workers: 2, TicketCap: 1})
 	defer s.Close()
@@ -83,6 +83,30 @@ func TestDoCtxKeepsItsResult(t *testing.T) {
 	wg.Wait()
 	if n := lost.Load(); n != 0 {
 		t.Fatalf("%d of %d live-context DoCtx calls lost their result", n, goroutines*calls)
+	}
+}
+
+// TestTicketOutlivesRetention completes two submissions of one
+// instance through a retention FIFO of one ticket: the second ages the
+// first's id out, so Poll no longer knows it, yet the first's holder
+// still reads its own result, with its own Starts flag. The second is
+// a cache hit of the first's result and must not inherit that flag.
+func TestTicketOutlivesRetention(t *testing.T) {
+	s := New(Config{Workers: 1, TicketCap: 1})
+	defer s.Close()
+	opt := core.Options{Algorithm: core.LT2}
+	first := s.SubmitCtx(context.Background(), testInstance(4), opt, true)
+	<-first.Done()
+	second := s.SubmitCtx(context.Background(), testInstance(4), opt, false)
+	<-second.Done()
+	if _, _, known := s.Poll(first.ID); known {
+		t.Fatal("the first ticket's id outlived a TicketCap of 1")
+	}
+	if r := first.Result(); r.Err != nil || r.Schedule == nil || !r.Starts {
+		t.Fatalf("aged-out ticket: err=%v schedule=%v starts=%v", r.Err, r.Schedule != nil, r.Starts)
+	}
+	if r, ok := s.Wait(second.ID); !ok || !r.Cached || r.Starts {
+		t.Fatalf("cached ticket: ok=%v cached=%v starts=%v", ok, r.Cached, r.Starts)
 	}
 }
 

@@ -35,13 +35,13 @@ func TestSameKeyRunsInSubmissionOrder(t *testing.T) {
 	const n = 200
 	var log []int
 	opt := core.Options{Algorithm: core.LT2}
-	tasks := make([]*task, n)
-	for i := range tasks {
-		tasks[i] = &task{done: make(chan struct{})}
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		tickets[i] = &Ticket{ID: uint64(i + 1), done: make(chan struct{})}
 		in := &moldable.Instance{M: 4, Jobs: []moldable.Job{orderJob{i: i, log: &log, hit: new(bool)}}}
-		s.enqueue(job{ctx: context.Background(), id: uint64(i + 1), t: tasks[i], in: in, opt: opt, key: 42})
+		s.enqueue(job{ctx: context.Background(), t: tickets[i], in: in, opt: opt, key: 42})
 	}
-	for i, tk := range tasks {
+	for i, tk := range tickets {
 		<-tk.done
 		if tk.res.Err != nil {
 			t.Fatalf("job %d: %v", i, tk.res.Err)
@@ -76,15 +76,15 @@ func TestBurstComputesOnce(t *testing.T) {
 	in := testInstance(7)
 	key, _ := s.h.instanceKey(in)
 	gate := make(chan struct{})
-	blocker := &task{done: make(chan struct{})}
+	blocker := &Ticket{ID: s.nextID.Add(1), done: make(chan struct{})}
 	busy := &moldable.Instance{M: 4, Jobs: []moldable.Job{gateJob{gate}}}
-	s.enqueue(job{ctx: context.Background(), id: s.nextID.Add(1), t: blocker, in: busy, opt: core.Options{Algorithm: core.LT2}, key: key})
+	s.enqueue(job{ctx: context.Background(), t: blocker, in: busy, opt: core.Options{Algorithm: core.LT2}, key: key})
 
 	const n = 32
 	opt := core.Options{Algorithm: core.Linear, Eps: 0.25}
 	ids := make([]uint64, n)
 	for i := range ids {
-		ids[i] = s.SubmitCtx(context.Background(), testInstance(7), opt)
+		ids[i] = s.SubmitCtx(context.Background(), testInstance(7), opt, false).ID
 	}
 	close(gate)
 	for _, id := range ids {
@@ -104,7 +104,7 @@ func TestCloseIdempotent(t *testing.T) {
 	opt := core.Options{Algorithm: core.LT2}
 	ids := make([]uint64, 16)
 	for i := range ids {
-		ids[i] = s.SubmitCtx(context.Background(), testInstance(uint64(80+i)), opt)
+		ids[i] = s.SubmitCtx(context.Background(), testInstance(uint64(80+i)), opt, false).ID
 	}
 	var wg sync.WaitGroup
 	for range 2 {

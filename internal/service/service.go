@@ -15,8 +15,8 @@
 // after warm-up (DESIGN.md §6); results are cloned at this boundary
 // before they escape into the cache or to callers.
 //
-// Submissions are asynchronous (SubmitCtx returns a ticket;
-// Wait/Poll collect, Done observes) with synchronous
+// Submissions are asynchronous (SubmitCtx returns a Ticket its holder
+// waits on; Wait/Poll collect a ticket by id) with synchronous
 // conveniences (DoCtx, DoBatchCtx) on top. SubmitCtx carries a
 // per-submission context — deadline included — all the way into the
 // dual-search probe loops; interrupted submissions complete with
@@ -68,6 +68,10 @@ type Result struct {
 	Report   *core.Report
 	Err      error
 	Cached   bool // served from the result cache
+	// Starts reports that the submission asked for start times (the
+	// wire protocol's "schedule" flag). It belongs to the ticket, not
+	// to the schedule, so the result cache never stores it.
+	Starts bool
 }
 
 // Stats is a snapshot of the scheduler's counters. The JSON names are
@@ -106,7 +110,7 @@ type Scheduler struct {
 	workers sync.WaitGroup
 	closing sync.Once
 	results *resultCache
-	tasks   sync.Map    // ticket → *task
+	tasks   sync.Map    // ticket id → *Ticket
 	onlines sync.Map    // ticket → *onlineSession (see online.go)
 	retired chan uint64 // FIFO of completed tickets, bounding uncollected retention
 	nextID  atomic.Uint64
@@ -115,16 +119,33 @@ type Scheduler struct {
 	onlineOpened, onlineArrivals               atomic.Int64
 }
 
-type task struct {
-	res  Result
-	done chan struct{}
+// Ticket is one submission's handle, returned by SubmitCtx. Its holder
+// waits on Done and reads Result without looking the ticket up again,
+// so a ticket that aged out of retention still answers whoever holds
+// it. Wait and Poll collect a ticket by ID: the protocol's result op.
+type Ticket struct {
+	ID     uint64
+	s      *Scheduler
+	starts bool
+	res    Result
+	done   chan struct{}
+}
+
+// Done returns a channel that is closed when the submission completes.
+func (t *Ticket) Done() <-chan struct{} { return t.done }
+
+// Result blocks until the submission completes and returns its result,
+// releasing the ticket: Wait and Poll then report its ID unknown.
+func (t *Ticket) Result() Result {
+	<-t.done
+	t.s.tasks.Delete(t.ID)
+	return t.res
 }
 
 // job is one queued submission: everything run needs.
 type job struct {
 	ctx       context.Context
-	id        uint64
-	t         *task
+	t         *Ticket
 	in        *moldable.Instance
 	opt       core.Options
 	key, rkey uint64
@@ -188,57 +209,50 @@ func (s *Scheduler) Close() {
 	s.workers.Wait()
 }
 
-// SubmitCtx enqueues the instance and returns a ticket for Wait/Poll.
-// The instance must not be mutated afterwards. Result-cache hits
-// complete the ticket immediately without touching the queues.
+// SubmitCtx enqueues the instance and returns its ticket. The instance
+// must not be mutated afterwards. Result-cache hits complete the ticket
+// immediately without touching the queues. starts is stored on the
+// ticket and comes back as its Result's Starts.
 //
 // Completed results are retained until collected, up to TicketCap
 // uncollected tickets; beyond that the oldest uncollected results are
-// dropped (their tickets then report unknown). Fire-and-forget callers
-// therefore don't leak; callers that collect always see their result
-// if they stay within TicketCap of the completion front.
+// dropped (Wait and Poll then report their ids unknown). Fire-and-forget
+// callers therefore don't leak; a holder of the Ticket always sees its
+// result, and callers that collect by id see theirs if they stay within
+// TicketCap of the completion front.
 //
 // The deadline or cancellation of ctx travels with the ticket. A submission whose context ends
 // while it is still queued is abandoned without scheduling; one whose
 // context ends mid-run stops at the next dual probe. Either way the
-// ticket completes with an error matching scherr.ErrCanceled, so
-// Wait/Poll callers always see a result. Canceled results are never
+// ticket completes with an error matching scherr.ErrCanceled, so its
+// holder and Wait/Poll callers always see a result. Canceled results are never
 // cached. A result-cache hit still answers a live context immediately.
-func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options) uint64 {
-	id, _ := s.submit(ctx, in, opt)
-	return id
-}
-
-// submit is SubmitCtx that also returns the ticket's task, so that a
-// synchronous caller waits on the task itself: the ticket may age out
-// of the retention FIFO before the caller could look it up.
-func (s *Scheduler) submit(ctx context.Context, in *moldable.Instance, opt core.Options) (uint64, *task) {
-	id := s.nextID.Add(1)
-	t := &task{done: make(chan struct{})}
-	s.tasks.Store(id, t)
+func (s *Scheduler) SubmitCtx(ctx context.Context, in *moldable.Instance, opt core.Options, starts bool) *Ticket {
+	t := &Ticket{ID: s.nextID.Add(1), s: s, starts: starts, done: make(chan struct{})}
+	s.tasks.Store(t.ID, t)
 	s.submitted.Add(1)
 	if obs.On() {
 		obs.ServiceSubmitted.Inc()
 	}
 
 	key, canon := s.h.instanceKey(in)
-	j := job{ctx: ctx, id: id, t: t, in: in, opt: opt, key: key, canon: canon}
+	j := job{ctx: ctx, t: t, in: in, opt: opt, key: key, canon: canon}
 	if canon {
 		j.rkey = s.h.resultKey(key, opt)
 	} else {
 		// No canonical hash: spread by ticket so unhashable submissions
 		// don't all serialize onto one worker.
-		j.key = id
+		j.key = t.ID
 	}
 	if s.cached(j) {
-		return id, t
+		return t
 	}
 	if err := ctx.Err(); err != nil {
-		s.finish(id, t, Result{Err: scherr.Canceled(err)})
-		return id, t
+		s.finish(t, Result{Err: scherr.Canceled(err)})
+		return t
 	}
 	s.enqueue(j)
-	return id, t
+	return t
 }
 
 // cached completes j from the result cache if the cache holds its
@@ -256,7 +270,7 @@ func (s *Scheduler) cached(j job) bool {
 	if obs.On() {
 		obs.ServiceResultHits.Inc()
 	}
-	s.finish(j.id, j.t, r)
+	s.finish(j.t, r)
 	return true
 }
 
@@ -265,7 +279,7 @@ func (s *Scheduler) run(j job, sc *core.Scratch) {
 	// Abandon work whose caller has already given up: the deadline ended
 	// while this submission sat in the queue.
 	if err := j.ctx.Err(); err != nil {
-		s.finish(j.id, j.t, Result{Err: scherr.Canceled(err)})
+		s.finish(j.t, Result{Err: scherr.Canceled(err)})
 		return
 	}
 	// Re-check the cache: a key-mate submitted moments earlier may have
@@ -289,29 +303,33 @@ func (s *Scheduler) run(j job, sc *core.Scratch) {
 	if err == nil && j.canon && !s.cfg.NoResultCache {
 		s.results.put(j.rkey, r)
 	}
-	s.finish(j.id, j.t, r)
+	s.finish(j.t, r)
 }
 
-func (s *Scheduler) finish(id uint64, t *task, r Result) {
+// finish completes t with r, stamping the ticket's own Starts flag on
+// the copy it keeps (run has already cached r without it).
+func (s *Scheduler) finish(t *Ticket, r Result) {
 	if r.Err != nil {
 		s.failures.Add(1)
 		if obs.On() {
 			obs.ServiceErrors.Inc()
 		}
 	}
+	r.Starts = t.starts
 	t.res = r
 	s.completed.Add(1)
 	if obs.On() {
 		obs.ServiceCompleted.Inc()
 	}
-	close(t.done)
 	// Bound completed-but-uncollected retention: push this ticket onto
 	// the retirement FIFO, evicting the oldest when full. Evicting a
 	// ticket that was already collected (Wait/Poll deleted it) is a
-	// harmless no-op.
+	// harmless no-op. Done closes only after the push, so a caller that
+	// saw a ticket complete sees the retention it entered.
 	for {
 		select {
-		case s.retired <- id:
+		case s.retired <- t.ID:
+			close(t.done)
 			return
 		default:
 			select {
@@ -331,23 +349,7 @@ func (s *Scheduler) Wait(id uint64) (Result, bool) {
 	if !ok {
 		return Result{}, false
 	}
-	t := v.(*task)
-	<-t.done
-	s.tasks.Delete(id)
-	return t.res, true
-}
-
-// Done returns a channel that is closed when the ticket completes,
-// without collecting or releasing it — the observer's sibling of
-// Wait/Poll, for callers that must react to completion (release a
-// deadline timer, update a gauge) while someone else collects the
-// result. Unknown tickets return ok=false.
-func (s *Scheduler) Done(id uint64) (<-chan struct{}, bool) {
-	v, ok := s.tasks.Load(id)
-	if !ok {
-		return nil, false
-	}
-	return v.(*task).done, true
+	return v.(*Ticket).Result(), true
 }
 
 // Poll returns the ticket's result without blocking. done reports
@@ -358,11 +360,10 @@ func (s *Scheduler) Poll(id uint64) (res Result, done, known bool) {
 	if !ok {
 		return Result{}, false, false
 	}
-	t := v.(*task)
+	t := v.(*Ticket)
 	select {
 	case <-t.done:
-		s.tasks.Delete(id)
-		return t.res, true, true
+		return t.Result(), true, true
 	default:
 		return Result{}, false, true
 	}
@@ -376,18 +377,16 @@ func (s *Scheduler) Poll(id uint64) (res Result, done, known bool) {
 // returns an ErrCanceled result immediately instead of waiting for the
 // worker to reach (and then abandon) the task.
 func (s *Scheduler) DoCtx(ctx context.Context, in *moldable.Instance, opt core.Options) Result {
-	id, t := s.submit(ctx, in, opt)
-	return s.wait(ctx, id, t)
+	return wait(ctx, s.SubmitCtx(ctx, in, opt, false))
 }
 
-// wait returns t's result once it completes, releasing ticket id, or
+// wait returns t's result once it completes, releasing the ticket, or
 // an ErrCanceled result when ctx ends first; the ticket then stays
 // collectable and the submission runs on under its own context.
-func (s *Scheduler) wait(ctx context.Context, id uint64, t *task) Result {
+func wait(ctx context.Context, t *Ticket) Result {
 	select {
 	case <-t.done:
-		s.tasks.Delete(id)
-		return t.res
+		return t.Result()
 	case <-ctx.Done():
 		return Result{Err: scherr.Canceled(ctx.Err())}
 	}
@@ -400,14 +399,13 @@ func (s *Scheduler) wait(ctx context.Context, id uint64, t *task) Result {
 // slice. The waits are ctx-bounded, so the call returns promptly after
 // a cancel instead of trailing the queue.
 func (s *Scheduler) DoBatchCtx(ctx context.Context, ins []*moldable.Instance, opt core.Options) []Result {
-	ids := make([]uint64, len(ins))
-	tasks := make([]*task, len(ins))
+	tickets := make([]*Ticket, len(ins))
 	for i, in := range ins {
-		ids[i], tasks[i] = s.submit(ctx, in, opt)
+		tickets[i] = s.SubmitCtx(ctx, in, opt, false)
 	}
 	out := make([]Result, len(ins))
-	for i, id := range ids {
-		out[i] = s.wait(ctx, id, tasks[i])
+	for i, t := range tickets {
+		out[i] = wait(ctx, t)
 	}
 	return out
 }

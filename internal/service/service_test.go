@@ -92,7 +92,7 @@ func TestSubmitWaitPoll(t *testing.T) {
 	if _, _, known := s.Poll(999); known {
 		t.Error("Poll(unknown) returned known")
 	}
-	id := s.SubmitCtx(context.Background(), testInstance(4), core.Options{Algorithm: core.LT2})
+	id := s.SubmitCtx(context.Background(), testInstance(4), core.Options{Algorithm: core.LT2}, false).ID
 	for {
 		res, done, known := s.Poll(id)
 		if !known {
@@ -258,22 +258,19 @@ func TestTicketCapBoundsUncollected(t *testing.T) {
 	s := New(Config{TicketCap: 4, Workers: 1})
 	defer s.Close()
 	opt := core.Options{Algorithm: core.LT2}
-	ids := make([]uint64, 10)
-	for i := range ids {
-		ids[i] = s.SubmitCtx(context.Background(), testInstance(uint64(60+i)), opt)
+	tickets := make([]*Ticket, 10)
+	for i := range tickets {
+		tickets[i] = s.SubmitCtx(context.Background(), testInstance(uint64(60+i)), opt, false)
 	}
-	// A ticket the cap already dropped had completed; wait on the rest.
-	for _, id := range ids {
-		if done, ok := s.Done(id); ok {
-			<-done
-		}
+	for _, tk := range tickets {
+		<-tk.Done()
 	}
-	if _, done, k := s.Poll(ids[len(ids)-1]); !k || !done {
+	if _, done, k := s.Poll(tickets[len(tickets)-1].ID); !k || !done {
 		t.Fatal("newest ticket must survive the cap")
 	}
 	known := 0
-	for _, id := range ids[:len(ids)-1] {
-		if _, _, k := s.Poll(id); k {
+	for _, tk := range tickets[:len(tickets)-1] {
+		if _, _, k := s.Poll(tk.ID); k {
 			known++
 		}
 	}

@@ -66,7 +66,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
 				in := ins[(w*200+i)%len(ins)]
-				if _, ok := s.Wait(s.SubmitCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5})); !ok {
+				if _, ok := s.Wait(s.SubmitCtx(context.Background(), in, core.Options{Algorithm: core.Linear, Eps: 0.5}, false).ID); !ok {
 					// Evicted by the small TicketCap under load; the counters
 					// are what this test is about, not the results.
 					continue

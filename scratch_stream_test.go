@@ -38,7 +38,7 @@ func TestScheduleStreamPooledScratchIdentical(t *testing.T) {
 		want[i] = s
 	}
 
-	// Pooled: the full client stack (sharded pool, per-worker scratch).
+	// Pooled: the full client stack (worker pool, per-worker scratch).
 	// The result cache is disabled so every submission really computes
 	// on a worker's scratch; three passes make every worker reuse its
 	// buffers many times.
